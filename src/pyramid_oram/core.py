@@ -67,10 +67,21 @@ class InsufficientDataError(OramError, ValueError):
     """A statistical check was invoked with too few samples to be meaningful."""
 
 
+class StoreBrokenError(OramError):
+    """The store refuses further use: an earlier build failed part-way."""
+
+
 class SlotState(IntEnum):
     EMPTY = 0
     DUMMY = 1
     REAL = 2
+
+
+# Plain-int copies of the states for hot loops, where an IntEnum attribute
+# lookup costs more than the numpy call it feeds.
+EMPTY = int(SlotState.EMPTY)
+DUMMY = int(SlotState.DUMMY)
+REAL = int(SlotState.REAL)
 
 
 # Permitted state transitions inside structural operations.  Identity
@@ -175,6 +186,18 @@ class SlotArray:
     def shape(self):
         return self.key.shape
 
+    def reshape(self, shape) -> "SlotArray":
+        """The same slots under a new leading shape; a view when contiguous."""
+        if isinstance(shape, int):
+            shape = (shape,)
+        out = SlotArray.__new__(SlotArray)
+        out.payload_size = self.payload_size
+        out.key = self.key.reshape(shape)
+        out.state = self.state.reshape(shape)
+        out.tag = self.tag.reshape(shape)
+        out.payload = self.payload.reshape(shape + (self.payload_size,))
+        return out
+
     @property
     def size(self) -> int:
         return self.key.size
@@ -198,22 +221,22 @@ class SlotArray:
 
     def clear(self) -> None:
         self.key.fill(KEY_SENTINEL)
-        self.state.fill(SlotState.EMPTY)
+        self.state.fill(EMPTY)
         self.tag.fill(False)
         self.payload.fill(0)
 
     def clear_to_dummy(self, mask) -> None:
         """Overwrite the masked slots with dummies (spilled/extracted cells)."""
         if _debug_checks:
-            bad = mask & (self.state == SlotState.EMPTY)
+            bad = mask & (self.state == EMPTY)
             assert not bad.any(), "clearing an Empty slot to Dummy"
         self.key[mask] = KEY_SENTINEL
-        self.state[mask] = SlotState.DUMMY
+        self.state[mask] = DUMMY
         self.tag[mask] = False
         self.payload[mask] = 0
 
     def real_count(self) -> int:
-        return int((self.state == SlotState.REAL).sum())
+        return int((self.state == REAL).sum())
 
     def iter_slots(self):
         flat_key = self.key.reshape(-1)
@@ -252,7 +275,10 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> _S31)
 
 
-@functools.cache
+# Bounded: every rebuild attempt draws a fresh epoch, so an unbounded cache
+# would grow by k entries per build for the life of the process.  Each Zht
+# keeps its own subkeys; this cache only serves repeated bucket_indices calls.
+@functools.lru_cache(maxsize=1024)
 def _table_subkey(seed: int, epoch: int, level: int, table_index: int) -> np.uint64:
     """Derive the per-(epoch, level, table) 64-bit subkey by absorbing each word."""
     x = np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
@@ -260,6 +286,11 @@ def _table_subkey(seed: int, epoch: int, level: int, table_index: int) -> np.uin
     x = _mix64(x ^ (np.uint64(epoch & 0xFFFFFFFFFFFFFFFF) + _MIX_C1))
     x = _mix64(x ^ (np.uint64((level << 16) | table_index) + _MIX_C2))
     return np.uint64(x[0])
+
+
+def _keyed_bucket(keys: np.ndarray, subkeys, n: int) -> np.ndarray:
+    """The hash itself: uint64 keys under (broadcast) subkeys into [0, n)."""
+    return (_mix64((keys * _GOLDEN) ^ subkeys) % np.uint64(n)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -280,9 +311,15 @@ class HashFamily:
         scalar = np.isscalar(keys)
         k = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
         sub = _table_subkey(self.seed, self.epoch, level, table_index)
-        h = _mix64((k * _GOLDEN) ^ sub)
-        out = (h % np.uint64(n)).astype(np.int64)
+        out = _keyed_bucket(k, sub, n)
         return int(out[0]) if scalar else out
+
+    def subkeys(self, level: int, count: int) -> np.ndarray:
+        """uint64 subkeys of tables 0..count-1 at `level`, for path_buckets()."""
+        return np.array(
+            [_table_subkey(self.seed, self.epoch, level, j) for j in range(count)],
+            dtype=np.uint64,
+        )
 
     def fresh_epoch(self) -> "HashFamily":
         if self.epoch + 1 > 0xFFFFFFFFFFFFFFFF:
@@ -290,13 +327,14 @@ class HashFamily:
         return HashFamily(self.seed, self.epoch + 1)
 
 
-def hash_bucket(fam: HashFamily, level: int, table_index: int, key, n: int):
-    """Bucket index of `key` for table (level, table_index) under `fam`."""
-    return fam.bucket_indices(level, table_index, key, n)
+def path_buckets(subkeys: np.ndarray, key: int, n: int) -> np.ndarray:
+    """One key's bucket under each subkey: bucket_indices over all lanes at once.
 
-
-def fresh_epoch(fam: HashFamily) -> HashFamily:
-    return fam.fresh_epoch()
+    Lane j equals bucket_indices(level, j, key, n) when subkeys came from
+    subkeys(level, ...).  The key is broadcast into a uint64 array first, so
+    the multiply wraps silently instead of warning as a numpy scalar would.
+    """
+    return _keyed_bucket(np.full(subkeys.size, key, dtype=np.uint64), subkeys, n)
 
 
 class Rng:
@@ -324,7 +362,9 @@ class Rng:
 
     def bucket(self, n: int) -> int:
         _require(is_power_of_two(n), "random bucket range must be a power of two")
-        return int(self._gen.integers(0, 1 << 64, dtype=np.uint64) & np.uint64(n - 1))
+        # the generator's raw 64-bit word, which is exactly what a full-range
+        # uint64 integers() draw returns, minus its dispatch cost
+        return self._gen.bit_generator.random_raw() & (n - 1)
 
     def buckets(self, n: int, size) -> np.ndarray:
         _require(is_power_of_two(n), "random bucket range must be a power of two")
@@ -337,7 +377,3 @@ class Rng:
     def shuffle(self, arr) -> None:
         self._gen.shuffle(arr)
 
-
-def random_bucket(rng: Rng, n: int) -> int:
-    """Uniform bucket index in [0, n); n must be a power of two."""
-    return rng.bucket(n)

@@ -29,11 +29,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .core import (
+    REAL,
     HashFamily,
     Rng,
     Slot,
     SlotArray,
-    SlotState,
     _require,
     debug_checks_enabled,
     is_power_of_two,
@@ -120,16 +120,16 @@ def oblivious_build(elems: SlotArray, n: int, k: int, c: int, fam: HashFamily,
     for tj in range(k):
         tbl = z.tables[tj]
         arrivals.append(tbl.real_count())
-        tbl.tag[:] = tbl.state == SlotState.REAL
+        tbl.tag[:] = tbl.state == REAL
         dests = fam.bucket_indices(level_id, tj, tbl.key, n)
         stats = route(tbl, dests, rng, recorder=recorder, region=z.regions[tj])
         stage_spills.append(stats.stage_spills)
 
-        spilled = (tbl.state == SlotState.REAL) & ~tbl.tag
+        spilled = (tbl.state == REAL) & ~tbl.tag
         spills_after.append(int(spilled.sum()))
         if debug_checks_enabled():
-            placed_rows = np.nonzero((tbl.state == SlotState.REAL) & tbl.tag)[0]
-            placed_keys = tbl.key[(tbl.state == SlotState.REAL) & tbl.tag]
+            placed_rows = np.nonzero((tbl.state == REAL) & tbl.tag)[0]
+            placed_keys = tbl.key[(tbl.state == REAL) & tbl.tag]
             want = fam.bucket_indices(level_id, tj, placed_keys, n)
             assert placed_rows.size == 0 or (want == placed_rows).all(), (
                 f"table {tj}: routed slot off its hash bucket"

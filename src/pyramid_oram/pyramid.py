@@ -33,7 +33,10 @@ import numpy as np
 
 from .core import (
     DEFAULT_PAYLOAD_SIZE,
+    DUMMY,
+    KEY_SENTINEL,
     MAX_REAL_KEY,
+    REAL,
     BuildFailedError,
     CapacityExceededError,
     HashFamily,
@@ -41,8 +44,9 @@ from .core import (
     Rng,
     Slot,
     SlotArray,
-    SlotState,
+    StoreBrokenError,
     _require,
+    check_transition,
     debug_checks_enabled,
     is_power_of_two,
 )
@@ -203,6 +207,7 @@ def online_cost(config: PyramidConfig, t: int, loaded: bool = False) -> int:
 
 
 def _concat_slot_arrays(parts: list[SlotArray], payload_size: int) -> SlotArray:
+    """One fresh flat array holding every slot of `parts`, in order."""
     total = sum(part.size for part in parts)
     out = SlotArray(total, payload_size)
     at = 0
@@ -222,6 +227,10 @@ class PyramidOram:
     recorder captures the online access pattern (log scan plus level probes);
     build_recorder captures rebuild traffic.  Both default to disabled
     recorders so the hot path stays cheap.
+
+    A BuildFailedError leaves the store part-way through an access (counter
+    advanced, log not yet merged), so after one every access and bulk_load
+    raises StoreBrokenError; stored_items() still shows what it holds.
     """
 
     def __init__(self, config: PyramidConfig,
@@ -239,6 +248,7 @@ class PyramidOram:
         self.real_count = 0
         self.epochs = [0] * (config.num_levels + 1)
         self.last_rebuild: RebuildInfo | None = None
+        self.broken_by: BuildFailedError | None = None
         self._rng = Rng(config.seed, (0,))
         self._l0_indices = np.arange(p)
         self._search_log: dict[int, set[int]] = {
@@ -272,6 +282,7 @@ class PyramidOram:
     def access_with_record(self, op: str, key: int, value: bytes | None = None,
                            ) -> tuple[bytes | None, AccessRecord]:
         """One access; returns the pre-access payload (None on a miss)."""
+        self._refuse_if_broken()
         if op not in ("read", "write"):
             raise InvalidParameterError("op must be 'read' or 'write'")
         _require(0 <= key <= MAX_REAL_KEY, "key out of range")
@@ -324,6 +335,7 @@ class PyramidOram:
         Pads the input to exactly `capacity` slots so the build shape is a
         constant.  Loading nothing is a no-op.
         """
+        self._refuse_if_broken()
         items = list(items)
         _require(self.t == 0 and self.real_count == 0 and not self.loaded,
                  "bulk_load requires a fresh store")
@@ -345,7 +357,7 @@ class PyramidOram:
     def stored_items(self) -> dict[int, bytes]:
         """Snapshot of every stored (key, payload); a debugging aid, not oblivious."""
         out: dict[int, bytes] = {}
-        mask = self.level0.state == SlotState.REAL
+        mask = self.level0.state == REAL
         for key, payload in zip(self.level0.key[mask], self.level0.payload[mask]):
             out[int(key)] = payload.tobytes()
         for level in self.levels:
@@ -354,6 +366,12 @@ class PyramidOram:
         return out
 
     # -- internals -------------------------------------------------------------
+
+    def _refuse_if_broken(self) -> None:
+        if self.broken_by is not None:
+            raise StoreBrokenError(
+                f"store unusable after a failed build: {self.broken_by}"
+            ) from self.broken_by
 
     def _occupied_levels(self):
         for j in range(1, self.config.num_levels + 1):
@@ -383,7 +401,7 @@ class PyramidOram:
             self.recorder.record_block(
                 L0_REGION, self._l0_indices, TraceOp.READ_WRITE
             )
-        match = (l0.state == SlotState.REAL) & (l0.key == key)
+        match = (l0.state == REAL) & (l0.key == key)
         if not match.any():
             return False, None
         byte_mask = match[:, None] * np.uint8(0xFF)
@@ -396,14 +414,16 @@ class PyramidOram:
         # shares the bucket access already made by the log scan, so it adds
         # no trace event; the written slot is Real on a hit or write, Dummy
         # on a read miss, and the log advances one slot either way
+        l0 = self.level0
         slot_idx = self.t % self.config.first_level_size
-        if op == "write":
-            slot = Slot.real(key, value)
-        elif found:
-            slot = Slot.real(key, payload)
-        else:
-            slot = Slot.dummy(self.config.payload_size)
-        self.level0.put(slot_idx, slot)
+        data = value if op == "write" else payload if found else None
+        state = REAL if data is not None else DUMMY
+        if debug_checks_enabled():
+            check_transition(int(l0.state[slot_idx]), state)
+        l0.key[slot_idx] = key if data is not None else KEY_SENTINEL
+        l0.state[slot_idx] = state
+        l0.tag[slot_idx] = False
+        l0.payload[slot_idx] = 0 if data is None else np.frombuffer(data, np.uint8)
 
     def _rebuild_if_due(self) -> RebuildInfo | None:
         target = rebuild_target(self.config, self.t)
@@ -450,8 +470,9 @@ class PyramidOram:
                 )
                 return report
         assert report is not None
-        raise BuildFailedError(
+        self.broken_by = BuildFailedError(
             f"level {target} build failed after {attempts_allowed} attempt(s): "
             f"{report.failure_reason}",
             report,
         )
+        raise self.broken_by

@@ -7,6 +7,11 @@ all k path buckets (no early exit on a hit), throws of non-elements perform one
 random fake access per table.  What varies with the data is slot contents, not
 which buckets are touched.
 
+A Zht keeps all its slots in one SlotArray of shape (k, n, c): table, bucket,
+slot.  tables[j] is a ZhtTable view of row j, so per-table code (routing,
+insertion) writes straight into the store, and a search is one gather of the
+k path buckets out of it.
+
 Inserts during builds are hot, so tables carry an optional prefix-fill counter:
 while a table has only ever been appended to (real prefix, empty suffix), slot
 choice is O(1) off a per-bucket counter.  Routing or any slot-level mutation
@@ -20,17 +25,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DUMMY,
+    EMPTY,
     KEY_SENTINEL,
     MAX_REAL_KEY,
+    REAL,
     HashFamily,
     InvalidParameterError,
     Rng,
     Slot,
     SlotArray,
-    SlotState,
     Table,
     _require,
     debug_checks_enabled,
+    is_power_of_two,
+    path_buckets,
 )
 from .trace import TraceOp, TraceRecorder, table_region
 
@@ -43,6 +52,19 @@ class ZhtTable(Table):
     def __init__(self, n: int, c: int, payload_size: int):
         super().__init__(n, c, payload_size)
         self.prefix_fill = np.zeros(n, dtype=np.int32)
+
+    @classmethod
+    def row_of(cls, store: SlotArray, j: int) -> "ZhtTable":
+        """Table j of a (k, n, c) store, as a view sharing the store's memory."""
+        tbl = cls.__new__(cls)
+        _, tbl.n, tbl.c = store.shape
+        tbl.payload_size = store.payload_size
+        tbl.key = store.key[j]
+        tbl.state = store.state[j]
+        tbl.tag = store.tag[j]
+        tbl.payload = store.payload[j]
+        tbl.prefix_fill = np.zeros(tbl.n, dtype=np.int32)
+        return tbl
 
     def invalidate_prefix(self) -> None:
         self.prefix_fill = None
@@ -80,14 +102,22 @@ class Zht:
     def __init__(self, n: int, k: int, c: int, fam: HashFamily, level_id: int = 0,
                  payload_size: int = 56):
         _require(k >= 1, "need at least one table")
+        _require(is_power_of_two(n), "bucket count n must be a power of two")
+        _require(c >= 1, "bucket capacity c must be at least 1")
         self.n = n
         self.k = k
         self.c = c
         self.fam = fam
         self.level_id = level_id
         self.payload_size = payload_size
-        self.tables = [ZhtTable(n, c, payload_size) for _ in range(k)]
+        self.store = SlotArray((k, n, c), payload_size)
+        self.tables = [ZhtTable.row_of(self.store, j) for j in range(k)]
         self.regions = [table_region(level_id, j) for j in range(k)]
+        self._subkeys = fam.subkeys(level_id, k)
+        # (k*n, c) view of the store and each table's first row in it, so a
+        # path's k buckets are one take() of rows buckets + _row_base
+        self._bucket_rows = self.store.reshape((k * n, c))
+        self._row_base = np.arange(k) * n
 
     # -- paths ---------------------------------------------------------------
 
@@ -121,20 +151,20 @@ class Zht:
             if f >= self.c:
                 return False
             tbl.key[b, f] = key
-            tbl.state[b, f] = SlotState.REAL
+            tbl.state[b, f] = REAL
             tbl.tag[b, f] = True
             tbl.payload[b, f] = payload_row
             fill[b] = f + 1
             return True
         states = tbl.state[b]
-        free = states == SlotState.EMPTY
+        free = states == EMPTY
         if allow_overwrite_dummy:
-            free = free | (states == SlotState.DUMMY)
+            free = free | (states == DUMMY)
         if not free.any():
             return False
         s = int(free.argmax())
         tbl.key[b, s] = key
-        tbl.state[b, s] = SlotState.REAL
+        tbl.state[b, s] = REAL
         tbl.tag[b, s] = True
         tbl.payload[b, s] = payload_row
         return True
@@ -183,7 +213,7 @@ class Zht:
         flat_state = elems.state.reshape(-1)
         flat_key = elems.key.reshape(-1)
         flat_pay = elems.payload.reshape(-1, self.payload_size)
-        real_rows = np.flatnonzero(flat_state == SlotState.REAL)
+        real_rows = np.flatnonzero(flat_state == REAL)
         if path_source == "prf" and real_rows.size:
             paths[real_rows] = self.path_matrix(flat_key[real_rows].astype(np.uint64))
         if recorder is not None and m:
@@ -212,27 +242,33 @@ class Zht:
                recorder: TraceRecorder | None = None) -> Slot | None:
         """Probe all k path buckets; extract (and optionally remove) the match.
 
-        Comparison and extraction are mask arithmetic over whole buckets, and
-        every path bucket is visited even after a hit.
+        One gather pulls the k path buckets out of the store; comparison and
+        extraction are mask arithmetic over all of them, so every path bucket
+        is visited even after a hit.
         """
         _require(0 <= key <= MAX_REAL_KEY, "key out of range")
-        acc = np.zeros(self.payload_size, dtype=np.uint8)
-        hits = 0
-        for j in range(self.k):
-            b = int(self.fam.bucket_indices(self.level_id, j, key, self.n))
-            if recorder is not None:
-                recorder.record(self.regions[j], b, TraceOp.READ_WRITE)
-            tbl = self.tables[j]
-            match = (tbl.key[b] == key) & (tbl.state[b] == SlotState.REAL)
-            byte_mask = match[:, None] * np.uint8(0xFF)
-            acc |= (tbl.payload[b] & byte_mask).max(axis=0)
-            hits += int(match.sum())
-            if remove and match.any():
-                tbl.invalidate_prefix()
-                tbl.key[b, match] = KEY_SENTINEL
-                tbl.state[b, match] = SlotState.DUMMY
-                tbl.tag[b, match] = False
-                tbl.payload[b, match] = 0
+        buckets = path_buckets(self._subkeys, key, self.n)
+        if recorder is not None and recorder.enabled:
+            recorder.record_tiled(self.regions, buckets[None, :], TraceOp.READ_WRITE)
+        rows = buckets + self._row_base
+        br = self._bucket_rows
+        keys = br.key.take(rows, axis=0)
+        states = br.state.take(rows, axis=0)
+        match = (keys == key) & (states == REAL)
+        # with at most one match (what the debug check below asserts) the max
+        # over all k*c masked slots is exactly the matching slot's payload
+        byte_mask = match[:, :, None] * np.uint8(0xFF)
+        acc = (br.payload.take(rows, axis=0) & byte_mask).max(axis=(0, 1))
+        hits = np.count_nonzero(match)
+        if remove and hits:
+            hit_j, hit_s = np.nonzero(match)
+            hit_rows = rows[hit_j]
+            br.key[hit_rows, hit_s] = KEY_SENTINEL
+            br.state[hit_rows, hit_s] = DUMMY
+            br.tag[hit_rows, hit_s] = False
+            br.payload[hit_rows, hit_s] = 0
+            for j in hit_j:
+                self.tables[j].invalidate_prefix()
         if debug_checks_enabled():
             assert hits <= 1, f"key {key} resident in {hits} slots"
         if hits == 0:
@@ -241,34 +277,26 @@ class Zht:
 
     def dummy_search(self, rng: Rng, recorder: TraceRecorder | None = None) -> None:
         """Shape-identical to search: one uniformly random bucket per table."""
-        for j in range(self.k):
-            b = rng.bucket(self.n)
-            if recorder is not None:
-                recorder.record(self.regions[j], b, TraceOp.READ_WRITE)
-            # read-modify-write of unchanged contents
+        # read-modify-write of unchanged contents
+        buckets = [rng.bucket(self.n) for _ in range(self.k)]
+        if recorder is not None and recorder.enabled:
+            recorder.record_tiled(self.regions, [buckets], TraceOp.READ_WRITE)
 
     # -- accounting ----------------------------------------------------------
 
     def real_counts(self) -> list[int]:
-        return [t.real_count() for t in self.tables]
+        return (self.store.state == REAL).sum(axis=(1, 2)).tolist()
 
     def real_items(self) -> list[tuple[int, bytes]]:
         """All (key, payload) pairs currently resident, table-major order."""
-        out = []
-        for tbl in self.tables:
-            mask = tbl.state == SlotState.REAL
-            ks = tbl.key[mask]
-            ps = tbl.payload[mask]
-            out.extend((int(k), p.tobytes()) for k, p in zip(ks, ps))
-        return out
+        mask = self.store.state == REAL
+        keys = self.store.key[mask].tolist()
+        return [(key, p.tobytes()) for key, p in zip(keys, self.store.payload[mask])]
 
     def slot_array(self) -> SlotArray:
-        """All k*n*c slots flattened into one array (table, bucket, slot order)."""
-        flat = SlotArray(self.k * self.n * self.c, self.payload_size)
-        flat.key[:] = np.concatenate([t.key.reshape(-1) for t in self.tables])
-        flat.state[:] = np.concatenate([t.state.reshape(-1) for t in self.tables])
-        flat.tag[:] = np.concatenate([t.tag.reshape(-1) for t in self.tables])
-        flat.payload[:] = np.concatenate(
-            [t.payload.reshape(-1, self.payload_size) for t in self.tables]
-        )
-        return flat
+        """All k*n*c slots as one flat array (table, bucket, slot order).
+
+        A reshape of the store, so it shares the level's memory: copy it
+        before the level changes.
+        """
+        return self.store.reshape(self.k * self.n * self.c)

@@ -1,5 +1,7 @@
 """Slots, tables, the keyed hash family, and the seeded RNG."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,8 @@ from pyramid_oram.core import (
     SlotState,
     Table,
     check_transition,
-    fresh_epoch,
-    hash_bucket,
     is_power_of_two,
-    random_bucket,
+    path_buckets,
 )
 from pyramid_oram.trace import chi_square_uniform
 
@@ -160,7 +160,7 @@ def test_hash_bucket_uniformity():
 
 def test_fresh_epoch_collision_rate():
     fam = HashFamily(11, epoch=0)
-    nxt = fresh_epoch(fam)
+    nxt = fam.fresh_epoch()
     assert nxt.epoch == 1 and nxt.seed == fam.seed
     keys = np.arange(10_000, dtype=np.uint64)
     a = fam.bucket_indices(1, 0, keys, 256)
@@ -179,8 +179,18 @@ def test_epoch_counter_exhaustion():
 
 
 def test_hash_bucket_helper():
-    fam = HashFamily(5)
-    assert hash_bucket(fam, 2, 1, 99, 16) == fam.bucket_indices(2, 1, 99, 16)
+    # path_buckets hashes one key under every table's subkey at once; lane j
+    # must equal the scalar bucket_indices of table j, with no overflow warning
+    fam = HashFamily(5, epoch=3)
+    subkeys = fam.subkeys(2, 4)
+    assert subkeys.dtype == np.uint64 and subkeys.shape == (4,)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for key in (0, 1, 99, 2**31, MAX_REAL_KEY):
+            lanes = path_buckets(subkeys, key, 16)
+            assert lanes.tolist() == [
+                fam.bucket_indices(2, j, key, 16) for j in range(4)
+            ]
 
 
 # -- rng -----------------------------------------------------------------------------
@@ -208,7 +218,7 @@ def test_rng_bucket_draws():
     assert chi_square_uniform(counts, significance=ALPHA).passed
     with pytest.raises(InvalidParameterError):
         rng.bucket(33)
-    assert 0 <= random_bucket(rng, 8) < 8
+    assert 0 <= rng.bucket(8) < 8
 
 
 def test_rng_matrix_draw_matches_sequential_rows():

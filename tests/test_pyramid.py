@@ -7,6 +7,8 @@ from pyramid_oram.core import (
     BuildFailedError,
     CapacityExceededError,
     InvalidParameterError,
+    OramError,
+    StoreBrokenError,
 )
 from pyramid_oram.ozht import build_access_count
 from pyramid_oram.pyramid import (
@@ -379,3 +381,40 @@ def test_strict_policy_raises_where_retry_recovers():
     assert oram.stored_items() == {
         key: val(key, salt=t) for key, t in last_write.items()
     }
+
+
+def test_store_refuses_use_after_failed_build():
+    # one single-slot table per level: the level-1 build at t=4 overflows
+    cfg = PyramidConfig(capacity=64, first_level_size=4, k_override=1,
+                        c_override=1, seed=0)
+    size = cfg.payload_size
+    oram = PyramidOram(cfg)
+    for key in range(3):
+        oram.write(key, val(key, size))
+    with pytest.raises(BuildFailedError) as failed:
+        oram.write(3, val(3, size))
+    held = oram.stored_items()
+    assert held == {key: val(key, size) for key in range(4)}
+    for key in range(4, 40):
+        with pytest.raises(StoreBrokenError) as refused:
+            oram.write(key, val(key, size))
+        assert isinstance(refused.value, OramError)
+        assert refused.value.__cause__ is failed.value
+    with pytest.raises(StoreBrokenError):
+        oram.read(0)
+    with pytest.raises(StoreBrokenError):
+        oram.bulk_load([(99, val(99, size))])
+    assert oram.t == 4
+    assert oram.stored_items() == held
+
+
+def test_failed_bulk_load_breaks_the_store():
+    cfg = PyramidConfig(capacity=64, first_level_size=4, payload_size=8,
+                        k_override=1, c_override=1, seed=0)
+    oram = PyramidOram(cfg)
+    with pytest.raises(BuildFailedError):
+        oram.bulk_load([(key, val(key)) for key in range(64)])
+    with pytest.raises(StoreBrokenError):
+        oram.read(1)
+    with pytest.raises(StoreBrokenError):
+        oram.bulk_load([(key, val(key)) for key in range(4)])

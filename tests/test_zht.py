@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pyramid_oram.analysis import zigzag_failure_union_bound
 from pyramid_oram.core import (
@@ -280,3 +282,101 @@ def test_payload_width_must_match():
         z.zigzag_insert(Slot.real(1, b"xx"), z.path(1))
     with pytest.raises(InvalidParameterError):
         z.throw(SlotArray(4, payload_size=3), "random", Rng(0, ()))
+
+
+# -- the (k, n, c) store against a scalar probe ---------------------------------
+
+
+def _populated_zht(k: int, c: int, seed: int, probe: int, target: int) -> Zht:
+    """A 16-bucket Zht with random residents and dummies, written per table.
+
+    Every write goes through tables[j], so the store only sees them if the
+    tables are views.  `probe` is placed in table `target` (-1: nowhere).
+    """
+    z = Zht(16, k, c, HashFamily(seed=seed), level_id=2, payload_size=PAYLOAD)
+    gen = np.random.Generator(np.random.PCG64(seed))
+    residents = gen.choice(1 << 20, size=gen.integers(0, 12 * k * c // 4 + 1),
+                           replace=False) + 1
+    for key in residents.tolist():
+        if key == probe:
+            continue
+        j = int(gen.integers(k))
+        b = z.path(key)[j]
+        tbl = z.tables[j]
+        free = np.flatnonzero(tbl.state[b] != SlotState.REAL)
+        if free.size:
+            s = int(free[0])
+            tbl.key[b, s], tbl.state[b, s] = key, SlotState.REAL
+            tbl.payload[b, s] = gen.integers(0, 256, PAYLOAD, dtype=np.uint8)
+    for _ in range(int(gen.integers(0, 6))):
+        j, b, s = int(gen.integers(k)), int(gen.integers(16)), int(gen.integers(c))
+        if z.tables[j].state[b, s] != SlotState.REAL:
+            z.tables[j].state[b, s] = SlotState.DUMMY
+    if target >= 0:
+        b = z.path(probe)[target]
+        tbl = z.tables[target]
+        tbl.key[b, c - 1], tbl.state[b, c - 1] = probe, SlotState.REAL
+        tbl.payload[b, c - 1] = np.frombuffer(pay(probe), np.uint8)
+    return z
+
+
+def _scalar_probe(z: Zht, key: int, remove: bool, rec: TraceRecorder):
+    """Table by table along path(key), one slot at a time."""
+    found = None
+    for j, b in enumerate(z.path(key)):
+        rec.record(z.regions[j], b, TraceOp.READ_WRITE)
+        tbl = z.tables[j]
+        for s in range(z.c):
+            if tbl.state[b, s] == SlotState.REAL and tbl.key[b, s] == key:
+                found = tbl.payload[b, s].tobytes()
+                if remove:
+                    tbl.key[b, s], tbl.state[b, s] = KEY_SENTINEL, SlotState.DUMMY
+                    tbl.tag[b, s], tbl.payload[b, s] = False, 0
+    return found
+
+
+def _store_bytes(z: Zht) -> tuple[bytes, ...]:
+    st_ = z.store
+    return tuple(a.tobytes() for a in (st_.key, st_.state, st_.tag, st_.payload))
+
+
+@settings(max_examples=120, deadline=None)
+@given(k=st.sampled_from([1, 2, 4]), c=st.sampled_from([1, 4]),
+       remove=st.booleans(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_search_matches_scalar_probe(k, c, remove, seed, data):
+    target = data.draw(st.integers(-1, k - 1), label="table holding the key")
+    probe = 7
+    got_z = _populated_zht(k, c, seed, probe, target)
+    want_z = _populated_zht(k, c, seed, probe, target)
+    got_rec, want_rec = TraceRecorder(), TraceRecorder()
+    got = got_z.search(probe, remove=remove, recorder=got_rec)
+    want = _scalar_probe(want_z, probe, remove, want_rec)
+    assert (got is None) == (want is None) == (target < 0)
+    if got is not None:
+        assert got.key == probe and got.payload == want == pay(probe)
+    assert _store_bytes(got_z) == _store_bytes(want_z)
+    assert got_rec.events() == want_rec.events()
+    for j, event in enumerate(got_rec.events()):
+        assert event.region == got_z.regions[j]
+        assert event.index == got_z.path(probe)[j]
+
+
+def test_tables_are_views_of_the_store():
+    z = make_zht(n=8, k=3, c=2)
+    for j, tbl in enumerate(z.tables):
+        for field in ("key", "state", "tag", "payload"):
+            assert np.shares_memory(getattr(tbl, field), getattr(z.store, field)[j])
+    key = 44
+    b = z.path(key)[2]
+    z.tables[2].key[b, 1] = key
+    z.tables[2].state[b, 1] = SlotState.REAL
+    z.tables[2].payload[b, 1] = np.frombuffer(pay(key), np.uint8)
+    flat = z.slot_array()
+    cell = (2 * z.n + b) * z.c + 1
+    assert int(flat.key[cell]) == key and flat.payload[cell].tobytes() == pay(key)
+    assert z.real_counts() == [0, 0, 1]
+    assert z.real_items() == [(key, pay(key))]
+    got = z.search(key, remove=True)
+    assert got is not None and got.payload == pay(key)
+    assert int(z.tables[2].state[b, 1]) == SlotState.DUMMY
+    assert int(flat.state[cell]) == SlotState.DUMMY
