@@ -116,24 +116,65 @@ def batcher_sort(items: list[SortItem],
     items[:] = [padded[p] for p in perm if p < m]
 
 
+@functools.cache
+def comparator_layers(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """comparator_schedule(m) grouped into layers of wire-disjoint comparators.
+
+    Each comparator goes to the earliest layer after every earlier comparator
+    on either of its wires, so comparators within a layer commute and each
+    wire meets its comparators in schedule order: running the layers one after
+    another is the sequential network exactly, ties included.
+    """
+    depth = [0] * m
+    layers: list[list[tuple[int, int]]] = []
+    for i, j in comparator_schedule(m):
+        d = max(depth[i], depth[j])
+        if d == len(layers):
+            layers.append([])
+        layers[d].append((i, j))
+        depth[i] = depth[j] = d + 1
+    return tuple(tuple(layer) for layer in layers)
+
+
+@functools.cache
+def _layer_wires(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per layer, the low and high wire index arrays of its comparators."""
+    return tuple(
+        (np.array([i for i, _ in layer]), np.array([j for _, j in layer]))
+        for layer in comparator_layers(m)
+    )
+
+
+# rows per block in sort_network_perm: keeps the work arrays cache-sized
+_BLOCK_ROWS = 8192
+
+
 def sort_network_perm(skey: np.ndarray) -> np.ndarray:
     """Row-wise sorting permutation via the comparator network, vectorized.
 
     skey is (rows, m) uint64 with m a power of two; returns perm (rows, m)
-    such that skey[r, perm[r]] is sorted.  Every row runs the same schedule,
-    so the work done is independent of the data.
+    such that skey[r, perm[r]] is sorted.  The network runs layer by layer
+    (comparator_layers) on blocks of _BLOCK_ROWS rows, each block transposed
+    so a wire is one contiguous row, with the permutation carried in the
+    smallest integer type that holds m.  Every row meets the same comparators
+    in the same order whatever the keys, and equal keys are never exchanged,
+    so the result equals the sequential network's and the work done is
+    independent of the data.
     """
     rows, m = skey.shape
-    work = skey.copy()
-    perm = np.broadcast_to(np.arange(m, dtype=np.int64), (rows, m)).copy()
-    for i, j in comparator_schedule(m):
-        ki = work[:, i].copy()
-        kj = work[:, j]
-        swap = ki > kj
-        work[:, i] = np.where(swap, kj, ki)
-        work[:, j] = np.where(swap, ki, kj)
-        pi = perm[:, i].copy()
-        pj = perm[:, j]
-        perm[:, i] = np.where(swap, pj, pi)
-        perm[:, j] = np.where(swap, pi, pj)
-    return perm
+    out = np.empty((rows, m), dtype=np.int64)
+    layers = _layer_wires(m)
+    wires = np.arange(m, dtype=np.min_scalar_type(m))[:, None]
+    for r0 in range(0, rows, _BLOCK_ROWS):
+        work = skey[r0:r0 + _BLOCK_ROWS].T.copy()
+        perm = np.repeat(wires, work.shape[1], axis=1)
+        for lo, hi in layers:
+            k_lo, k_hi = work.take(lo, axis=0), work.take(hi, axis=0)
+            swap = k_lo > k_hi
+            work[lo] = np.minimum(k_lo, k_hi)
+            work[hi] = np.maximum(k_lo, k_hi)
+            p_lo, p_hi = perm.take(lo, axis=0), perm.take(hi, axis=0)
+            perm[lo] = np.where(swap, p_hi, p_lo)
+            perm[hi] = np.where(swap, p_lo, p_hi)
+        out[r0:r0 + _BLOCK_ROWS] = perm.T
+    return out

@@ -13,11 +13,19 @@ tiebreak) on a fixed comparator network, retags the misplaced, and writes both
 buckets back.  The pair schedule is a function of n alone: (n/2)*log2(n)
 repartitions, pairs in ascending order of the lower index.
 
-route() is the vectorized path (all pairs of a stage at once); repartition()
-and route_reference() are the slot-at-a-time reference.  Both draw tiebreaks
-in the same row-major order, so under one seed they are bit-identical, which
-the suite asserts.  Write-backs here permute contents between cells, so they
-bypass the per-cell lifecycle transition checker by design.
+One kernel, _route_stages, runs the stages over a batch of tables at once:
+every pair of a stage, in every table of the batch, in one pass.  It carries
+only what the network reads, each slot's tag and destination, plus a slot id
+when the slot contents must follow, packed into one word per slot.  route()
+is the batch-1 case: after the last stage it moves each cell's key, state and
+payload once, to where its slot id ended up.  route_census() runs the same
+kernel on tags and destinations alone, over many trials, for statistics.
+
+repartition() and route_reference() are the slot-at-a-time oracle.  They draw
+tiebreaks in the same row-major order as the kernel, so under one seed route()
+is bit-identical to route_reference(), which the suite asserts.  Write-backs
+here permute contents between cells, so they bypass the per-cell lifecycle
+transition checker by design.
 """
 
 from __future__ import annotations
@@ -115,16 +123,82 @@ def _invalidate(table) -> None:
 def _stage_perm(cls_rows: np.ndarray, tie_rows: np.ndarray) -> np.ndarray:
     """Sorting permutation for (rows, 2c) class/tiebreak arrays, with padding."""
     rows, m = cls_rows.shape
-    skey = sort_key(cls_rows.astype(np.uint64), tie_rows)
+    skey = sort_key(cls_rows, tie_rows)
     size = 1 << (m - 1).bit_length()
     if size != m:
         pad = np.full((rows, size - m), _PAD_KEY, dtype=np.uint64)
         skey = np.concatenate([skey, pad], axis=1)
     perm = sort_network_perm(skey)
     if size != m:
-        keep = np.argsort(~(perm < m), axis=1, kind="stable")[:, :m]
-        perm = np.take_along_axis(perm, keep, axis=1)
+        # every row keeps exactly its m real entries, in sorted order
+        perm = perm[perm < m].reshape(rows, m)
     return perm
+
+
+def _route_stages(tag: np.ndarray, dest: np.ndarray, rng: Rng,
+                  slot: np.ndarray | None = None,
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The routing network over a batch of tables: (batch, n, c) arrays.
+
+    tag (bool) and dest evolve in place exactly as route() evolves one
+    table's tag and destination fields; slot, if given, holds ids in
+    [0, n*c) and is carried along in place, so that afterwards slot[b, i, s]
+    is the id the slot now at (i, s) started with.  The three travel packed
+    in one word per slot (tag in bit 0, destination above it, slot id on
+    top), in the narrowest unsigned type that holds them.  Stage `bit` reads
+    each pair's 2c words through a reshape view (low bucket's slots first,
+    pairs ascending by lower index), sorts them by (side class, tiebreak),
+    clears the tag of the misplaced and writes them back through the same
+    view.  Tiebreaks are drawn per stage as one (batch, n/2, 2c) block.
+    Returns (spills, live), each (batch, stages).
+    """
+    if tag.ndim != 3:
+        raise InvalidParameterError("tag must be shaped (batch, n, c)")
+    if dest.shape != tag.shape or (slot is not None and slot.shape != tag.shape):
+        raise InvalidParameterError("tag, dest and slot shapes must match")
+    if tag.dtype != np.bool_:
+        raise InvalidParameterError("tag must be boolean")
+    batch, n, c = tag.shape
+    stages = stage_count(n)
+    _require(c >= 1, "bucket capacity c must be at least 1")
+    if dest.size and (dest.min() < 0 or dest.max() >= n):
+        raise InvalidParameterError(f"destinations must lie in [0, {n})")
+    dest_bits = (n - 1).bit_length()
+    slot_bits = 0 if slot is None else (n * c - 1).bit_length()
+    _require(1 + dest_bits + slot_bits <= 64, "slot ids too wide to carry")
+    kind = np.min_scalar_type((1 << (1 + dest_bits + slot_bits)) - 1)
+    word = (dest.astype(kind) << 1) | tag
+    if slot is not None:
+        word |= slot.astype(kind) << (1 + dest_bits)
+    m = 2 * c
+    rows = batch * (n // 2)
+    side = np.repeat(np.array([0, 1], dtype=kind), c)
+    base = (np.arange(rows) * m)[:, None]
+    spills = np.zeros((batch, stages), dtype=np.int64)
+    live = np.zeros((batch, stages), dtype=np.int64)
+    count = tag.sum(axis=(1, 2))
+    for bit in range(stages):
+        live[:, bit] = count
+        view = word.reshape(batch, n >> (bit + 1), 2, 1 << bit, c).transpose(
+            0, 1, 3, 2, 4)
+        pair = view.reshape(rows, m)
+        tagged = pair & 1
+        to_high = (pair >> (bit + 1)) & 1
+        # untagged slots float (class 1); tagged ones sort to their side
+        cls = 1 - tagged + 2 * (tagged & to_high)
+        ties = rng.bits64((batch, n // 2, m)).reshape(rows, m)
+        flat = (_stage_perm(cls, ties) + base).reshape(-1)
+        pair = pair.reshape(-1)[flat].reshape(rows, m)
+        misplaced = pair & 1 & ((pair >> (bit + 1)) ^ side)
+        pair ^= misplaced
+        spills[:, bit] = misplaced.reshape(batch, -1).sum(axis=1)
+        view[...] = pair.reshape(view.shape)
+        count = count - spills[:, bit]
+    tag[...] = word & 1
+    dest[...] = (word >> 1) & ((1 << dest_bits) - 1)
+    if slot is not None:
+        slot[...] = word >> (1 + dest_bits)
+    return spills, live
 
 
 def route(table, dests: np.ndarray, rng: Rng,
@@ -132,62 +206,35 @@ def route(table, dests: np.ndarray, rng: Rng,
           region: int | None = None) -> RouteStats:
     """Route every tagged slot of `table` toward its destination, in place.
 
-    `dests` is an (n, c) destination array that travels with the slots (it is
-    permuted in place alongside them).  Consumes one 64-bit tiebreak per slot
-    per stage, in pair order, regardless of contents.
+    `dests` is an (n, c) int64 destination array that travels with the slots
+    (it is permuted in place alongside them).  Consumes one 64-bit tiebreak
+    per slot per stage, in pair order, regardless of contents.  The network
+    moves only tags, destinations and slot ids; keys, states and payloads are
+    then moved once, to where their slot ids ended up.
     """
     n, c = table.n, table.c
-    dests = np.asarray(dests, dtype=np.int64)
-    if dests.shape != (n, c):
-        raise InvalidParameterError("dests must be shaped (n, c)")
+    if not isinstance(dests, np.ndarray) or dests.dtype != np.int64:
+        raise InvalidParameterError(
+            "dests must be an int64 array: it is permuted in place")
     if region is None:
         region = table_region(0, 0)
     _invalidate(table)
-    m = 2 * c
-    side = np.concatenate([np.zeros(c, np.int64), np.ones(c, np.int64)])
-    stage_spills: list[int] = []
-    stage_live: list[int] = []
-    repartitions = 0
-    for stage in range(1, stage_count(n) + 1):
-        bit = stage - 1
+    slot = np.arange(n * c).reshape(1, n, c)
+    spills, live = _route_stages(table.tag[None], dests[None], rng, slot)
+    src = slot[0]
+    table.key[...] = table.key.reshape(-1)[src]
+    table.state[...] = table.state.reshape(-1)[src]
+    table.payload[...] = table.payload.reshape(n * c, -1)[src]
+    if recorder is not None:
         idx = np.arange(n)
-        lows = idx[(idx >> bit) & 1 == 0]
-        highs = lows | (1 << bit)
-        stage_live.append(int(table.tag.sum()))
-
-        key_r = np.concatenate([table.key[lows], table.key[highs]], axis=1)
-        state_r = np.concatenate([table.state[lows], table.state[highs]], axis=1)
-        tag_r = np.concatenate([table.tag[lows], table.tag[highs]], axis=1)
-        pay_r = np.concatenate([table.payload[lows], table.payload[highs]], axis=1)
-        dest_r = np.concatenate([dests[lows], dests[highs]], axis=1)
-
-        ties = rng.bits64((n // 2, m))
-        destbit = (dest_r >> bit) & 1
-        cls = 1 + tag_r.astype(np.int64) * (2 * destbit - 1)
-        perm = _stage_perm(cls, ties)
-
-        key_r = np.take_along_axis(key_r, perm, axis=1)
-        state_r = np.take_along_axis(state_r, perm, axis=1)
-        tag_r = np.take_along_axis(tag_r, perm, axis=1)
-        dest_r = np.take_along_axis(dest_r, perm, axis=1)
-        pay_r = np.take_along_axis(pay_r, perm[:, :, None], axis=1)
-
-        misplaced = tag_r & (((dest_r >> bit) & 1) != side)
-        tag_r = tag_r & ~misplaced
-        stage_spills.append(int(misplaced.sum()))
-        repartitions += n // 2
-
-        table.key[lows], table.key[highs] = key_r[:, :c], key_r[:, c:]
-        table.state[lows], table.state[highs] = state_r[:, :c], state_r[:, c:]
-        table.tag[lows], table.tag[highs] = tag_r[:, :c], tag_r[:, c:]
-        table.payload[lows], table.payload[highs] = pay_r[:, :c], pay_r[:, c:]
-        dests[lows], dests[highs] = dest_r[:, :c], dest_r[:, c:]
-
-        if recorder is not None:
+        for bit in range(spills.shape[1]):
+            lows = idx[(idx >> bit) & 1 == 0]
             recorder.record_block(
-                region, np.column_stack([lows, highs]).ravel(), TraceOp.READ_WRITE
+                region, np.column_stack([lows, lows | (1 << bit)]).ravel(),
+                TraceOp.READ_WRITE,
             )
-    return RouteStats(repartitions, stage_spills, stage_live)
+    return RouteStats((n // 2) * spills.shape[1], spills[0].tolist(),
+                      live[0].tolist())
 
 
 def route_reference(table, dests: np.ndarray, rng: Rng,
@@ -239,43 +286,8 @@ def route_census(tag: np.ndarray, dest: np.ndarray, rng: Rng,
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Batched-trials routing for statistics: tag/dest only, no slot contents.
 
-    tag and dest are (trials, n, c); both evolve in place exactly as route()
-    would evolve a table's tag/dest fields (class assignment never reads keys
-    or payloads).  Returns (spills, live), each (trials, stages).
+    tag (bool) and dest are (trials, n, c); both evolve in place exactly as
+    route() would evolve a table's tag/dest fields (class assignment never
+    reads keys or payloads).  Returns (spills, live), each (trials, stages).
     """
-    trials, n, c = tag.shape
-    _require(is_power_of_two(n), "table size must be a power of two")
-    m = 2 * c
-    side = np.concatenate([np.zeros(c, np.int64), np.ones(c, np.int64)])
-    stages = stage_count(n)
-    spills = np.zeros((trials, stages), dtype=np.int64)
-    live = np.zeros((trials, stages), dtype=np.int64)
-    for stage in range(1, stages + 1):
-        bit = stage - 1
-        idx = np.arange(n)
-        lows = idx[(idx >> bit) & 1 == 0]
-        highs = lows | (1 << bit)
-        live[:, bit] = tag.sum(axis=(1, 2))
-
-        tag_r = np.concatenate([tag[:, lows], tag[:, highs]], axis=2)
-        dest_r = np.concatenate([dest[:, lows], dest[:, highs]], axis=2)
-        rows = trials * (n // 2)
-        tag_r = tag_r.reshape(rows, m)
-        dest_r = dest_r.reshape(rows, m)
-
-        ties = rng.bits64((trials, n // 2, m)).reshape(rows, m)
-        destbit = (dest_r >> bit) & 1
-        cls = 1 + tag_r.astype(np.int64) * (2 * destbit - 1)
-        perm = _stage_perm(cls, ties)
-
-        tag_r = np.take_along_axis(tag_r, perm, axis=1)
-        dest_r = np.take_along_axis(dest_r, perm, axis=1)
-        misplaced = tag_r & (((dest_r >> bit) & 1) != side)
-        tag_r = tag_r & ~misplaced
-        spills[:, bit] = misplaced.reshape(trials, n // 2, m).sum(axis=(1, 2))
-
-        tag_r = tag_r.reshape(trials, n // 2, m)
-        dest_r = dest_r.reshape(trials, n // 2, m)
-        tag[:, lows], tag[:, highs] = tag_r[:, :, :c], tag_r[:, :, c:]
-        dest[:, lows], dest[:, highs] = dest_r[:, :, :c], dest_r[:, :, c:]
-    return spills, live
+    return _route_stages(tag, dest, rng)

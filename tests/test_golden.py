@@ -6,7 +6,9 @@ the online and build trace bytes, and the final stored items.  A run that
 raises BuildFailedError records the error and stops there.
 
 The digests were recorded before the level store moved to one (k, n, c)
-array, so they pin the behaviour of the per-table layout.  A change that is
+array, so they pin the behaviour of the per-table layout; the c3 ones (2c = 6
+slots per repartition, padded to an 8-wire network) were recorded before
+routing moved to one packed-word stage kernel.  A change that is
 meant to be behaviour-preserving (a perf rewrite, a refactor) must leave them
 untouched.  To print the digests of the code as it is:
 
@@ -39,6 +41,7 @@ ACCESSES = 2 * CAPACITY
 CONFIGS = {
     "p8": (dict(first_level_size=8), True),
     "p2": (dict(first_level_size=2), True),
+    "c3": (dict(first_level_size=8, c_override=3), True),
     "k1c1-retry": (dict(first_level_size=8, k_override=1, c_override=1,
                         failure_policy="retry"), False),
 }
@@ -50,6 +53,9 @@ GOLDEN = {
     ("p2", 0): "d8ddda73dc1bb09d81917c65c8b97b97a13222076d010ab5bf19cc8e87dda06b",
     ("p2", 1): "748b3b23696a53e467236d1e0e6e0882e4a30399d98563e1eaf432e5752bbf9d",
     ("p2", 2): "c7bfa89ce23a36968ec173007ce7ae0cc053454eb17de25d46e166f17a71bf92",
+    ("c3", 0): "b11655a4a9e3c6aad2672825aec94a1ddc9ddd5fa19a749c00ed6d8f103da190",
+    ("c3", 1): "24672db4a3f9a5aeefe1ed0b020701426748bffd909e29af6fe5f495da7967aa",
+    ("c3", 2): "04b14f95619066feb60207d0fe7d82da493f616dd5c42e222f26a23874f9c1fb",
     ("k1c1-retry", 0): "ac9082ba02dba993a21bffd0f99afe34290c3f5fece9a5893fd0bac98a011804",
     ("k1c1-retry", 1): "f3561d2117a2ae291a87ba26444543487e2bb541deae13f0b010c722d9f63cfe",
     ("k1c1-retry", 2): "eb9f5763dbd40ac118520b3c01416bd6177afe5c10ca0f1c1fc4d50b557edeeb",

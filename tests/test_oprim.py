@@ -4,11 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pyramid_oram.core import InvalidParameterError
 from pyramid_oram.oprim import (
     SortItem,
     batcher_sort,
+    comparator_layers,
     comparator_schedule,
     cond_select,
     cond_swap,
@@ -131,3 +134,58 @@ def test_sort_network_perm_is_a_permutation():
     perm = sort_network_perm(keys)
     for row in perm:
         assert sorted(row.tolist()) == list(range(16))
+
+
+def _sequential_perm(skey: np.ndarray) -> np.ndarray:
+    """Oracle: the comparator schedule applied one comparator at a time."""
+    work = skey.copy()
+    rows, m = work.shape
+    perm = np.tile(np.arange(m), (rows, 1))
+    for i, j in comparator_schedule(m):
+        swap = work[:, i] > work[:, j]
+        for field in (work, perm):
+            field[swap, i], field[swap, j] = field[swap, j], field[swap, i]
+    return perm
+
+
+# row counts around the block size: one row, one short of a block, a full
+# block, one past it
+@settings(max_examples=40, deadline=None)
+@given(m=st.sampled_from([2, 4, 8, 16]),
+       rows=st.sampled_from([1, 8191, 8192, 8193]),
+       distinct=st.sampled_from([1, 3, 1 << 64]),
+       sliced=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_sort_network_perm_matches_sequential_network(m, rows, distinct,
+                                                      sliced, seed):
+    # distinct=1 makes every row all equal, 3 makes ties in almost every row
+    gen = np.random.Generator(np.random.PCG64(seed))
+    keys = gen.integers(0, distinct, size=(rows, 2 * m), dtype=np.uint64,
+                        endpoint=False)
+    keys = keys[:, ::2] if sliced else np.ascontiguousarray(keys[:, :m])
+    assert keys.flags.c_contiguous != sliced
+    before = keys.copy()
+    perm = sort_network_perm(keys)
+    assert perm.dtype == np.int64 and perm.shape == (rows, m)
+    assert np.array_equal(perm, _sequential_perm(keys))
+    assert np.array_equal(keys, before), "input must not be modified"
+    if distinct == 1:
+        assert (perm == np.arange(m)).all(), "equal keys are never exchanged"
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 16, 32])
+def test_comparator_layers_partition_the_schedule(m):
+    layers = comparator_layers(m)
+    schedule = comparator_schedule(m)
+    log_m = m.bit_length() - 1
+    assert len(layers) == log_m * (log_m + 1) // 2
+    assert sum(len(layer) for layer in layers) == len(schedule)
+    for layer in layers:
+        wires = [w for pair in layer for w in pair]
+        assert len(wires) == len(set(wires)), "a layer reuses a wire"
+    # every wire meets its comparators in schedule order
+    flat = [pair for layer in layers for pair in layer]
+    for wire in range(m):
+        assert ([p for p in flat if wire in p]
+                == [p for p in schedule if wire in p])
+    assert comparator_layers(m) is layers

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from pyramid_oram.core import InvalidParameterError, Rng, Slot, SlotState
+from pyramid_oram.core import (
+    HashFamily,
+    InvalidParameterError,
+    Rng,
+    Slot,
+    SlotState,
+)
 from pyramid_oram.prn import (
     RoutingSlot,
     repartition,
@@ -14,6 +20,7 @@ from pyramid_oram.prn import (
     stage_pairs,
 )
 from pyramid_oram.trace import TraceOp, TraceRecorder
+from pyramid_oram.zht import Zht, ZhtTable
 
 from conftest import make_routing_table
 
@@ -240,3 +247,88 @@ def test_route_census_batched_invariants():
     # every surviving tag sits in its destination bucket
     buckets = np.broadcast_to(np.arange(n)[None, :, None], tag.shape)
     assert (dest[tag] == buckets[tag]).all()
+
+
+def test_route_of_a_store_row_matches_a_standalone_copy():
+    n, c, payload = 16, 3, 8
+    z = Zht(n, 3, c, HashFamily(5), payload_size=payload)
+    gen = np.random.Generator(np.random.PCG64(5))
+    z.store.key[...] = gen.integers(0, 1 << 32, size=(3, n, c), dtype=np.uint32)
+    z.store.state[...] = np.where(gen.random((3, n, c)) < 0.7,
+                                  SlotState.REAL, SlotState.DUMMY)
+    z.store.tag[...] = z.store.state == SlotState.REAL
+    z.store.payload[...] = gen.integers(0, 256, size=(3, n, c, payload))
+    before = [field.copy() for field in
+              (z.store.key, z.store.state, z.store.tag, z.store.payload)]
+
+    copy = ZhtTable(n, c, payload)
+    row = z.tables[1]
+    for name in ("key", "state", "tag", "payload"):
+        getattr(copy, name)[...] = getattr(row, name)
+    dests = gen.integers(0, n, size=(n, c)).astype(np.int64)
+    dests_copy, dests_start = dests.copy(), dests.copy()
+    s_row = route(row, dests, Rng(5, (1,)))
+    s_copy = route(copy, dests_copy, Rng(5, (1,)))
+
+    assert s_row == s_copy and s_row.total_spilled < int(before[2][1].sum())
+    for name, old in zip(("key", "state", "tag", "payload"), before):
+        field = getattr(z.store, name)
+        assert np.array_equal(field[1], getattr(copy, name)), name
+        assert np.array_equal(field[0], old[0]), f"row 0 {name} touched"
+        assert np.array_equal(field[2], old[2]), f"row 2 {name} touched"
+    assert not np.array_equal(z.store.key[1], before[0][1]), "row 1 not routed"
+    # the caller's dests array itself is permuted alongside the slots
+    assert not np.array_equal(dests, dests_start)
+    assert np.array_equal(dests, dests_copy)
+    assert (dests[row.tag] == np.nonzero(row.tag)[0]).all()
+
+
+def test_route_census_rejects_bad_input():
+    tag = np.zeros((2, 8, 2), dtype=bool)
+    dest = np.zeros((2, 8, 2), dtype=np.int64)
+    with pytest.raises(InvalidParameterError):
+        route_census(tag[0], dest[0], Rng(0, ()))          # not (batch, n, c)
+    with pytest.raises(InvalidParameterError):
+        route_census(tag, dest[:, :, :1], Rng(0, ()))      # shapes differ
+    with pytest.raises(InvalidParameterError):
+        route_census(tag.astype(np.int64), dest, Rng(0, ()))
+    for bad in (8, 99, -1):
+        out = dest.copy()
+        out[1, 3, 1] = bad
+        with pytest.raises(InvalidParameterError):
+            route_census(tag, out, Rng(0, ()))
+
+
+def test_route_rejects_out_of_range_or_copied_dests():
+    table, dests = make_routing_table(8, 2, 6, 1)
+    before = table.key.copy()
+    bad = dests.copy()
+    bad[2, 0] = 99
+    with pytest.raises(InvalidParameterError):
+        route(table, bad, Rng(1, ()))
+    # an int32 array would be converted, and the permutation lost to the caller
+    with pytest.raises(InvalidParameterError):
+        route(table, dests.astype(np.int32), Rng(1, ()))
+    with pytest.raises(InvalidParameterError):
+        route(table, dests.tolist(), Rng(1, ()))
+    assert np.array_equal(table.key, before)
+
+
+def test_route_census_updates_strided_views_in_place():
+    trials, n, c = 4, 16, 2
+    gen = np.random.Generator(np.random.PCG64(17))
+    tag_base = gen.random((trials, n, 2 * c)) < 0.7
+    dest_base = gen.integers(0, n, size=(trials, n, 2 * c)).astype(np.int64)
+    tag, dest = tag_base[:, :, ::2], dest_base[:, :, ::2]
+    assert not tag.flags.c_contiguous and not dest.flags.c_contiguous
+    tag_copy, dest_copy = tag.copy(), dest.copy()
+    dest_start = dest.copy()
+    untouched = tag_base[:, :, 1::2].copy(), dest_base[:, :, 1::2].copy()
+    want = route_census(tag_copy, dest_copy, Rng(17, (1,)))
+    got = route_census(tag, dest, Rng(17, (1,)))
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert np.array_equal(tag_base[:, :, ::2], tag_copy)
+    assert np.array_equal(dest_base[:, :, ::2], dest_copy)
+    assert np.array_equal(tag_base[:, :, 1::2], untouched[0])
+    assert np.array_equal(dest_base[:, :, 1::2], untouched[1])
+    assert not np.array_equal(dest, dest_start), "nothing was routed"
