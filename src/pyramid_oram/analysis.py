@@ -27,7 +27,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import HashFamily, Rng, SlotArray, SlotState, _require, is_power_of_two
+from .core import (
+    HashFamily,
+    Rng,
+    SlotArray,
+    SlotState,
+    _require,
+    is_power_of_two,
+    rank_within_group,
+)
 from .ozht import build_access_count, oblivious_build
 from .prn import route_census, stage_count
 from .pyramid import PyramidConfig
@@ -243,16 +251,7 @@ def mc_prn_stage_spill(n: int, c: int, load: int, trials: int, seed: int,
 
         ti = np.repeat(np.arange(count), load)
         bucket = draws.ravel()
-        group = ti * n + bucket
-        order = np.argsort(group, kind="stable")
-        sorted_group = group[order]
-        is_start = np.r_[True, sorted_group[1:] != sorted_group[:-1]]
-        start_pos = np.maximum.accumulate(
-            np.where(is_start, np.arange(sorted_group.size), 0)
-        )
-        rank = np.empty_like(start_pos)
-        rank[order] = np.arange(sorted_group.size) - start_pos
-
+        rank = rank_within_group(ti * n + bucket)
         fits = rank < c
         overflow_total += int((~fits).sum())
         tag = np.zeros((count, n, c), dtype=bool)

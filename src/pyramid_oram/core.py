@@ -264,8 +264,34 @@ class Table(SlotArray):
         self.n = n
         self.c = c
 
+    @classmethod
+    def row_of(cls, store: SlotArray, j: int) -> "Table":
+        """Row j of an (rows, n, c) store, as a Table sharing the store's memory."""
+        tbl = cls.__new__(cls)
+        _, tbl.n, tbl.c = store.shape
+        tbl.payload_size = store.payload_size
+        tbl.key = store.key[j]
+        tbl.state = store.state[j]
+        tbl.tag = store.tag[j]
+        tbl.payload = store.payload[j]
+        return tbl
+
     def bucket(self, b: int) -> list[Slot]:
         return [self.get((b, s)) for s in range(self.c)]
+
+
+def rank_within_group(groups: np.ndarray) -> np.ndarray:
+    """Each element's rank among the earlier elements of its group.
+
+    rank[i] counts the j < i with groups[j] == groups[i]: the arrival order of
+    i at its bucket, when groups are bucket ids.
+    """
+    order = np.argsort(groups, kind="stable")
+    ordered = groups[order]
+    # position in sorted order minus where the element's group starts
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size) - np.searchsorted(ordered, ordered)
+    return rank
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:

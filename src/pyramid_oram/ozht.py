@@ -4,7 +4,9 @@ Building a level from m_total input slots (reals plus padding) never branches
 on contents:
 
   1. every input slot is thrown along a fresh uniform random path; reals claim
-     the first free slot on the way, non-reals make the same shaped accesses.
+     the first EMPTY slot on the way, non-reals make the same shaped accesses.
+     Placement is Zht's first-fit kernel, one rank-within-bucket pass per
+     table, equal to inserting the reals one at a time in input order.
   2. for each table j in order: tag its resident reals, route them to their
      h_j buckets through the repartition network, then (except after the last
      table) sweep all n*c slots once, re-throwing into tables j+1..k-1.  Slots
@@ -112,8 +114,7 @@ def oblivious_build(elems: SlotArray, n: int, k: int, c: int, fam: HashFamily,
         )
         return z, report
 
-    treport = z.throw(elems, "random", rng, recorder=recorder,
-                      allow_overwrite_dummy=False)
+    treport = z.throw(elems, "random", rng, recorder=recorder)
     if treport.failed:
         return finish(FAILURE_THROW, treport.unplaced)
 
@@ -149,9 +150,7 @@ def oblivious_build(elems: SlotArray, n: int, k: int, c: int, fam: HashFamily,
         flat_pay = tbl.payload.reshape(-1, z.payload_size)
         for cell in np.flatnonzero(spilled.reshape(-1)):
             e = Slot.real(int(flat_key[cell]), flat_pay[cell].tobytes())
-            ok = z.zigzag_insert(e, rmatrix[cell], allow_overwrite_dummy=False,
-                                 first_table=tj + 1)
-            if not ok:
+            if not z.zigzag_insert(e, rmatrix[cell], first_table=tj + 1):
                 return finish(FAILURE_THROW, 1)
         tbl.clear_to_dummy(spilled)
 

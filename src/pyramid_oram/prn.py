@@ -113,11 +113,11 @@ def repartition(bucket_a: list[RoutingSlot], bucket_b: list[RoutingSlot],
     return out[:c], out[c:], spills
 
 
-def _invalidate(table) -> None:
-    # routing scatters slots, so any prefix-fill fast path is stale after it
-    invalidate = getattr(table, "invalidate_prefix", None)
-    if invalidate is not None:
-        invalidate()
+def _check_dests(dests) -> None:
+    # a converted copy would be permuted instead, unseen by the caller
+    if not isinstance(dests, np.ndarray) or dests.dtype != np.int64:
+        raise InvalidParameterError(
+            "dests must be an int64 array: it is permuted in place")
 
 
 def _stage_perm(cls_rows: np.ndarray, tie_rows: np.ndarray) -> np.ndarray:
@@ -213,12 +213,9 @@ def route(table, dests: np.ndarray, rng: Rng,
     then moved once, to where their slot ids ended up.
     """
     n, c = table.n, table.c
-    if not isinstance(dests, np.ndarray) or dests.dtype != np.int64:
-        raise InvalidParameterError(
-            "dests must be an int64 array: it is permuted in place")
+    _check_dests(dests)
     if region is None:
         region = table_region(0, 0)
-    _invalidate(table)
     slot = np.arange(n * c).reshape(1, n, c)
     spills, live = _route_stages(table.tag[None], dests[None], rng, slot)
     src = slot[0]
@@ -242,10 +239,9 @@ def route_reference(table, dests: np.ndarray, rng: Rng,
                     region: int | None = None) -> RouteStats:
     """Slot-at-a-time route; bit-identical to route() under the same seed."""
     n, c = table.n, table.c
-    dests = np.asarray(dests, dtype=np.int64)
+    _check_dests(dests)
     if region is None:
         region = table_region(0, 0)
-    _invalidate(table)
     stage_spills: list[int] = []
     stage_live: list[int] = []
     repartitions = 0

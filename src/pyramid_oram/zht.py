@@ -1,21 +1,26 @@
 """Zigzag hash tables: k tables of n buckets, one hash function per table.
 
 An element's zigzag path is h_1(key), ..., h_k(key), one bucket per table; it
-lives in the first bucket along the path with a free slot.  Every operation
+lives in the first bucket along the path with an EMPTY slot.  Every operation
 touches its full set of buckets whether or not it needs them: searches probe
 all k path buckets (no early exit on a hit), throws of non-elements perform one
 random fake access per table.  What varies with the data is slot contents, not
 which buckets are touched.
 
 A Zht keeps all its slots in one SlotArray of shape (k, n, c): table, bucket,
-slot.  tables[j] is a ZhtTable view of row j, so per-table code (routing,
-insertion) writes straight into the store, and a search is one gather of the
-k path buckets out of it.
+slot.  tables[j] is a core.Table view of row j, so per-table code (routing)
+writes straight into the store, and a search is one gather of the k path
+buckets out of it.
 
-Inserts during builds are hot, so tables carry an optional prefix-fill counter:
-while a table has only ever been appended to (real prefix, empty suffix), slot
-choice is O(1) off a per-bucket counter.  Routing or any slot-level mutation
-invalidates it and insertion falls back to scanning the bucket.
+Placement is one kernel, _first_fit, for a batch throw and a single insert
+alike.  It walks the tables in order; at table j it ranks every element still
+unplaced among the earlier arrivals at the same bucket, and the element of
+rank r lands iff r is below the bucket's count of EMPTY slots, in the r-th
+EMPTY slot in slot order.  That is sequential first-fit exactly, because an
+element's outcome at table j depends only on the bucket's contents and on the
+earlier elements that arrived at it.  Only EMPTY slots are claimed: a DUMMY
+slot (a removed real, a spilled cell cleared by a build) is never reused.  The
+kernel reads the store on every call, so no other code keeps it up to date.
 """
 
 from __future__ import annotations
@@ -40,42 +45,9 @@ from .core import (
     debug_checks_enabled,
     is_power_of_two,
     path_buckets,
+    rank_within_group,
 )
 from .trace import TraceOp, TraceRecorder, table_region
-
-
-class ZhtTable(Table):
-    """Table with a prefix-fill fast path for build-time insertion."""
-
-    __slots__ = ("prefix_fill",)
-
-    def __init__(self, n: int, c: int, payload_size: int):
-        super().__init__(n, c, payload_size)
-        self.prefix_fill = np.zeros(n, dtype=np.int32)
-
-    @classmethod
-    def row_of(cls, store: SlotArray, j: int) -> "ZhtTable":
-        """Table j of a (k, n, c) store, as a view sharing the store's memory."""
-        tbl = cls.__new__(cls)
-        _, tbl.n, tbl.c = store.shape
-        tbl.payload_size = store.payload_size
-        tbl.key = store.key[j]
-        tbl.state = store.state[j]
-        tbl.tag = store.tag[j]
-        tbl.payload = store.payload[j]
-        tbl.prefix_fill = np.zeros(tbl.n, dtype=np.int32)
-        return tbl
-
-    def invalidate_prefix(self) -> None:
-        self.prefix_fill = None
-
-    def put(self, idx, slot: Slot) -> None:
-        self.invalidate_prefix()
-        super().put(idx, slot)
-
-    def clear_to_dummy(self, mask) -> None:
-        self.invalidate_prefix()
-        super().clear_to_dummy(mask)
 
 
 @dataclass
@@ -111,7 +83,7 @@ class Zht:
         self.level_id = level_id
         self.payload_size = payload_size
         self.store = SlotArray((k, n, c), payload_size)
-        self.tables = [ZhtTable.row_of(self.store, j) for j in range(k)]
+        self.tables = [Table.row_of(self.store, j) for j in range(k)]
         self.regions = [table_region(level_id, j) for j in range(k)]
         self._subkeys = fam.subkeys(level_id, k)
         # (k*n, c) view of the store and each table's first row in it, so a
@@ -139,40 +111,41 @@ class Zht:
 
     # -- insertion -----------------------------------------------------------
 
-    def _place_in_bucket(self, j: int, b: int, key: int, payload_row,
-                         allow_overwrite_dummy: bool) -> bool:
-        """Claim one slot of bucket b in table j; returns False when full."""
-        tbl = self.tables[j]
-        fill = tbl.prefix_fill
-        if fill is not None:
-            # prefix-contiguous table: dummies cannot exist, so both claim
-            # policies reduce to "next empty slot".
-            f = int(fill[b])
-            if f >= self.c:
-                return False
-            tbl.key[b, f] = key
-            tbl.state[b, f] = REAL
-            tbl.tag[b, f] = True
-            tbl.payload[b, f] = payload_row
-            fill[b] = f + 1
-            return True
-        states = tbl.state[b]
-        free = states == EMPTY
-        if allow_overwrite_dummy:
-            free = free | (states == DUMMY)
-        if not free.any():
-            return False
-        s = int(free.argmax())
-        tbl.key[b, s] = key
-        tbl.state[b, s] = REAL
-        tbl.tag[b, s] = True
-        tbl.payload[b, s] = payload_row
-        return True
+    def _first_fit(self, keys: np.ndarray, payload: np.ndarray,
+                   paths: np.ndarray, first_table: int) -> np.ndarray:
+        """Place reals first-fit along their paths, one rank pass per table.
 
-    def zigzag_insert(self, e: Slot, path, allow_overwrite_dummy: bool = False,
-                      recorder: TraceRecorder | None = None,
+        keys (m,), payload (m, payload_size) and paths (m, k - first_table)
+        describe m reals in input order; paths[:, i] is the bucket in table
+        first_table + i.  Returns the table each real landed in, -1 where it
+        fell off the end.  Equal to inserting them one at a time.
+        """
+        st = self.store
+        landed = np.full(keys.size, -1, dtype=np.int64)
+        todo = np.arange(keys.size)
+        for off in range(paths.shape[1]):
+            if todo.size == 0:
+                break
+            j = first_table + off
+            b = paths[todo, off]
+            # EMPTY slots of the bucket so far, counting in slot order
+            empties = np.cumsum(st.state[j].take(b, axis=0) == EMPTY, axis=1)
+            rank = rank_within_group(b)
+            fits = rank < empties[:, -1]
+            # the rank-th EMPTY slot is where the count first exceeds rank
+            s = (empties > rank[:, None]).argmax(axis=1)[fits]
+            b, rows = b[fits], todo[fits]
+            st.key[j, b, s] = keys[rows]
+            st.state[j, b, s] = REAL
+            st.tag[j, b, s] = True
+            st.payload[j, b, s] = payload[rows]
+            landed[rows] = j
+            todo = todo[~fits]
+        return landed
+
+    def zigzag_insert(self, e: Slot, path, recorder: TraceRecorder | None = None,
                       first_table: int = 0) -> bool:
-        """Insert a Real slot at the first free bucket along `path`.
+        """Insert a Real slot at the first bucket along `path` with an EMPTY slot.
 
         All buckets on the path are read and written back regardless of where
         (or whether) the element lands.  `first_table` restricts the walk to
@@ -183,21 +156,17 @@ class Zht:
         _require(len(path) == self.k - first_table,
                  "path length must cover the remaining tables")
         _require(len(e.payload) == self.payload_size, "payload width mismatch")
-        payload_row = np.frombuffer(e.payload, dtype=np.uint8)
-        placed = False
-        for off, b in enumerate(path):
-            j = first_table + off
-            if recorder is not None:
-                recorder.record(self.regions[j], b, TraceOp.READ_WRITE)
-            if not placed:
-                placed = self._place_in_bucket(
-                    j, int(b), e.key, payload_row, allow_overwrite_dummy
-                )
-        return placed
+        path = np.asarray(path, dtype=np.int64)[None, :]
+        _require(((path >= 0) & (path < self.n)).all(), "path bucket out of range")
+        if recorder is not None:
+            recorder.record_tiled(self.regions[first_table:], path, TraceOp.READ_WRITE)
+        landed = self._first_fit(np.array([e.key], dtype=np.uint32),
+                                 np.frombuffer(e.payload, dtype=np.uint8)[None],
+                                 path, first_table)
+        return bool(landed[0] >= 0)
 
     def throw(self, elems: SlotArray, path_source: str, rng: Rng,
-              recorder: TraceRecorder | None = None,
-              allow_overwrite_dummy: bool = True) -> ThrowReport:
+              recorder: TraceRecorder | None = None) -> ThrowReport:
         """Throw every input slot: real slots zigzag-insert, the rest fake.
 
         path_source "random" draws one fresh uniform path row per input slot;
@@ -210,31 +179,21 @@ class Zht:
         _require(elems.payload_size == self.payload_size, "payload width mismatch")
         m = elems.size
         paths = rng.buckets(self.n, (m, self.k)) if m else np.zeros((0, self.k), np.int64)
-        flat_state = elems.state.reshape(-1)
         flat_key = elems.key.reshape(-1)
-        flat_pay = elems.payload.reshape(-1, self.payload_size)
-        real_rows = np.flatnonzero(flat_state == REAL)
+        real_rows = np.flatnonzero(elems.state.reshape(-1) == REAL)
         if path_source == "prf" and real_rows.size:
             paths[real_rows] = self.path_matrix(flat_key[real_rows].astype(np.uint64))
         if recorder is not None and m:
             recorder.record_tiled(self.regions, paths, TraceOp.READ_WRITE)
-        spills = [0] * self.k
-        placed = [0] * self.k
-        unplaced = 0
-        for r in real_rows:
-            key = int(flat_key[r])
-            row = flat_pay[r]
-            landed = False
-            for j in range(self.k):
-                if self._place_in_bucket(j, int(paths[r, j]), key, row,
-                                         allow_overwrite_dummy):
-                    placed[j] += 1
-                    landed = True
-                    break
-                spills[j] += 1
-            if not landed:
-                unplaced += 1
-        return ThrowReport(spills, placed, unplaced)
+        landed = self._first_fit(
+            flat_key[real_rows],
+            elems.payload.reshape(-1, self.payload_size)[real_rows],
+            paths[real_rows], 0)
+        placed = np.bincount(landed[landed >= 0], minlength=self.k)
+        unplaced = real_rows.size - int(placed.sum())
+        # spilled at table j: every arrival there that landed later or fell off
+        spills = unplaced + placed[::-1].cumsum()[::-1] - placed
+        return ThrowReport(spills.tolist(), placed.tolist(), unplaced)
 
     # -- lookup --------------------------------------------------------------
 
@@ -267,8 +226,6 @@ class Zht:
             br.state[hit_rows, hit_s] = DUMMY
             br.tag[hit_rows, hit_s] = False
             br.payload[hit_rows, hit_s] = 0
-            for j in hit_j:
-                self.tables[j].invalidate_prefix()
         if debug_checks_enabled():
             assert hits <= 1, f"key {key} resident in {hits} slots"
         if hits == 0:

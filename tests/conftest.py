@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from pyramid_oram.core import Rng, SlotArray, SlotState, set_debug_checks
-from pyramid_oram.zht import ZhtTable
+from pyramid_oram.core import Rng, SlotArray, SlotState, Table, set_debug_checks
 
 
 @pytest.fixture
@@ -49,9 +48,9 @@ def make_elems(reals: int, m_total: int, payload_size: int = 8,
 
 
 def make_routing_table(n: int, c: int, load: int, seed: int,
-                       payload_size: int = 8) -> tuple[ZhtTable, np.ndarray]:
+                       payload_size: int = 8) -> tuple[Table, np.ndarray]:
     """A table with `load` tagged reals at random cells plus uniform dests."""
-    table = ZhtTable(n, c, payload_size)
+    table = Table(n, c, payload_size)
     gen = np.random.Generator(np.random.PCG64(seed))
     dests = gen.integers(0, n, size=(n, c)).astype(np.int64)
     cells = [(b, s) for b in range(n) for s in range(c)]
@@ -61,5 +60,4 @@ def make_routing_table(n: int, c: int, load: int, seed: int,
         table.state[b, s] = SlotState.REAL
         table.tag[b, s] = True
         table.payload[b, s] = key % 251
-    table.invalidate_prefix()
     return table, dests

@@ -9,6 +9,7 @@ from pyramid_oram.core import (
     Rng,
     Slot,
     SlotState,
+    Table,
 )
 from pyramid_oram.prn import (
     RoutingSlot,
@@ -20,7 +21,7 @@ from pyramid_oram.prn import (
     stage_pairs,
 )
 from pyramid_oram.trace import TraceOp, TraceRecorder
-from pyramid_oram.zht import Zht, ZhtTable
+from pyramid_oram.zht import Zht
 
 from conftest import make_routing_table
 
@@ -261,7 +262,7 @@ def test_route_of_a_store_row_matches_a_standalone_copy():
     before = [field.copy() for field in
               (z.store.key, z.store.state, z.store.tag, z.store.payload)]
 
-    copy = ZhtTable(n, c, payload)
+    copy = Table(n, c, payload)
     row = z.tables[1]
     for name in ("key", "state", "tag", "payload"):
         getattr(copy, name)[...] = getattr(row, name)
@@ -311,6 +312,16 @@ def test_route_rejects_out_of_range_or_copied_dests():
         route(table, dests.astype(np.int32), Rng(1, ()))
     with pytest.raises(InvalidParameterError):
         route(table, dests.tolist(), Rng(1, ()))
+    assert np.array_equal(table.key, before)
+
+
+def test_route_reference_rejects_copied_dests():
+    table, dests = make_routing_table(8, 2, 6, 1)
+    before = table.key.copy()
+    # converting either would permute a copy the caller never sees
+    for bad in (dests.astype(np.int32), dests.tolist()):
+        with pytest.raises(InvalidParameterError):
+            route_reference(table, bad, Rng(1, ()))
     assert np.array_equal(table.key, before)
 
 

@@ -17,7 +17,7 @@ from pyramid_oram.core import (
     set_debug_checks,
 )
 from pyramid_oram.trace import TraceOp, TraceRecorder, region_table, shapes_equal
-from pyramid_oram.zht import Zht, ZhtTable
+from pyramid_oram.zht import Zht
 
 from conftest import make_elems
 
@@ -222,31 +222,86 @@ def test_throw_rejects_unknown_path_source():
         z.throw(make_elems(1, 1, PAYLOAD), "fixed", Rng(0, ()))
 
 
-def test_prefix_fast_path_matches_bucket_scan():
-    fam = HashFamily(seed=19)
-    z_fast = Zht(16, 2, 3, fam, payload_size=PAYLOAD)
-    z_scan = Zht(16, 2, 3, fam, payload_size=PAYLOAD)
-    for tbl in z_scan.tables:
-        tbl.invalidate_prefix()
-    for key in range(24):
-        path = z_fast.path(key)
-        a = z_fast.zigzag_insert(Slot.real(key, pay(key)), path)
-        b = z_scan.zigzag_insert(Slot.real(key, pay(key)), path)
-        assert a == b
-    for t_fast, t_scan in zip(z_fast.tables, z_scan.tables):
-        assert np.array_equal(t_fast.key, t_scan.key)
-        assert np.array_equal(t_fast.state, t_scan.state)
-        assert np.array_equal(t_fast.payload, t_scan.payload)
+def _first_fit_reference(z: Zht, keys, payloads, paths, first_table: int):
+    """One real at a time: the first EMPTY slot along its path, in slot order."""
+    landed = []
+    for key, payload, path in zip(keys, payloads, paths):
+        landed.append(-1)
+        for j, b in enumerate(path, start=first_table):
+            empty = np.flatnonzero(z.store.state[j, b] == SlotState.EMPTY)
+            if empty.size:
+                slot = Slot.real(int(key), payload, tag=True)
+                z.tables[j].put((b, int(empty[0])), slot)
+                landed[-1] = j
+                break
+    return landed
 
 
-def test_prefix_counter_invalidated_by_mutation():
-    tbl = ZhtTable(4, 2, PAYLOAD)
-    assert tbl.prefix_fill is not None
-    tbl.put((0, 0), Slot.real(1, pay(1)))
-    assert tbl.prefix_fill is None
-    tbl2 = ZhtTable(4, 2, PAYLOAD)
-    tbl2.clear_to_dummy(np.zeros((4, 2), dtype=bool))
-    assert tbl2.prefix_fill is None
+@settings(max_examples=150, deadline=None)
+@given(log_n=st.integers(1, 6), k=st.integers(1, 4), c=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_first_fit_matches_scalar_reference(log_n, k, c, seed, data):
+    n = 1 << log_n
+    gen = np.random.Generator(np.random.PCG64(seed))
+    keys = gen.permutation(1 << 20)[: 6 * n * c + 1].tolist()
+    pays = [pay(key) for key in keys]
+    # both stores start with the same residents and the DUMMY slots that
+    # removing some of them leaves behind
+    z, ref = make_zht(n=n, k=k, c=c, seed=seed), make_zht(n=n, k=k, c=c, seed=seed)
+    resident = data.draw(st.integers(0, k * n * c), label="residents")
+    start = z.path_matrix(np.array(keys[:resident], dtype=np.uint64)).tolist()
+    for store in (z, ref):
+        _first_fit_reference(store, keys[:resident], pays[:resident], start, 0)
+    for key in keys[:resident]:
+        if gen.random() < 0.4:
+            assert (z.search(key, remove=True) is None) == (
+                ref.search(key, remove=True) is None)
+    assert _store_bytes(z) == _store_bytes(ref)
+    rest, rest_pays = keys[resident:], pays[resident:]
+
+    load = data.draw(st.integers(0, 3 * n * c), label="load")
+    if data.draw(st.booleans(), label="batch throw"):
+        elems = SlotArray(load + 3, PAYLOAD)
+        real = gen.permutation(load + 3)[:load]
+        elems.state[:] = SlotState.DUMMY
+        elems.key[real], elems.state[real] = rest[:load], SlotState.REAL
+        elems.payload[real] = np.frombuffer(b"".join(rest_pays[:load]), np.uint8
+                                            ).reshape(load, PAYLOAD)
+        source = data.draw(st.sampled_from(["random", "prf"]), label="paths")
+        report = z.throw(elems, source, Rng(seed, (1,)))
+        paths = Rng(seed, (1,)).buckets(n, (load + 3, k))
+        real = np.sort(real)
+        if source == "prf" and load:
+            paths[real] = z.path_matrix(elems.key[real].astype(np.uint64))
+        want = _first_fit_reference(ref, elems.key[real].tolist(),
+                                    [elems.payload[r].tobytes() for r in real],
+                                    paths[real].tolist(), 0)
+        placed = [want.count(j) for j in range(k)]
+        assert report.placed_per_table == placed
+        assert report.unplaced == want.count(-1)
+        assert report.spills_per_table == [
+            want.count(-1) + sum(placed[j + 1:]) for j in range(k)]
+    else:
+        first = data.draw(st.integers(0, k - 1), label="first table")
+        paths = gen.integers(0, n, size=(load, k - first)).tolist()
+        want = _first_fit_reference(ref, rest[:load], rest_pays[:load], paths, first)
+        got = [z.zigzag_insert(Slot.real(key, p), path, first_table=first)
+               for key, p, path in zip(rest, rest_pays, paths)]
+        assert got == [j >= 0 for j in want]
+    assert _store_bytes(z) == _store_bytes(ref)
+
+
+def test_insert_claims_empty_slots_only():
+    z = Zht(2, 2, 1, HashFamily(seed=0), payload_size=PAYLOAD)
+    b = z.path(1)[0]
+    assert z.zigzag_insert(Slot.real(1, pay(1)), z.path(1))
+    assert z.search(1, remove=True) is not None
+    # the slot key 1 left is a dummy now, so key 2 goes on to table 1
+    assert z.zigzag_insert(Slot.real(2, pay(2)), [b, 0])
+    assert z.real_counts() == [0, 1]
+    assert int(z.tables[0].state[b, 0]) == SlotState.DUMMY
+    with pytest.raises(InvalidParameterError):
+        z.zigzag_insert(Slot.real(3, pay(3)), [0, 2])
 
 
 def test_full_load_prf_failure_rate_within_union_bound():
