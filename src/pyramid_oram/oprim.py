@@ -1,10 +1,14 @@
-"""Data-independent selection, swap, and sorting-network primitives.
+"""Data-independent swap and sorting-network primitives.
 
-Control flow here never branches on slot contents: selections are computed
-with mask arithmetic and sorting uses Batcher's odd-even mergesort, whose
+Control flow here never branches on slot contents: swaps are computed with
+mask arithmetic and sorting uses Batcher's odd-even mergesort, whose
 compare-exchange schedule is a function of the input length alone.  The
 repartition step of the routing network sorts 2c slots by a (class, tiebreak)
 key; packing both into one 64-bit word keeps the comparator a single compare.
+The sorts then overwrite the key's low log2(m) bits with its wire index, so
+no two keys are equal: every comparator network that sorts gives the same
+permutation, a compare-exchange moves the key alone, and the permutation is
+read back from the low bits.
 """
 
 from __future__ import annotations
@@ -17,16 +21,12 @@ import numpy as np
 
 from .core import InvalidParameterError, is_power_of_two
 
-# Sort key layout: class in the top 2 bits, tiebreak below.  Tiebreaks are
-# 64-bit draws; the low 62 bits that survive the shift keep collisions at
-# ~2^-60 per pair, and a collision just falls back to slot order.
+# Sort key layout: class in the top 2 bits, tiebreak below, and the sorts put
+# the wire index in the low log2(m) bits.  Tiebreaks are 64-bit draws; the
+# 62 - log2(m) bits left compared keep collisions at ~2^-(60 - log2 m) per
+# pair, and a collision falls back to wire order in every path.
 _CLASS_SHIFT = 62
 _TIE_SHIFT = 2
-
-# Padding entries sort into the middle class so they never displace an
-# element bound for a specific side.
-_PAD_CLASS = 1
-_PAD_TIEBREAK = 1 << 63
 
 
 @dataclass
@@ -36,12 +36,6 @@ class SortItem:
     sort_class: int
     tiebreak: int
     payload_ref: object = None
-
-
-def cond_select(flag, a: int, b: int) -> int:
-    """a if flag else b, computed with mask arithmetic (no data branch)."""
-    f = int(bool(flag))
-    return (a & -f) | (b & (f - 1))
 
 
 def cond_swap(flag, values, i: int, j: int) -> None:
@@ -59,6 +53,12 @@ def sort_key(sort_class, tiebreak):
             tiebreak >> np.uint64(_TIE_SHIFT)
         )
     return (sort_class << _CLASS_SHIFT) | (tiebreak >> _TIE_SHIFT)
+
+
+# Key of the entries that pad a sort to a power-of-two width.  They are
+# dropped after sorting, which leaves the real entries in sorted order
+# wherever the pads landed.
+PAD_KEY = sort_key(1, 1 << 63)
 
 
 @functools.cache
@@ -93,27 +93,25 @@ def batcher_sort(items: list[SortItem],
                  on_exchange: Callable[[int, int, bool], None] | None = None) -> None:
     """Sort items in place by (sort_class, tiebreak) with a fixed comparator net.
 
-    Non-power-of-two lengths are padded internally with middle-class sentinels;
-    sentinels are dropped before writing back, and dropping entries from a
-    sorted sequence leaves it sorted.  on_exchange, if given, is called for
-    every compare-exchange with (i, j, swapped) in schedule order.
+    Keys are made distinct as in sort_network_perm: padded with PAD_KEY to a
+    power of two m, each key's low log2(m) bits become its wire index, and
+    items are picked back out by the low bits of the sorted keys, padding
+    dropped.  on_exchange, if given, is called for every compare-exchange
+    with (i, j, swapped) in schedule order.
     """
-    m = len(items)
-    if m <= 1:
+    n = len(items)
+    if n <= 1:
         return
-    size = 1 << (m - 1).bit_length()
-    padded = list(items) + [
-        SortItem(_PAD_CLASS, _PAD_TIEBREAK) for _ in range(size - m)
-    ]
-    keys = [sort_key(it.sort_class, it.tiebreak) for it in padded]
-    perm = list(range(size))
-    for i, j in comparator_schedule(size):
+    m = 1 << (n - 1).bit_length()
+    keys = [sort_key(it.sort_class, it.tiebreak) for it in items]
+    keys += [PAD_KEY] * (m - n)
+    keys = [(key & -m) | wire for wire, key in enumerate(keys)]
+    for i, j in comparator_schedule(m):
         flag = keys[i] > keys[j]
         cond_swap(flag, keys, i, j)
-        cond_swap(flag, perm, i, j)
         if on_exchange is not None:
             on_exchange(i, j, bool(flag))
-    items[:] = [padded[p] for p in perm if p < m]
+    items[:] = [items[key & (m - 1)] for key in keys if key & (m - 1) < n]
 
 
 @functools.cache
@@ -123,7 +121,7 @@ def comparator_layers(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     Each comparator goes to the earliest layer after every earlier comparator
     on either of its wires, so comparators within a layer commute and each
     wire meets its comparators in schedule order: running the layers one after
-    another is the sequential network exactly, ties included.
+    another is the sequential network exactly.
     """
     depth = [0] * m
     layers: list[list[tuple[int, int]]] = []
@@ -152,29 +150,26 @@ _BLOCK_ROWS = 8192
 def sort_network_perm(skey: np.ndarray) -> np.ndarray:
     """Row-wise sorting permutation via the comparator network, vectorized.
 
-    skey is (rows, m) uint64 with m a power of two; returns perm (rows, m)
-    such that skey[r, perm[r]] is sorted.  The network runs layer by layer
-    (comparator_layers) on blocks of _BLOCK_ROWS rows, each block transposed
-    so a wire is one contiguous row, with the permutation carried in the
-    smallest integer type that holds m.  Every row meets the same comparators
-    in the same order whatever the keys, and equal keys are never exchanged,
-    so the result equals the sequential network's and the work done is
-    independent of the data.
+    skey is (rows, m) uint64 with m a power of two; returns perm (rows, m),
+    the stable sort of each row on the key bits above the low log2(m): those
+    bits are overwritten with the wire index, which makes the keys distinct,
+    and perm is read back from them once sorted.  The network runs layer by
+    layer (comparator_layers) on blocks of _BLOCK_ROWS rows, each block
+    transposed so a wire is one contiguous row, as two takes, one minimum and
+    one maximum per layer.  Every row meets the same comparators in the same
+    order whatever the keys, so the work done is independent of the data.
     """
     rows, m = skey.shape
     out = np.empty((rows, m), dtype=np.int64)
-    layers = _layer_wires(m)
-    wires = np.arange(m, dtype=np.min_scalar_type(m))[:, None]
+    low = np.uint64(m - 1)
+    wires = np.arange(m, dtype=np.uint64)[:, None]
     for r0 in range(0, rows, _BLOCK_ROWS):
         work = skey[r0:r0 + _BLOCK_ROWS].T.copy()
-        perm = np.repeat(wires, work.shape[1], axis=1)
-        for lo, hi in layers:
+        work &= ~low
+        work |= wires
+        for lo, hi in _layer_wires(m):
             k_lo, k_hi = work.take(lo, axis=0), work.take(hi, axis=0)
-            swap = k_lo > k_hi
             work[lo] = np.minimum(k_lo, k_hi)
             work[hi] = np.maximum(k_lo, k_hi)
-            p_lo, p_hi = perm.take(lo, axis=0), perm.take(hi, axis=0)
-            perm[lo] = np.where(swap, p_hi, p_lo)
-            perm[hi] = np.where(swap, p_lo, p_hi)
-        out[r0:r0 + _BLOCK_ROWS] = perm.T
+        out[r0:r0 + _BLOCK_ROWS] = (work & low).T
     return out

@@ -22,10 +22,11 @@ payload once, to where its slot id ended up.  route_census() runs the same
 kernel on tags and destinations alone, over many trials, for statistics.
 
 repartition() and route_reference() are the slot-at-a-time oracle.  They draw
-tiebreaks in the same row-major order as the kernel, so under one seed route()
-is bit-identical to route_reference(), which the suite asserts.  Write-backs
-here permute contents between cells, so they bypass the per-cell lifecycle
-transition checker by design.
+tiebreaks in the same row-major order as the kernel and sort the same keys,
+which oprim makes distinct by their wire index, so under one seed route() is
+bit-identical to route_reference(), colliding tiebreaks included; the suite
+asserts both.  Write-backs here permute contents between cells, so they
+bypass the per-cell lifecycle transition checker by design.
 """
 
 from __future__ import annotations
@@ -35,10 +36,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import InvalidParameterError, Rng, Slot, _require, is_power_of_two
-from .oprim import SortItem, batcher_sort, sort_key, sort_network_perm
+from .oprim import PAD_KEY, SortItem, batcher_sort, sort_key, sort_network_perm
 from .trace import TraceOp, TraceRecorder, table_region
-
-_PAD_KEY = np.uint64(sort_key(1, 1 << 63))
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,7 @@ def _stage_perm(cls_rows: np.ndarray, tie_rows: np.ndarray) -> np.ndarray:
     skey = sort_key(cls_rows, tie_rows)
     size = 1 << (m - 1).bit_length()
     if size != m:
-        pad = np.full((rows, size - m), _PAD_KEY, dtype=np.uint64)
+        pad = np.full((rows, size - m), PAD_KEY, dtype=np.uint64)
         skey = np.concatenate([skey, pad], axis=1)
     perm = sort_network_perm(skey)
     if size != m:

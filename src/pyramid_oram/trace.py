@@ -21,7 +21,6 @@ from enum import IntEnum
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
 
 from .core import InsufficientDataError, InvalidParameterError, Rng
 
@@ -204,6 +203,7 @@ def chi_square_uniform(counts, significance: float = 0.001) -> ChiSquareResult:
     Requires at least 5 expected observations per cell (total >= 5 * cells);
     below that the test is not meaningful and InsufficientDataError is raised.
     """
+    from scipy import stats  # ~1 s and ~70 MB, needed by this function alone
     if not 0.0 < significance < 1.0:
         raise InvalidParameterError("significance must be in (0, 1)")
     obs = np.asarray(counts, dtype=np.float64)

@@ -1,4 +1,4 @@
-"""Oblivious primitives: constant-shape selects, swaps, and the sorting network."""
+"""Oblivious primitives: constant-shape swaps and the sorting network."""
 
 import itertools
 
@@ -13,7 +13,6 @@ from pyramid_oram.oprim import (
     batcher_sort,
     comparator_layers,
     comparator_schedule,
-    cond_select,
     cond_swap,
     sort_key,
     sort_network_perm,
@@ -34,14 +33,6 @@ def _sort_count(n: int) -> int:
     if n == 1:
         return 0
     return 2 * _sort_count(n // 2) + _merge_count(n)
-
-
-def test_cond_select_exhaustive():
-    for flag in (0, 1, True, False):
-        for a in (0, 1, 7, 2**62):
-            for b in (0, 3, 2**40):
-                want = a if flag else b
-                assert cond_select(flag, a, b) == want
 
 
 def test_cond_swap_exhaustive():
@@ -81,10 +72,15 @@ def test_comparator_schedule_is_fixed():
         comparator_schedule(6)
 
 
-# the packed key keeps tiebreak bits 2..63, so tests space values by 4
+# the packed key drops tiebreak bits 0..1 and the sorts overwrite the next
+# log2(m) with the wire index, so tests space values above both for m <= 16
+SPACING = 2 + 4
+
+
 def test_batcher_sorts_every_permutation_of_eight():
     for perm in itertools.permutations(range(8)):
-        items = [SortItem(0, value << 2, payload_ref=value) for value in perm]
+        items = [SortItem(0, value << SPACING, payload_ref=value)
+                 for value in perm]
         batcher_sort(items)
         assert [item.payload_ref for item in items] == sorted(perm), f"failed on {perm}"
 
@@ -94,7 +90,7 @@ def test_batcher_sorts_non_power_of_two_sizes():
     for size in (1, 2, 3, 5, 6, 7, 9, 12):
         for _ in range(40):
             keys = gen.integers(0, 50, size=size)
-            items = [SortItem(int(k) % 3, int(k) << 2, payload_ref=i)
+            items = [SortItem(int(k) % 3, int(k) << SPACING, payload_ref=i)
                      for i, k in enumerate(keys)]
             want = sorted((item.sort_class, item.tiebreak) for item in items)
             batcher_sort(items)
@@ -136,18 +132,6 @@ def test_sort_network_perm_is_a_permutation():
         assert sorted(row.tolist()) == list(range(16))
 
 
-def _sequential_perm(skey: np.ndarray) -> np.ndarray:
-    """Oracle: the comparator schedule applied one comparator at a time."""
-    work = skey.copy()
-    rows, m = work.shape
-    perm = np.tile(np.arange(m), (rows, 1))
-    for i, j in comparator_schedule(m):
-        swap = work[:, i] > work[:, j]
-        for field in (work, perm):
-            field[swap, i], field[swap, j] = field[swap, j], field[swap, i]
-    return perm
-
-
 # row counts around the block size: one row, one short of a block, a full
 # block, one past it
 @settings(max_examples=40, deadline=None)
@@ -158,19 +142,42 @@ def _sequential_perm(skey: np.ndarray) -> np.ndarray:
        seed=st.integers(0, 2**32 - 1))
 def test_sort_network_perm_matches_sequential_network(m, rows, distinct,
                                                       sliced, seed):
-    # distinct=1 makes every row all equal, 3 makes ties in almost every row
+    # the compared bits are the ones above log2(m); distinct=1 makes them
+    # equal across every row, 3 makes ties in almost every row.  The low
+    # bits are random and must not matter.  Once the wire index makes the
+    # keys distinct, any sorting network, sequential or layered, gives the
+    # stable sort on the compared bits.
+    log_m = m.bit_length() - 1
     gen = np.random.Generator(np.random.PCG64(seed))
-    keys = gen.integers(0, distinct, size=(rows, 2 * m), dtype=np.uint64,
+    high = gen.integers(0, distinct, size=(rows, 2 * m), dtype=np.uint64,
                         endpoint=False)
+    keys = (high << np.uint64(log_m)) | gen.integers(
+        0, m, size=(rows, 2 * m), dtype=np.uint64)
     keys = keys[:, ::2] if sliced else np.ascontiguousarray(keys[:, :m])
     assert keys.flags.c_contiguous != sliced
     before = keys.copy()
     perm = sort_network_perm(keys)
     assert perm.dtype == np.int64 and perm.shape == (rows, m)
-    assert np.array_equal(perm, _sequential_perm(keys))
+    want = np.argsort(keys >> np.uint64(log_m), axis=1, kind="stable")
+    assert np.array_equal(perm, want)
     assert np.array_equal(keys, before), "input must not be modified"
     if distinct == 1:
-        assert (perm == np.arange(m)).all(), "equal keys are never exchanged"
+        assert (perm == np.arange(m)).all(), "ties keep wire order"
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 16])
+def test_sort_network_perm_matches_batcher_sort_on_ties(m):
+    # classes and tiebreaks from pools of 3, so most rows tie in every bit
+    gen = np.random.Generator(np.random.PCG64(m))
+    cls = gen.integers(0, 3, size=(200, m), dtype=np.uint64)
+    tie = gen.choice(np.array([5, 1 << 40, (1 << 64) - 1], dtype=np.uint64),
+                     size=(200, m))
+    perm = sort_network_perm(sort_key(cls, tie))
+    for row in range(200):
+        items = [SortItem(int(cls[row, w]), int(tie[row, w]), payload_ref=w)
+                 for w in range(m)]
+        batcher_sort(items)
+        assert [item.payload_ref for item in items] == perm[row].tolist()
 
 
 @pytest.mark.parametrize("m", [2, 4, 8, 16, 32])

@@ -201,6 +201,37 @@ def test_route_matches_reference_bit_for_bit():
         assert rec_vec.events() == rec_ref.events()
 
 
+class _CollidingRng(Rng):
+    """Rng whose 64-bit words come from a pool of three, so tiebreaks collide.
+
+    Each word is still one draw of the underlying stream, so drawing a block
+    at once or pair by pair gives the same words, as with Rng.
+    """
+
+    POOL = np.array([0, 1 << 63, (1 << 64) - 1], dtype=np.uint64)
+
+    def bits64(self, size=None):
+        return self.POOL[super().bits64(size) % np.uint64(len(self.POOL))]
+
+
+def test_route_matches_reference_when_tiebreaks_collide():
+    # c=3 pads each pair to 8 wires; tiebreak 1 << 63 ties a floating slot
+    # with the pad key, so the padded path meets collisions too
+    for n, c in ((8, 2), (16, 3), (16, 4)):
+        for seed in range(20):
+            load = seed * n * c // 20
+            t_vec, d_vec = make_routing_table(n, c, load, seed)
+            t_ref, d_ref = make_routing_table(n, c, load, seed)
+            s_vec = route(t_vec, d_vec, _CollidingRng(seed, (3,)))
+            s_ref = route_reference(t_ref, d_ref, _CollidingRng(seed, (3,)))
+            assert t_vec.key.tobytes() == t_ref.key.tobytes()
+            assert t_vec.state.tobytes() == t_ref.state.tobytes()
+            assert t_vec.payload.tobytes() == t_ref.payload.tobytes()
+            assert np.array_equal(t_vec.tag, t_ref.tag)
+            assert np.array_equal(d_vec, d_ref)
+            assert s_vec.stage_spills == s_ref.stage_spills
+
+
 def test_route_trace_is_pair_schedule():
     n, c = 8, 2
     table, dests = make_routing_table(n, c, 5, 31)

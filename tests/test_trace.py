@@ -1,5 +1,8 @@
 """Trace recording, shape comparison, and the uniformity test helper."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -164,6 +167,16 @@ def test_clear_resets():
     rec.clear()
     assert len(rec) == 0
     assert rec.events() == []
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    # scipy is chi_square_uniform's alone; loading it costs ~1 s and ~70 MB
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pyramid_oram; assert 'scipy' not in sys.modules"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_chi_square_accepts_uniform_counts():
