@@ -314,9 +314,13 @@ def _table_subkey(seed: int, epoch: int, level: int, table_index: int) -> np.uin
     return np.uint64(x[0])
 
 
-def _keyed_bucket(keys: np.ndarray, subkeys, n: int) -> np.ndarray:
-    """The hash itself: uint64 keys under (broadcast) subkeys into [0, n)."""
-    return (_mix64((keys * _GOLDEN) ^ subkeys) % np.uint64(n)).astype(np.int64)
+def _keyed_bucket(keys: np.ndarray, subkeys, n) -> np.ndarray:
+    """The hash itself: uint64 keys under (broadcast) subkeys into [0, n).
+
+    n is an int or an array of counts broadcast against the lanes.
+    """
+    n = np.asarray(n, dtype=np.uint64)
+    return (_mix64((keys * _GOLDEN) ^ subkeys) % n).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -353,12 +357,15 @@ class HashFamily:
         return HashFamily(self.seed, self.epoch + 1)
 
 
-def path_buckets(subkeys: np.ndarray, key: int, n: int) -> np.ndarray:
+def path_buckets(subkeys: np.ndarray, key: int, n) -> np.ndarray:
     """One key's bucket under each subkey: bucket_indices over all lanes at once.
 
     Lane j equals bucket_indices(level, j, key, n) when subkeys came from
-    subkeys(level, ...).  The key is broadcast into a uint64 array first, so
-    the multiply wraps silently instead of warning as a numpy scalar would.
+    subkeys(level, ...).  n is one bucket count for every lane or an array
+    of one count per lane, so the lanes of several levels, each with its own
+    subkeys and n, hash in one call.  The key is broadcast into a uint64 array
+    first, so the multiply wraps silently instead of warning as a numpy scalar
+    would.
     """
     return _keyed_bucket(np.full(subkeys.size, key, dtype=np.uint64), subkeys, n)
 
@@ -383,18 +390,19 @@ class Rng:
     def substream(self, index: int) -> "Rng":
         return Rng(self.seed, self.path + (int(index),))
 
-    def bits64(self, size=None) -> np.ndarray:
-        return self._gen.integers(0, 1 << 64, dtype=np.uint64, size=size)
+    def bits64(self, size=None) -> np.ndarray | int:
+        # the generator's raw 64-bit words: the stream a full-range uint64
+        # integers() draw returns, without its per-call dispatch (an int when
+        # size is None)
+        return self._gen.bit_generator.random_raw(size)
 
     def bucket(self, n: int) -> int:
         _require(is_power_of_two(n), "random bucket range must be a power of two")
-        # the generator's raw 64-bit word, which is exactly what a full-range
-        # uint64 integers() draw returns, minus its dispatch cost
         return self._gen.bit_generator.random_raw() & (n - 1)
 
     def buckets(self, n: int, size) -> np.ndarray:
         _require(is_power_of_two(n), "random bucket range must be a power of two")
-        draws = self._gen.integers(0, 1 << 64, dtype=np.uint64, size=size)
+        draws = self._gen.bit_generator.random_raw(size)
         return (draws & np.uint64(n - 1)).astype(np.int64)
 
     def floats(self, size=None):

@@ -221,7 +221,7 @@ def route(table, dests: np.ndarray, rng: Rng,
     table.key[...] = table.key.reshape(-1)[src]
     table.state[...] = table.state.reshape(-1)[src]
     table.payload[...] = table.payload.reshape(n * c, -1)[src]
-    if recorder is not None:
+    if recorder is not None and recorder.enabled:
         idx = np.arange(n)
         for bit in range(spills.shape[1]):
             lows = idx[(idx >> bit) & 1 == 0]

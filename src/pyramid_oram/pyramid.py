@@ -8,6 +8,15 @@ is found and making indistinguishable dummy searches afterwards.  The result
 is re-appended to the log at position t mod p, so the log fills at one slot
 per access regardless of hits, misses, reads, or writes.
 
+The key is hashed once per access: a lane table, refreshed by the one method
+that writes self.levels, holds the subkeys and bucket counts of every table
+of every occupied level, and one path_buckets call gives all their buckets.
+Levels after the hit are hashed too (hashing is private computation, and
+its work then does not depend on where the hit is), but their buckets are
+never read: those levels get dummy searches over fresh random buckets.  The
+log scan, like Zht.search, compares keys only, relying on every non-REAL
+slot carrying KEY_SENTINEL.
+
 Every p accesses the log (plus every level smaller than the target) is rebuilt
 into the level addressed by the trailing-zero count of t/p, and every N
 accesses everything is rebuilt into a fresh last level under a fresh hash
@@ -49,6 +58,7 @@ from .core import (
     check_transition,
     debug_checks_enabled,
     is_power_of_two,
+    path_buckets,
 )
 from .ozht import BuildReport, build_access_count, oblivious_build
 from .trace import L0_REGION, TraceOp, TraceRecorder
@@ -244,6 +254,10 @@ class PyramidOram:
         p = config.first_level_size
         self.level0 = SlotArray(p, config.payload_size)
         self.levels: list[Zht | None] = [None] * (config.num_levels + 1)
+        self._search_log: dict[int, set[int]] = {
+            j: set() for j in range(1, config.num_levels + 1)
+        }
+        self._set_levels({})
         self.t = 0
         self.real_count = 0
         self.epochs = [0] * (config.num_levels + 1)
@@ -251,9 +265,6 @@ class PyramidOram:
         self.broken_by: BuildFailedError | None = None
         self._rng = Rng(config.seed, (0,))
         self._l0_indices = np.arange(p)
-        self._search_log: dict[int, set[int]] = {
-            j: set() for j in range(1, config.num_levels + 1)
-        }
 
     # -- public surface -------------------------------------------------------
 
@@ -294,18 +305,21 @@ class PyramidOram:
             self._assert_schedule_consistent()
 
         found, payload = self._scan_level0(key)
-        online = self.config.first_level_size
-        for j, level in self._occupied_levels():
-            online += level.k
+        # every occupied level's path in one hash, the levels after the hit
+        # included: hashing is private, only the gathers below touch memory
+        lanes = path_buckets(self._lane_subkeys, key, self._lane_n)
+        for j, level, lo, hi in self._probes:
             if found:
                 level.dummy_search(self._rng, recorder=self.recorder)
                 continue
             if debug_checks_enabled():
                 self._log_real_search(j, key)
-            hit = level.search(key, remove=True, recorder=self.recorder)
+            hit = level.search(key, remove=True, recorder=self.recorder,
+                               buckets=lanes[lo:hi])
             if hit is not None:
                 found = True
                 payload = hit.payload
+        online = self.config.first_level_size + lanes.size
 
         if op == "write" and not found and self.real_count >= self.config.capacity:
             raise CapacityExceededError(
@@ -373,18 +387,35 @@ class PyramidOram:
                 f"store unusable after a failed build: {self.broken_by}"
             ) from self.broken_by
 
-    def _occupied_levels(self):
-        for j in range(1, self.config.num_levels + 1):
-            level = self.levels[j]
+    def _set_levels(self, changes: dict[int, Zht | None]) -> None:
+        """The one writer of self.levels; refreshes the lane table with it.
+
+        The lane table lists the occupied levels in order, each with its
+        slice of the lanes, one lane per (level, table): the tables' subkeys
+        and bucket counts, concatenated, so an access hashes every occupied
+        level's path in one path_buckets call.  A changed level also starts
+        a fresh search log.
+        """
+        for j, level in changes.items():
+            self.levels[j] = level
+            self._search_log[j].clear()
+        probes, subkeys, counts, lo = [], [], [], 0
+        for j, level in enumerate(self.levels):
             if level is not None:
-                yield j, level
+                probes.append((j, level, lo, lo + level.k))
+                subkeys.append(level._subkeys)
+                counts.append(np.full(level.k, level.n, dtype=np.uint64))
+                lo += level.k
+        self._probes = tuple(probes)
+        self._lane_subkeys = np.concatenate(subkeys or [np.zeros(0, np.uint64)])
+        self._lane_n = np.concatenate(counts or [np.zeros(0, np.uint64)])
 
     def _assert_schedule_consistent(self) -> None:
-        live = {j for j, _ in self._occupied_levels()}
-        want = {
+        live = [j for j, _, _, _ in self._probes]
+        want = [
             j for j in range(1, self.config.num_levels + 1)
             if level_occupied(self.config, j, self.t, self.loaded)
-        }
+        ]
         assert live == want, f"occupied levels {live} != schedule {want} at t={self.t}"
 
     def _log_real_search(self, j: int, key: int) -> None:
@@ -401,11 +432,15 @@ class PyramidOram:
             self.recorder.record_block(
                 L0_REGION, self._l0_indices, TraceOp.READ_WRITE
             )
-        match = (l0.state == REAL) & (l0.key == key)
+        # key-only compare, as in Zht.search: non-REAL slots carry KEY_SENTINEL
+        match = l0.key == key
+        if debug_checks_enabled():
+            assert ((l0.state == REAL) == (l0.key != KEY_SENTINEL)).all(), (
+                "a log slot's key disagrees with its state"
+            )
         if not match.any():
             return False, None
-        byte_mask = match[:, None] * np.uint8(0xFF)
-        payload = (l0.payload & byte_mask).max(axis=0).tobytes()
+        payload = np.dot(match.view(np.uint8), l0.payload).tobytes()
         l0.clear_to_dummy(match)
         return True, payload
 
@@ -440,9 +475,7 @@ class PyramidOram:
         gathered = _concat_slot_arrays(parts, self.config.payload_size)
         self._build_level(target, gathered)
         self.level0.clear()
-        for i in range(1, target):
-            self.levels[i] = None
-            self._search_log[i].clear()
+        self._set_levels({i: None for i in range(1, target)})
         return self.last_rebuild
 
     def _build_level(self, target: int, elems: SlotArray) -> BuildReport:
@@ -460,8 +493,7 @@ class PyramidOram:
                 level_id=target, recorder=self.build_recorder,
             )
             if report.success:
-                self.levels[target] = z
-                self._search_log[target].clear()
+                self._set_levels({target: z})
                 self.last_rebuild = RebuildInfo(
                     level=target,
                     m_total=report.m_total,

@@ -10,7 +10,12 @@ which buckets are touched.
 A Zht keeps all its slots in one SlotArray of shape (k, n, c): table, bucket,
 slot.  tables[j] is a core.Table view of row j, so per-table code (routing)
 writes straight into the store, and a search is one gather of the k path
-buckets out of it.
+buckets out of it.  The search compares keys only: every non-REAL slot
+carries KEY_SENTINEL, which is above every real key, so `key == probe` is
+exactly `REAL and key == probe`.  Every write keeps that invariant (a
+removal writes the sentinel with the DUMMY state), and debug checks assert it
+over the slots a search gathers.  The hit's payload is the dot product of the
+0/1 match vector with the gathered payload rows.
 
 Placement is one kernel, _first_fit, for a batch throw and a single insert
 alike.  It walks the tables in order; at table j it ranks every element still
@@ -198,27 +203,36 @@ class Zht:
     # -- lookup --------------------------------------------------------------
 
     def search(self, key: int, remove: bool = False,
-               recorder: TraceRecorder | None = None) -> Slot | None:
+               recorder: TraceRecorder | None = None,
+               buckets: np.ndarray | None = None) -> Slot | None:
         """Probe all k path buckets; extract (and optionally remove) the match.
 
-        One gather pulls the k path buckets out of the store; comparison and
-        extraction are mask arithmetic over all of them, so every path bucket
-        is visited even after a hit.
+        One gather of the k path buckets' keys and one compare find the key
+        (states are not read: non-REAL slots carry KEY_SENTINEL); the payload
+        is the dot product of the 0/1 match vector with the gathered payload
+        rows, exact because at most one slot matches.  Every path bucket is
+        visited even after a hit.  `buckets` is the path when the caller has
+        hashed it already; by default the key is hashed under this table's
+        subkeys.
         """
         _require(0 <= key <= MAX_REAL_KEY, "key out of range")
-        buckets = path_buckets(self._subkeys, key, self.n)
+        if buckets is None:
+            buckets = path_buckets(self._subkeys, key, self.n)
         if recorder is not None and recorder.enabled:
             recorder.record_tiled(self.regions, buckets[None, :], TraceOp.READ_WRITE)
         rows = buckets + self._row_base
         br = self._bucket_rows
         keys = br.key.take(rows, axis=0)
-        states = br.state.take(rows, axis=0)
-        match = (keys == key) & (states == REAL)
-        # with at most one match (what the debug check below asserts) the max
-        # over all k*c masked slots is exactly the matching slot's payload
-        byte_mask = match[:, :, None] * np.uint8(0xFF)
-        acc = (br.payload.take(rows, axis=0) & byte_mask).max(axis=(0, 1))
+        match = keys == key
         hits = np.count_nonzero(match)
+        if debug_checks_enabled():
+            real = br.state.take(rows, axis=0) == REAL
+            assert (real == (keys != KEY_SENTINEL)).all(), (
+                "a slot's key disagrees with its state"
+            )
+            assert hits <= 1, f"key {key} resident in {hits} slots"
+        payload = np.dot(match.reshape(-1).view(np.uint8),
+                         br.payload.take(rows, axis=0).reshape(match.size, -1))
         if remove and hits:
             hit_j, hit_s = np.nonzero(match)
             hit_rows = rows[hit_j]
@@ -226,11 +240,9 @@ class Zht:
             br.state[hit_rows, hit_s] = DUMMY
             br.tag[hit_rows, hit_s] = False
             br.payload[hit_rows, hit_s] = 0
-        if debug_checks_enabled():
-            assert hits <= 1, f"key {key} resident in {hits} slots"
         if hits == 0:
             return None
-        return Slot.real(key, acc.tobytes())
+        return Slot.real(key, payload.tobytes())
 
     def dummy_search(self, rng: Rng, recorder: TraceRecorder | None = None) -> None:
         """Shape-identical to search: one uniformly random bucket per table."""

@@ -193,7 +193,46 @@ def test_hash_bucket_helper():
             ]
 
 
+def test_path_buckets_with_per_lane_counts():
+    # the hierarchy hashes every occupied level's path in one call: lanes of
+    # levels with different n, each lane reduced modulo its own count
+    fam = HashFamily(11, epoch=2)
+    shapes = [(1, 4, 2), (3, 16, 3), (6, 128, 1), (7, 256, 4)]  # (level, n, k)
+    subkeys = np.concatenate([fam.subkeys(level, k) for level, _, k in shapes])
+    counts = np.concatenate([np.full(k, n) for _, n, k in shapes])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for key in (0, 1, 99, 2**31, MAX_REAL_KEY):
+            want = [
+                fam.bucket_indices(level, j, key, n)
+                for level, n, k in shapes for j in range(k)
+            ]
+            for dtype in (np.uint64, np.int64):
+                lanes = path_buckets(subkeys, key, counts.astype(dtype))
+                assert lanes.tolist() == want
+        assert path_buckets(subkeys[:0], 5, counts[:0].astype(np.uint64)).size == 0
+
+
 # -- rng -----------------------------------------------------------------------------
+
+
+def test_rng_draws_are_the_full_range_integer_stream():
+    # bits64 and buckets read the generator's raw words; they must equal the
+    # full-range uint64 integers() stream, or every recorded trace changes
+    def reference():
+        return np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence([21, 3])))
+
+    rng, ref = Rng(21, (3,)), reference()
+    for shape in ((3, 4), (100000,), 7, (1, 32, 8)):
+        got = rng.bits64(shape)
+        assert got.dtype == np.uint64 and got.shape == np.empty(shape).shape
+        assert np.array_equal(got, ref.integers(0, 1 << 64, dtype=np.uint64,
+                                                size=shape))
+    assert rng.bits64() == int(ref.integers(0, 1 << 64, dtype=np.uint64))
+    want = ref.integers(0, 1 << 64, dtype=np.uint64, size=(100, 3)) & np.uint64(63)
+    got = rng.buckets(64, (100, 3))
+    assert got.dtype == np.int64 and np.array_equal(got, want.astype(np.int64))
 
 
 def test_rng_replayable():

@@ -1,14 +1,23 @@
 """Hierarchy: schedule closed forms, access semantics, rebuild accounting."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pyramid_oram.core import (
+    KEY_SENTINEL,
+    REAL,
     BuildFailedError,
     CapacityExceededError,
     InvalidParameterError,
     OramError,
     StoreBrokenError,
+    path_buckets,
+    set_debug_checks,
 )
 from pyramid_oram.ozht import build_access_count
 from pyramid_oram.pyramid import (
@@ -22,6 +31,7 @@ from pyramid_oram.pyramid import (
     rebuild_target,
 )
 from pyramid_oram.trace import TraceRecorder
+from pyramid_oram.zht import Zht
 
 from conftest import ToySchedule
 
@@ -418,3 +428,121 @@ def test_failed_bulk_load_breaks_the_store():
         oram.read(1)
     with pytest.raises(StoreBrokenError):
         oram.bulk_load([(key, val(key)) for key in range(4)])
+
+
+# -- the key-only probe and the lane table ------------------------------------
+
+TINY = [
+    PyramidConfig(capacity=16, first_level_size=2, payload_size=4),
+    PyramidConfig(capacity=16, first_level_size=2, payload_size=4,
+                  k_override=1, c_override=1, failure_policy="retry"),
+    PyramidConfig(capacity=32, first_level_size=4, payload_size=4),
+]
+
+
+def _assert_sentinel_invariant(oram: PyramidOram) -> None:
+    """A slot is REAL exactly when its key is not KEY_SENTINEL, everywhere."""
+    stores = [oram.level0] + [z.store for z in oram.levels if z is not None]
+    for store in stores:
+        assert np.array_equal(store.state == REAL, store.key != KEY_SENTINEL)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cfg=st.sampled_from(TINY), seed=st.integers(0, 2**16),
+       ops=st.lists(st.tuples(st.booleans(), st.integers(0, 15)),
+                    min_size=8, max_size=120))
+def test_key_only_probe_keeps_the_sentinel_invariant(cfg, seed, ops):
+    # search and the log scan compare keys only, which is exact while every
+    # non-REAL slot carries KEY_SENTINEL; a removal that left the key behind
+    # would make the stale slot match again
+    oram = PyramidOram(dataclasses.replace(cfg, seed=seed))
+    model: dict[int, bytes] = {}
+    read_absent: set[int] = set()
+    set_debug_checks(True)
+    try:
+        for step, (write, key) in enumerate(ops):
+            if key in read_absent:
+                # a second search for an absent key, read or write, trips the
+                # debug search log (the absent-key re-read caveat)
+                continue
+            if not write and key not in model:
+                read_absent.add(key)
+            value = val(key, cfg.payload_size, salt=step)
+            try:
+                got = oram.write(key, value) if write else oram.read(key)
+            except BuildFailedError:
+                broken = True
+            else:
+                broken = False
+                assert got == model.get(key)
+            if write:
+                model[key] = value
+            _assert_sentinel_invariant(oram)
+            assert oram.stored_items() == model
+            if broken:
+                break
+    finally:
+        set_debug_checks(False)
+
+
+def _lane_owner_levels(cfg: PyramidConfig, t: int, loaded: bool) -> list[int]:
+    return [j for j in range(1, cfg.num_levels + 1)
+            if level_occupied(cfg, j, t, loaded)]
+
+
+@pytest.mark.parametrize("loaded", [False, True])
+def test_lane_table_follows_the_schedule(loaded):
+    cfg = SMALL
+    oram = PyramidOram(cfg)
+    if loaded:
+        oram.bulk_load([(key, val(key)) for key in range(0, cfg.capacity, 2)])
+    gen = np.random.Generator(np.random.PCG64(41))
+    for step in range(3 * cfg.capacity):
+        key = int(gen.integers(0, cfg.capacity))
+        oram.write(key, val(key, salt=step))
+        assert [j for j, *_ in oram._probes] == _lane_owner_levels(
+            cfg, oram.t, loaded)
+        lanes = path_buckets(oram._lane_subkeys, key, oram._lane_n)
+        assert lanes.size == online_cost(cfg, oram.t, loaded) - cfg.first_level_size
+        for j, level, lo, hi in oram._probes:
+            assert level is oram.levels[j]
+            assert lanes[lo:hi].tolist() == level.path(key)
+
+
+def test_no_real_probe_below_the_hit(monkeypatch):
+    # levels are searched for real in order up to the hit and only dummy
+    # searched after it, so no real-path bucket below the hit is read
+    calls: list[tuple[int, str]] = []
+    search, dummy_search = Zht.search, Zht.dummy_search
+
+    def spy_search(self, *args, **kwargs):
+        out = search(self, *args, **kwargs)
+        calls.append((self.level_id, "hit" if out is not None else "miss"))
+        return out
+
+    def spy_dummy(self, *args, **kwargs):
+        calls.append((self.level_id, "dummy"))
+        return dummy_search(self, *args, **kwargs)
+
+    monkeypatch.setattr(Zht, "search", spy_search)
+    monkeypatch.setattr(Zht, "dummy_search", spy_dummy)
+    cfg = MED
+    oram = PyramidOram(cfg)
+    oram.bulk_load([(key, val(key)) for key in range(0, cfg.capacity, 3)])
+    gen = np.random.Generator(np.random.PCG64(43))
+    level_hits = 0
+    for step in range(2 * cfg.capacity):
+        key = int(gen.integers(0, cfg.capacity))
+        occupied = [j for j, *_ in oram._probes]
+        calls.clear()
+        _, record = oram.access_with_record("write", key, val(key, salt=step))
+        assert [j for j, _ in calls] == occupied
+        kinds = "".join(kind[0] for _, kind in calls)
+        if "h" in kinds:
+            level_hits += 1
+            assert re.fullmatch("m*hd*", kinds), kinds
+        elif record.found:
+            assert re.fullmatch("d*", kinds), kinds  # found in the log
+        else:
+            assert re.fullmatch("m*", kinds), kinds
+    assert level_hits > 0
