@@ -243,7 +243,8 @@ def _first_fit_reference(z: Zht, keys, payloads, paths, first_table: int):
 def test_first_fit_matches_scalar_reference(log_n, k, c, seed, data):
     n = 1 << log_n
     gen = np.random.Generator(np.random.PCG64(seed))
-    keys = gen.permutation(1 << 20)[: 6 * n * c + 1].tolist()
+    # enough distinct keys for the most residents plus the largest load
+    keys = gen.permutation(1 << 20)[: (k + 3) * n * c + 1].tolist()
     pays = [pay(key) for key in keys]
     # both stores start with the same residents and the DUMMY slots that
     # removing some of them leaves behind
