@@ -31,7 +31,6 @@ from .core import (
     HashFamily,
     Rng,
     SlotArray,
-    SlotState,
     _require,
     is_power_of_two,
     rank_within_group,
@@ -316,7 +315,6 @@ def decay_check(n: int, c: int, k: int, trials: int, seed: int) -> DecayReport:
         fam = HashFamily(seed, epoch=trial)
         elems = SlotArray(n, payload_size=8)
         elems.key[:] = np.arange(n, dtype=np.uint32)
-        elems.state[:] = SlotState.REAL
         _, report = oblivious_build(elems, n, k, c, fam, rng)
         if not report.success:
             failures += 1

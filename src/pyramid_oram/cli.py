@@ -41,11 +41,11 @@ from .analysis import (
     mc_throw_spill,
 )
 from .core import (
+    KEY_SENTINEL,
     BuildFailedError,
     CapacityExceededError,
     InsufficientDataError,
     InvalidParameterError,
-    SlotState,
 )
 from .pyramid import PyramidConfig, PyramidOram
 from .trace import TraceRecorder
@@ -319,12 +319,12 @@ def _flip_one_payload_bit(oram: PyramidOram) -> bool:
         if level is None:
             continue
         for tbl in level.tables:
-            rows = np.argwhere(tbl.state == SlotState.REAL)
+            rows = np.argwhere(tbl.key != KEY_SENTINEL)
             if rows.size:
                 b, s = (int(x) for x in rows[0])
                 tbl.payload[b, s, 0] ^= 1
                 return True
-    rows = np.flatnonzero(oram.level0.state == SlotState.REAL)
+    rows = np.flatnonzero(oram.level0.key != KEY_SENTINEL)
     if rows.size:
         oram.level0.payload[int(rows[0]), 0] ^= 1
         return True

@@ -2,9 +2,12 @@
 
 Every structure in this package is built out of fixed-width slots so that the
 memory touched by an operation never depends on the data it carries.  A slot is
-Empty (never held data), Dummy (filler that is read and written like anything
-else), or Real (holds a key and a payload).  Tables are dense arrays of n
-buckets times c slots; scans and bucket accesses always cover whole buckets.
+a 32-bit key, a payload and a routing tag, and nothing else: it is real (holds
+a stored item) exactly when its key is not KEY_SENTINEL, and a dummy (filler
+that is read and written like anything else) when it is.  A fresh SlotArray is
+all dummies, writing a key makes a slot real, and writing the sentinel frees
+it.  Tables are dense arrays of n buckets times c slots; scans and bucket
+accesses always cover whole buckets.
 
 Hashing is a keyed, seedable PRF: a splitmix64-style finalizer chain absorbed
 over (seed, epoch, level, table).  It is vectorizable over numpy uint64 arrays,
@@ -19,8 +22,7 @@ or parallelized without stream overlap.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from enum import IntEnum
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,31 +73,6 @@ class StoreBrokenError(OramError):
     """The store refuses further use: an earlier build failed part-way."""
 
 
-class SlotState(IntEnum):
-    EMPTY = 0
-    DUMMY = 1
-    REAL = 2
-
-
-# Plain-int copies of the states for hot loops, where an IntEnum attribute
-# lookup costs more than the numpy call it feeds.
-EMPTY = int(SlotState.EMPTY)
-DUMMY = int(SlotState.DUMMY)
-REAL = int(SlotState.REAL)
-
-
-# Permitted state transitions inside structural operations.  Identity
-# rewrites (x -> x) are always allowed: every touched slot is written back.
-# Empty -> Dummy exists for the append log: a miss appends a dummy so the
-# log's fill rate never depends on hit/miss.
-_ALLOWED_TRANSITIONS = {
-    (SlotState.EMPTY, SlotState.REAL),
-    (SlotState.EMPTY, SlotState.DUMMY),
-    (SlotState.DUMMY, SlotState.REAL),
-    (SlotState.REAL, SlotState.DUMMY),
-    (SlotState.REAL, SlotState.EMPTY),
-}
-
 _debug_checks = False
 
 
@@ -109,17 +86,6 @@ def debug_checks_enabled() -> bool:
     return _debug_checks
 
 
-def check_transition(old_state: int, new_state: int) -> None:
-    """Assert a slot state transition is one of the permitted four (or identity)."""
-    if old_state == new_state:
-        return
-    if (SlotState(old_state), SlotState(new_state)) not in _ALLOWED_TRANSITIONS:
-        raise AssertionError(
-            f"forbidden slot transition {SlotState(old_state).name} -> "
-            f"{SlotState(new_state).name}"
-        )
-
-
 def is_power_of_two(x: int) -> bool:
     return x > 0 and (x & (x - 1)) == 0
 
@@ -131,35 +97,32 @@ def _require(cond: bool, message: str) -> None:
 
 @dataclass(frozen=True)
 class Slot:
-    """One fixed-width memory cell: state, 32-bit key, payload bytes, routing tag."""
+    """One fixed-width memory cell: 32-bit key, payload bytes, routing tag.
 
-    state: SlotState
+    Real iff the key is not KEY_SENTINEL.
+    """
+
     key: int = KEY_SENTINEL
     payload: bytes = b""
     tag: bool = False
 
     def __post_init__(self):
-        if self.state is not SlotState.REAL:
-            _require(self.key == KEY_SENTINEL, "non-real slots carry the sentinel key")
-            _require(not self.tag, "non-real slots are never tagged for routing")
-        else:
-            _require(0 <= self.key <= MAX_REAL_KEY, "real key out of range")
-
-    @classmethod
-    def empty(cls, payload_size: int = 0) -> "Slot":
-        return cls(SlotState.EMPTY, payload=bytes(payload_size))
+        _require(0 <= self.key <= KEY_SENTINEL, "key out of range")
+        _require(self.is_real or not self.tag,
+                 "non-real slots are never tagged for routing")
 
     @classmethod
     def dummy(cls, payload_size: int = 0) -> "Slot":
-        return cls(SlotState.DUMMY, payload=bytes(payload_size))
+        return cls(payload=bytes(payload_size))
 
     @classmethod
     def real(cls, key: int, payload: bytes, tag: bool = False) -> "Slot":
-        return cls(SlotState.REAL, key=key, payload=bytes(payload), tag=tag)
+        _require(0 <= key <= MAX_REAL_KEY, "real key out of range")
+        return cls(key, bytes(payload), tag)
 
     @property
     def is_real(self) -> bool:
-        return self.state is SlotState.REAL
+        return self.key != KEY_SENTINEL
 
 
 class SlotArray:
@@ -168,9 +131,10 @@ class SlotArray:
     Fields are parallel numpy arrays over an arbitrary leading shape; payload
     gets one extra trailing axis of payload_size bytes.  Structural code
     operates on the arrays directly; get()/put() provide the scalar Slot view.
+    A slot is real where key != KEY_SENTINEL; a fresh array is all dummies.
     """
 
-    __slots__ = ("key", "state", "tag", "payload", "payload_size")
+    __slots__ = ("key", "tag", "payload", "payload_size")
 
     def __init__(self, shape, payload_size: int = DEFAULT_PAYLOAD_SIZE):
         if isinstance(shape, int):
@@ -178,7 +142,6 @@ class SlotArray:
         _require(payload_size >= 0, "payload_size must be non-negative")
         self.payload_size = payload_size
         self.key = np.full(shape, KEY_SENTINEL, dtype=np.uint32)
-        self.state = np.full(shape, SlotState.EMPTY, dtype=np.uint8)
         self.tag = np.zeros(shape, dtype=bool)
         self.payload = np.zeros(shape + (payload_size,), dtype=np.uint8)
 
@@ -193,7 +156,6 @@ class SlotArray:
         out = SlotArray.__new__(SlotArray)
         out.payload_size = self.payload_size
         out.key = self.key.reshape(shape)
-        out.state = self.state.reshape(shape)
         out.tag = self.tag.reshape(shape)
         out.payload = self.payload.reshape(shape + (self.payload_size,))
         return out
@@ -203,53 +165,33 @@ class SlotArray:
         return self.key.size
 
     def get(self, idx) -> Slot:
-        return Slot(
-            SlotState(int(self.state[idx])),
-            key=int(self.key[idx]),
-            payload=self.payload[idx].tobytes(),
-            tag=bool(self.tag[idx]),
-        )
+        return Slot(int(self.key[idx]), self.payload[idx].tobytes(),
+                    bool(self.tag[idx]))
 
     def put(self, idx, slot: Slot) -> None:
         _require(len(slot.payload) == self.payload_size, "payload width mismatch")
-        if _debug_checks:
-            check_transition(int(self.state[idx]), int(slot.state))
         self.key[idx] = slot.key
-        self.state[idx] = slot.state
         self.tag[idx] = slot.tag
         self.payload[idx] = np.frombuffer(slot.payload, dtype=np.uint8)
 
     def clear(self) -> None:
         self.key.fill(KEY_SENTINEL)
-        self.state.fill(EMPTY)
         self.tag.fill(False)
         self.payload.fill(0)
 
     def clear_to_dummy(self, mask) -> None:
         """Overwrite the masked slots with dummies (spilled/extracted cells)."""
-        if _debug_checks:
-            bad = mask & (self.state == EMPTY)
-            assert not bad.any(), "clearing an Empty slot to Dummy"
         self.key[mask] = KEY_SENTINEL
-        self.state[mask] = DUMMY
         self.tag[mask] = False
         self.payload[mask] = 0
 
     def real_count(self) -> int:
-        return int((self.state == REAL).sum())
+        return int(np.count_nonzero(self.key != KEY_SENTINEL))
 
     def iter_slots(self):
-        flat_key = self.key.reshape(-1)
-        flat_state = self.state.reshape(-1)
-        flat_tag = self.tag.reshape(-1)
-        flat_pay = self.payload.reshape(-1, self.payload_size)
-        for i in range(flat_key.size):
-            yield Slot(
-                SlotState(int(flat_state[i])),
-                key=int(flat_key[i]),
-                payload=flat_pay[i].tobytes(),
-                tag=bool(flat_tag[i]),
-            )
+        flat = self.reshape(self.size)
+        for i in range(flat.size):
+            yield flat.get(i)
 
 
 class Table(SlotArray):
@@ -271,7 +213,6 @@ class Table(SlotArray):
         _, tbl.n, tbl.c = store.shape
         tbl.payload_size = store.payload_size
         tbl.key = store.key[j]
-        tbl.state = store.state[j]
         tbl.tag = store.tag[j]
         tbl.payload = store.payload[j]
         return tbl

@@ -4,7 +4,7 @@ Building a level from m_total input slots (reals plus padding) never branches
 on contents:
 
   1. every input slot is thrown along a fresh uniform random path; reals claim
-     the first EMPTY slot on the way, non-reals make the same shaped accesses.
+     the first free slot on the way, non-reals make the same shaped accesses.
      Placement is Zht's first-fit kernel, one rank-within-bucket pass per
      table, equal to inserting the reals one at a time in input order.
   2. for each table j in order: tag its resident reals, route them to their
@@ -17,7 +17,12 @@ The bucket accesses this makes are counted exactly by build_access_count(),
 and their positions are fresh randomness or public hash evaluations, so the
 trace shape is a pure function of (m_total, n, k, c).
 
-On success every Real slot sits in some table j at bucket h_j(key) with its
+A slot is real iff its key is not KEY_SENTINEL, so the reals to tag, route
+and re-throw are read off the keys.  Within a build the only non-real writes
+into the level are the dummies that clear table j's spilled cells after its
+sweep, and every later claim goes to the tables after j.
+
+On success every real slot sits in some table j at bucket h_j(key) with its
 tag set.  A build fails when an insert falls off the end of its path
 (throw_overflow) or the last table's routing spills (final_phase_spill); the
 returned table set is then inconsistent and only good for inspection, and the
@@ -31,7 +36,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .core import (
-    REAL,
+    KEY_SENTINEL,
     HashFamily,
     Rng,
     Slot,
@@ -84,10 +89,10 @@ def oblivious_build(elems: SlotArray, n: int, k: int, c: int, fam: HashFamily,
                     rng: Rng, *, level_id: int = 0,
                     recorder: TraceRecorder | None = None,
                     ) -> tuple[Zht, BuildReport]:
-    """Build a k-table structure holding the Real slots of `elems`.
+    """Build a k-table structure holding the real slots of `elems`.
 
-    `elems` is consumed logically (the caller discards it); its Dummy and
-    Empty slots only pad the access pattern.  Requires real count <= n.
+    `elems` is consumed logically (the caller discards it); its dummy slots
+    only pad the access pattern.  Requires real count <= n.
     """
     _require(is_power_of_two(n) and n >= 2, "n must be a power of two >= 2")
     _require(k >= 1, "need at least one table")
@@ -121,16 +126,17 @@ def oblivious_build(elems: SlotArray, n: int, k: int, c: int, fam: HashFamily,
     for tj in range(k):
         tbl = z.tables[tj]
         arrivals.append(tbl.real_count())
-        tbl.tag[:] = tbl.state == REAL
+        tbl.tag[:] = tbl.key != KEY_SENTINEL
         dests = fam.bucket_indices(level_id, tj, tbl.key, n)
         stats = route(tbl, dests, rng, recorder=recorder, region=z.regions[tj])
         stage_spills.append(stats.stage_spills)
 
-        spilled = (tbl.state == REAL) & ~tbl.tag
+        spilled = (tbl.key != KEY_SENTINEL) & ~tbl.tag
         spills_after.append(int(spilled.sum()))
         if debug_checks_enabled():
-            placed_rows = np.nonzero((tbl.state == REAL) & tbl.tag)[0]
-            placed_keys = tbl.key[(tbl.state == REAL) & tbl.tag]
+            placed = (tbl.key != KEY_SENTINEL) & tbl.tag
+            placed_rows = np.nonzero(placed)[0]
+            placed_keys = tbl.key[placed]
             want = fam.bucket_indices(level_id, tj, placed_keys, n)
             assert placed_rows.size == 0 or (want == placed_rows).all(), (
                 f"table {tj}: routed slot off its hash bucket"

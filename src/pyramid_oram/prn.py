@@ -17,16 +17,16 @@ One kernel, _route_stages, runs the stages over a batch of tables at once:
 every pair of a stage, in every table of the batch, in one pass.  It carries
 only what the network reads, each slot's tag and destination, plus a slot id
 when the slot contents must follow, packed into one word per slot.  route()
-is the batch-1 case: after the last stage it moves each cell's key, state and
-payload once, to where its slot id ended up.  route_census() runs the same
-kernel on tags and destinations alone, over many trials, for statistics.
+is the batch-1 case: after the last stage it moves each cell's key and
+payload once, to where its slot id ended up.  Only real slots (key not
+KEY_SENTINEL) are ever tagged.  route_census() runs the same kernel on tags
+and destinations alone, over many trials, for statistics.
 
 repartition() and route_reference() are the slot-at-a-time oracle.  They draw
 tiebreaks in the same row-major order as the kernel and sort the same keys,
 which oprim makes distinct by their wire index, so under one seed route() is
 bit-identical to route_reference(), colliding tiebreaks included; the suite
-asserts both.  Write-backs here permute contents between cells, so they
-bypass the per-cell lifecycle transition checker by design.
+asserts both.
 """
 
 from __future__ import annotations
@@ -208,8 +208,8 @@ def route(table, dests: np.ndarray, rng: Rng,
     `dests` is an (n, c) int64 destination array that travels with the slots
     (it is permuted in place alongside them).  Consumes one 64-bit tiebreak
     per slot per stage, in pair order, regardless of contents.  The network
-    moves only tags, destinations and slot ids; keys, states and payloads are
-    then moved once, to where their slot ids ended up.
+    moves only tags, destinations and slot ids; keys and payloads are then
+    moved once, to where their slot ids ended up.
     """
     n, c = table.n, table.c
     _check_dests(dests)
@@ -219,7 +219,6 @@ def route(table, dests: np.ndarray, rng: Rng,
     spills, live = _route_stages(table.tag[None], dests[None], rng, slot)
     src = slot[0]
     table.key[...] = table.key.reshape(-1)[src]
-    table.state[...] = table.state.reshape(-1)[src]
     table.payload[...] = table.payload.reshape(n * c, -1)[src]
     if recorder is not None and recorder.enabled:
         idx = np.arange(n)
@@ -268,10 +267,7 @@ def route_reference(table, dests: np.ndarray, rng: Rng,
 
 
 def _write_routing_slot(table, dests, b: int, s: int, rs: RoutingSlot) -> None:
-    # direct write: routing moves contents between cells, which is not a
-    # lifecycle transition of any one cell
     table.key[b, s] = rs.slot.key
-    table.state[b, s] = rs.slot.state
     table.tag[b, s] = rs.slot.tag
     table.payload[b, s] = np.frombuffer(rs.slot.payload, dtype=np.uint8)
     dests[b, s] = rs.dest

@@ -14,8 +14,8 @@ of every occupied level, and one path_buckets call gives all their buckets.
 Levels after the hit are hashed too (hashing is private computation, and
 its work then does not depend on where the hit is), but their buckets are
 never read: those levels get dummy searches over fresh random buckets.  The
-log scan, like Zht.search, compares keys only, relying on every non-REAL
-slot carrying KEY_SENTINEL.
+log, like every level, holds slots that are real iff their key is not
+KEY_SENTINEL, so the log scan, like Zht.search, compares keys only.
 
 Every p accesses the log (plus every level smaller than the target) is rebuilt
 into the level addressed by the trailing-zero count of t/p, and every N
@@ -42,20 +42,16 @@ import numpy as np
 
 from .core import (
     DEFAULT_PAYLOAD_SIZE,
-    DUMMY,
     KEY_SENTINEL,
     MAX_REAL_KEY,
-    REAL,
     BuildFailedError,
     CapacityExceededError,
     HashFamily,
     InvalidParameterError,
     Rng,
-    Slot,
     SlotArray,
     StoreBrokenError,
     _require,
-    check_transition,
     debug_checks_enabled,
     is_power_of_two,
     path_buckets,
@@ -224,7 +220,6 @@ def _concat_slot_arrays(parts: list[SlotArray], payload_size: int) -> SlotArray:
     for part in parts:
         end = at + part.size
         out.key[at:end] = part.key.reshape(-1)
-        out.state[at:end] = part.state.reshape(-1)
         out.tag[at:end] = part.tag.reshape(-1)
         out.payload[at:end] = part.payload.reshape(-1, payload_size)
         at = end
@@ -318,7 +313,7 @@ class PyramidOram:
                                buckets=lanes[lo:hi])
             if hit is not None:
                 found = True
-                payload = hit.payload
+                payload = hit
         online = self.config.first_level_size + lanes.size
 
         if op == "write" and not found and self.real_count >= self.config.capacity:
@@ -355,15 +350,18 @@ class PyramidOram:
                  "bulk_load requires a fresh store")
         if not items:
             return None
-        n_total = self.config.capacity
-        _require(len(items) <= n_total, "bulk load exceeds capacity")
-        keys = np.array([key for key, _ in items], dtype=np.int64)
-        _require(int(keys.min()) >= 0 and int(keys.max()) <= MAX_REAL_KEY,
-                 "key out of range")
-        _require(np.unique(keys).size == keys.size, "duplicate keys in bulk load")
-        elems = SlotArray(n_total, self.config.payload_size)
-        for row, (key, payload) in enumerate(items):
-            elems.put(row, Slot.real(int(key), payload))
+        size = self.config.payload_size
+        _require(len(items) <= self.config.capacity, "bulk load exceeds capacity")
+        keys = [int(key) for key, _ in items]
+        _require(min(keys) >= 0 and max(keys) <= MAX_REAL_KEY, "key out of range")
+        _require(len(set(keys)) == len(keys), "duplicate keys in bulk load")
+        payloads = [bytes(payload) for _, payload in items]
+        _require(all(len(payload) == size for payload in payloads),
+                 "payload width mismatch")
+        elems = SlotArray(self.config.capacity, size)
+        elems.key[:len(keys)] = keys
+        elems.payload[:len(keys)] = np.frombuffer(
+            b"".join(payloads), dtype=np.uint8).reshape(-1, size)
         report = self._build_level(self.config.num_levels, elems)
         self.real_count = len(items)
         return report
@@ -371,7 +369,7 @@ class PyramidOram:
     def stored_items(self) -> dict[int, bytes]:
         """Snapshot of every stored (key, payload); a debugging aid, not oblivious."""
         out: dict[int, bytes] = {}
-        mask = self.level0.state == REAL
+        mask = self.level0.key != KEY_SENTINEL
         for key, payload in zip(self.level0.key[mask], self.level0.payload[mask]):
             out[int(key)] = payload.tobytes()
         for level in self.levels:
@@ -432,12 +430,7 @@ class PyramidOram:
             self.recorder.record_block(
                 L0_REGION, self._l0_indices, TraceOp.READ_WRITE
             )
-        # key-only compare, as in Zht.search: non-REAL slots carry KEY_SENTINEL
         match = l0.key == key
-        if debug_checks_enabled():
-            assert ((l0.state == REAL) == (l0.key != KEY_SENTINEL)).all(), (
-                "a log slot's key disagrees with its state"
-            )
         if not match.any():
             return False, None
         payload = np.dot(match.view(np.uint8), l0.payload).tobytes()
@@ -447,16 +440,12 @@ class PyramidOram:
     def _append(self, op: str, key: int, found: bool, payload: bytes | None,
                 value: bytes | None) -> None:
         # shares the bucket access already made by the log scan, so it adds
-        # no trace event; the written slot is Real on a hit or write, Dummy
+        # no trace event; the written slot is real on a hit or write, a dummy
         # on a read miss, and the log advances one slot either way
         l0 = self.level0
         slot_idx = self.t % self.config.first_level_size
         data = value if op == "write" else payload if found else None
-        state = REAL if data is not None else DUMMY
-        if debug_checks_enabled():
-            check_transition(int(l0.state[slot_idx]), state)
         l0.key[slot_idx] = key if data is not None else KEY_SENTINEL
-        l0.state[slot_idx] = state
         l0.tag[slot_idx] = False
         l0.payload[slot_idx] = 0 if data is None else np.frombuffer(data, np.uint8)
 

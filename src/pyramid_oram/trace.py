@@ -177,10 +177,6 @@ class TraceRecorder:
                 fh.write(f"{r},{i},{o}\n")
 
 
-def shape(recorder: TraceRecorder) -> np.ndarray:
-    return recorder.shape_projection()
-
-
 def shapes_equal(a: TraceRecorder | np.ndarray, b: TraceRecorder | np.ndarray) -> bool:
     pa = a.shape_projection() if isinstance(a, TraceRecorder) else a
     pb = b.shape_projection() if isinstance(b, TraceRecorder) else b
@@ -237,12 +233,11 @@ def chi_square_uniform(counts, significance: float = 0.001) -> ChiSquareResult:
 def sim_build(num_slots: int, n: int, k: int, c: int, rng: Rng,
               payload_size: int = 8) -> TraceRecorder:
     """Trace of an oblivious build fed nothing but dummies."""
-    from .core import HashFamily, SlotArray, SlotState
+    from .core import HashFamily, SlotArray
     from .ozht import oblivious_build
 
     recorder = TraceRecorder()
     elems = SlotArray(num_slots, payload_size)
-    elems.state.fill(SlotState.DUMMY)
     fam = HashFamily(seed=int(rng.bits64()) & 0x7FFFFFFFFFFFFFFF)
     oblivious_build(elems, n, k, c, fam, rng, recorder=recorder)
     return recorder
@@ -262,12 +257,11 @@ def sim_search(n: int, k: int, c: int, rng: Rng, payload_size: int = 8) -> Trace
 def sim_throw(m: int, n: int, k: int, c: int, rng: Rng,
               payload_size: int = 8) -> TraceRecorder:
     """Trace of throwing m slots that are all dummies (k random touches each)."""
-    from .core import HashFamily, SlotArray, SlotState
+    from .core import HashFamily, SlotArray
     from .zht import Zht
 
     recorder = TraceRecorder()
     z = Zht(n, k, c, HashFamily(seed=0), level_id=0, payload_size=payload_size)
     elems = SlotArray(m, payload_size)
-    elems.state.fill(SlotState.DUMMY)
     z.throw(elems, "random", rng, recorder=recorder)
     return recorder

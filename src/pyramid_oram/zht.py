@@ -1,7 +1,7 @@
 """Zigzag hash tables: k tables of n buckets, one hash function per table.
 
 An element's zigzag path is h_1(key), ..., h_k(key), one bucket per table; it
-lives in the first bucket along the path with an EMPTY slot.  Every operation
+lives in the first bucket along the path with a free slot.  Every operation
 touches its full set of buckets whether or not it needs them: searches probe
 all k path buckets (no early exit on a hit), throws of non-elements perform one
 random fake access per table.  What varies with the data is slot contents, not
@@ -10,22 +10,21 @@ which buckets are touched.
 A Zht keeps all its slots in one SlotArray of shape (k, n, c): table, bucket,
 slot.  tables[j] is a core.Table view of row j, so per-table code (routing)
 writes straight into the store, and a search is one gather of the k path
-buckets out of it.  The search compares keys only: every non-REAL slot
-carries KEY_SENTINEL, which is above every real key, so `key == probe` is
-exactly `REAL and key == probe`.  Every write keeps that invariant (a
-removal writes the sentinel with the DUMMY state), and debug checks assert it
-over the slots a search gathers.  The hit's payload is the dot product of the
-0/1 match vector with the gathered payload rows.
+buckets out of it.  A slot is real iff its key is not KEY_SENTINEL, which
+is above every real key, so a search compares keys only and `key == probe`
+is exactly "a real slot holding probe".  A removal writes the sentinel,
+which frees the slot.  The hit's payload is the dot product of the 0/1 match
+vector with the gathered payload rows.
 
 Placement is one kernel, _first_fit, for a batch throw and a single insert
 alike.  It walks the tables in order; at table j it ranks every element still
 unplaced among the earlier arrivals at the same bucket, and the element of
-rank r lands iff r is below the bucket's count of EMPTY slots, in the r-th
-EMPTY slot in slot order.  That is sequential first-fit exactly, because an
-element's outcome at table j depends only on the bucket's contents and on the
-earlier elements that arrived at it.  Only EMPTY slots are claimed: a DUMMY
-slot (a removed real, a spilled cell cleared by a build) is never reused.  The
-kernel reads the store on every call, so no other code keeps it up to date.
+rank r lands iff r is below the bucket's count of free (sentinel-keyed)
+slots, in the r-th free slot in slot order.  That is sequential first-fit
+exactly, because an element's outcome at table j depends only on the
+bucket's contents and on the earlier elements that arrived at it.  Any
+non-real slot is free, a removed real's included.  The kernel reads the
+store on every call, so no other code keeps it up to date.
 """
 
 from __future__ import annotations
@@ -35,11 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DUMMY,
-    EMPTY,
     KEY_SENTINEL,
     MAX_REAL_KEY,
-    REAL,
     HashFamily,
     InvalidParameterError,
     Rng,
@@ -133,15 +129,14 @@ class Zht:
                 break
             j = first_table + off
             b = paths[todo, off]
-            # EMPTY slots of the bucket so far, counting in slot order
-            empties = np.cumsum(st.state[j].take(b, axis=0) == EMPTY, axis=1)
+            # free slots of the bucket so far, counting in slot order
+            free = np.cumsum(st.key[j].take(b, axis=0) == KEY_SENTINEL, axis=1)
             rank = rank_within_group(b)
-            fits = rank < empties[:, -1]
-            # the rank-th EMPTY slot is where the count first exceeds rank
-            s = (empties > rank[:, None]).argmax(axis=1)[fits]
+            fits = rank < free[:, -1]
+            # the rank-th free slot is where the count first exceeds rank
+            s = (free > rank[:, None]).argmax(axis=1)[fits]
             b, rows = b[fits], todo[fits]
             st.key[j, b, s] = keys[rows]
-            st.state[j, b, s] = REAL
             st.tag[j, b, s] = True
             st.payload[j, b, s] = payload[rows]
             landed[rows] = j
@@ -150,13 +145,13 @@ class Zht:
 
     def zigzag_insert(self, e: Slot, path, recorder: TraceRecorder | None = None,
                       first_table: int = 0) -> bool:
-        """Insert a Real slot at the first bucket along `path` with an EMPTY slot.
+        """Insert a real slot at the first bucket along `path` with a free slot.
 
         All buckets on the path are read and written back regardless of where
         (or whether) the element lands.  `first_table` restricts the walk to
         tables first_table..k-1; `path` then covers exactly those tables.
         """
-        _require(e.is_real, "only Real slots are inserted")
+        _require(e.is_real, "only real slots are inserted")
         _require(0 <= first_table < self.k, "first_table out of range")
         _require(len(path) == self.k - first_table,
                  "path length must cover the remaining tables")
@@ -185,7 +180,7 @@ class Zht:
         m = elems.size
         paths = rng.buckets(self.n, (m, self.k)) if m else np.zeros((0, self.k), np.int64)
         flat_key = elems.key.reshape(-1)
-        real_rows = np.flatnonzero(elems.state.reshape(-1) == REAL)
+        real_rows = np.flatnonzero(flat_key != KEY_SENTINEL)
         if path_source == "prf" and real_rows.size:
             paths[real_rows] = self.path_matrix(flat_key[real_rows].astype(np.uint64))
         if recorder is not None and m:
@@ -204,16 +199,15 @@ class Zht:
 
     def search(self, key: int, remove: bool = False,
                recorder: TraceRecorder | None = None,
-               buckets: np.ndarray | None = None) -> Slot | None:
-        """Probe all k path buckets; extract (and optionally remove) the match.
+               buckets: np.ndarray | None = None) -> bytes | None:
+        """Probe all k path buckets; the match's payload, or None on a miss.
 
-        One gather of the k path buckets' keys and one compare find the key
-        (states are not read: non-REAL slots carry KEY_SENTINEL); the payload
-        is the dot product of the 0/1 match vector with the gathered payload
-        rows, exact because at most one slot matches.  Every path bucket is
-        visited even after a hit.  `buckets` is the path when the caller has
-        hashed it already; by default the key is hashed under this table's
-        subkeys.
+        One gather of the k path buckets' keys and one compare find the key;
+        the payload is the dot product of the 0/1 match vector with the
+        gathered payload rows, exact because at most one slot matches.
+        `remove` frees the matching slot.  Every path bucket is visited even
+        after a hit.  `buckets` is the path when the caller has hashed it
+        already; by default the key is hashed under this table's subkeys.
         """
         _require(0 <= key <= MAX_REAL_KEY, "key out of range")
         if buckets is None:
@@ -226,10 +220,6 @@ class Zht:
         match = keys == key
         hits = np.count_nonzero(match)
         if debug_checks_enabled():
-            real = br.state.take(rows, axis=0) == REAL
-            assert (real == (keys != KEY_SENTINEL)).all(), (
-                "a slot's key disagrees with its state"
-            )
             assert hits <= 1, f"key {key} resident in {hits} slots"
         payload = np.dot(match.reshape(-1).view(np.uint8),
                          br.payload.take(rows, axis=0).reshape(match.size, -1))
@@ -237,12 +227,9 @@ class Zht:
             hit_j, hit_s = np.nonzero(match)
             hit_rows = rows[hit_j]
             br.key[hit_rows, hit_s] = KEY_SENTINEL
-            br.state[hit_rows, hit_s] = DUMMY
             br.tag[hit_rows, hit_s] = False
             br.payload[hit_rows, hit_s] = 0
-        if hits == 0:
-            return None
-        return Slot.real(key, payload.tobytes())
+        return payload.tobytes() if hits else None
 
     def dummy_search(self, rng: Rng, recorder: TraceRecorder | None = None) -> None:
         """Shape-identical to search: one uniformly random bucket per table."""
@@ -254,11 +241,11 @@ class Zht:
     # -- accounting ----------------------------------------------------------
 
     def real_counts(self) -> list[int]:
-        return (self.store.state == REAL).sum(axis=(1, 2)).tolist()
+        return np.count_nonzero(self.store.key != KEY_SENTINEL, axis=(1, 2)).tolist()
 
     def real_items(self) -> list[tuple[int, bytes]]:
         """All (key, payload) pairs currently resident, table-major order."""
-        mask = self.store.state == REAL
+        mask = self.store.key != KEY_SENTINEL
         keys = self.store.key[mask].tolist()
         return [(key, p.tobytes()) for key, p in zip(keys, self.store.payload[mask])]
 

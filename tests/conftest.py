@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pyramid_oram.core import Rng, SlotArray, SlotState, Table, set_debug_checks
+from pyramid_oram.core import Rng, SlotArray, Table, set_debug_checks
 
 
 @pytest.fixture
@@ -40,8 +40,6 @@ def make_elems(reals: int, m_total: int, payload_size: int = 8,
     """m_total slots, the first `reals` of them real with distinct keys."""
     elems = SlotArray(m_total, payload_size)
     elems.key[:reals] = np.arange(key_offset, key_offset + reals, dtype=np.uint32)
-    elems.state[:reals] = SlotState.REAL
-    elems.state[reals:] = SlotState.DUMMY
     for row in range(reals):
         elems.payload[row] = (key_offset + row) % 251
     return elems
@@ -57,7 +55,6 @@ def make_routing_table(n: int, c: int, load: int, seed: int,
     gen.shuffle(cells)
     for key, (b, s) in enumerate(cells[:load]):
         table.key[b, s] = key
-        table.state[b, s] = SlotState.REAL
         table.tag[b, s] = True
         table.payload[b, s] = key % 251
     return table, dests

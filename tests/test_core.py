@@ -14,9 +14,7 @@ from pyramid_oram.core import (
     Rng,
     Slot,
     SlotArray,
-    SlotState,
     Table,
-    check_transition,
     is_power_of_two,
     path_buckets,
 )
@@ -34,41 +32,23 @@ COLLISION_SLACK = 0.00187
 
 
 def test_slot_classmethods():
-    e = Slot.empty(4)
     d = Slot.dummy(4)
     r = Slot.real(7, b"\x01\x02\x03\x04")
-    assert e.state is SlotState.EMPTY and not e.is_real
-    assert d.state is SlotState.DUMMY and not d.is_real
+    assert d.key == KEY_SENTINEL and not d.is_real and d.payload == bytes(4)
     assert r.is_real and r.key == 7 and r.payload == b"\x01\x02\x03\x04"
+    assert Slot(3).is_real and not Slot().is_real   # realness is the key alone
 
 
 def test_slot_validation():
     with pytest.raises(InvalidParameterError):
-        Slot(SlotState.EMPTY, key=3)          # non-real slots carry the sentinel
+        Slot(KEY_SENTINEL + 1)                # keys are 32-bit
     with pytest.raises(InvalidParameterError):
-        Slot(SlotState.DUMMY, tag=True)       # only reals are tagged
+        Slot(tag=True)                        # only reals are tagged
     with pytest.raises(InvalidParameterError):
         Slot.real(KEY_SENTINEL, b"")          # sentinel is not a real key
     with pytest.raises(InvalidParameterError):
         Slot.real(-1, b"")
     Slot.real(MAX_REAL_KEY, b"")              # top of the range is fine
-
-
-def test_transition_matrix():
-    allowed = {
-        (SlotState.EMPTY, SlotState.REAL),
-        (SlotState.EMPTY, SlotState.DUMMY),
-        (SlotState.DUMMY, SlotState.REAL),
-        (SlotState.REAL, SlotState.DUMMY),
-        (SlotState.REAL, SlotState.EMPTY),
-    }
-    for old in SlotState:
-        for new in SlotState:
-            if old == new or (old, new) in allowed:
-                check_transition(old, new)
-            else:
-                with pytest.raises(AssertionError):
-                    check_transition(old, new)
 
 
 # -- slot arrays ------------------------------------------------------------------
@@ -81,24 +61,20 @@ def test_slot_array_roundtrip():
     back = arr.get(2)
     assert back == slot
     assert arr.real_count() == 1
-    assert [s.state for s in arr.iter_slots()].count(SlotState.REAL) == 1
-
-
-def test_slot_array_put_checks_transitions(debug_checks):
-    arr = SlotArray(2, payload_size=0)
-    arr.put(0, Slot.dummy())
-    with pytest.raises(AssertionError):
-        arr.put(0, Slot.empty())  # Dummy -> Empty is forbidden
+    assert [s.is_real for s in arr.iter_slots()] == [False, False, True, False]
+    arr.put(2, Slot.dummy(3))                 # writing the sentinel frees it
+    assert arr.real_count() == 0 and arr.key[2] == KEY_SENTINEL
 
 
 def test_clear_to_dummy_masks():
     arr = SlotArray(4, payload_size=2)
     arr.put(1, Slot.real(5, b"xy"))
-    mask = arr.state == SlotState.REAL
+    arr.put(2, Slot.real(6, b"zw", tag=True))
+    mask = np.array([False, True, True, False])
     arr.clear_to_dummy(mask)
     assert arr.real_count() == 0
-    assert arr.get(1).state is SlotState.DUMMY
-    assert arr.get(1).payload == b"\x00\x00"
+    assert arr.get(1) == arr.get(2) == Slot.dummy(2)
+    assert not arr.get(1).is_real and not arr.tag.any()
 
 
 def test_table_validation():

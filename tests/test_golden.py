@@ -13,7 +13,9 @@ recorded before first-fit placement moved to one rank-within-bucket kernel.
 k2c1-retry is the config whose builds fail in the re-throw sweep (3, 3 and 1
 times on seeds 0, 1, 2), so it pins where a failing sweep stops.  A change
 that is meant to be behaviour-preserving (a perf rewrite, a refactor) must
-leave them untouched.  To print the digests of the code as it is:
+leave them untouched.  GOLDEN_STORE pins the raw key, tag and payload bytes
+each run leaves in the log and the levels, which the run digests see only
+through stored_items().  To print the digests of the code as it is:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -21,6 +23,7 @@ leave them untouched.  To print the digests of the code as it is:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 
@@ -70,6 +73,26 @@ GOLDEN = {
     ("k2c1-retry", 2): "5b482988d1e465e315dc5605a1c6a5d9a5a400be3b20a8c2709a4dd98d394764",
 }
 
+# Slot bytes of the log and every level at the end of each run (store_digest),
+# recorded before slots stopped storing a state byte beside the key.
+GOLDEN_STORE = {
+    ("p8", 0): "738a6cad12925853abe40b264dd0a69a76427c49cce5c4a479b7d619c493fcca",
+    ("p8", 1): "7c6c832596178accbc1cdcbd6df9365ed65b6d129305c32f5515cd6cb85acf2d",
+    ("p8", 2): "0dbad6b337571b8fb239e6f5998e6fbb5b4e859ae51ab0569df431cfa5e970f1",
+    ("p2", 0): "b345f83a3151c40b98cbab9a2aae8630be9856ddda48a69fa98e8b43d1c64af2",
+    ("p2", 1): "413b7096fe7cd7012c695e2c78d2f7a887eb16e536d6435fe8a2e02d4bf23450",
+    ("p2", 2): "eea64263673622e32cbc0a3d5e4ddae5f790d434909f962325da098a0b5b43b1",
+    ("c3", 0): "531e0dad5aeeb0ebd6e1247dc3f28a20841320bbd0d8a88e8399098a6f162775",
+    ("c3", 1): "9b9b22bd1866648c7163a1df78b092ccb9f33abaf0e0e22ab2a2886f6981cca2",
+    ("c3", 2): "e50b55de5a1679a8313ff369a1980d1c0791cc644c5ae83c8a4428a91233a643",
+    ("k1c1-retry", 0): "e6eae73d2bab4cec0adace8013c203af181ee3bc7b8cfb52eba1f9b1ce5ad831",
+    ("k1c1-retry", 1): "b05c701cc419564b0432fadaf435218b2238a46f85d8d45268cb1edcf406e5c4",
+    ("k1c1-retry", 2): "8b765ca6bad2d2aaf403b6174f69923b1d8d4528dd5ce30c43aa5ee6fcb06b58",
+    ("k2c1-retry", 0): "312f78880ee1a2f8ae871f58d41ae8c2cc66f911eca0ddf9ccf16c38e4f69eeb",
+    ("k2c1-retry", 1): "acf85e49afd2f718adad27fcd8ea1d173415f806217187dd54ba52f92551a9cf",
+    ("k2c1-retry", 2): "566dadaffd503a98a966dbed0962b61f10c52db27943ac444e66fc328f44c60c",
+}
+
 
 def _trace_bytes(recorder: TraceRecorder) -> bytes:
     return b"".join(column.tobytes() for column in recorder.to_arrays())
@@ -79,8 +102,9 @@ def _canon(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, default=int).encode()
 
 
-def run_digest(name: str, seed: int) -> str:
-    """sha256 over everything observable in one seeded run of CONFIGS[name]."""
+@functools.lru_cache(maxsize=None)
+def _run(name: str, seed: int) -> tuple[str, PyramidOram]:
+    """One seeded run of CONFIGS[name]: its run digest and the store it left."""
     fields, bulk = CONFIGS[name]
     config = PyramidConfig(capacity=CAPACITY, payload_size=PAYLOAD, seed=seed,
                            **fields)
@@ -120,6 +144,30 @@ def run_digest(name: str, seed: int) -> str:
     h.update(_trace_bytes(build))
     items = oram.stored_items()
     h.update(_canon(sorted((key, value.hex()) for key, value in items.items())))
+    return h.hexdigest(), oram
+
+
+def run_digest(name: str, seed: int) -> str:
+    """sha256 over everything observable in one seeded run of CONFIGS[name]."""
+    return _run(name, seed)[0]
+
+
+def store_digest(name: str, seed: int) -> str:
+    """sha256 over the raw slot columns the run leaves behind.
+
+    Covers the log's and every occupied level's key, tag and payload bytes,
+    each store prefixed by its level index (0 for the log), so a change that
+    keeps every observable output but stores different bytes still shows.
+    """
+    oram = _run(name, seed)[1]
+    stores = [(0, oram.level0)] + [
+        (j, level.store) for j, level in enumerate(oram.levels) if level is not None
+    ]
+    h = hashlib.sha256()
+    for j, store in stores:
+        h.update(_canon([j, list(store.key.shape)]))
+        for column in (store.key, store.tag, store.payload):
+            h.update(column.tobytes())
     return h.hexdigest()
 
 
@@ -128,7 +176,18 @@ def test_run_matches_pinned_digest(name, seed):
     assert run_digest(name, seed) == GOLDEN[(name, seed)]
 
 
+@pytest.mark.parametrize("name,seed", sorted(GOLDEN_STORE))
+def test_store_contents_match_pinned_digest(name, seed):
+    assert store_digest(name, seed) == GOLDEN_STORE[(name, seed)]
+
+
 if __name__ == "__main__":
+    print("GOLDEN = {")
     for name in CONFIGS:
         for seed in SEEDS:
             print(f'    ("{name}", {seed}): "{run_digest(name, seed)}",')
+    print("}\n\nGOLDEN_STORE = {")
+    for name in CONFIGS:
+        for seed in SEEDS:
+            print(f'    ("{name}", {seed}): "{store_digest(name, seed)}",')
+    print("}")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pyramid_oram.core import HashFamily, InvalidParameterError, Rng, SlotState
+from pyramid_oram.core import KEY_SENTINEL, HashFamily, InvalidParameterError, Rng
 from pyramid_oram.ozht import (
     FAILURE_FINAL_SPILL,
     FAILURE_NONE,
@@ -42,12 +42,11 @@ def test_successful_build_invariants(debug_checks):
     seen = sorted(k for k, _ in z.real_items())
     assert seen == list(range(reals))
     for key in range(reals):
-        got = z.search(key)
-        assert got is not None and got.payload == bytes([key % 251] * PAYLOAD)
+        assert z.search(key) == bytes([key % 251] * PAYLOAD)
     # every resident real is tagged and parked on its own hash bucket
     for j, tbl in enumerate(z.tables):
-        mask = tbl.state == SlotState.REAL
-        assert bool(tbl.tag[mask].all())
+        mask = tbl.key != KEY_SENTINEL
+        assert np.array_equal(tbl.tag, mask)
         rows = np.nonzero(mask)[0]
         want = z.fam.bucket_indices(z.level_id, j, tbl.key[mask], n)
         assert np.array_equal(rows, want)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from pyramid_oram.core import (
+    KEY_SENTINEL,
     HashFamily,
     InvalidParameterError,
     Rng,
     Slot,
-    SlotState,
     Table,
 )
 from pyramid_oram.prn import (
@@ -140,10 +140,10 @@ def test_spill_fairness_among_competitors():
 def test_route_places_every_surviving_tag():
     for n, c, load, seed in ((8, 2, 10, 1), (16, 4, 40, 2), (64, 3, 100, 3)):
         table, dests = make_routing_table(n, c, load, seed)
-        keys_before = sorted(table.key[table.state == SlotState.REAL].tolist())
+        keys_before = sorted(table.key[table.key != KEY_SENTINEL].tolist())
         stats = route(table, dests, Rng(seed, (1,)))
         assert stats.repartitions == (n // 2) * stage_count(n)
-        keys_after = sorted(table.key[table.state == SlotState.REAL].tolist())
+        keys_after = sorted(table.key[table.key != KEY_SENTINEL].tolist())
         assert keys_before == keys_after, "routing must not lose slots"
         for b in range(n):
             for s in range(c):
@@ -191,7 +191,6 @@ def test_route_matches_reference_bit_for_bit():
         s_ref = route_reference(t_ref, d_ref, Rng(seed, (9,)),
                                 recorder=rec_ref, region=77)
         assert np.array_equal(t_vec.key, t_ref.key)
-        assert np.array_equal(t_vec.state, t_ref.state)
         assert np.array_equal(t_vec.tag, t_ref.tag)
         assert np.array_equal(t_vec.payload, t_ref.payload)
         assert np.array_equal(d_vec, d_ref)
@@ -225,7 +224,6 @@ def test_route_matches_reference_when_tiebreaks_collide():
             s_vec = route(t_vec, d_vec, _CollidingRng(seed, (3,)))
             s_ref = route_reference(t_ref, d_ref, _CollidingRng(seed, (3,)))
             assert t_vec.key.tobytes() == t_ref.key.tobytes()
-            assert t_vec.state.tobytes() == t_ref.state.tobytes()
             assert t_vec.payload.tobytes() == t_ref.payload.tobytes()
             assert np.array_equal(t_vec.tag, t_ref.tag)
             assert np.array_equal(d_vec, d_ref)
@@ -285,25 +283,25 @@ def test_route_of_a_store_row_matches_a_standalone_copy():
     n, c, payload = 16, 3, 8
     z = Zht(n, 3, c, HashFamily(5), payload_size=payload)
     gen = np.random.Generator(np.random.PCG64(5))
-    z.store.key[...] = gen.integers(0, 1 << 32, size=(3, n, c), dtype=np.uint32)
-    z.store.state[...] = np.where(gen.random((3, n, c)) < 0.7,
-                                  SlotState.REAL, SlotState.DUMMY)
-    z.store.tag[...] = z.store.state == SlotState.REAL
+    keys = gen.integers(0, KEY_SENTINEL, size=(3, n, c), dtype=np.uint32)
+    # non-real slots carry the sentinel key
+    z.store.key[...] = np.where(gen.random((3, n, c)) < 0.7, keys, KEY_SENTINEL)
+    z.store.tag[...] = z.store.key != KEY_SENTINEL
     z.store.payload[...] = gen.integers(0, 256, size=(3, n, c, payload))
     before = [field.copy() for field in
-              (z.store.key, z.store.state, z.store.tag, z.store.payload)]
+              (z.store.key, z.store.tag, z.store.payload)]
 
     copy = Table(n, c, payload)
     row = z.tables[1]
-    for name in ("key", "state", "tag", "payload"):
+    for name in ("key", "tag", "payload"):
         getattr(copy, name)[...] = getattr(row, name)
     dests = gen.integers(0, n, size=(n, c)).astype(np.int64)
     dests_copy, dests_start = dests.copy(), dests.copy()
     s_row = route(row, dests, Rng(5, (1,)))
     s_copy = route(copy, dests_copy, Rng(5, (1,)))
 
-    assert s_row == s_copy and s_row.total_spilled < int(before[2][1].sum())
-    for name, old in zip(("key", "state", "tag", "payload"), before):
+    assert s_row == s_copy and s_row.total_spilled < int(before[1][1].sum())
+    for name, old in zip(("key", "tag", "payload"), before):
         field = getattr(z.store, name)
         assert np.array_equal(field[1], getattr(copy, name)), name
         assert np.array_equal(field[0], old[0]), f"row 0 {name} touched"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pyramid_oram.core import (
     KEY_SENTINEL,
-    REAL,
+    MAX_REAL_KEY,
     BuildFailedError,
     CapacityExceededError,
     InvalidParameterError,
@@ -321,6 +321,23 @@ def test_bulk_load_validation():
         oram.bulk_load([(2, val(2))])
 
 
+@pytest.mark.parametrize("bad", [
+    (5, val(5)[:-1]),                   # payload one byte short
+    (5, val(5) + b"\x00"),              # payload one byte long
+    (-1, val(5)),                       # key below the range
+    (MAX_REAL_KEY + 1, val(5)),         # the sentinel is not a real key
+], ids=["payload-short", "payload-long", "key-negative", "key-sentinel"])
+def test_bulk_load_refusal_leaves_the_store_fresh(bad):
+    oram = PyramidOram(SMALL)
+    items = [(key, val(key)) for key in range(10)]
+    with pytest.raises(InvalidParameterError):
+        oram.bulk_load(items + [bad])
+    assert oram.t == 0 and oram.real_count == 0 and not oram.loaded
+    assert oram.stored_items() == {}
+    report = oram.bulk_load(items)
+    assert report.success and oram.stored_items() == dict(items)
+
+
 def test_bulk_load_then_full_cycle(debug_checks):
     cfg = PyramidConfig(capacity=64, first_level_size=8, payload_size=8, seed=7)
     oram = PyramidOram(cfg)
@@ -440,11 +457,11 @@ TINY = [
 ]
 
 
-def _assert_sentinel_invariant(oram: PyramidOram) -> None:
-    """A slot is REAL exactly when its key is not KEY_SENTINEL, everywhere."""
+def _assert_tags_on_reals(oram: PyramidOram) -> None:
+    """Only real slots (key not KEY_SENTINEL) carry a routing tag, everywhere."""
     stores = [oram.level0] + [z.store for z in oram.levels if z is not None]
     for store in stores:
-        assert np.array_equal(store.state == REAL, store.key != KEY_SENTINEL)
+        assert not (store.tag & (store.key == KEY_SENTINEL)).any()
 
 
 @settings(max_examples=80, deadline=None)
@@ -452,9 +469,9 @@ def _assert_sentinel_invariant(oram: PyramidOram) -> None:
        ops=st.lists(st.tuples(st.booleans(), st.integers(0, 15)),
                     min_size=8, max_size=120))
 def test_key_only_probe_keeps_the_sentinel_invariant(cfg, seed, ops):
-    # search and the log scan compare keys only, which is exact while every
-    # non-REAL slot carries KEY_SENTINEL; a removal that left the key behind
-    # would make the stale slot match again
+    # a slot is real iff its key is not KEY_SENTINEL, and search and the log
+    # scan compare keys only; a removal that left the key behind would keep
+    # the stale slot real, so stored_items() and later reads would see it
     oram = PyramidOram(dataclasses.replace(cfg, seed=seed))
     model: dict[int, bytes] = {}
     read_absent: set[int] = set()
@@ -477,7 +494,7 @@ def test_key_only_probe_keeps_the_sentinel_invariant(cfg, seed, ops):
                 assert got == model.get(key)
             if write:
                 model[key] = value
-            _assert_sentinel_invariant(oram)
+            _assert_tags_on_reals(oram)
             assert oram.stored_items() == model
             if broken:
                 break

@@ -13,7 +13,6 @@ from pyramid_oram.core import (
     Rng,
     Slot,
     SlotArray,
-    SlotState,
     set_debug_checks,
 )
 from pyramid_oram.trace import TraceOp, TraceRecorder, region_table, shapes_equal
@@ -109,8 +108,7 @@ def test_search_probes_every_table_even_after_hit():
     key = 12
     z.zigzag_insert(Slot.real(key, pay(key)), z.path(key))
     rec = TraceRecorder()
-    got = z.search(key, recorder=rec)
-    assert got is not None and got.key == key and got.payload == pay(key)
+    assert z.search(key, recorder=rec) == pay(key)
     assert len(rec.events()) == z.k
     assert [e.index for e in rec.events()] == z.path(key)
     assert all(e.op == TraceOp.READ_WRITE for e in rec.events())
@@ -131,14 +129,12 @@ def test_search_remove_extracts_the_slot():
     z = make_zht()
     key = 77
     z.zigzag_insert(Slot.real(key, pay(key)), z.path(key))
-    got = z.search(key, remove=True)
-    assert got.payload == pay(key)
+    assert z.search(key, remove=True) == pay(key)
     assert sum(z.real_counts()) == 0
     assert z.search(key) is None
-    # the vacated slot is a dummy, not empty
+    # the vacated slot holds the sentinel key, no tag and a zero payload
     b = z.path(key)[0]
-    assert int(z.tables[0].state[b, 0]) == SlotState.DUMMY
-    assert int(z.tables[0].key[b, 0]) == KEY_SENTINEL
+    assert z.tables[0].get((b, 0)) == Slot.dummy(PAYLOAD)
 
 
 def test_search_detects_double_residency_in_debug(debug_checks):
@@ -148,7 +144,6 @@ def test_search_detects_double_residency_in_debug(debug_checks):
     # force a second copy into table 1 behind the structure's back
     b = z.path(key)[1]
     z.tables[1].key[b, 0] = key
-    z.tables[1].state[b, 0] = SlotState.REAL
     with pytest.raises(AssertionError):
         z.search(key)
 
@@ -197,7 +192,7 @@ def test_throw_prf_places_on_hash_paths():
     for key, _ in z.real_items():
         found = False
         for j, tbl in enumerate(z.tables):
-            rows = np.argwhere((tbl.key == key) & (tbl.state == SlotState.REAL))
+            rows = np.argwhere(tbl.key == key)
             for b, _s in rows:
                 assert int(b) == z.path(key)[j]
                 found = True
@@ -223,15 +218,15 @@ def test_throw_rejects_unknown_path_source():
 
 
 def _first_fit_reference(z: Zht, keys, payloads, paths, first_table: int):
-    """One real at a time: the first EMPTY slot along its path, in slot order."""
+    """One real at a time: the first non-real slot along its path, in slot order."""
     landed = []
     for key, payload, path in zip(keys, payloads, paths):
         landed.append(-1)
         for j, b in enumerate(path, start=first_table):
-            empty = np.flatnonzero(z.store.state[j, b] == SlotState.EMPTY)
-            if empty.size:
+            free = [s for s in range(z.c) if not z.tables[j].get((b, s)).is_real]
+            if free:
                 slot = Slot.real(int(key), payload, tag=True)
-                z.tables[j].put((b, int(empty[0])), slot)
+                z.tables[j].put((b, free[0]), slot)
                 landed[-1] = j
                 break
     return landed
@@ -246,7 +241,7 @@ def test_first_fit_matches_scalar_reference(log_n, k, c, seed, data):
     # enough distinct keys for the most residents plus the largest load
     keys = gen.permutation(1 << 20)[: (k + 3) * n * c + 1].tolist()
     pays = [pay(key) for key in keys]
-    # both stores start with the same residents and the DUMMY slots that
+    # both stores start with the same residents and the free slots that
     # removing some of them leaves behind
     z, ref = make_zht(n=n, k=k, c=c, seed=seed), make_zht(n=n, k=k, c=c, seed=seed)
     resident = data.draw(st.integers(0, k * n * c), label="residents")
@@ -264,8 +259,7 @@ def test_first_fit_matches_scalar_reference(log_n, k, c, seed, data):
     if data.draw(st.booleans(), label="batch throw"):
         elems = SlotArray(load + 3, PAYLOAD)
         real = gen.permutation(load + 3)[:load]
-        elems.state[:] = SlotState.DUMMY
-        elems.key[real], elems.state[real] = rest[:load], SlotState.REAL
+        elems.key[real] = rest[:load]
         elems.payload[real] = np.frombuffer(b"".join(rest_pays[:load]), np.uint8
                                             ).reshape(load, PAYLOAD)
         source = data.draw(st.sampled_from(["random", "prf"]), label="paths")
@@ -292,15 +286,15 @@ def test_first_fit_matches_scalar_reference(log_n, k, c, seed, data):
     assert _store_bytes(z) == _store_bytes(ref)
 
 
-def test_insert_claims_empty_slots_only():
+def test_insert_reclaims_a_removed_slot():
     z = Zht(2, 2, 1, HashFamily(seed=0), payload_size=PAYLOAD)
     b = z.path(1)[0]
     assert z.zigzag_insert(Slot.real(1, pay(1)), z.path(1))
-    assert z.search(1, remove=True) is not None
-    # the slot key 1 left is a dummy now, so key 2 goes on to table 1
+    assert z.search(1, remove=True) == pay(1)
+    # the slot key 1 left is free again, so key 2 lands in it, in table 0
     assert z.zigzag_insert(Slot.real(2, pay(2)), [b, 0])
-    assert z.real_counts() == [0, 1]
-    assert int(z.tables[0].state[b, 0]) == SlotState.DUMMY
+    assert z.real_counts() == [1, 0]
+    assert z.tables[0].get((b, 0)) == Slot.real(2, pay(2), tag=True)
     with pytest.raises(InvalidParameterError):
         z.zigzag_insert(Slot.real(3, pay(3)), [0, 2])
 
@@ -329,7 +323,7 @@ def test_real_items_and_slot_array_roundtrip():
     flat = z.slot_array()
     assert flat.size == z.k * z.n * z.c
     assert flat.real_count() == len(keys)
-    assert sorted(flat.key[flat.state == SlotState.REAL].tolist()) == sorted(keys)
+    assert sorted(flat.key[flat.key != KEY_SENTINEL].tolist()) == sorted(keys)
 
 
 def test_payload_width_must_match():
@@ -344,7 +338,7 @@ def test_payload_width_must_match():
 
 
 def _populated_zht(k: int, c: int, seed: int, probe: int, target: int) -> Zht:
-    """A 16-bucket Zht with random residents and dummies, written per table.
+    """A 16-bucket Zht with random residents, written per table.
 
     Every write goes through tables[j], so the store only sees them if the
     tables are views.  `probe` is placed in table `target` (-1: nowhere).
@@ -359,19 +353,15 @@ def _populated_zht(k: int, c: int, seed: int, probe: int, target: int) -> Zht:
         j = int(gen.integers(k))
         b = z.path(key)[j]
         tbl = z.tables[j]
-        free = np.flatnonzero(tbl.state[b] != SlotState.REAL)
+        free = np.flatnonzero(tbl.key[b] == KEY_SENTINEL)
         if free.size:
             s = int(free[0])
-            tbl.key[b, s], tbl.state[b, s] = key, SlotState.REAL
+            tbl.key[b, s] = key
             tbl.payload[b, s] = gen.integers(0, 256, PAYLOAD, dtype=np.uint8)
-    for _ in range(int(gen.integers(0, 6))):
-        j, b, s = int(gen.integers(k)), int(gen.integers(16)), int(gen.integers(c))
-        if z.tables[j].state[b, s] != SlotState.REAL:
-            z.tables[j].state[b, s] = SlotState.DUMMY
     if target >= 0:
         b = z.path(probe)[target]
         tbl = z.tables[target]
-        tbl.key[b, c - 1], tbl.state[b, c - 1] = probe, SlotState.REAL
+        tbl.key[b, c - 1] = probe
         tbl.payload[b, c - 1] = np.frombuffer(pay(probe), np.uint8)
     return z
 
@@ -383,17 +373,16 @@ def _scalar_probe(z: Zht, key: int, remove: bool, rec: TraceRecorder):
         rec.record(z.regions[j], b, TraceOp.READ_WRITE)
         tbl = z.tables[j]
         for s in range(z.c):
-            if tbl.state[b, s] == SlotState.REAL and tbl.key[b, s] == key:
+            if tbl.key[b, s] == key:
                 found = tbl.payload[b, s].tobytes()
                 if remove:
-                    tbl.key[b, s], tbl.state[b, s] = KEY_SENTINEL, SlotState.DUMMY
-                    tbl.tag[b, s], tbl.payload[b, s] = False, 0
+                    tbl.put((b, s), Slot.dummy(z.payload_size))
     return found
 
 
 def _store_bytes(z: Zht) -> tuple[bytes, ...]:
     st_ = z.store
-    return tuple(a.tobytes() for a in (st_.key, st_.state, st_.tag, st_.payload))
+    return tuple(a.tobytes() for a in (st_.key, st_.tag, st_.payload))
 
 
 @settings(max_examples=120, deadline=None)
@@ -409,7 +398,7 @@ def test_search_matches_scalar_probe(k, c, remove, seed, data):
     want = _scalar_probe(want_z, probe, remove, want_rec)
     assert (got is None) == (want is None) == (target < 0)
     if got is not None:
-        assert got.key == probe and got.payload == want == pay(probe)
+        assert got == want == pay(probe)
     assert _store_bytes(got_z) == _store_bytes(want_z)
     assert got_rec.events() == want_rec.events()
     for j, event in enumerate(got_rec.events()):
@@ -420,19 +409,17 @@ def test_search_matches_scalar_probe(k, c, remove, seed, data):
 def test_tables_are_views_of_the_store():
     z = make_zht(n=8, k=3, c=2)
     for j, tbl in enumerate(z.tables):
-        for field in ("key", "state", "tag", "payload"):
+        for field in ("key", "tag", "payload"):
             assert np.shares_memory(getattr(tbl, field), getattr(z.store, field)[j])
     key = 44
     b = z.path(key)[2]
     z.tables[2].key[b, 1] = key
-    z.tables[2].state[b, 1] = SlotState.REAL
     z.tables[2].payload[b, 1] = np.frombuffer(pay(key), np.uint8)
     flat = z.slot_array()
     cell = (2 * z.n + b) * z.c + 1
     assert int(flat.key[cell]) == key and flat.payload[cell].tobytes() == pay(key)
     assert z.real_counts() == [0, 0, 1]
     assert z.real_items() == [(key, pay(key))]
-    got = z.search(key, remove=True)
-    assert got is not None and got.payload == pay(key)
-    assert int(z.tables[2].state[b, 1]) == SlotState.DUMMY
-    assert int(flat.state[cell]) == SlotState.DUMMY
+    assert z.search(key, remove=True) == pay(key)
+    assert int(z.tables[2].key[b, 1]) == KEY_SENTINEL
+    assert int(flat.key[cell]) == KEY_SENTINEL
