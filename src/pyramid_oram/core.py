@@ -2,12 +2,12 @@
 
 Every structure in this package is built out of fixed-width slots so that the
 memory touched by an operation never depends on the data it carries.  A slot is
-a 32-bit key, a payload and a routing tag, and nothing else: it is real (holds
-a stored item) exactly when its key is not KEY_SENTINEL, and a dummy (filler
-that is read and written like anything else) when it is.  A fresh SlotArray is
-all dummies, writing a key makes a slot real, and writing the sentinel frees
-it.  Tables are dense arrays of n buckets times c slots; scans and bucket
-accesses always cover whole buckets.
+a 32-bit key and a payload, and nothing else (routing tags live only inside a
+route): it is real (holds a stored item) exactly when its key is not
+KEY_SENTINEL, and a dummy (filler that is read and written like anything else)
+when it is.  A fresh SlotArray is all dummies, writing a key makes a slot
+real, and writing the sentinel frees it.  Tables are dense arrays of n buckets
+times c slots; scans and bucket accesses always cover whole buckets.
 
 Hashing is a keyed, seedable PRF: a splitmix64-style finalizer chain absorbed
 over (seed, epoch, level, table).  It is vectorizable over numpy uint64 arrays,
@@ -97,28 +97,25 @@ def _require(cond: bool, message: str) -> None:
 
 @dataclass(frozen=True)
 class Slot:
-    """One fixed-width memory cell: 32-bit key, payload bytes, routing tag.
+    """One fixed-width memory cell: 32-bit key and payload bytes.
 
     Real iff the key is not KEY_SENTINEL.
     """
 
     key: int = KEY_SENTINEL
     payload: bytes = b""
-    tag: bool = False
 
     def __post_init__(self):
         _require(0 <= self.key <= KEY_SENTINEL, "key out of range")
-        _require(self.is_real or not self.tag,
-                 "non-real slots are never tagged for routing")
 
     @classmethod
     def dummy(cls, payload_size: int = 0) -> "Slot":
         return cls(payload=bytes(payload_size))
 
     @classmethod
-    def real(cls, key: int, payload: bytes, tag: bool = False) -> "Slot":
+    def real(cls, key: int, payload: bytes) -> "Slot":
         _require(0 <= key <= MAX_REAL_KEY, "real key out of range")
-        return cls(key, bytes(payload), tag)
+        return cls(key, bytes(payload))
 
     @property
     def is_real(self) -> bool:
@@ -134,7 +131,7 @@ class SlotArray:
     A slot is real where key != KEY_SENTINEL; a fresh array is all dummies.
     """
 
-    __slots__ = ("key", "tag", "payload", "payload_size")
+    __slots__ = ("key", "payload", "payload_size")
 
     def __init__(self, shape, payload_size: int = DEFAULT_PAYLOAD_SIZE):
         if isinstance(shape, int):
@@ -142,7 +139,6 @@ class SlotArray:
         _require(payload_size >= 0, "payload_size must be non-negative")
         self.payload_size = payload_size
         self.key = np.full(shape, KEY_SENTINEL, dtype=np.uint32)
-        self.tag = np.zeros(shape, dtype=bool)
         self.payload = np.zeros(shape + (payload_size,), dtype=np.uint8)
 
     @property
@@ -156,7 +152,6 @@ class SlotArray:
         out = SlotArray.__new__(SlotArray)
         out.payload_size = self.payload_size
         out.key = self.key.reshape(shape)
-        out.tag = self.tag.reshape(shape)
         out.payload = self.payload.reshape(shape + (self.payload_size,))
         return out
 
@@ -165,33 +160,24 @@ class SlotArray:
         return self.key.size
 
     def get(self, idx) -> Slot:
-        return Slot(int(self.key[idx]), self.payload[idx].tobytes(),
-                    bool(self.tag[idx]))
+        return Slot(int(self.key[idx]), self.payload[idx].tobytes())
 
     def put(self, idx, slot: Slot) -> None:
         _require(len(slot.payload) == self.payload_size, "payload width mismatch")
         self.key[idx] = slot.key
-        self.tag[idx] = slot.tag
         self.payload[idx] = np.frombuffer(slot.payload, dtype=np.uint8)
 
     def clear(self) -> None:
         self.key.fill(KEY_SENTINEL)
-        self.tag.fill(False)
         self.payload.fill(0)
 
     def clear_to_dummy(self, mask) -> None:
         """Overwrite the masked slots with dummies (spilled/extracted cells)."""
         self.key[mask] = KEY_SENTINEL
-        self.tag[mask] = False
         self.payload[mask] = 0
 
     def real_count(self) -> int:
         return int(np.count_nonzero(self.key != KEY_SENTINEL))
-
-    def iter_slots(self):
-        flat = self.reshape(self.size)
-        for i in range(flat.size):
-            yield flat.get(i)
 
 
 class Table(SlotArray):
@@ -213,12 +199,8 @@ class Table(SlotArray):
         _, tbl.n, tbl.c = store.shape
         tbl.payload_size = store.payload_size
         tbl.key = store.key[j]
-        tbl.tag = store.tag[j]
         tbl.payload = store.payload[j]
         return tbl
-
-    def bucket(self, b: int) -> list[Slot]:
-        return [self.get((b, s)) for s in range(self.c)]
 
 
 def rank_within_group(groups: np.ndarray) -> np.ndarray:

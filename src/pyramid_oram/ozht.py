@@ -7,8 +7,8 @@ on contents:
      the first free slot on the way, non-reals make the same shaped accesses.
      Placement is Zht's first-fit kernel, one rank-within-bucket pass per
      table, equal to inserting the reals one at a time in input order.
-  2. for each table j in order: tag its resident reals, route them to their
-     h_j buckets through the repartition network, then (except after the last
+  2. for each table j in order: route its resident reals to their h_j
+     buckets through the repartition network, then (except after the last
      table) sweep all n*c slots once, re-throwing into tables j+1..k-1.  Slots
      the network spilled really move; every other slot fakes identical
      accesses at fresh random buckets.
@@ -17,16 +17,17 @@ The bucket accesses this makes are counted exactly by build_access_count(),
 and their positions are fresh randomness or public hash evaluations, so the
 trace shape is a pure function of (m_total, n, k, c).
 
-A slot is real iff its key is not KEY_SENTINEL, so the reals to tag, route
-and re-throw are read off the keys.  Within a build the only non-real writes
-into the level are the dummies that clear table j's spilled cells after its
-sweep, and every later claim goes to the tables after j.
+A slot is real iff its key is not KEY_SENTINEL, so the reals to route and
+re-throw are read off the keys, and a routed real spilled iff it ends outside
+its destination bucket.  Within a build the only non-real writes into the
+level are the dummies that clear table j's spilled cells after its sweep,
+and every later claim goes to the tables after j.
 
-On success every real slot sits in some table j at bucket h_j(key) with its
-tag set.  A build fails when an insert falls off the end of its path
-(throw_overflow) or the last table's routing spills (final_phase_spill); the
-returned table set is then inconsistent and only good for inspection, and the
-caller decides whether to retry under fresh randomness.
+On success every real slot sits in some table j at bucket h_j(key).  A build
+fails when an insert falls off the end of its path (throw_overflow) or the
+last table's routing spills (final_phase_spill); the returned table set is
+then inconsistent and only good for inspection, and the caller decides
+whether to retry under fresh randomness.
 """
 
 from __future__ import annotations
@@ -126,15 +127,15 @@ def oblivious_build(elems: SlotArray, n: int, k: int, c: int, fam: HashFamily,
     for tj in range(k):
         tbl = z.tables[tj]
         arrivals.append(tbl.real_count())
-        tbl.tag[:] = tbl.key != KEY_SENTINEL
         dests = fam.bucket_indices(level_id, tj, tbl.key, n)
         stats = route(tbl, dests, rng, recorder=recorder, region=z.regions[tj])
         stage_spills.append(stats.stage_spills)
 
-        spilled = (tbl.key != KEY_SENTINEL) & ~tbl.tag
+        resident = tbl.key != KEY_SENTINEL
+        spilled = resident & (dests != np.arange(n)[:, None])
         spills_after.append(int(spilled.sum()))
         if debug_checks_enabled():
-            placed = (tbl.key != KEY_SENTINEL) & tbl.tag
+            placed = resident & ~spilled
             placed_rows = np.nonzero(placed)[0]
             placed_keys = tbl.key[placed]
             want = fam.bucket_indices(level_id, tj, placed_keys, n)

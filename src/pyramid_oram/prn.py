@@ -8,6 +8,10 @@ retagged false (they stay wherever they land and are no longer routed).  After
 stage s every tagged slot agrees with its destination on the lowest s bits, so
 after all stages it sits exactly in its destination bucket.
 
+Tags are not stored: route() tags the real slots on entry and drops the tags
+on exit, losing nothing, since a slot ends tagged iff it started tagged and
+sits in its destination bucket (no stage after s moves a slot across bit s-1).
+
 A repartition reads both buckets, sorts the 2c slots by (side-class, random
 tiebreak) on a fixed comparator network, retags the misplaced, and writes both
 buckets back.  The pair schedule is a function of n alone: (n/2)*log2(n)
@@ -18,15 +22,14 @@ every pair of a stage, in every table of the batch, in one pass.  It carries
 only what the network reads, each slot's tag and destination, plus a slot id
 when the slot contents must follow, packed into one word per slot.  route()
 is the batch-1 case: after the last stage it moves each cell's key and
-payload once, to where its slot id ended up.  Only real slots (key not
-KEY_SENTINEL) are ever tagged.  route_census() runs the same kernel on tags
-and destinations alone, over many trials, for statistics.
+payload once, to where its slot id ended up.  route_census() runs the same
+kernel on tags and destinations alone, over many trials, for statistics.
 
-repartition() and route_reference() are the slot-at-a-time oracle.  They draw
-tiebreaks in the same row-major order as the kernel and sort the same keys,
-which oprim makes distinct by their wire index, so under one seed route() is
-bit-identical to route_reference(), colliding tiebreaks included; the suite
-asserts both.
+repartition() and route_reference() are the slot-at-a-time oracle, with the
+tag in each RoutingSlot.  They draw tiebreaks in the same row-major order as
+the kernel and sort the same keys, which oprim makes distinct by their wire
+index, so under one seed route() is bit-identical to route_reference(),
+colliding tiebreaks included; the suite asserts both.
 """
 
 from __future__ import annotations
@@ -35,17 +38,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import InvalidParameterError, Rng, Slot, _require, is_power_of_two
+from .core import (KEY_SENTINEL, InvalidParameterError, Rng, Slot, _require,
+                   is_power_of_two)
 from .oprim import PAD_KEY, SortItem, batcher_sort, sort_key, sort_network_perm
 from .trace import TraceOp, TraceRecorder, table_region
 
 
 @dataclass(frozen=True)
 class RoutingSlot:
-    """A slot plus its cached destination bucket for the current table."""
+    """A slot, its cached destination bucket and its routing tag."""
 
     slot: Slot
     dest: int
+    tag: bool
 
 
 @dataclass
@@ -96,7 +101,7 @@ def repartition(bucket_a: list[RoutingSlot], bucket_b: list[RoutingSlot],
     items = []
     for pos, rs in enumerate(combined):
         bit = (rs.dest >> shift) & 1
-        klass = 1 + int(rs.slot.tag) * (2 * bit - 1)
+        klass = 1 + int(rs.tag) * (2 * bit - 1)
         items.append(SortItem(klass, int(ties[pos]), payload_ref=pos))
     batcher_sort(items)
     out: list[RoutingSlot] = []
@@ -105,8 +110,8 @@ def repartition(bucket_a: list[RoutingSlot], bucket_b: list[RoutingSlot],
         rs = combined[item.payload_ref]
         side = 1 if pos_out >= c else 0
         bit = (rs.dest >> shift) & 1
-        if rs.slot.tag and bit != side:
-            rs = RoutingSlot(replace(rs.slot, tag=False), rs.dest)
+        if rs.tag and bit != side:
+            rs = replace(rs, tag=False)
             spills += 1
         out.append(rs)
     return out[:c], out[c:], spills
@@ -140,7 +145,7 @@ def _route_stages(tag: np.ndarray, dest: np.ndarray, rng: Rng,
     """The routing network over a batch of tables: (batch, n, c) arrays.
 
     tag (bool) and dest evolve in place exactly as route() evolves one
-    table's tag and destination fields; slot, if given, holds ids in
+    table's tags and destinations; slot, if given, holds ids in
     [0, n*c) and is carried along in place, so that afterwards slot[b, i, s]
     is the id the slot now at (i, s) started with.  The three travel packed
     in one word per slot (tag in bit 0, destination above it, slot id on
@@ -203,20 +208,22 @@ def _route_stages(tag: np.ndarray, dest: np.ndarray, rng: Rng,
 def route(table, dests: np.ndarray, rng: Rng,
           recorder: TraceRecorder | None = None,
           region: int | None = None) -> RouteStats:
-    """Route every tagged slot of `table` toward its destination, in place.
+    """Route every real slot of `table` toward its destination, in place.
 
     `dests` is an (n, c) int64 destination array that travels with the slots
     (it is permuted in place alongside them).  Consumes one 64-bit tiebreak
     per slot per stage, in pair order, regardless of contents.  The network
     moves only tags, destinations and slot ids; keys and payloads are then
-    moved once, to where their slot ids ended up.
+    moved once, to where their slot ids ended up.  A real slot spilled iff
+    it ends outside its destination bucket.
     """
     n, c = table.n, table.c
     _check_dests(dests)
     if region is None:
         region = table_region(0, 0)
     slot = np.arange(n * c).reshape(1, n, c)
-    spills, live = _route_stages(table.tag[None], dests[None], rng, slot)
+    tag = (table.key != KEY_SENTINEL)[None]
+    spills, live = _route_stages(tag, dests[None], rng, slot)
     src = slot[0]
     table.key[...] = table.key.reshape(-1)[src]
     table.payload[...] = table.payload.reshape(n * c, -1)[src]
@@ -240,23 +247,23 @@ def route_reference(table, dests: np.ndarray, rng: Rng,
     _check_dests(dests)
     if region is None:
         region = table_region(0, 0)
+    tags = table.key != KEY_SENTINEL
     stage_spills: list[int] = []
     stage_live: list[int] = []
     repartitions = 0
     for stage in range(1, stage_count(n) + 1):
-        stage_live.append(int(table.tag.sum()))
+        stage_live.append(int(tags.sum()))
         spilled = 0
         for lo, hi in stage_pairs(n, stage):
-            bucket_a = [
-                RoutingSlot(table.get((lo, s)), int(dests[lo, s])) for s in range(c)
-            ]
-            bucket_b = [
-                RoutingSlot(table.get((hi, s)), int(dests[hi, s])) for s in range(c)
-            ]
+            bucket_a, bucket_b = (
+                [RoutingSlot(table.get((b, s)), int(dests[b, s]), bool(tags[b, s]))
+                 for s in range(c)]
+                for b in (lo, hi)
+            )
             new_a, new_b, spills = repartition(bucket_a, bucket_b, stage, rng)
             for s in range(c):
-                _write_routing_slot(table, dests, lo, s, new_a[s])
-                _write_routing_slot(table, dests, hi, s, new_b[s])
+                _write_routing_slot(table, dests, tags, lo, s, new_a[s])
+                _write_routing_slot(table, dests, tags, hi, s, new_b[s])
             spilled += spills
             repartitions += 1
             if recorder is not None:
@@ -266,11 +273,11 @@ def route_reference(table, dests: np.ndarray, rng: Rng,
     return RouteStats(repartitions, stage_spills, stage_live)
 
 
-def _write_routing_slot(table, dests, b: int, s: int, rs: RoutingSlot) -> None:
-    table.key[b, s] = rs.slot.key
-    table.tag[b, s] = rs.slot.tag
-    table.payload[b, s] = np.frombuffer(rs.slot.payload, dtype=np.uint8)
+def _write_routing_slot(table, dests, tags, b: int, s: int,
+                        rs: RoutingSlot) -> None:
+    table.put((b, s), rs.slot)
     dests[b, s] = rs.dest
+    tags[b, s] = rs.tag
 
 
 def route_census(tag: np.ndarray, dest: np.ndarray, rng: Rng,
@@ -278,7 +285,7 @@ def route_census(tag: np.ndarray, dest: np.ndarray, rng: Rng,
     """Batched-trials routing for statistics: tag/dest only, no slot contents.
 
     tag (bool) and dest are (trials, n, c); both evolve in place exactly as
-    route() would evolve a table's tag/dest fields (class assignment never
-    reads keys or payloads).  Returns (spills, live), each (trials, stages).
+    route()'s tags and destinations do (class assignment never reads keys or
+    payloads).  Returns (spills, live), each (trials, stages).
     """
     return _route_stages(tag, dest, rng)

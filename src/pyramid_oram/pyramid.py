@@ -154,7 +154,11 @@ class PyramidConfig:
 
 @dataclass(frozen=True)
 class AccessRecord:
-    """Public-by-design facts about one access."""
+    """Facts about one access.
+
+    Public: op_index, rebuilt_level, online_buckets, total_buckets.
+    Secret: op, key, found.
+    """
 
     op_index: int
     op: str
@@ -167,7 +171,11 @@ class AccessRecord:
 
 @dataclass(frozen=True)
 class RebuildInfo:
-    """One rebuild: target level, inputs, attempts, bucket-access cost."""
+    """One rebuild: target level, inputs, attempts, bucket-access cost.
+
+    access_count charges one attempt however many were made, so a retried
+    build's failed attempts are missing from it and from total_buckets.
+    """
 
     level: int
     m_total: int
@@ -220,7 +228,6 @@ def _concat_slot_arrays(parts: list[SlotArray], payload_size: int) -> SlotArray:
     for part in parts:
         end = at + part.size
         out.key[at:end] = part.key.reshape(-1)
-        out.tag[at:end] = part.tag.reshape(-1)
         out.payload[at:end] = part.payload.reshape(-1, payload_size)
         at = end
     return out
@@ -287,7 +294,13 @@ class PyramidOram:
 
     def access_with_record(self, op: str, key: int, value: bytes | None = None,
                            ) -> tuple[bytes | None, AccessRecord]:
-        """One access; returns the pre-access payload (None on a miss)."""
+        """One access; returns the pre-access payload (None on a miss).
+
+        A fresh-key write at full capacity raises CapacityExceededError as a
+        miss: it searched every occupied level for real and recorded a full
+        online probe, but drew no randomness and left t and the store as they
+        were.  Re-reading the key then repeats those searches (debug: asserts).
+        """
         self._refuse_if_broken()
         if op not in ("read", "write"):
             raise InvalidParameterError("op must be 'read' or 'write'")
@@ -446,7 +459,6 @@ class PyramidOram:
         slot_idx = self.t % self.config.first_level_size
         data = value if op == "write" else payload if found else None
         l0.key[slot_idx] = key if data is not None else KEY_SENTINEL
-        l0.tag[slot_idx] = False
         l0.payload[slot_idx] = 0 if data is None else np.frombuffer(data, np.uint8)
 
     def _rebuild_if_due(self) -> RebuildInfo | None:

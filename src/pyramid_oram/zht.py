@@ -10,9 +10,10 @@ which buckets are touched.
 A Zht keeps all its slots in one SlotArray of shape (k, n, c): table, bucket,
 slot.  tables[j] is a core.Table view of row j, so per-table code (routing)
 writes straight into the store, and a search is one gather of the k path
-buckets out of it.  A slot is real iff its key is not KEY_SENTINEL, which
-is above every real key, so a search compares keys only and `key == probe`
-is exactly "a real slot holding probe".  A removal writes the sentinel,
+buckets out of it.  A slot is a key and a payload (route() keeps its tags to
+itself), real iff its key is not KEY_SENTINEL, which is above every real
+key, so a search compares keys only and `key == probe` is exactly "a real
+slot holding probe".  A removal writes the sentinel,
 which frees the slot.  The hit's payload is the dot product of the 0/1 match
 vector with the gathered payload rows.
 
@@ -137,7 +138,6 @@ class Zht:
             s = (free > rank[:, None]).argmax(axis=1)[fits]
             b, rows = b[fits], todo[fits]
             st.key[j, b, s] = keys[rows]
-            st.tag[j, b, s] = True
             st.payload[j, b, s] = payload[rows]
             landed[rows] = j
             todo = todo[~fits]
@@ -227,7 +227,6 @@ class Zht:
             hit_j, hit_s = np.nonzero(match)
             hit_rows = rows[hit_j]
             br.key[hit_rows, hit_s] = KEY_SENTINEL
-            br.tag[hit_rows, hit_s] = False
             br.payload[hit_rows, hit_s] = 0
         return payload.tobytes() if hits else None
 

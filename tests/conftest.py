@@ -47,7 +47,7 @@ def make_elems(reals: int, m_total: int, payload_size: int = 8,
 
 def make_routing_table(n: int, c: int, load: int, seed: int,
                        payload_size: int = 8) -> tuple[Table, np.ndarray]:
-    """A table with `load` tagged reals at random cells plus uniform dests."""
+    """A table with `load` reals at random cells plus uniform dests."""
     table = Table(n, c, payload_size)
     gen = np.random.Generator(np.random.PCG64(seed))
     dests = gen.integers(0, n, size=(n, c)).astype(np.int64)
@@ -55,6 +55,5 @@ def make_routing_table(n: int, c: int, load: int, seed: int,
     gen.shuffle(cells)
     for key, (b, s) in enumerate(cells[:load]):
         table.key[b, s] = key
-        table.tag[b, s] = True
         table.payload[b, s] = key % 251
     return table, dests

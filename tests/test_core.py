@@ -43,8 +43,6 @@ def test_slot_validation():
     with pytest.raises(InvalidParameterError):
         Slot(KEY_SENTINEL + 1)                # keys are 32-bit
     with pytest.raises(InvalidParameterError):
-        Slot(tag=True)                        # only reals are tagged
-    with pytest.raises(InvalidParameterError):
         Slot.real(KEY_SENTINEL, b"")          # sentinel is not a real key
     with pytest.raises(InvalidParameterError):
         Slot.real(-1, b"")
@@ -61,7 +59,7 @@ def test_slot_array_roundtrip():
     back = arr.get(2)
     assert back == slot
     assert arr.real_count() == 1
-    assert [s.is_real for s in arr.iter_slots()] == [False, False, True, False]
+    assert (arr.key != KEY_SENTINEL).tolist() == [False, False, True, False]
     arr.put(2, Slot.dummy(3))                 # writing the sentinel frees it
     assert arr.real_count() == 0 and arr.key[2] == KEY_SENTINEL
 
@@ -69,12 +67,12 @@ def test_slot_array_roundtrip():
 def test_clear_to_dummy_masks():
     arr = SlotArray(4, payload_size=2)
     arr.put(1, Slot.real(5, b"xy"))
-    arr.put(2, Slot.real(6, b"zw", tag=True))
+    arr.put(2, Slot.real(6, b"zw"))
     mask = np.array([False, True, True, False])
     arr.clear_to_dummy(mask)
     assert arr.real_count() == 0
     assert arr.get(1) == arr.get(2) == Slot.dummy(2)
-    assert not arr.get(1).is_real and not arr.tag.any()
+    assert (arr.key == KEY_SENTINEL).all()
 
 
 def test_table_validation():

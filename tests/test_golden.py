@@ -13,9 +13,12 @@ recorded before first-fit placement moved to one rank-within-bucket kernel.
 k2c1-retry is the config whose builds fail in the re-throw sweep (3, 3 and 1
 times on seeds 0, 1, 2), so it pins where a failing sweep stops.  A change
 that is meant to be behaviour-preserving (a perf rewrite, a refactor) must
-leave them untouched.  GOLDEN_STORE pins the raw key, tag and payload bytes
-each run leaves in the log and the levels, which the run digests see only
-through stored_items().  To print the digests of the code as it is:
+leave them untouched.  GOLDEN_STORE pins the raw key and payload bytes each
+run leaves in the log and the levels, which the run digests see only through
+stored_items().  It was recorded while slots still stored a routing tag
+between the two; that column provably held `key != KEY_SENTINEL` in a level
+and all False in the log, so store_digest hashes those bytes in its place
+and the pinned values stand.  To print the digests of the code as it is:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -31,7 +34,7 @@ import numpy as np
 import pytest
 
 import pyramid_oram.pyramid as pyramid_mod
-from pyramid_oram.core import BuildFailedError
+from pyramid_oram.core import KEY_SENTINEL, BuildFailedError
 from pyramid_oram.pyramid import PyramidConfig, PyramidOram
 from pyramid_oram.trace import TraceRecorder
 
@@ -74,7 +77,8 @@ GOLDEN = {
 }
 
 # Slot bytes of the log and every level at the end of each run (store_digest),
-# recorded before slots stopped storing a state byte beside the key.
+# recorded before slots stopped storing a state byte and a routing tag beside
+# the key.
 GOLDEN_STORE = {
     ("p8", 0): "738a6cad12925853abe40b264dd0a69a76427c49cce5c4a479b7d619c493fcca",
     ("p8", 1): "7c6c832596178accbc1cdcbd6df9365ed65b6d129305c32f5515cd6cb85acf2d",
@@ -155,9 +159,12 @@ def run_digest(name: str, seed: int) -> str:
 def store_digest(name: str, seed: int) -> str:
     """sha256 over the raw slot columns the run leaves behind.
 
-    Covers the log's and every occupied level's key, tag and payload bytes,
-    each store prefixed by its level index (0 for the log), so a change that
-    keeps every observable output but stores different bytes still shows.
+    Covers the log's and every occupied level's key and payload bytes, each
+    store prefixed by its level index (0 for the log), so a change that keeps
+    every observable output but stores different bytes still shows.  Between
+    them go the bytes of the retired tag column, which are a function of the
+    keys: realness in a level (every resident real was routed home), False
+    throughout the log (it was never routed).
     """
     oram = _run(name, seed)[1]
     stores = [(0, oram.level0)] + [
@@ -166,7 +173,8 @@ def store_digest(name: str, seed: int) -> str:
     h = hashlib.sha256()
     for j, store in stores:
         h.update(_canon([j, list(store.key.shape)]))
-        for column in (store.key, store.tag, store.payload):
+        tag = (store.key != KEY_SENTINEL) if j else np.zeros(store.shape, bool)
+        for column in (store.key, tag, store.payload):
             h.update(column.tobytes())
     return h.hexdigest()
 

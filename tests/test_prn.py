@@ -13,6 +13,7 @@ from pyramid_oram.core import (
 )
 from pyramid_oram.prn import (
     RoutingSlot,
+    _route_stages,
     repartition,
     route,
     route_census,
@@ -66,11 +67,20 @@ def test_stage_pairs_range_checked():
 
 
 def _rslot(key: int, tag: bool, dest: int) -> RoutingSlot:
-    return RoutingSlot(Slot.real(key, bytes([key % 251] * 8), tag=tag), dest)
+    return RoutingSlot(Slot.real(key, bytes([key % 251] * 8)), dest, tag)
 
 
 def _dummy_rslot() -> RoutingSlot:
-    return RoutingSlot(Slot.dummy(8), 0)
+    return RoutingSlot(Slot.dummy(8), 0, False)
+
+
+def _arrived(table, dests: np.ndarray) -> np.ndarray:
+    """The real slots sitting in their destination bucket after a route.
+
+    They are exactly the slots the network still has tagged at the end (see
+    test_stage_kernel_keeps_exactly_the_tagged_slots_at_their_dest).
+    """
+    return (table.key != KEY_SENTINEL) & (dests == np.arange(table.n)[:, None])
 
 
 def test_repartition_moves_tagged_to_matching_side():
@@ -82,7 +92,7 @@ def test_repartition_moves_tagged_to_matching_side():
     keys_a = {rs.slot.key for rs in new_a if rs.slot.is_real}
     keys_b = {rs.slot.key for rs in new_b if rs.slot.is_real}
     assert keys_a == {1} and keys_b == {2}
-    assert all(rs.slot.tag for rs in new_a + new_b if rs.slot.is_real)
+    assert all(rs.tag for rs in new_a + new_b if rs.slot.is_real)
 
 
 def test_repartition_conserves_slots():
@@ -101,7 +111,7 @@ def test_repartition_spills_only_on_overflow():
     b = [_rslot(3, True, 0), _dummy_rslot()]
     new_a, new_b, spills = repartition(a, b, 1, Rng(4, ()))
     assert spills == 1
-    tagged = [rs for rs in new_a + new_b if rs.slot.tag]
+    tagged = [rs for rs in new_a + new_b if rs.tag]
     assert len(tagged) == 2
     assert all(rs for rs in new_a if rs.slot.is_real)
 
@@ -131,7 +141,7 @@ def test_spill_fairness_among_competitors():
         new_a, new_b, spills = repartition(a, b, 1, Rng(7, (trial,)))
         assert spills == 1
         for rs in new_a + new_b:
-            if rs.slot.is_real and not rs.slot.tag:
+            if rs.slot.is_real and not rs.tag:
                 spill_counts[rs.slot.key] += 1
     for key, count in spill_counts.items():
         assert abs(count / trials - 1 / 3) < 0.02, (key, count)
@@ -145,12 +155,7 @@ def test_route_places_every_surviving_tag():
         assert stats.repartitions == (n // 2) * stage_count(n)
         keys_after = sorted(table.key[table.key != KEY_SENTINEL].tolist())
         assert keys_before == keys_after, "routing must not lose slots"
-        for b in range(n):
-            for s in range(c):
-                if table.tag[b, s]:
-                    assert dests[b, s] == b, "surviving tag away from its dest"
-        survivors = int(table.tag.sum())
-        assert survivors == load - stats.total_spilled
+        assert int(_arrived(table, dests).sum()) == load - stats.total_spilled
 
 
 def test_route_stats_live_counts_decrease_by_spills():
@@ -158,26 +163,27 @@ def test_route_stats_live_counts_decrease_by_spills():
     stats = route(table, dests, Rng(11, (2,)))
     for s in range(len(stats.stage_live) - 1):
         assert stats.stage_live[s + 1] == stats.stage_live[s] - stats.stage_spills[s]
-    assert int(table.tag.sum()) == stats.stage_live[-1] - stats.stage_spills[-1]
+    assert int(_arrived(table, dests).sum()) == (stats.stage_live[-1]
+                                                 - stats.stage_spills[-1])
 
 
 def test_route_light_load_never_spills():
-    # a single tagged slot can never lose a competition
+    # a single real slot can never lose a competition
     table, dests = make_routing_table(16, 2, 1, 21)
     stats = route(table, dests, Rng(21, (0,)))
     assert stats.total_spilled == 0
-    assert int(table.tag.sum()) == 1
+    assert int(_arrived(table, dests).sum()) == 1
 
 
 def test_route_single_survivor_when_all_want_bucket_zero():
     # n=4, c=1: four slots all want bucket 0; capacity one means exactly one
-    # tagged survivor, sitting in bucket 0
+    # survivor, sitting in bucket 0
     for seed in range(50):
         table, _ = make_routing_table(4, 1, 4, seed)
         dests = np.zeros((4, 1), dtype=np.int64)
-        route(table, dests, Rng(seed, (3,)))
-        assert int(table.tag.sum()) == 1
-        assert table.tag[0, 0]
+        stats = route(table, dests, Rng(seed, (3,)))
+        assert stats.total_spilled == 3
+        assert _arrived(table, dests)[:, 0].tolist() == [True, False, False, False]
 
 
 def test_route_matches_reference_bit_for_bit():
@@ -191,7 +197,6 @@ def test_route_matches_reference_bit_for_bit():
         s_ref = route_reference(t_ref, d_ref, Rng(seed, (9,)),
                                 recorder=rec_ref, region=77)
         assert np.array_equal(t_vec.key, t_ref.key)
-        assert np.array_equal(t_vec.tag, t_ref.tag)
         assert np.array_equal(t_vec.payload, t_ref.payload)
         assert np.array_equal(d_vec, d_ref)
         assert s_vec.stage_spills == s_ref.stage_spills
@@ -225,9 +230,36 @@ def test_route_matches_reference_when_tiebreaks_collide():
             s_ref = route_reference(t_ref, d_ref, _CollidingRng(seed, (3,)))
             assert t_vec.key.tobytes() == t_ref.key.tobytes()
             assert t_vec.payload.tobytes() == t_ref.payload.tobytes()
-            assert np.array_equal(t_vec.tag, t_ref.tag)
             assert np.array_equal(d_vec, d_ref)
             assert s_vec.stage_spills == s_ref.stage_spills
+            assert s_vec.stage_live == s_ref.stage_live
+
+
+def test_stage_kernel_keeps_exactly_the_tagged_slots_at_their_dest():
+    # route() drops the network's tags, and ozht reads a real slot's spill
+    # off whether it sits in its destination bucket; that is lossless iff a
+    # slot ends tagged exactly when it started tagged and arrived
+    batch, spilled = 3, 0
+    for n in (2, 4, 16, 64):
+        for c in (1, 2, 3, 4):
+            for rng_class in (Rng, _CollidingRng):
+                gen = np.random.Generator(np.random.PCG64(100 * n + c))
+                tag_in = gen.random((batch, n, c)) < 0.7
+                dest_in = gen.integers(0, n, size=(batch, n, c)).astype(np.int64)
+                tag, dest = tag_in.copy(), dest_in.copy()
+                slot = np.tile(np.arange(n * c).reshape(1, n, c), (batch, 1, 1))
+                spills, _ = _route_stages(tag, dest, rng_class(n, (c,)), slot)
+                spilled += int(spills.sum())
+
+                def carried(a):
+                    flat = a.reshape(batch, n * c)
+                    ids = slot.reshape(batch, n * c)
+                    return np.take_along_axis(flat, ids, axis=1).reshape(a.shape)
+
+                assert np.array_equal(dest, carried(dest_in))
+                at_dest = dest == np.arange(n)[None, :, None]
+                assert np.array_equal(tag, carried(tag_in) & at_dest), (n, c)
+    assert spilled > 0, "no slot ever spilled"
 
 
 def test_route_trace_is_pair_schedule():
@@ -254,13 +286,13 @@ def test_route_rejects_bad_dest_shape():
 def test_route_census_matches_route():
     n, c, load, seed = 16, 2, 20, 13
     table, dests = make_routing_table(n, c, load, seed)
-    tag0 = table.tag.copy()[None, ...]
+    tag0 = (table.key != KEY_SENTINEL)[None, ...]
     dest0 = dests.copy()[None, ...]
     stats = route(table, dests, Rng(seed, (5,)))
     spills, live = route_census(tag0, dest0, Rng(seed, (5,)))
     assert spills[0].tolist() == stats.stage_spills
     assert live[0].tolist() == stats.stage_live
-    assert np.array_equal(tag0[0], table.tag)
+    assert np.array_equal(tag0[0], _arrived(table, dests))
     assert np.array_equal(dest0[0], dests)
 
 
@@ -286,22 +318,21 @@ def test_route_of_a_store_row_matches_a_standalone_copy():
     keys = gen.integers(0, KEY_SENTINEL, size=(3, n, c), dtype=np.uint32)
     # non-real slots carry the sentinel key
     z.store.key[...] = np.where(gen.random((3, n, c)) < 0.7, keys, KEY_SENTINEL)
-    z.store.tag[...] = z.store.key != KEY_SENTINEL
     z.store.payload[...] = gen.integers(0, 256, size=(3, n, c, payload))
-    before = [field.copy() for field in
-              (z.store.key, z.store.tag, z.store.payload)]
+    before = [field.copy() for field in (z.store.key, z.store.payload)]
+    reals = int(np.count_nonzero(before[0][1] != KEY_SENTINEL))
 
     copy = Table(n, c, payload)
     row = z.tables[1]
-    for name in ("key", "tag", "payload"):
+    for name in ("key", "payload"):
         getattr(copy, name)[...] = getattr(row, name)
     dests = gen.integers(0, n, size=(n, c)).astype(np.int64)
     dests_copy, dests_start = dests.copy(), dests.copy()
     s_row = route(row, dests, Rng(5, (1,)))
     s_copy = route(copy, dests_copy, Rng(5, (1,)))
 
-    assert s_row == s_copy and s_row.total_spilled < int(before[1][1].sum())
-    for name, old in zip(("key", "tag", "payload"), before):
+    assert s_row == s_copy and s_row.total_spilled < reals
+    for name, old in zip(("key", "payload"), before):
         field = getattr(z.store, name)
         assert np.array_equal(field[1], getattr(copy, name)), name
         assert np.array_equal(field[0], old[0]), f"row 0 {name} touched"
@@ -310,7 +341,7 @@ def test_route_of_a_store_row_matches_a_standalone_copy():
     # the caller's dests array itself is permuted alongside the slots
     assert not np.array_equal(dests, dests_start)
     assert np.array_equal(dests, dests_copy)
-    assert (dests[row.tag] == np.nonzero(row.tag)[0]).all()
+    assert int(_arrived(row, dests).sum()) == reals - s_row.total_spilled
 
 
 def test_route_census_rejects_bad_input():

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pyramid_oram.core import (
-    KEY_SENTINEL,
     MAX_REAL_KEY,
     BuildFailedError,
     CapacityExceededError,
@@ -252,16 +251,27 @@ def test_build_recorder_charges_match_access_counts():
             assert brec.position() == before and charged == 0
 
 
-def test_capacity_enforced_for_fresh_keys_only():
+def test_capacity_enforced_for_fresh_keys_only(debug_checks):
     cfg = PyramidConfig(capacity=4, first_level_size=2, payload_size=8, seed=2)
-    oram = PyramidOram(cfg)
+    rec = TraceRecorder()
+    oram = PyramidOram(cfg, recorder=rec)
     for key in range(4):
         oram.write(key, val(key))
+    t, held, events = oram.t, oram.stored_items(), len(rec)
+    rng_state = oram._rng._gen.bit_generator.state
     with pytest.raises(CapacityExceededError):
         oram.write(99, val(99))
+    # the refusal is a miss that is never appended: a full online probe is
+    # recorded, but no randomness is drawn and the store is unchanged
+    assert len(rec) == events + online_cost(cfg, t, oram.loaded)
+    assert (oram.t, oram.real_count, oram.stored_items()) == (t, 4, held)
+    assert oram._rng._gen.bit_generator.state == rng_state
     # overwrites and reads still work at full capacity
     assert oram.write(2, val(2, salt=1)) == val(2)
     assert oram.read(2) == val(2, salt=1)
+    # the refused write searched for 99 for real, so reading it repeats that
+    with pytest.raises(AssertionError, match="repeated real search"):
+        oram.read(99)
 
 
 def test_repeated_absent_read_detected_in_debug(debug_checks):
@@ -457,13 +467,6 @@ TINY = [
 ]
 
 
-def _assert_tags_on_reals(oram: PyramidOram) -> None:
-    """Only real slots (key not KEY_SENTINEL) carry a routing tag, everywhere."""
-    stores = [oram.level0] + [z.store for z in oram.levels if z is not None]
-    for store in stores:
-        assert not (store.tag & (store.key == KEY_SENTINEL)).any()
-
-
 @settings(max_examples=80, deadline=None)
 @given(cfg=st.sampled_from(TINY), seed=st.integers(0, 2**16),
        ops=st.lists(st.tuples(st.booleans(), st.integers(0, 15)),
@@ -494,7 +497,6 @@ def test_key_only_probe_keeps_the_sentinel_invariant(cfg, seed, ops):
                 assert got == model.get(key)
             if write:
                 model[key] = value
-            _assert_tags_on_reals(oram)
             assert oram.stored_items() == model
             if broken:
                 break

@@ -63,7 +63,6 @@ def test_zigzag_insert_takes_first_free_bucket():
     b = z.path(key)[0]
     assert z.tables[0].real_count() == 1
     assert int(z.tables[0].key[b, 0]) == key
-    assert z.tables[0].tag[b, 0]
 
 
 def test_zigzag_insert_overflows_to_next_table_and_falls_off():
@@ -132,7 +131,7 @@ def test_search_remove_extracts_the_slot():
     assert z.search(key, remove=True) == pay(key)
     assert sum(z.real_counts()) == 0
     assert z.search(key) is None
-    # the vacated slot holds the sentinel key, no tag and a zero payload
+    # the vacated slot holds the sentinel key and a zero payload
     b = z.path(key)[0]
     assert z.tables[0].get((b, 0)) == Slot.dummy(PAYLOAD)
 
@@ -225,8 +224,7 @@ def _first_fit_reference(z: Zht, keys, payloads, paths, first_table: int):
         for j, b in enumerate(path, start=first_table):
             free = [s for s in range(z.c) if not z.tables[j].get((b, s)).is_real]
             if free:
-                slot = Slot.real(int(key), payload, tag=True)
-                z.tables[j].put((b, free[0]), slot)
+                z.tables[j].put((b, free[0]), Slot.real(int(key), payload))
                 landed[-1] = j
                 break
     return landed
@@ -294,7 +292,7 @@ def test_insert_reclaims_a_removed_slot():
     # the slot key 1 left is free again, so key 2 lands in it, in table 0
     assert z.zigzag_insert(Slot.real(2, pay(2)), [b, 0])
     assert z.real_counts() == [1, 0]
-    assert z.tables[0].get((b, 0)) == Slot.real(2, pay(2), tag=True)
+    assert z.tables[0].get((b, 0)) == Slot.real(2, pay(2))
     with pytest.raises(InvalidParameterError):
         z.zigzag_insert(Slot.real(3, pay(3)), [0, 2])
 
@@ -382,7 +380,7 @@ def _scalar_probe(z: Zht, key: int, remove: bool, rec: TraceRecorder):
 
 def _store_bytes(z: Zht) -> tuple[bytes, ...]:
     st_ = z.store
-    return tuple(a.tobytes() for a in (st_.key, st_.tag, st_.payload))
+    return tuple(a.tobytes() for a in (st_.key, st_.payload))
 
 
 @settings(max_examples=120, deadline=None)
@@ -409,7 +407,7 @@ def test_search_matches_scalar_probe(k, c, remove, seed, data):
 def test_tables_are_views_of_the_store():
     z = make_zht(n=8, k=3, c=2)
     for j, tbl in enumerate(z.tables):
-        for field in ("key", "tag", "payload"):
+        for field in ("key", "payload"):
             assert np.shares_memory(getattr(tbl, field), getattr(z.store, field)[j])
     key = 44
     b = z.path(key)[2]
