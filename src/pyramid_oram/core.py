@@ -325,8 +325,11 @@ class Rng:
 
     def buckets(self, n: int, size) -> np.ndarray:
         _require(is_power_of_two(n), "random bucket range must be a power of two")
+        # masked in place: the values are below n <= 2^63, so the int64 view
+        # of the draw buffer is exact and no temporary is made
         draws = self._gen.bit_generator.random_raw(size)
-        return (draws & np.uint64(n - 1)).astype(np.int64)
+        draws &= np.uint64(n - 1)
+        return draws.view(np.int64)
 
     def floats(self, size=None):
         return self._gen.random(size=size)

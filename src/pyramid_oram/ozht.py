@@ -13,6 +13,14 @@ on contents:
      the network spilled really move; every other slot fakes identical
      accesses at fresh random buckets.
 
+Both path matrices, the throw's and each sweep's, are drawn and recorded in
+fixed blocks of rows (zht.draw_paths), keeping only the rows of the reals
+and of the spilled cells, so a build's scratch is a block plus those rows
+rather than a row per slot.  The words drawn and the events recorded are
+those of one draw of the whole matrix, in the same order; every block of a
+sweep is drawn before its first insert, so a sweep that fails leaves the
+stream where a retry expects it.
+
 The bucket accesses this makes are counted exactly by build_access_count(),
 and their positions are fresh randomness or public hash evaluations, so the
 trace shape is a pure function of (m_total, n, k, c).
@@ -47,8 +55,8 @@ from .core import (
     is_power_of_two,
 )
 from .prn import route
-from .trace import TraceOp, TraceRecorder
-from .zht import Zht
+from .trace import TraceRecorder
+from .zht import Zht, draw_paths
 
 FAILURE_NONE = "none"
 FAILURE_THROW = "throw_overflow"
@@ -149,15 +157,15 @@ def oblivious_build(elems: SlotArray, n: int, k: int, c: int, fam: HashFamily,
             break
 
         # re-throw sweep: one access per later table for all n*c slots
-        cells = n * c
-        rmatrix = rng.buckets(n, (cells, k - 1 - tj))
-        if recorder is not None:
-            recorder.record_tiled(z.regions[tj + 1:], rmatrix, TraceOp.READ_WRITE)
+        # every block is drawn before the first insert, so a failed sweep
+        # leaves the stream where a retry expects it
+        cells = np.flatnonzero(spilled.reshape(-1))
+        paths = draw_paths(rng, n, n * c, cells, z.regions[tj + 1:], recorder)
         flat_key = tbl.key.reshape(-1)
         flat_pay = tbl.payload.reshape(-1, z.payload_size)
-        for cell in np.flatnonzero(spilled.reshape(-1)):
+        for cell, path in zip(cells, paths):
             e = Slot.real(int(flat_key[cell]), flat_pay[cell].tobytes())
-            if not z.zigzag_insert(e, rmatrix[cell], first_table=tj + 1):
+            if not z.zigzag_insert(e, path, first_table=tj + 1):
                 return finish(FAILURE_THROW, 1)
         tbl.clear_to_dummy(spilled)
 

@@ -51,6 +51,39 @@ from .core import (
 )
 from .trace import TraceOp, TraceRecorder, table_region
 
+# rows per block when a build draws its path matrix: the scratch a throw or a
+# sweep holds is a block, not a row per input slot
+_BLOCK_ROWS = 8192
+
+
+def draw_paths(rng: Rng, n: int, rows: int, keep: np.ndarray, regions,
+               recorder: TraceRecorder | None = None,
+               given: np.ndarray | None = None) -> np.ndarray:
+    """Draw a (rows, len(regions)) uniform path matrix; return the rows in keep.
+
+    The matrix is drawn, and recorded as one READ_WRITE row per input slot,
+    in blocks of _BLOCK_ROWS rows, so only a block and the kept rows are ever
+    held.  The words drawn and the events recorded are those of one draw of
+    the whole matrix, in the same order.  keep is ascending row indices.
+    `given`, if not None, holds keep's paths: they are recorded in place of
+    those rows' draws and are what is returned.
+    """
+    width = len(regions)
+    out = np.empty((keep.size, width), np.int64) if given is None else given
+    lo = 0
+    for r0 in range(0, rows, _BLOCK_ROWS):
+        block = rng.buckets(n, (min(_BLOCK_ROWS, rows - r0), width))
+        hi = keep.searchsorted(r0 + len(block))
+        mine = keep[lo:hi] - r0
+        if given is None:
+            out[lo:hi] = block[mine]
+        else:
+            block[mine] = given[lo:hi]
+        if recorder is not None:
+            recorder.record_tiled(regions, block, TraceOp.READ_WRITE)
+        lo = hi
+    return out
+
 
 @dataclass
 class ThrowReport:
@@ -172,23 +205,25 @@ class Zht:
         path_source "random" draws one fresh uniform path row per input slot;
         "prf" routes real slots by their key's hash path (dummies still get
         random rows).  Either way the randomness consumed and the trace's
-        region sequence depend only on the input length.
+        region sequence depend only on the input length.  The rows are drawn
+        and recorded in blocks (draw_paths) and only the reals' rows are kept,
+        so the scratch does not grow with the dummies; the stream and the
+        trace are those of one draw of the whole matrix.
         """
         if path_source not in ("random", "prf"):
             raise InvalidParameterError("path_source must be 'random' or 'prf'")
         _require(elems.payload_size == self.payload_size, "payload width mismatch")
-        m = elems.size
-        paths = rng.buckets(self.n, (m, self.k)) if m else np.zeros((0, self.k), np.int64)
         flat_key = elems.key.reshape(-1)
         real_rows = np.flatnonzero(flat_key != KEY_SENTINEL)
+        given = None
         if path_source == "prf" and real_rows.size:
-            paths[real_rows] = self.path_matrix(flat_key[real_rows].astype(np.uint64))
-        if recorder is not None and m:
-            recorder.record_tiled(self.regions, paths, TraceOp.READ_WRITE)
+            given = self.path_matrix(flat_key[real_rows].astype(np.uint64))
+        paths = draw_paths(rng, self.n, elems.size, real_rows, self.regions,
+                           recorder, given)
         landed = self._first_fit(
             flat_key[real_rows],
             elems.payload.reshape(-1, self.payload_size)[real_rows],
-            paths[real_rows], 0)
+            paths, 0)
         placed = np.bincount(landed[landed >= 0], minlength=self.k)
         unplaced = real_rows.size - int(placed.sum())
         # spilled at table j: every arrival there that landed later or fell off

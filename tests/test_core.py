@@ -207,6 +207,7 @@ def test_rng_draws_are_the_full_range_integer_stream():
     want = ref.integers(0, 1 << 64, dtype=np.uint64, size=(100, 3)) & np.uint64(63)
     got = rng.buckets(64, (100, 3))
     assert got.dtype == np.int64 and np.array_equal(got, want.astype(np.int64))
+    assert got.flags.writeable
 
 
 def test_rng_replayable():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pyramid_oram import zht
 from pyramid_oram.core import KEY_SENTINEL, HashFamily, InvalidParameterError, Rng
 from pyramid_oram.ozht import (
     FAILURE_FINAL_SPILL,
@@ -129,6 +130,27 @@ def test_failed_attempt_trace_is_shorter():
     rec = TraceRecorder()
     build(4, 4, 4, 1, 1, seed=SEED_THROW_OVERFLOW, recorder=rec)
     assert len(rec) < build_access_count(4, 4, 1, 1)
+
+
+def test_failed_sweep_is_independent_of_the_block_size(monkeypatch):
+    # k=2, c=1, seed 23: table 0's routing spills three reals and the sweep's
+    # re-throw of one falls off table 1.  Every block of the sweep's 8 rows is
+    # drawn before the first insert, so the stream ends where it did when the
+    # sweep was one draw.
+    def run(block):
+        monkeypatch.setattr(zht, "_BLOCK_ROWS", block)
+        rng, rec = Rng(23, (0,)), TraceRecorder()
+        z, report = oblivious_build(make_elems(6, 24, PAYLOAD), 8, 2, 1,
+                                    HashFamily(seed=23), rng, recorder=rec)
+        trace = b"".join(column.tobytes() for column in rec.to_arrays())
+        return (z.store.key.tobytes(), z.store.payload.tobytes(), report,
+                trace, rng.bits64())
+
+    want = run(1 << 20)
+    assert want[2].failure_reason == FAILURE_THROW
+    assert want[2].spills_after_phase == [3]
+    for block in (1, 3, 7):
+        assert run(block) == want
 
 
 def test_report_serializes():

@@ -1,10 +1,13 @@
 """Zigzag hash tables: paths, insertion, constant-shape search, batch throw."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pyramid_oram import zht
 from pyramid_oram.analysis import zigzag_failure_union_bound
 from pyramid_oram.core import (
     KEY_SENTINEL,
@@ -186,8 +189,12 @@ def test_throw_shape_is_independent_of_real_mix():
 def test_throw_prf_places_on_hash_paths():
     z = make_zht(n=64, k=3)
     elems = make_elems(10, 12, PAYLOAD)
-    report = z.throw(elems, "prf", Rng(11, ()))
+    rec = TraceRecorder()
+    report = z.throw(elems, "prf", Rng(11, ()), recorder=rec)
     assert report.unplaced == 0
+    # the trace shows each real's hash path in its row
+    recorded = rec.to_arrays()[1].reshape(12, 3)
+    assert all(recorded[key].tolist() == z.path(key) for key in range(10))
     for key, _ in z.real_items():
         found = False
         for j, tbl in enumerate(z.tables):
@@ -208,6 +215,51 @@ def test_throw_accounting_chain():
         arrivals = report.spills_per_table[j]
     assert report.unplaced == arrivals
     assert report.failed == (report.unplaced > 0)
+
+
+def _blocked_throw(monkeypatch, block, m, source):
+    """Store bytes, report, trace bytes and next word of one seeded throw."""
+    monkeypatch.setattr(zht, "_BLOCK_ROWS", block)
+    gen = np.random.Generator(np.random.PCG64(m))
+    elems = SlotArray(m, PAYLOAD)
+    rows = np.sort(gen.choice(m, m // 2, replace=False))
+    elems.key[rows] = np.arange(rows.size, dtype=np.uint32)
+    elems.payload[rows] = gen.integers(0, 256, (rows.size, PAYLOAD), np.uint8)
+    z = make_zht(n=8, k=3, c=1)
+    rng, rec = Rng(12, (m,)), TraceRecorder()
+    report = z.throw(elems, source, rng, recorder=rec)
+    trace = b"".join(column.tobytes() for column in rec.to_arrays())
+    return _store_bytes(z), report, trace, rng.bits64()
+
+
+@pytest.mark.parametrize("source", ["random", "prf"])
+@pytest.mark.parametrize("m", [0, 6, 7, 8, 20])
+def test_throw_is_independent_of_the_block_size(monkeypatch, source, m):
+    # blocks of 1, 3 and 7 rows put m on both sides of a block edge; a block
+    # larger than the input is the one-draw matrix
+    want = _blocked_throw(monkeypatch, 1 << 20, m, source)
+    for block in (1, 3, 7):
+        assert _blocked_throw(monkeypatch, block, m, source) == want
+
+
+def _throw_scratch(m: int) -> int:
+    """Bytes a throw of 4096 reals among m slots allocates above its store."""
+    z = Zht(4096, 4, 4, HashFamily(seed=3), payload_size=PAYLOAD)
+    elems = make_elems(4096, m, PAYLOAD)
+    rng = Rng(4, ())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        z.throw(elems, "random", rng)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_throw_scratch_does_not_grow_with_the_dummies():
+    # the path matrix is drawn in blocks and only the reals' rows are kept,
+    # so the peak scratch is a block plus those rows at any input length
+    assert abs(_throw_scratch(1 << 18) - _throw_scratch(1 << 16)) < 0.5e6
 
 
 def test_throw_rejects_unknown_path_source():
