@@ -49,10 +49,6 @@ class InvalidParameterError(OramError, ValueError):
     """A structural parameter is out of its documented domain."""
 
 
-class CounterExhaustedError(OramError, OverflowError):
-    """A monotonic counter (epoch) ran out of range."""
-
-
 class CapacityExceededError(OramError):
     """A write of a fresh key was attempted at full capacity."""
 
@@ -251,8 +247,9 @@ class HashFamily:
     """Keyed hash family: (level, table_index, key) -> bucket, fresh per epoch.
 
     Evaluation is pure: the same (seed, epoch, level, table_index, key, n)
-    always yields the same bucket.  fresh_epoch() returns a family whose
-    outputs are statistically independent of the previous epoch's.
+    always yields the same bucket.  Families of one seed under different
+    epochs give statistically independent outputs; each build attempt takes
+    its level's next epoch.
     """
 
     seed: int
@@ -273,11 +270,6 @@ class HashFamily:
             [_table_subkey(self.seed, self.epoch, level, j) for j in range(count)],
             dtype=np.uint64,
         )
-
-    def fresh_epoch(self) -> "HashFamily":
-        if self.epoch + 1 > 0xFFFFFFFFFFFFFFFF:
-            raise CounterExhaustedError("epoch counter exhausted")
-        return HashFamily(self.seed, self.epoch + 1)
 
 
 def path_buckets(subkeys: np.ndarray, key: int, n) -> np.ndarray:
@@ -330,10 +322,3 @@ class Rng:
         draws = self._gen.bit_generator.random_raw(size)
         draws &= np.uint64(n - 1)
         return draws.view(np.int64)
-
-    def floats(self, size=None):
-        return self._gen.random(size=size)
-
-    def shuffle(self, arr) -> None:
-        self._gen.shuffle(arr)
-

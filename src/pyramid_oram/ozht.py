@@ -1,7 +1,8 @@
 """Oblivious table construction: throw everything, then route table by table.
 
-Building a level from m_total input slots (reals plus padding) never branches
-on contents:
+Building a level from m_total input slots never branches on contents.  It
+reads only the reals (a zht.BuildInput: their positions among the slots,
+keys and payloads), and m_total alone, dummies included, sets its shape:
 
   1. every input slot is thrown along a fresh uniform random path; reals claim
      the first free slot on the way, non-reals make the same shaped accesses.
@@ -56,7 +57,7 @@ from .core import (
 )
 from .prn import route
 from .trace import TraceRecorder
-from .zht import Zht, draw_paths
+from .zht import BuildInput, Zht, draw_paths
 
 FAILURE_NONE = "none"
 FAILURE_THROW = "throw_overflow"
@@ -94,18 +95,19 @@ def build_access_count(m_total: int, n: int, k: int, c: int) -> int:
     return k * m_total + k * n * stages + n * c * (k * (k - 1) // 2)
 
 
-def oblivious_build(elems: SlotArray, n: int, k: int, c: int, fam: HashFamily,
-                    rng: Rng, *, level_id: int = 0,
+def oblivious_build(elems: BuildInput | SlotArray, n: int, k: int, c: int,
+                    fam: HashFamily, rng: Rng, *, level_id: int = 0,
                     recorder: TraceRecorder | None = None,
                     ) -> tuple[Zht, BuildReport]:
-    """Build a k-table structure holding the real slots of `elems`.
+    """Build a k-table structure holding the reals of `elems`.
 
-    `elems` is consumed logically (the caller discards it); its dummy slots
-    only pad the access pattern.  Requires real count <= n.
+    Only the reals are read; the slot count, dummies included, pads the
+    access pattern.  Requires real count <= n.
     """
     _require(is_power_of_two(n) and n >= 2, "n must be a power of two >= 2")
     _require(k >= 1, "need at least one table")
-    real = elems.real_count()
+    elems = BuildInput.of(elems)
+    real = elems.rows.size
     _require(real <= n, "more reals than one table column can drain")
     m_total = elems.size
     z = Zht(n, k, c, fam, level_id=level_id, payload_size=elems.payload_size)

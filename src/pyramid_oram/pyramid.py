@@ -58,7 +58,7 @@ from .core import (
 )
 from .ozht import BuildReport, build_access_count, oblivious_build
 from .trace import L0_REGION, TraceOp, TraceRecorder
-from .zht import Zht
+from .zht import BuildInput, Zht
 
 DEFAULT_C = 4
 
@@ -220,19 +220,6 @@ def online_cost(config: PyramidConfig, t: int, loaded: bool = False) -> int:
     return total
 
 
-def _concat_slot_arrays(parts: list[SlotArray], payload_size: int) -> SlotArray:
-    """One fresh flat array holding every slot of `parts`, in order."""
-    total = sum(part.size for part in parts)
-    out = SlotArray(total, payload_size)
-    at = 0
-    for part in parts:
-        end = at + part.size
-        out.key[at:end] = part.key.reshape(-1)
-        out.payload[at:end] = part.payload.reshape(-1, payload_size)
-        at = end
-    return out
-
-
 class PyramidOram:
     """Keyed oblivious store over fixed-width payloads.
 
@@ -354,8 +341,8 @@ class PyramidOram:
     def bulk_load(self, items) -> BuildReport | None:
         """Load (key, payload) pairs into a fresh store's last level.
 
-        Pads the input to exactly `capacity` slots so the build shape is a
-        constant.  Loading nothing is a no-op.
+        The build reads the items as the first reals of `capacity` slots,
+        so its shape is a constant.  Loading nothing is a no-op.
         """
         self._refuse_if_broken()
         items = list(items)
@@ -371,10 +358,9 @@ class PyramidOram:
         payloads = [bytes(payload) for _, payload in items]
         _require(all(len(payload) == size for payload in payloads),
                  "payload width mismatch")
-        elems = SlotArray(self.config.capacity, size)
-        elems.key[:len(keys)] = keys
-        elems.payload[:len(keys)] = np.frombuffer(
-            b"".join(payloads), dtype=np.uint8).reshape(-1, size)
+        elems = BuildInput(
+            self.config.capacity, np.arange(len(keys)), np.array(keys, np.uint32),
+            np.frombuffer(b"".join(payloads), np.uint8).reshape(-1, size))
         report = self._build_level(self.config.num_levels, elems)
         self.real_count = len(items)
         return report
@@ -473,13 +459,12 @@ class PyramidOram:
             parts.append(level.slot_array())
         if full and self.levels[target] is not None:
             parts.append(self.levels[target].slot_array())
-        gathered = _concat_slot_arrays(parts, self.config.payload_size)
-        self._build_level(target, gathered)
+        self._build_level(target, BuildInput.gather(parts))
         self.level0.clear()
         self._set_levels({i: None for i in range(1, target)})
         return self.last_rebuild
 
-    def _build_level(self, target: int, elems: SlotArray) -> BuildReport:
+    def _build_level(self, target: int, elems: BuildInput) -> BuildReport:
         lp = self.config.levels[target - 1]
         attempts_allowed = (
             1 if self.config.failure_policy == "strict"

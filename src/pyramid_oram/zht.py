@@ -43,6 +43,7 @@ from .core import (
     Slot,
     SlotArray,
     Table,
+    _keyed_bucket,
     _require,
     debug_checks_enabled,
     is_power_of_two,
@@ -83,6 +84,44 @@ def draw_paths(rng: Rng, n: int, rows: int, keep: np.ndarray, regions,
             recorder.record_tiled(regions, block, TraceOp.READ_WRITE)
         lo = hi
     return out
+
+
+@dataclass(frozen=True)
+class BuildInput:
+    """What a throw or a build reads of its input: the slot count and the reals.
+
+    size is the input's slot count, dummies included; it alone sets the
+    throw's shape and trace.  rows are the reals' ascending positions among
+    those slots, key and payload the reals' keys and payload rows.
+    """
+
+    size: int
+    rows: np.ndarray
+    key: np.ndarray
+    payload: np.ndarray
+
+    @classmethod
+    def gather(cls, parts) -> "BuildInput":
+        """The reals of the SlotArrays `parts`, read as one flat array in order."""
+        rows, keys, payloads, at = [], [], [], 0
+        for part in parts:
+            flat = part.key.reshape(-1)
+            mine = np.flatnonzero(flat != KEY_SENTINEL)
+            rows.append(mine + at)
+            keys.append(flat[mine])
+            payloads.append(part.payload.reshape(flat.size, part.payload_size)[mine])
+            at += flat.size
+        return cls(at, np.concatenate(rows), np.concatenate(keys),
+                   np.concatenate(payloads))
+
+    @classmethod
+    def of(cls, elems: "BuildInput | SlotArray") -> "BuildInput":
+        """elems itself, or the reals of a SlotArray."""
+        return elems if isinstance(elems, cls) else cls.gather([elems])
+
+    @property
+    def payload_size(self) -> int:
+        return self.payload.shape[1]
 
 
 @dataclass
@@ -130,19 +169,11 @@ class Zht:
 
     def path(self, key: int) -> list[int]:
         """The zigzag path h_1(key) .. h_k(key)."""
-        return [
-            int(self.fam.bucket_indices(self.level_id, j, key, self.n))
-            for j in range(self.k)
-        ]
+        return path_buckets(self._subkeys, key, self.n).tolist()
 
     def path_matrix(self, keys: np.ndarray) -> np.ndarray:
         """(len(keys), k) path matrix for a batch of keys."""
-        return np.column_stack(
-            [
-                self.fam.bucket_indices(self.level_id, j, keys, self.n)
-                for j in range(self.k)
-            ]
-        )
+        return _keyed_bucket(np.asarray(keys, np.uint64)[:, None], self._subkeys, self.n)
 
     # -- insertion -----------------------------------------------------------
 
@@ -198,34 +229,30 @@ class Zht:
                                  path, first_table)
         return bool(landed[0] >= 0)
 
-    def throw(self, elems: SlotArray, path_source: str, rng: Rng,
+    def throw(self, elems: BuildInput | SlotArray, path_source: str, rng: Rng,
               recorder: TraceRecorder | None = None) -> ThrowReport:
         """Throw every input slot: real slots zigzag-insert, the rest fake.
 
         path_source "random" draws one fresh uniform path row per input slot;
         "prf" routes real slots by their key's hash path (dummies still get
         random rows).  Either way the randomness consumed and the trace's
-        region sequence depend only on the input length.  The rows are drawn
-        and recorded in blocks (draw_paths) and only the reals' rows are kept,
-        so the scratch does not grow with the dummies; the stream and the
-        trace are those of one draw of the whole matrix.
+        region sequence depend only on the input's slot count.  The rows are
+        drawn and recorded in blocks (draw_paths) and only the reals' rows are
+        kept, so the scratch does not grow with the dummies; the stream and
+        the trace are those of one draw of the whole matrix.
         """
         if path_source not in ("random", "prf"):
             raise InvalidParameterError("path_source must be 'random' or 'prf'")
+        elems = BuildInput.of(elems)
         _require(elems.payload_size == self.payload_size, "payload width mismatch")
-        flat_key = elems.key.reshape(-1)
-        real_rows = np.flatnonzero(flat_key != KEY_SENTINEL)
         given = None
-        if path_source == "prf" and real_rows.size:
-            given = self.path_matrix(flat_key[real_rows].astype(np.uint64))
-        paths = draw_paths(rng, self.n, elems.size, real_rows, self.regions,
+        if path_source == "prf" and elems.rows.size:
+            given = self.path_matrix(elems.key)
+        paths = draw_paths(rng, self.n, elems.size, elems.rows, self.regions,
                            recorder, given)
-        landed = self._first_fit(
-            flat_key[real_rows],
-            elems.payload.reshape(-1, self.payload_size)[real_rows],
-            paths, 0)
+        landed = self._first_fit(elems.key, elems.payload, paths, 0)
         placed = np.bincount(landed[landed >= 0], minlength=self.k)
-        unplaced = real_rows.size - int(placed.sum())
+        unplaced = elems.rows.size - int(placed.sum())
         # spilled at table j: every arrival there that landed later or fell off
         spills = unplaced + placed[::-1].cumsum()[::-1] - placed
         return ThrowReport(spills.tolist(), placed.tolist(), unplaced)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from pyramid_oram import zht
-from pyramid_oram.core import KEY_SENTINEL, HashFamily, InvalidParameterError, Rng
+from pyramid_oram.core import (
+    KEY_SENTINEL,
+    HashFamily,
+    InvalidParameterError,
+    Rng,
+    SlotArray,
+)
 from pyramid_oram.ozht import (
     FAILURE_FINAL_SPILL,
     FAILURE_NONE,
@@ -13,6 +19,7 @@ from pyramid_oram.ozht import (
     oblivious_build,
 )
 from pyramid_oram.trace import TraceRecorder, shapes_equal
+from pyramid_oram.zht import BuildInput
 
 from conftest import make_elems
 
@@ -151,6 +158,61 @@ def test_failed_sweep_is_independent_of_the_block_size(monkeypatch):
     assert want[2].spills_after_phase == [3]
     for block in (1, 3, 7):
         assert run(block) == want
+
+
+def _scattered(shape, keys) -> SlotArray:
+    """A SlotArray of `shape` holding `keys` at every third flat slot."""
+    part = SlotArray(shape, PAYLOAD)
+    flat_key = part.key.reshape(-1)
+    flat_pay = part.payload.reshape(-1, PAYLOAD)
+    cells = np.arange(len(keys)) * 3
+    flat_key[cells] = keys
+    flat_pay[cells] = (np.asarray(keys)[:, None] * 7 + np.arange(PAYLOAD)) % 251
+    return part
+
+
+# (parts, n, k, c, seed, expected failure_reason)
+GATHER_CASES = {
+    "mixed": (lambda: [_scattered((2, 4, 2), [40, 3, 17]), SlotArray(5, PAYLOAD),
+                       make_elems(4, 4, PAYLOAD, key_offset=20),
+                       _scattered(9, [8, 90, 1]), SlotArray((2, 3), PAYLOAD),
+                       make_elems(2, 2, PAYLOAD, key_offset=60)],
+              16, 2, 2, 5, FAILURE_NONE),
+    "empty": (lambda: [SlotArray(8, PAYLOAD), SlotArray((2, 4, 2), PAYLOAD)],
+              8, 2, 2, 1, FAILURE_NONE),
+    "failing": (lambda: [make_elems(2, 2, PAYLOAD), SlotArray(3, PAYLOAD),
+                         make_elems(2, 2, PAYLOAD, key_offset=2)],
+                4, 1, 1, SEED_THROW_OVERFLOW, FAILURE_THROW),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GATHER_CASES))
+def test_gathered_parts_build_as_their_concatenation(case):
+    # a build from the reals gathered out of several parts equals one from
+    # the parts copied into a single padded array, dummies included
+    make_parts, n, k, c, seed, reason = GATHER_CASES[case]
+    parts = make_parts()
+    whole = SlotArray(sum(part.size for part in parts), PAYLOAD)
+    whole.key[:] = np.concatenate([part.key.reshape(-1) for part in parts])
+    whole.payload[:] = np.concatenate(
+        [part.payload.reshape(-1, PAYLOAD) for part in parts])
+
+    def run(elems):
+        rng, rec = Rng(seed, (0,)), TraceRecorder()
+        z, report = oblivious_build(elems, n, k, c, HashFamily(seed=seed), rng,
+                                    recorder=rec)
+        trace = b"".join(column.tobytes() for column in rec.to_arrays())
+        return (z.store.key.tobytes(), z.store.payload.tobytes(),
+                report.to_dict(), trace, rng.bits64())
+
+    gathered = BuildInput.gather(parts)
+    reals = whole.real_count()
+    assert gathered.size == whole.size
+    assert gathered.rows.size == reals and gathered.key.size == reals
+    assert gathered.payload.shape == (reals, PAYLOAD)
+    got, want = run(gathered), run(whole)
+    assert got[2]["failure_reason"] == reason
+    assert got == want
 
 
 def test_report_serializes():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -565,3 +566,26 @@ def test_no_real_probe_below_the_hit(monkeypatch):
         else:
             assert re.fullmatch("m*", kinds), kinds
     assert level_hits > 0
+
+
+def test_full_rebuild_scratch_stays_near_the_last_level():
+    # a rebuild reads only the reals of its sources, so the full rebuild's
+    # peak is the new last level plus scratch that grows with the reals,
+    # not a padded copy of every source slot
+    cfg = PyramidConfig(capacity=4096, first_level_size=64, payload_size=56,
+                        seed=1)
+    oram = PyramidOram(cfg)
+    half = cfg.capacity // 2
+    oram.bulk_load([(key, val(key, 56)) for key in range(half)])
+    for step in range(cfg.capacity - 1):
+        oram.read(step % half)
+    tracemalloc.start()
+    try:
+        oram.read(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert oram.last_rebuild.level == cfg.num_levels
+    store = oram.levels[cfg.num_levels].store
+    level_bytes = store.key.nbytes + store.payload.nbytes
+    assert peak <= 2.0 * level_bytes, f"peak {peak / level_bytes:.2f}x the last level"
