@@ -43,6 +43,9 @@ _THROW_STREAM = 1
 _CENSUS_STREAM = 2
 _DECAY_STREAM = 3
 _CHUNK = 256
+# trials per census block; each block draws from its own substream, so this
+# fixes the stream layout of mc_prn_stage_spill
+_CENSUS_BLOCK = 512
 
 _AUTO_EXACT_LIMIT = 10_000
 
@@ -225,8 +228,8 @@ class StageSpillReport:
         return data
 
 
-def mc_prn_stage_spill(n: int, c: int, load: int, trials: int, seed: int,
-                       block: int = 512) -> StageSpillReport:
+def mc_prn_stage_spill(n: int, c: int, load: int, trials: int,
+                       seed: int) -> StageSpillReport:
     """Spill per routing stage when `load` tagged elements start at random slots.
 
     Each trial throws `load` elements into the table (first-fit per bucket;
@@ -244,7 +247,7 @@ def mc_prn_stage_spill(n: int, c: int, load: int, trials: int, seed: int,
     done = 0
     block_id = 0
     while done < trials:
-        count = min(block, trials - done)
+        count = min(_CENSUS_BLOCK, trials - done)
         rng = Rng(seed, (_CENSUS_STREAM, block_id))
         draws = rng.buckets(n, (count, load))
 

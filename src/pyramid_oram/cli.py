@@ -46,6 +46,7 @@ from .core import (
     CapacityExceededError,
     InsufficientDataError,
     InvalidParameterError,
+    _config_fields,
 )
 from .pyramid import PyramidConfig, PyramidOram
 from .trace import TraceRecorder
@@ -74,6 +75,7 @@ _RUN_SCHEMA = {
         "preload": {"type": "number", "minimum": 0, "maximum": 1},
         "replay_file": {"type": ["string", "null"]},
     },
+    "additionalProperties": False,
 }
 
 _BENCH_SCHEMA = {
@@ -140,12 +142,7 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "RunConfig":
-        if data.get("version") != RUN_VERSION:
-            raise InvalidParameterError(
-                f"unsupported run config version {data.get('version')!r}"
-            )
-        fields = {key: value for key, value in data.items() if key != "version"}
-        return cls(**fields)
+        return cls(**_config_fields(cls, data, RUN_VERSION))
 
     def store_config(self) -> PyramidConfig:
         return PyramidConfig(
@@ -223,7 +220,10 @@ def _emit(obj: dict, schema: dict) -> None:
 def _run_from_args(args) -> RunConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            run = RunConfig.from_json(json.load(fh))
+            data = json.load(fh)
+        # the raw file, so a missing or unknown field is reported as such
+        jsonschema.validate(data, _RUN_SCHEMA)
+        run = RunConfig.from_json(data)
     else:
         run = RunConfig(
             capacity=args.capacity,
@@ -238,7 +238,7 @@ def _run_from_args(args) -> RunConfig:
             preload=args.preload,
             replay_file=args.replay_file,
         )
-    jsonschema.validate(run.to_json(), _RUN_SCHEMA)
+        jsonschema.validate(run.to_json(), _RUN_SCHEMA)
     if getattr(args, "dump_config", None):
         with open(args.dump_config, "w") as fh:
             json.dump(run.to_json(), fh, indent=2, sort_keys=True)
@@ -551,8 +551,12 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (InvalidParameterError, InsufficientDataError) as exc:
+    except (InvalidParameterError, InsufficientDataError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except jsonschema.ValidationError as exc:
+        print(f"error: {exc.json_path}: {exc.message}", file=sys.stderr)
         return 2
     except (BuildFailedError, CapacityExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)

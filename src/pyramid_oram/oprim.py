@@ -96,7 +96,7 @@ def batcher_sort(items: list[SortItem],
     Keys are made distinct as in sort_network_perm: padded with PAD_KEY to a
     power of two m, each key's low log2(m) bits become its wire index, and
     items are picked back out by the low bits of the sorted keys, padding
-    dropped.  on_exchange, if given, is called for every compare-exchange
+    dropped.  on_exchange, unless None, is called for every compare-exchange
     with (i, j, swapped) in schedule order.
     """
     n = len(items)

@@ -15,9 +15,10 @@ keys and payloads), and m_total alone, dummies included, sets its shape:
      accesses at fresh random buckets.
 
 Both path matrices, the throw's and each sweep's, are drawn and recorded in
-fixed blocks of rows (zht.draw_paths), keeping only the rows of the reals
-and of the spilled cells, so a build's scratch is a block plus those rows
-rather than a row per slot.  The words drawn and the events recorded are
+fixed blocks of rows (zht.draw_paths, the one place a build records its
+throws and inserts), keeping only the rows of the reals and of the spilled
+cells, so a build's scratch is a block plus those rows rather than a row
+per slot.  The words drawn and the events recorded are
 those of one draw of the whole matrix, in the same order; every block of a
 sweep is drawn before its first insert, so a sweep that fails leaves the
 stream where a retry expects it.
@@ -130,7 +131,7 @@ def oblivious_build(elems: BuildInput | SlotArray, n: int, k: int, c: int,
         )
         return z, report
 
-    treport = z.throw(elems, "random", rng, recorder=recorder)
+    treport = z.throw(elems, rng, recorder=recorder)
     if treport.failed:
         return finish(FAILURE_THROW, treport.unplaced)
 

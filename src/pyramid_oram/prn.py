@@ -17,13 +17,13 @@ tiebreak) on a fixed comparator network, retags the misplaced, and writes both
 buckets back.  The pair schedule is a function of n alone: (n/2)*log2(n)
 repartitions, pairs in ascending order of the lower index.
 
-One kernel, _route_stages, runs the stages over a batch of tables at once:
+One kernel, route_census(), runs the stages over a batch of tables at once:
 every pair of a stage, in every table of the batch, in one pass.  It carries
 only what the network reads, each slot's tag and destination, plus a slot id
-when the slot contents must follow, packed into one word per slot.  route()
-is the batch-1 case: after the last stage it moves each cell's key and
-payload once, to where its slot id ended up.  route_census() runs the same
-kernel on tags and destinations alone, over many trials, for statistics.
+when the slot contents must follow, packed into one word per slot.  On tags
+and destinations alone, over many trials, it is the census behind the spill
+statistics; route() is the batch-1 case with slot ids, which after the last
+stage moves each cell's key and payload once, to where its slot id ended up.
 
 repartition() and route_reference() are the slot-at-a-time oracle, with the
 tag in each RoutingSlot.  They draw tiebreaks in the same row-major order as
@@ -139,17 +139,19 @@ def _stage_perm(cls_rows: np.ndarray, tie_rows: np.ndarray) -> np.ndarray:
     return perm
 
 
-def _route_stages(tag: np.ndarray, dest: np.ndarray, rng: Rng,
-                  slot: np.ndarray | None = None,
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def route_census(tag: np.ndarray, dest: np.ndarray, rng: Rng,
+                 slot: np.ndarray | None = None,
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """The routing network over a batch of tables: (batch, n, c) arrays.
 
-    tag (bool) and dest evolve in place exactly as route() evolves one
-    table's tags and destinations; slot, if given, holds ids in
-    [0, n*c) and is carried along in place, so that afterwards slot[b, i, s]
-    is the id the slot now at (i, s) started with.  The three travel packed
-    in one word per slot (tag in bit 0, destination above it, slot id on
-    top), in the narrowest unsigned type that holds them.  Stage `bit` reads
+    Over many trials of tags and destinations alone it is the census behind
+    the per-stage spill statistics; route() is its batch-1 case.  tag (bool)
+    and dest evolve in place exactly as route() evolves one table's tags and
+    destinations; slot, unless None, holds ids in [0, n*c) and is carried
+    along in place, so that afterwards slot[b, i, s] is the id the slot now
+    at (i, s) started with.  The three travel packed in one word per slot
+    (tag in bit 0, destination above it, slot id on top), in the narrowest
+    unsigned type that holds them.  Stage `bit` reads
     each pair's 2c words through a reshape view (low bucket's slots first,
     pairs ascending by lower index), sorts them by (side class, tiebreak),
     clears the tag of the misplaced and writes them back through the same
@@ -223,7 +225,7 @@ def route(table, dests: np.ndarray, rng: Rng,
         region = table_region(0, 0)
     slot = np.arange(n * c).reshape(1, n, c)
     tag = (table.key != KEY_SENTINEL)[None]
-    spills, live = _route_stages(tag, dests[None], rng, slot)
+    spills, live = route_census(tag, dests[None], rng, slot)
     src = slot[0]
     table.key[...] = table.key.reshape(-1)[src]
     table.payload[...] = table.payload.reshape(n * c, -1)[src]
@@ -278,14 +280,3 @@ def _write_routing_slot(table, dests, tags, b: int, s: int,
     table.put((b, s), rs.slot)
     dests[b, s] = rs.dest
     tags[b, s] = rs.tag
-
-
-def route_census(tag: np.ndarray, dest: np.ndarray, rng: Rng,
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched-trials routing for statistics: tag/dest only, no slot contents.
-
-    tag (bool) and dest are (trials, n, c); both evolve in place exactly as
-    route()'s tags and destinations do (class assignment never reads keys or
-    payloads).  Returns (spills, live), each (trials, stages).
-    """
-    return _route_stages(tag, dest, rng)

@@ -51,6 +51,7 @@ from .core import (
     Rng,
     SlotArray,
     StoreBrokenError,
+    _config_fields,
     _require,
     debug_checks_enabled,
     is_power_of_two,
@@ -144,12 +145,7 @@ class PyramidConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "PyramidConfig":
-        if data.get("version") != CONFIG_VERSION:
-            raise InvalidParameterError(
-                f"unsupported config version {data.get('version')!r}"
-            )
-        fields = {key: value for key, value in data.items() if key != "version"}
-        return cls(**fields)
+        return cls(**_config_fields(cls, data, CONFIG_VERSION))
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,7 @@ class TraceRecorder:
         self._count += 1
 
     def record_block(self, region: int, indices, op: int) -> None:
-        """Many events in one region, in the given index order."""
+        """Many events in one region, in the order of indices."""
         if not self.enabled:
             return
         idx = np.asarray(indices, dtype=np.int64).reshape(-1)
@@ -263,5 +263,5 @@ def sim_throw(m: int, n: int, k: int, c: int, rng: Rng,
     recorder = TraceRecorder()
     z = Zht(n, k, c, HashFamily(seed=0), level_id=0, payload_size=payload_size)
     elems = SlotArray(m, payload_size)
-    z.throw(elems, "random", rng, recorder=recorder)
+    z.throw(elems, rng, recorder=recorder)
     return recorder

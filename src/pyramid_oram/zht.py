@@ -1,11 +1,12 @@
 """Zigzag hash tables: k tables of n buckets, one hash function per table.
 
-An element's zigzag path is h_1(key), ..., h_k(key), one bucket per table; it
-lives in the first bucket along the path with a free slot.  Every operation
-touches its full set of buckets whether or not it needs them: searches probe
-all k path buckets (no early exit on a hit), throws of non-elements perform one
-random fake access per table.  What varies with the data is slot contents, not
-which buckets are touched.
+An element's zigzag path is h_1(key), ..., h_k(key), one bucket per table,
+and a search probes all k of them (no early exit on a hit).  A throw is the
+paper's oblivious one: every input slot, real or not, walks one fresh
+uniform path, a real claiming the first free slot on it; routing (prn) later
+moves each real to its hash bucket.  Every operation touches its full set of
+buckets whether or not it needs them.  What varies with the data is slot
+contents, not which buckets are touched.
 
 A Zht keeps all its slots in one SlotArray of shape (k, n, c): table, bucket,
 slot.  tables[j] is a core.Table view of row j, so per-table code (routing)
@@ -38,12 +39,10 @@ from .core import (
     KEY_SENTINEL,
     MAX_REAL_KEY,
     HashFamily,
-    InvalidParameterError,
     Rng,
     Slot,
     SlotArray,
     Table,
-    _keyed_bucket,
     _require,
     debug_checks_enabled,
     is_power_of_two,
@@ -58,28 +57,20 @@ _BLOCK_ROWS = 8192
 
 
 def draw_paths(rng: Rng, n: int, rows: int, keep: np.ndarray, regions,
-               recorder: TraceRecorder | None = None,
-               given: np.ndarray | None = None) -> np.ndarray:
+               recorder: TraceRecorder | None = None) -> np.ndarray:
     """Draw a (rows, len(regions)) uniform path matrix; return the rows in keep.
 
     The matrix is drawn, and recorded as one READ_WRITE row per input slot,
     in blocks of _BLOCK_ROWS rows, so only a block and the kept rows are ever
     held.  The words drawn and the events recorded are those of one draw of
     the whole matrix, in the same order.  keep is ascending row indices.
-    `given`, if not None, holds keep's paths: they are recorded in place of
-    those rows' draws and are what is returned.
     """
-    width = len(regions)
-    out = np.empty((keep.size, width), np.int64) if given is None else given
+    out = np.empty((keep.size, len(regions)), np.int64)
     lo = 0
     for r0 in range(0, rows, _BLOCK_ROWS):
-        block = rng.buckets(n, (min(_BLOCK_ROWS, rows - r0), width))
+        block = rng.buckets(n, (min(_BLOCK_ROWS, rows - r0), len(regions)))
         hi = keep.searchsorted(r0 + len(block))
-        mine = keep[lo:hi] - r0
-        if given is None:
-            out[lo:hi] = block[mine]
-        else:
-            block[mine] = given[lo:hi]
+        out[lo:hi] = block[keep[lo:hi] - r0]
         if recorder is not None:
             recorder.record_tiled(regions, block, TraceOp.READ_WRITE)
         lo = hi
@@ -171,10 +162,6 @@ class Zht:
         """The zigzag path h_1(key) .. h_k(key)."""
         return path_buckets(self._subkeys, key, self.n).tolist()
 
-    def path_matrix(self, keys: np.ndarray) -> np.ndarray:
-        """(len(keys), k) path matrix for a batch of keys."""
-        return _keyed_bucket(np.asarray(keys, np.uint64)[:, None], self._subkeys, self.n)
-
     # -- insertion -----------------------------------------------------------
 
     def _first_fit(self, keys: np.ndarray, payload: np.ndarray,
@@ -207,13 +194,13 @@ class Zht:
             todo = todo[~fits]
         return landed
 
-    def zigzag_insert(self, e: Slot, path, recorder: TraceRecorder | None = None,
-                      first_table: int = 0) -> bool:
+    def zigzag_insert(self, e: Slot, path, first_table: int = 0) -> bool:
         """Insert a real slot at the first bucket along `path` with a free slot.
 
         All buckets on the path are read and written back regardless of where
-        (or whether) the element lands.  `first_table` restricts the walk to
-        tables first_table..k-1; `path` then covers exactly those tables.
+        (or whether) the element lands; the caller records the path (a build's
+        sweep does so through draw_paths).  `first_table` restricts the walk
+        to tables first_table..k-1; `path` then covers exactly those tables.
         """
         _require(e.is_real, "only real slots are inserted")
         _require(0 <= first_table < self.k, "first_table out of range")
@@ -222,34 +209,26 @@ class Zht:
         _require(len(e.payload) == self.payload_size, "payload width mismatch")
         path = np.asarray(path, dtype=np.int64)[None, :]
         _require(((path >= 0) & (path < self.n)).all(), "path bucket out of range")
-        if recorder is not None:
-            recorder.record_tiled(self.regions[first_table:], path, TraceOp.READ_WRITE)
         landed = self._first_fit(np.array([e.key], dtype=np.uint32),
                                  np.frombuffer(e.payload, dtype=np.uint8)[None],
                                  path, first_table)
         return bool(landed[0] >= 0)
 
-    def throw(self, elems: BuildInput | SlotArray, path_source: str, rng: Rng,
+    def throw(self, elems: BuildInput | SlotArray, rng: Rng,
               recorder: TraceRecorder | None = None) -> ThrowReport:
         """Throw every input slot: real slots zigzag-insert, the rest fake.
 
-        path_source "random" draws one fresh uniform path row per input slot;
-        "prf" routes real slots by their key's hash path (dummies still get
-        random rows).  Either way the randomness consumed and the trace's
-        region sequence depend only on the input's slot count.  The rows are
-        drawn and recorded in blocks (draw_paths) and only the reals' rows are
-        kept, so the scratch does not grow with the dummies; the stream and
-        the trace are those of one draw of the whole matrix.
+        Every input slot gets one fresh uniform path row, so the randomness
+        consumed and the trace's region sequence depend only on the input's
+        slot count.  The rows are drawn and recorded in blocks (draw_paths)
+        and only the reals' rows are kept, so the scratch does not grow with
+        the dummies; the stream and the trace are those of one draw of the
+        whole matrix.
         """
-        if path_source not in ("random", "prf"):
-            raise InvalidParameterError("path_source must be 'random' or 'prf'")
         elems = BuildInput.of(elems)
         _require(elems.payload_size == self.payload_size, "payload width mismatch")
-        given = None
-        if path_source == "prf" and elems.rows.size:
-            given = self.path_matrix(elems.key)
         paths = draw_paths(rng, self.n, elems.size, elems.rows, self.regions,
-                           recorder, given)
+                           recorder)
         landed = self._first_fit(elems.key, elems.payload, paths, 0)
         placed = np.bincount(landed[landed >= 0], minlength=self.k)
         unplaced = elems.rows.size - int(placed.sum())

@@ -157,7 +157,7 @@ def test_criterion_6_shapes_identical_across_data_and_simulators():
 
     rec = TraceRecorder()
     z2 = Zht(n, k, c, fam, payload_size=8)
-    z2.throw(make_elems(12, 40, 8), "random", Rng(2, (0,)), recorder=rec)
+    z2.throw(make_elems(12, 40, 8), Rng(2, (0,)), recorder=rec)
     assert shapes_equal(rec, sim_throw(40, n, k, c, Rng(3, (0,))))
 
     rec = TraceRecorder()

@@ -39,10 +39,11 @@ def test_run_config_validation_and_roundtrip():
                     ops=10, workload="uniform", zipf_theta=0.99, key_space=64,
                     read_fraction=0.5, preload=0.0)
     assert RunConfig.from_json(run.to_json()) == run
-    bad = run.to_json()
-    bad["version"] = 2
-    with pytest.raises(InvalidParameterError):
-        RunConfig.from_json(bad)
+    data = run.to_json()
+    for bad in ({**data, "version": 2}, {**data, "opz": 10},
+                {key: value for key, value in data.items() if key != "ops"}):
+        with pytest.raises(InvalidParameterError):
+            RunConfig.from_json(bad)
     with pytest.raises(InvalidParameterError):
         RunConfig(capacity=64, first_level_size=4, payload_size=8, seed=1,
                   ops=10, workload="replay", zipf_theta=0.99, key_space=64,
@@ -160,12 +161,24 @@ def test_replay_rejects_malformed_lines(tmp_path, capsys):
     assert code == 2
 
 
-def test_exit_code_2_on_bad_parameters(capsys):
-    code, _ = run_main(["bench", "--capacity", "100"], capsys)
-    assert code == 2
-    code, _ = run_main(["bench", "--capacity", "64", "--first-level-size",
-                        "128"], capsys)
-    assert code == 2
+def test_exit_code_2_on_bad_parameters(tmp_path, capsys):
+    data = RunConfig(capacity=64, first_level_size=4, payload_size=8, seed=1,
+                     ops=10, workload="uniform", zipf_theta=0.99, key_space=64,
+                     read_fraction=0.5, preload=0.0).to_json()
+    del data["ops"]
+    configs = []
+    for name, text in (("missing", json.dumps(data)),
+                       ("unknown", json.dumps({**data, "ops": 10, "opz": 10})),
+                       ("torn", "{")):
+        configs.append(tmp_path / f"{name}.json")
+        configs[-1].write_text(text)
+    for argv in (["bench", "--capacity", "100"],
+                 ["bench", "--capacity", "64", "--first-level-size", "128"],
+                 ["bench", "--capacity", "1"],
+                 *(["bench", "--config", str(path)] for path in configs)):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_exit_code_3_when_capacity_exhausted(capsys):

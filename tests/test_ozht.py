@@ -39,6 +39,18 @@ def build(reals, m_total, n, k, c, seed, recorder=None, debug=False):
                            recorder=recorder)
 
 
+def test_failure_depends_on_the_reals_not_only_public_randomness():
+    # the same hash family, stream and shape (n=2, k=1, c=1, two slots, two
+    # reals); only one real key differs, and with it the outcome
+    outcomes = []
+    for keys in ([0, 2], [0, 1]):
+        elems = SlotArray(2, PAYLOAD)
+        elems.key[:] = keys
+        _, report = oblivious_build(elems, 2, 1, 1, HashFamily(seed=5), Rng(1, ()))
+        outcomes.append(report.failure_reason)
+    assert outcomes == [FAILURE_FINAL_SPILL, FAILURE_NONE]
+
+
 def test_successful_build_invariants(debug_checks):
     n, k, c = 32, 3, 2
     reals = 24

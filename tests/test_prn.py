@@ -13,7 +13,6 @@ from pyramid_oram.core import (
 )
 from pyramid_oram.prn import (
     RoutingSlot,
-    _route_stages,
     repartition,
     route,
     route_census,
@@ -248,7 +247,7 @@ def test_stage_kernel_keeps_exactly_the_tagged_slots_at_their_dest():
                 dest_in = gen.integers(0, n, size=(batch, n, c)).astype(np.int64)
                 tag, dest = tag_in.copy(), dest_in.copy()
                 slot = np.tile(np.arange(n * c).reshape(1, n, c), (batch, 1, 1))
-                spills, _ = _route_stages(tag, dest, rng_class(n, (c,)), slot)
+                spills, _ = route_census(tag, dest, rng_class(n, (c,)), slot)
                 spilled += int(spills.sum())
 
                 def carried(a):

@@ -96,9 +96,11 @@ def test_config_json_roundtrip():
                         k_override=2)
     data = cfg.to_json()
     assert PyramidConfig.from_json(data) == cfg
-    data["version"] = 99
-    with pytest.raises(InvalidParameterError):
-        PyramidConfig.from_json(data)
+    # capacity is the one field with no default
+    for bad in ({**data, "version": 99}, {**data, "capacityy": 256},
+                {key: value for key, value in data.items() if key != "capacity"}):
+        with pytest.raises(InvalidParameterError):
+            PyramidConfig.from_json(bad)
 
 
 def test_single_level_config():

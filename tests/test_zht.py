@@ -44,15 +44,6 @@ def test_path_is_deterministic_and_in_range():
         assert all(0 <= b < z.n for b in p)
 
 
-def test_path_matrix_agrees_with_scalar_path():
-    z = make_zht(n=64, k=4)
-    keys = np.arange(100, dtype=np.uint64)
-    matrix = z.path_matrix(keys)
-    assert matrix.shape == (100, 4)
-    for row, key in enumerate(keys):
-        assert matrix[row].tolist() == z.path(int(key))
-
-
 def test_regions_distinct_per_table():
     z = make_zht(level_id=3)
     assert len(set(z.regions)) == z.k
@@ -75,17 +66,6 @@ def test_zigzag_insert_overflows_to_next_table_and_falls_off():
     assert z.zigzag_insert(Slot.real(2, pay(2)), path)
     assert not z.zigzag_insert(Slot.real(3, pay(3)), path)
     assert z.real_counts() == [1, 1]
-
-
-def test_zigzag_insert_touches_all_path_buckets():
-    z = make_zht()
-    rec = TraceRecorder()
-    key = 5
-    z.zigzag_insert(Slot.real(key, pay(key)), z.path(key), recorder=rec)
-    events = rec.events()
-    assert len(events) == z.k
-    assert [e.index for e in events] == z.path(key)
-    assert [e.region for e in events] == z.regions
 
 
 def test_zigzag_insert_suffix_skips_earlier_tables():
@@ -168,7 +148,7 @@ def test_throw_trace_covers_every_slot_and_table():
     z = make_zht(n=16, k=3)
     elems = make_elems(5, 20, PAYLOAD)
     rec = TraceRecorder()
-    report = z.throw(elems, "random", Rng(8, ()), recorder=rec)
+    report = z.throw(elems, Rng(8, ()), recorder=rec)
     assert len(rec) == 20 * 3
     assert report.unplaced == 0
     assert sum(report.placed_per_table) == 5
@@ -179,36 +159,17 @@ def test_throw_shape_is_independent_of_real_mix():
     for reals in (0, 7, 20):
         z = make_zht(n=16, k=3)
         rec = TraceRecorder()
-        z.throw(make_elems(reals, 20, PAYLOAD), "random", Rng(10, (reals,)),
+        z.throw(make_elems(reals, 20, PAYLOAD), Rng(10, (reals,)),
                 recorder=rec)
         shapes.append(rec.shape_projection())
     assert shapes_equal(shapes[0], shapes[1])
     assert shapes_equal(shapes[1], shapes[2])
 
 
-def test_throw_prf_places_on_hash_paths():
-    z = make_zht(n=64, k=3)
-    elems = make_elems(10, 12, PAYLOAD)
-    rec = TraceRecorder()
-    report = z.throw(elems, "prf", Rng(11, ()), recorder=rec)
-    assert report.unplaced == 0
-    # the trace shows each real's hash path in its row
-    recorded = rec.to_arrays()[1].reshape(12, 3)
-    assert all(recorded[key].tolist() == z.path(key) for key in range(10))
-    for key, _ in z.real_items():
-        found = False
-        for j, tbl in enumerate(z.tables):
-            rows = np.argwhere(tbl.key == key)
-            for b, _s in rows:
-                assert int(b) == z.path(key)[j]
-                found = True
-        assert found
-
-
 def test_throw_accounting_chain():
     # arrivals at table j+1 equal spills at table j; leftovers fall off the end
     z = Zht(2, 3, 1, HashFamily(seed=2), payload_size=PAYLOAD)
-    report = z.throw(make_elems(6, 6, PAYLOAD), "random", Rng(3, ()))
+    report = z.throw(make_elems(6, 6, PAYLOAD), Rng(3, ()))
     arrivals = 6
     for j in range(3):
         assert report.placed_per_table[j] + report.spills_per_table[j] == arrivals
@@ -217,7 +178,7 @@ def test_throw_accounting_chain():
     assert report.failed == (report.unplaced > 0)
 
 
-def _blocked_throw(monkeypatch, block, m, source):
+def _blocked_throw(monkeypatch, block, m):
     """Store bytes, report, trace bytes and next word of one seeded throw."""
     monkeypatch.setattr(zht, "_BLOCK_ROWS", block)
     gen = np.random.Generator(np.random.PCG64(m))
@@ -227,19 +188,18 @@ def _blocked_throw(monkeypatch, block, m, source):
     elems.payload[rows] = gen.integers(0, 256, (rows.size, PAYLOAD), np.uint8)
     z = make_zht(n=8, k=3, c=1)
     rng, rec = Rng(12, (m,)), TraceRecorder()
-    report = z.throw(elems, source, rng, recorder=rec)
+    report = z.throw(elems, rng, recorder=rec)
     trace = b"".join(column.tobytes() for column in rec.to_arrays())
     return _store_bytes(z), report, trace, rng.bits64()
 
 
-@pytest.mark.parametrize("source", ["random", "prf"])
 @pytest.mark.parametrize("m", [0, 6, 7, 8, 20])
-def test_throw_is_independent_of_the_block_size(monkeypatch, source, m):
+def test_throw_is_independent_of_the_block_size(monkeypatch, m):
     # blocks of 1, 3 and 7 rows put m on both sides of a block edge; a block
     # larger than the input is the one-draw matrix
-    want = _blocked_throw(monkeypatch, 1 << 20, m, source)
+    want = _blocked_throw(monkeypatch, 1 << 20, m)
     for block in (1, 3, 7):
-        assert _blocked_throw(monkeypatch, block, m, source) == want
+        assert _blocked_throw(monkeypatch, block, m) == want
 
 
 def _throw_scratch(m: int) -> int:
@@ -250,7 +210,7 @@ def _throw_scratch(m: int) -> int:
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        z.throw(elems, "random", rng)
+        z.throw(elems, rng)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -260,12 +220,6 @@ def test_throw_scratch_does_not_grow_with_the_dummies():
     # the path matrix is drawn in blocks and only the reals' rows are kept,
     # so the peak scratch is a block plus those rows at any input length
     assert abs(_throw_scratch(1 << 18) - _throw_scratch(1 << 16)) < 0.5e6
-
-
-def test_throw_rejects_unknown_path_source():
-    z = make_zht()
-    with pytest.raises(InvalidParameterError):
-        z.throw(make_elems(1, 1, PAYLOAD), "fixed", Rng(0, ()))
 
 
 def _first_fit_reference(z: Zht, keys, payloads, paths, first_table: int):
@@ -295,7 +249,7 @@ def test_first_fit_matches_scalar_reference(log_n, k, c, seed, data):
     # removing some of them leaves behind
     z, ref = make_zht(n=n, k=k, c=c, seed=seed), make_zht(n=n, k=k, c=c, seed=seed)
     resident = data.draw(st.integers(0, k * n * c), label="residents")
-    start = z.path_matrix(np.array(keys[:resident], dtype=np.uint64)).tolist()
+    start = [z.path(key) for key in keys[:resident]]
     for store in (z, ref):
         _first_fit_reference(store, keys[:resident], pays[:resident], start, 0)
     for key in keys[:resident]:
@@ -312,12 +266,9 @@ def test_first_fit_matches_scalar_reference(log_n, k, c, seed, data):
         elems.key[real] = rest[:load]
         elems.payload[real] = np.frombuffer(b"".join(rest_pays[:load]), np.uint8
                                             ).reshape(load, PAYLOAD)
-        source = data.draw(st.sampled_from(["random", "prf"]), label="paths")
-        report = z.throw(elems, source, Rng(seed, (1,)))
+        report = z.throw(elems, Rng(seed, (1,)))
         paths = Rng(seed, (1,)).buckets(n, (load + 3, k))
         real = np.sort(real)
-        if source == "prf" and load:
-            paths[real] = z.path_matrix(elems.key[real].astype(np.uint64))
         want = _first_fit_reference(ref, elems.key[real].tolist(),
                                     [elems.payload[r].tobytes() for r in real],
                                     paths[real].tolist(), 0)
@@ -355,10 +306,12 @@ def test_full_load_prf_failure_rate_within_union_bound():
     assert 0 < bound < 1
     trials = 600
     fails = 0
+    elems = make_elems(n, n, PAYLOAD)
     for t in range(trials):
         z = Zht(n, k, c, HashFamily(seed=12345, epoch=t), payload_size=PAYLOAD)
-        elems = make_elems(n, n, PAYLOAD)
-        fails += z.throw(elems, "prf", Rng(777, (t,))).failed
+        # first-fit along the hash paths, in key order
+        paths = np.array([z.path(key) for key in range(n)])
+        fails += bool((z._first_fit(elems.key, elems.payload, paths, 0) < 0).any())
     assert fails / trials <= bound
 
 
@@ -381,7 +334,7 @@ def test_payload_width_must_match():
     with pytest.raises(InvalidParameterError):
         z.zigzag_insert(Slot.real(1, b"xx"), z.path(1))
     with pytest.raises(InvalidParameterError):
-        z.throw(SlotArray(4, payload_size=3), "random", Rng(0, ()))
+        z.throw(SlotArray(4, payload_size=3), Rng(0, ()))
 
 
 # -- the (k, n, c) store against a scalar probe ---------------------------------
