@@ -13,8 +13,9 @@ All randomness is seeded (flag --seed, falling back to the PYRAMID_ORAM_SEED
 environment variable, then 0), and with --no-timing the outputs of bench are
 byte-for-byte reproducible.  Summaries go to stdout as JSON and are validated
 against the schemas below before printing.  Exit codes: 0 success, 1 a
-verification found a divergence, 2 bad parameters or usage, 3 a runtime
-failure (capacity exhausted or a build failed).
+verification found a divergence, 2 bad parameters or usage, or a file that
+cannot be read or written, 3 a runtime failure (capacity exhausted or a build
+failed).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .core import (
     CapacityExceededError,
     InsufficientDataError,
     InvalidParameterError,
-    _config_fields,
 )
 from .pyramid import PyramidConfig, PyramidOram
 from .trace import TraceRecorder
@@ -76,6 +76,8 @@ _RUN_SCHEMA = {
         "replay_file": {"type": ["string", "null"]},
     },
     "additionalProperties": False,
+    "if": {"properties": {"workload": {"const": "replay"}}},
+    "then": {"properties": {"replay_file": {"type": "string", "minLength": 1}}},
 }
 
 _BENCH_SCHEMA = {
@@ -101,6 +103,17 @@ _TRACE_SCHEMA = {
 _STATS_SCHEMA = {"type": "object", "required": ["version"]}
 
 
+def _check_run(data) -> None:
+    """The one check of a run config dict, against _RUN_SCHEMA.
+
+    A misfit raises InvalidParameterError("<json path>: <message>").
+    """
+    try:
+        jsonschema.validate(data, _RUN_SCHEMA)
+    except jsonschema.ValidationError as exc:
+        raise InvalidParameterError(f"{exc.json_path}: {exc.message}") from None
+
+
 def _default_seed() -> int:
     return int(os.environ.get("PYRAMID_ORAM_SEED", "0"))
 
@@ -122,27 +135,18 @@ class RunConfig:
     replay_file: str | None = None
 
     def __post_init__(self):
-        if self.workload not in _WORKLOADS:
-            raise InvalidParameterError(f"unknown workload {self.workload!r}")
-        if self.workload == "replay" and not self.replay_file:
-            raise InvalidParameterError("replay workload needs --replay-file")
-        if not 0 <= self.read_fraction <= 1:
-            raise InvalidParameterError("read_fraction must be in [0, 1]")
-        if not 0 <= self.preload <= 1:
-            raise InvalidParameterError("preload must be in [0, 1]")
-        if self.zipf_theta < 0:
-            raise InvalidParameterError("zipf_theta must be non-negative")
-        if self.ops < 0:
-            raise InvalidParameterError("ops must be non-negative")
-        if self.key_space < 1:
-            raise InvalidParameterError("key_space must be at least 1")
+        # the store's rules too, so a bad run fails before anything is written
+        _check_run(self.to_json())
+        self.store_config()
 
     def to_json(self) -> dict:
         return {"version": RUN_VERSION, **asdict(self)}
 
     @classmethod
     def from_json(cls, data: dict) -> "RunConfig":
-        return cls(**_config_fields(cls, data, RUN_VERSION))
+        _check_run(data)
+        return cls(**{key: value for key, value in data.items()
+                      if key != "version"})
 
     def store_config(self) -> PyramidConfig:
         return PyramidConfig(
@@ -197,19 +201,31 @@ def _load_replay(path: str) -> list[tuple[str, int]]:
         for line_no, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0].startswith("#"):
                 continue
-            if len(row) != 2 or row[0].strip() not in ("read", "write"):
+            op = row[0].strip()
+            key = row[1].strip() if len(row) == 2 else ""
+            if op not in ("read", "write") or not key.isdecimal():
                 raise InvalidParameterError(
                     f"{path}:{line_no}: expected 'read,<key>' or 'write,<key>'"
                 )
-            ops.append((row[0].strip(), int(row[1])))
+            ops.append((op, int(key)))
     return ops
 
 
-def _preload_items(run: RunConfig) -> list[tuple[int, bytes]]:
-    count = int(run.preload * run.key_space)
-    return [
-        (key, make_value(key, -1, run.payload_size)) for key in range(count)
+def _start_run(run: RunConfig, recorder=None, build_recorder=None):
+    """A run's store, bulk-loaded with its preload, and the run's steps.
+
+    Returns (store, preload items, steps); a step is (op, key, value), and
+    value is None for a read.
+    """
+    steps = [
+        (op, key, make_value(key, i, run.payload_size) if op == "write" else None)
+        for i, (op, key) in enumerate(generate_workload(run))
     ]
+    items = [(key, make_value(key, -1, run.payload_size))
+             for key in range(int(run.preload * run.key_space))]
+    oram = PyramidOram(run.store_config(), recorder, build_recorder)
+    oram.bulk_load(items)
+    return oram, items, steps
 
 
 def _emit(obj: dict, schema: dict) -> None:
@@ -218,12 +234,9 @@ def _emit(obj: dict, schema: dict) -> None:
 
 
 def _run_from_args(args) -> RunConfig:
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
-            data = json.load(fh)
-        # the raw file, so a missing or unknown field is reported as such
-        jsonschema.validate(data, _RUN_SCHEMA)
-        run = RunConfig.from_json(data)
+            run = RunConfig.from_json(json.load(fh))
     else:
         run = RunConfig(
             capacity=args.capacity,
@@ -233,13 +246,12 @@ def _run_from_args(args) -> RunConfig:
             ops=args.ops,
             workload=args.workload,
             zipf_theta=args.zipf_theta,
-            key_space=args.key_space if args.key_space else args.capacity,
+            key_space=args.capacity if args.key_space is None else args.key_space,
             read_fraction=args.read_fraction,
             preload=args.preload,
             replay_file=args.replay_file,
         )
-        jsonschema.validate(run.to_json(), _RUN_SCHEMA)
-    if getattr(args, "dump_config", None):
+    if args.dump_config:
         with open(args.dump_config, "w") as fh:
             json.dump(run.to_json(), fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -251,31 +263,16 @@ def _run_from_args(args) -> RunConfig:
 
 def cmd_bench(args) -> int:
     run = _run_from_args(args)
-    oram = PyramidOram(run.store_config())
-    items = _preload_items(run)
-    if items:
-        oram.bulk_load(items)
-    workload = generate_workload(run)
+    oram, _, steps = _start_run(run)
     timing = not args.no_timing
 
     rows = []
-    found_count = 0
-    rebuilds = 0
-    online_total = 0
-    total_total = 0
-    wall_total = 0
-    for i, (op, key) in enumerate(workload):
-        value = make_value(key, i, run.payload_size) if op == "write" else None
+    for op, key, value in steps:
         start = time.perf_counter_ns() if timing else 0
         _, rec = oram.access_with_record(op, key, value)
         wall = time.perf_counter_ns() - start if timing else 0
         rows.append((rec.op_index, int(rec.found), rec.rebuilt_level,
                      rec.online_buckets, rec.total_buckets, wall))
-        found_count += int(rec.found)
-        rebuilds += int(rec.rebuilt_level >= 1)
-        online_total += rec.online_buckets
-        total_total += rec.total_buckets
-        wall_total += wall
 
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
@@ -296,13 +293,13 @@ def cmd_bench(args) -> int:
         "version": RUN_VERSION,
         "run": run.to_json(),
         "ops": len(rows),
-        "found": found_count,
-        "rebuilds": rebuilds,
-        "online_buckets_total": online_total,
-        "total_buckets_total": total_total,
+        "found": sum(row[1] for row in rows),
+        "rebuilds": sum(row[2] >= 1 for row in rows),
+        "online_buckets_total": sum(row[3] for row in rows),
+        "total_buckets_total": sum(row[4] for row in rows),
         "online_min_seen": min((row[3] for row in rows), default=0),
         "online_max_seen": max((row[3] for row in rows), default=0),
-        "wall_ns_total": wall_total,
+        "wall_ns_total": sum(row[5] for row in rows),
         "cost_model": model.to_dict(),
     }
     _emit(summary, _BENCH_SCHEMA)
@@ -333,23 +330,15 @@ def _flip_one_payload_bit(oram: PyramidOram) -> bool:
 
 def cmd_verify(args) -> int:
     run = _run_from_args(args)
-    oram = PyramidOram(run.store_config())
-    reference: dict[int, bytes] = {}
-    items = _preload_items(run)
-    if items:
-        oram.bulk_load(items)
-        reference.update(items)
-    workload = generate_workload(run)
+    oram, items, steps = _start_run(run)
+    reference = dict(items)
 
     divergence = None
-    for i, (op, key) in enumerate(workload):
+    for i, (op, key, value) in enumerate(steps):
         expected = reference.get(key)
-        if op == "write":
-            value = make_value(key, i, run.payload_size)
-            got = oram.write(key, value)
+        got = oram.access(op, key, value)
+        if value is not None:
             reference[key] = value
-        else:
-            got = oram.read(key)
         if got != expected:
             divergence = {
                 "phase": "workload", "op_index": i, "op": op, "key": key,
@@ -375,7 +364,7 @@ def cmd_verify(args) -> int:
     summary = {
         "version": RUN_VERSION,
         "ok": divergence is None,
-        "ops": len(workload),
+        "ops": len(steps),
         "checked_keys": len(reference),
         "fault_injected": fault_injected,
         "divergence": divergence,
@@ -391,13 +380,8 @@ def cmd_trace(args) -> int:
     run = _run_from_args(args)
     recorder = TraceRecorder(True)
     build_recorder = TraceRecorder(True)
-    oram = PyramidOram(run.store_config(), recorder, build_recorder)
-    items = _preload_items(run)
-    if items:
-        oram.bulk_load(items)
-    workload = generate_workload(run)
-    for i, (op, key) in enumerate(workload):
-        value = make_value(key, i, run.payload_size) if op == "write" else None
+    oram, _, steps = _start_run(run, recorder, build_recorder)
+    for op, key, value in steps:
         oram.access(op, key, value)
 
     if args.out:
@@ -406,7 +390,7 @@ def cmd_trace(args) -> int:
         build_recorder.write_csv(args.build_out)
     summary = {
         "version": RUN_VERSION,
-        "ops": len(workload),
+        "ops": len(steps),
         "online_events": len(recorder),
         "build_events": len(build_recorder),
         "online_shape_sha256": hashlib.sha256(
@@ -552,11 +536,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InvalidParameterError, InsufficientDataError,
-            json.JSONDecodeError) as exc:
+            json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except jsonschema.ValidationError as exc:
-        print(f"error: {exc.json_path}: {exc.message}", file=sys.stderr)
         return 2
     except (BuildFailedError, CapacityExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,6 @@ or parallelized without stream overlap.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass
 
@@ -55,7 +54,7 @@ class CapacityExceededError(OramError):
 
 
 class BuildFailedError(OramError):
-    """An oblivious build failed under the strict failure policy."""
+    """An oblivious build failed on every attempt its config allows."""
 
     def __init__(self, message: str, report=None):
         super().__init__(message)
@@ -90,25 +89,6 @@ def is_power_of_two(x: int) -> bool:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise InvalidParameterError(message)
-
-
-def _config_fields(cls, data: dict, version: int) -> dict:
-    """The fields of a versioned config dict for dataclass cls.
-
-    A wrong version, an unknown field or a missing field without a default
-    raises InvalidParameterError, not the TypeError of cls(**fields).
-    """
-    _require(data.get("version") == version,
-             f"unsupported config version {data.get('version')!r}")
-    fields = {key: value for key, value in data.items() if key != "version"}
-    known = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(fields.keys() - known.keys())
-    _require(not unknown, f"unknown config fields {unknown}")
-    missing = [name for name, f in known.items() if name not in fields
-               and f.default is dataclasses.MISSING
-               and f.default_factory is dataclasses.MISSING]
-    _require(not missing, f"missing config fields {missing}")
-    return fields
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ moves to the log and only returns to a level when that level is rebuilt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -51,7 +51,6 @@ from .core import (
     Rng,
     SlotArray,
     StoreBrokenError,
-    _config_fields,
     _require,
     debug_checks_enabled,
     is_power_of_two,
@@ -63,7 +62,7 @@ from .zht import BuildInput, Zht
 
 DEFAULT_C = 4
 
-CONFIG_VERSION = 1
+CONFIG_VERSION = 2
 
 
 def default_k(n: int) -> int:
@@ -95,8 +94,7 @@ class PyramidConfig:
     first_level_size: int = 1024
     payload_size: int = DEFAULT_PAYLOAD_SIZE
     seed: int = 0
-    failure_policy: str = "strict"
-    max_retries: int = 3
+    max_retries: int = 0
     k_override: int | None = None
     c_override: int | None = None
 
@@ -107,8 +105,6 @@ class PyramidConfig:
         _require(2 <= self.first_level_size <= self.capacity,
                  "first_level_size must be in [2, capacity]")
         _require(self.payload_size >= 1, "payload_size must be at least 1")
-        _require(self.failure_policy in ("strict", "retry"),
-                 "failure_policy must be 'strict' or 'retry'")
         _require(self.max_retries >= 0, "max_retries must be non-negative")
         if self.k_override is not None:
             _require(self.k_override >= 1, "k_override must be at least 1")
@@ -131,21 +127,23 @@ class PyramidConfig:
         return tuple(out)
 
     def to_json(self) -> dict:
-        return {
-            "version": CONFIG_VERSION,
-            "capacity": self.capacity,
-            "first_level_size": self.first_level_size,
-            "payload_size": self.payload_size,
-            "seed": self.seed,
-            "failure_policy": self.failure_policy,
-            "max_retries": self.max_retries,
-            "k_override": self.k_override,
-            "c_override": self.c_override,
-        }
+        return {"version": CONFIG_VERSION, **asdict(self)}
 
     @classmethod
     def from_json(cls, data: dict) -> "PyramidConfig":
-        return cls(**_config_fields(cls, data, CONFIG_VERSION))
+        """Inverse of to_json; fields with a default may be left out.
+
+        Anything but an object of this version with known fields and a
+        capacity raises InvalidParameterError.
+        """
+        _require(isinstance(data, dict), "a config must be a JSON object")
+        _require(data.get("version") == CONFIG_VERSION,
+                 f"unsupported config version {data.get('version')!r}")
+        values = {key: value for key, value in data.items() if key != "version"}
+        unknown = sorted(values.keys() - {f.name for f in fields(cls)})
+        _require(not unknown, f"unknown config fields {unknown}")
+        _require("capacity" in values, "missing config field 'capacity'")
+        return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -462,10 +460,7 @@ class PyramidOram:
 
     def _build_level(self, target: int, elems: BuildInput) -> BuildReport:
         lp = self.config.levels[target - 1]
-        attempts_allowed = (
-            1 if self.config.failure_policy == "strict"
-            else 1 + self.config.max_retries
-        )
+        attempts_allowed = 1 + self.config.max_retries
         report: BuildReport | None = None
         for attempt in range(1, attempts_allowed + 1):
             self.epochs[target] += 1

@@ -41,7 +41,8 @@ def test_run_config_validation_and_roundtrip():
     assert RunConfig.from_json(run.to_json()) == run
     data = run.to_json()
     for bad in ({**data, "version": 2}, {**data, "opz": 10},
-                {key: value for key, value in data.items() if key != "ops"}):
+                {key: value for key, value in data.items() if key != "ops"},
+                [1, 2]):
         with pytest.raises(InvalidParameterError):
             RunConfig.from_json(bad)
     with pytest.raises(InvalidParameterError):
@@ -154,11 +155,13 @@ def test_replay_workload(tmp_path, capsys):
 
 def test_replay_rejects_malformed_lines(tmp_path, capsys):
     replay = tmp_path / "bad.csv"
-    replay.write_text("frobnicate,1\n")
-    code, _ = run_main(
-        ["bench", "--workload", "replay", "--replay-file", str(replay)], capsys
-    )
-    assert code == 2
+    for text in ("frobnicate,1\n", "write,1\nread,abc\n"):
+        replay.write_text(text)
+        code, _ = run_main(
+            ["bench", "--workload", "replay", "--replay-file", str(replay)],
+            capsys,
+        )
+        assert code == 2
 
 
 def test_exit_code_2_on_bad_parameters(tmp_path, capsys):
@@ -172,13 +175,34 @@ def test_exit_code_2_on_bad_parameters(tmp_path, capsys):
                        ("torn", "{")):
         configs.append(tmp_path / f"{name}.json")
         configs[-1].write_text(text)
+    absent = tmp_path / "absent"
+    unwritable = str(absent / "out")
     for argv in (["bench", "--capacity", "100"],
                  ["bench", "--capacity", "64", "--first-level-size", "128"],
                  ["bench", "--capacity", "1"],
-                 *(["bench", "--config", str(path)] for path in configs)):
+                 ["bench", "--key-space", "0"],
+                 *(["bench", "--config", str(path)] for path in configs),
+                 ["bench", "--config", str(absent / "run.json")],
+                 ["bench", "--workload", "replay",
+                  "--replay-file", str(absent / "ops.csv")],
+                 ["bench", *BASE, "--dump-config", unwritable],
+                 ["bench", *BASE, "--no-timing", "--csv", unwritable],
+                 ["bench", *BASE, "--no-timing", "--cdf", unwritable],
+                 ["trace", *BASE, "--out", unwritable],
+                 ["trace", *BASE, "--build-out", unwritable]):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_invalid_run_config_writes_no_dump(tmp_path, capsys):
+    dump = tmp_path / "run.json"
+    for argv in (["--capacity", "100"],
+                 ["--capacity", "64", "--first-level-size", "128"],
+                 ["--key-space", "0"]):
+        assert main(["bench", *argv, "--dump-config", str(dump)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not dump.exists()
 
 
 def test_exit_code_3_when_capacity_exhausted(capsys):

@@ -53,9 +53,9 @@ CONFIGS = {
     "p2": (dict(first_level_size=2), True),
     "c3": (dict(first_level_size=8, c_override=3), True),
     "k1c1-retry": (dict(first_level_size=8, k_override=1, c_override=1,
-                        failure_policy="retry"), False),
+                        max_retries=3), False),
     "k2c1-retry": (dict(first_level_size=8, k_override=2, c_override=1,
-                        failure_policy="retry"), False),
+                        max_retries=3), False),
 }
 
 GOLDEN = {

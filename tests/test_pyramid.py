@@ -56,7 +56,7 @@ def test_config_validation():
     with pytest.raises(InvalidParameterError):
         PyramidConfig(capacity=128, first_level_size=4, payload_size=0)
     with pytest.raises(InvalidParameterError):
-        PyramidConfig(capacity=128, first_level_size=4, failure_policy="ignore")
+        PyramidConfig(capacity=128, first_level_size=4, max_retries=-1)
     with pytest.raises(InvalidParameterError):
         PyramidConfig(capacity=128, first_level_size=4, k_override=0)
 
@@ -92,13 +92,14 @@ def test_config_overrides_apply_everywhere():
 
 def test_config_json_roundtrip():
     cfg = PyramidConfig(capacity=256, first_level_size=8, payload_size=16,
-                        seed=42, failure_policy="retry", max_retries=5,
+                        seed=42, max_retries=5,
                         k_override=2)
     data = cfg.to_json()
     assert PyramidConfig.from_json(data) == cfg
     # capacity is the one field with no default
     for bad in ({**data, "version": 99}, {**data, "capacityy": 256},
-                {key: value for key, value in data.items() if key != "capacity"}):
+                {key: value for key, value in data.items() if key != "capacity"},
+                [1, 2]):
         with pytest.raises(InvalidParameterError):
             PyramidConfig.from_json(bad)
 
@@ -383,15 +384,15 @@ def test_identical_configs_replay_identically():
     assert np.array_equal(runs[0][3], runs[1][3])
 
 
-def _tight_config(policy: str, seed: int) -> PyramidConfig:
-    # k=1, c=1 levels fail their builds often enough to exercise the policies
+def _tight_config(retries: int, seed: int) -> PyramidConfig:
+    # k=1, c=1 levels fail their builds often enough to exercise the retries
     return PyramidConfig(capacity=32, first_level_size=8, payload_size=8,
-                         seed=seed, failure_policy=policy, max_retries=8,
+                         seed=seed, max_retries=retries,
                          k_override=1, c_override=1)
 
 
-def _run_tight(policy: str, seed: int, steps: int = 96):
-    oram = PyramidOram(_tight_config(policy, seed))
+def _run_tight(retries: int, seed: int, steps: int = 96):
+    oram = PyramidOram(_tight_config(retries, seed))
     retried = False
     for t in range(steps):
         oram.write(t % 3, val(t % 3, salt=t))
@@ -404,18 +405,18 @@ def test_strict_policy_raises_where_retry_recovers():
     seed = None
     for candidate in range(200):
         try:
-            _run_tight("strict", candidate)
+            _run_tight(0, candidate)
         except BuildFailedError:
             seed = candidate
             break
     assert seed is not None, "no failing seed found; tighten the config"
     with pytest.raises(BuildFailedError) as excinfo:
-        _run_tight("strict", seed)
+        _run_tight(0, seed)
     assert excinfo.value.report is not None
     assert excinfo.value.report.failure_reason in (
         "throw_overflow", "final_phase_spill"
     )
-    oram, retried = _run_tight("retry", seed)
+    oram, retried = _run_tight(8, seed)
     assert retried, "retry run never needed a second attempt"
     last_write = {key: max(t for t in range(96) if t % 3 == key) for key in range(3)}
     assert oram.stored_items() == {
@@ -465,7 +466,7 @@ def test_failed_bulk_load_breaks_the_store():
 TINY = [
     PyramidConfig(capacity=16, first_level_size=2, payload_size=4),
     PyramidConfig(capacity=16, first_level_size=2, payload_size=4,
-                  k_override=1, c_override=1, failure_policy="retry"),
+                  k_override=1, c_override=1, max_retries=3),
     PyramidConfig(capacity=32, first_level_size=4, payload_size=4),
 ]
 
