@@ -34,10 +34,8 @@ from .core import (
     InvalidParameterError,
     OramError,
     Rng,
-    Slot,
     SlotArray,
     StoreBrokenError,
-    Table,
     set_debug_checks,
 )
 from .ozht import BuildReport, build_access_count, oblivious_build
@@ -88,12 +86,10 @@ __all__ = [
     "RebuildInfo",
     "Rng",
     "RouteStats",
-    "Slot",
     "SlotArray",
     "SpillStats",
     "StageSpillReport",
     "StoreBrokenError",
-    "Table",
     "ThrowReport",
     "TraceEvent",
     "TraceOp",

@@ -223,9 +223,7 @@ class StageSpillReport:
     input_overflow_mean: float
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        data["throw"] = self.throw.to_dict()
-        return data
+        return asdict(self)
 
 
 def mc_prn_stage_spill(n: int, c: int, load: int, trials: int,

@@ -115,7 +115,12 @@ def _check_run(data) -> None:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("PYRAMID_ORAM_SEED", "0"))
+    text = os.environ.get("PYRAMID_ORAM_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidParameterError(
+            f"PYRAMID_ORAM_SEED must be an integer, got {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -236,7 +241,10 @@ def _emit(obj: dict, schema: dict) -> None:
 def _run_from_args(args) -> RunConfig:
     if args.config:
         with open(args.config) as fh:
-            run = RunConfig.from_json(json.load(fh))
+            try:
+                run = RunConfig.from_json(json.load(fh))
+            except (json.JSONDecodeError, InvalidParameterError) as exc:
+                raise InvalidParameterError(f"{args.config}: {exc}") from None
     else:
         run = RunConfig(
             capacity=args.capacity,
@@ -528,15 +536,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # building the parser reads PYRAMID_ORAM_SEED, so it is mapped too
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    try:
-        return args.func(args)
-    except (InvalidParameterError, InsufficientDataError,
-            json.JSONDecodeError, OSError) as exc:
+    except (InvalidParameterError, InsufficientDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BuildFailedError, CapacityExceededError) as exc:

@@ -1,4 +1,4 @@
-"""Core data model: fixed-size slots, buckets and tables, keyed hashing, seeded RNG.
+"""Core data model: fixed-size slots in slot arrays, keyed hashing, seeded RNG.
 
 Every structure in this package is built out of fixed-width slots so that the
 memory touched by an operation never depends on the data it carries.  A slot is
@@ -6,8 +6,8 @@ a 32-bit key and a payload, and nothing else (routing tags live only inside a
 route): it is real (holds a stored item) exactly when its key is not
 KEY_SENTINEL, and a dummy (filler that is read and written like anything else)
 when it is.  A fresh SlotArray is all dummies, writing a key makes a slot
-real, and writing the sentinel frees it.  Tables are dense arrays of n buckets
-times c slots; scans and bucket accesses always cover whole buckets.
+real, and writing the sentinel frees it.  A table is an (n, c) SlotArray of
+n buckets times c slots; scans and bucket accesses always cover whole buckets.
 
 Hashing is a keyed, seedable PRF: a splitmix64-style finalizer chain absorbed
 over (seed, epoch, level, table).  It is vectorizable over numpy uint64 arrays,
@@ -91,40 +91,14 @@ def _require(cond: bool, message: str) -> None:
         raise InvalidParameterError(message)
 
 
-@dataclass(frozen=True)
-class Slot:
-    """One fixed-width memory cell: 32-bit key and payload bytes.
-
-    Real iff the key is not KEY_SENTINEL.
-    """
-
-    key: int = KEY_SENTINEL
-    payload: bytes = b""
-
-    def __post_init__(self):
-        _require(0 <= self.key <= KEY_SENTINEL, "key out of range")
-
-    @classmethod
-    def dummy(cls, payload_size: int = 0) -> "Slot":
-        return cls(payload=bytes(payload_size))
-
-    @classmethod
-    def real(cls, key: int, payload: bytes) -> "Slot":
-        _require(0 <= key <= MAX_REAL_KEY, "real key out of range")
-        return cls(key, bytes(payload))
-
-    @property
-    def is_real(self) -> bool:
-        return self.key != KEY_SENTINEL
-
-
 class SlotArray:
     """Structure-of-arrays slot storage.
 
     Fields are parallel numpy arrays over an arbitrary leading shape; payload
-    gets one extra trailing axis of payload_size bytes.  Structural code
-    operates on the arrays directly; get()/put() provide the scalar Slot view.
-    A slot is real where key != KEY_SENTINEL; a fresh array is all dummies.
+    gets one extra trailing axis of payload_size bytes.  Every slot of the
+    package lives in one: a table is an (n, c) array of n buckets of c slots,
+    and code reads and writes the key and payload arrays directly.  A slot is
+    real where key != KEY_SENTINEL; a fresh array is all dummies.
     """
 
     __slots__ = ("key", "payload", "payload_size")
@@ -141,27 +115,26 @@ class SlotArray:
     def shape(self):
         return self.key.shape
 
+    def _view(self, key: np.ndarray, payload: np.ndarray) -> "SlotArray":
+        out = SlotArray.__new__(SlotArray)
+        out.payload_size = self.payload_size
+        out.key, out.payload = key, payload
+        return out
+
+    def __getitem__(self, idx) -> "SlotArray":
+        """The slots at a leading index; a view for an int or a slice."""
+        return self._view(self.key[idx], self.payload[idx])
+
     def reshape(self, shape) -> "SlotArray":
         """The same slots under a new leading shape; a view when contiguous."""
         if isinstance(shape, int):
             shape = (shape,)
-        out = SlotArray.__new__(SlotArray)
-        out.payload_size = self.payload_size
-        out.key = self.key.reshape(shape)
-        out.payload = self.payload.reshape(shape + (self.payload_size,))
-        return out
+        return self._view(self.key.reshape(shape),
+                          self.payload.reshape(shape + (self.payload_size,)))
 
     @property
     def size(self) -> int:
         return self.key.size
-
-    def get(self, idx) -> Slot:
-        return Slot(int(self.key[idx]), self.payload[idx].tobytes())
-
-    def put(self, idx, slot: Slot) -> None:
-        _require(len(slot.payload) == self.payload_size, "payload width mismatch")
-        self.key[idx] = slot.key
-        self.payload[idx] = np.frombuffer(slot.payload, dtype=np.uint8)
 
     def clear(self) -> None:
         self.key.fill(KEY_SENTINEL)
@@ -174,29 +147,6 @@ class SlotArray:
 
     def real_count(self) -> int:
         return int(np.count_nonzero(self.key != KEY_SENTINEL))
-
-
-class Table(SlotArray):
-    """n buckets of exactly c slots each; n must be a power of two."""
-
-    __slots__ = ("n", "c")
-
-    def __init__(self, n: int, c: int, payload_size: int = DEFAULT_PAYLOAD_SIZE):
-        _require(is_power_of_two(n), "bucket count n must be a power of two")
-        _require(c >= 1, "bucket capacity c must be at least 1")
-        super().__init__((n, c), payload_size)
-        self.n = n
-        self.c = c
-
-    @classmethod
-    def row_of(cls, store: SlotArray, j: int) -> "Table":
-        """Row j of an (rows, n, c) store, as a Table sharing the store's memory."""
-        tbl = cls.__new__(cls)
-        _, tbl.n, tbl.c = store.shape
-        tbl.payload_size = store.payload_size
-        tbl.key = store.key[j]
-        tbl.payload = store.payload[j]
-        return tbl
 
 
 def rank_within_group(groups: np.ndarray) -> np.ndarray:

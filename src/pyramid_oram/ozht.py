@@ -50,7 +50,6 @@ from .core import (
     KEY_SENTINEL,
     HashFamily,
     Rng,
-    Slot,
     SlotArray,
     _require,
     debug_checks_enabled,
@@ -167,8 +166,8 @@ def oblivious_build(elems: BuildInput | SlotArray, n: int, k: int, c: int,
         flat_key = tbl.key.reshape(-1)
         flat_pay = tbl.payload.reshape(-1, z.payload_size)
         for cell, path in zip(cells, paths):
-            e = Slot.real(int(flat_key[cell]), flat_pay[cell].tobytes())
-            if not z.zigzag_insert(e, path, first_table=tj + 1):
+            if not z.zigzag_insert(flat_key[cell], flat_pay[cell], path,
+                                   first_table=tj + 1):
                 return finish(FAILURE_THROW, 1)
         tbl.clear_to_dummy(spilled)
 

@@ -25,11 +25,12 @@ and destinations alone, over many trials, it is the census behind the spill
 statistics; route() is the batch-1 case with slot ids, which after the last
 stage moves each cell's key and payload once, to where its slot id ended up.
 
-repartition() and route_reference() are the slot-at-a-time oracle, with the
-tag in each RoutingSlot.  They draw tiebreaks in the same row-major order as
-the kernel and sort the same keys, which oprim makes distinct by their wire
-index, so under one seed route() is bit-identical to route_reference(),
-colliding tiebreaks included; the suite asserts both.
+repartition() and route_reference() are the slot-at-a-time oracle: a
+RoutingSlot is one cell's key, payload, destination and tag, read off and
+written back to the table's arrays.  They draw tiebreaks in the same
+row-major order as the kernel and sort the same keys, which oprim makes
+distinct by their wire index, so under one seed route() is bit-identical to
+route_reference(), colliding tiebreaks included; the suite asserts both.
 """
 
 from __future__ import annotations
@@ -38,17 +39,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (KEY_SENTINEL, InvalidParameterError, Rng, Slot, _require,
-                   is_power_of_two)
+from .core import KEY_SENTINEL, InvalidParameterError, Rng, _require, is_power_of_two
 from .oprim import PAD_KEY, SortItem, batcher_sort, sort_key, sort_network_perm
 from .trace import TraceOp, TraceRecorder, table_region
 
 
 @dataclass(frozen=True)
 class RoutingSlot:
-    """A slot, its cached destination bucket and its routing tag."""
+    """One cell of a routed table: key, payload bytes, destination and tag."""
 
-    slot: Slot
+    key: int
+    payload: bytes
     dest: int
     tag: bool
 
@@ -117,11 +118,20 @@ def repartition(bucket_a: list[RoutingSlot], bucket_b: list[RoutingSlot],
     return out[:c], out[c:], spills
 
 
-def _check_dests(dests) -> None:
+def _check_route(table, dests) -> tuple[int, int]:
+    """n, c of a table to route: (n, c) slots, n a power of two, c >= 1,
+    and dests an (n, c) int64 array of buckets in [0, n)."""
+    _require(len(table.shape) == 2, "a routed table is shaped (n, c)")
+    n, c = table.shape
+    _require(is_power_of_two(n), "bucket count n must be a power of two")
+    _require(c >= 1, "bucket capacity c must be at least 1")
     # a converted copy would be permuted instead, unseen by the caller
-    if not isinstance(dests, np.ndarray) or dests.dtype != np.int64:
-        raise InvalidParameterError(
-            "dests must be an int64 array: it is permuted in place")
+    _require(isinstance(dests, np.ndarray) and dests.dtype == np.int64,
+             "dests must be an int64 array: it is permuted in place")
+    _require(dests.shape == table.shape, "dests must be shaped like the table")
+    _require(0 <= dests.min() and dests.max() < n,
+             f"destinations must lie in [0, {n})")
+    return n, c
 
 
 def _stage_perm(cls_rows: np.ndarray, tie_rows: np.ndarray) -> np.ndarray:
@@ -210,7 +220,7 @@ def route_census(tag: np.ndarray, dest: np.ndarray, rng: Rng,
 def route(table, dests: np.ndarray, rng: Rng,
           recorder: TraceRecorder | None = None,
           region: int | None = None) -> RouteStats:
-    """Route every real slot of `table` toward its destination, in place.
+    """Route every real slot of the (n, c) SlotArray `table`, in place.
 
     `dests` is an (n, c) int64 destination array that travels with the slots
     (it is permuted in place alongside them).  Consumes one 64-bit tiebreak
@@ -219,8 +229,7 @@ def route(table, dests: np.ndarray, rng: Rng,
     moved once, to where their slot ids ended up.  A real slot spilled iff
     it ends outside its destination bucket.
     """
-    n, c = table.n, table.c
-    _check_dests(dests)
+    n, c = _check_route(table, dests)
     if region is None:
         region = table_region(0, 0)
     slot = np.arange(n * c).reshape(1, n, c)
@@ -245,8 +254,7 @@ def route_reference(table, dests: np.ndarray, rng: Rng,
                     recorder: TraceRecorder | None = None,
                     region: int | None = None) -> RouteStats:
     """Slot-at-a-time route; bit-identical to route() under the same seed."""
-    n, c = table.n, table.c
-    _check_dests(dests)
+    n, c = _check_route(table, dests)
     if region is None:
         region = table_region(0, 0)
     tags = table.key != KEY_SENTINEL
@@ -258,7 +266,8 @@ def route_reference(table, dests: np.ndarray, rng: Rng,
         spilled = 0
         for lo, hi in stage_pairs(n, stage):
             bucket_a, bucket_b = (
-                [RoutingSlot(table.get((b, s)), int(dests[b, s]), bool(tags[b, s]))
+                [RoutingSlot(int(table.key[b, s]), table.payload[b, s].tobytes(),
+                             int(dests[b, s]), bool(tags[b, s]))
                  for s in range(c)]
                 for b in (lo, hi)
             )
@@ -277,6 +286,7 @@ def route_reference(table, dests: np.ndarray, rng: Rng,
 
 def _write_routing_slot(table, dests, tags, b: int, s: int,
                         rs: RoutingSlot) -> None:
-    table.put((b, s), rs.slot)
+    table.key[b, s] = rs.key
+    table.payload[b, s] = np.frombuffer(rs.payload, dtype=np.uint8)
     dests[b, s] = rs.dest
     tags[b, s] = rs.tag

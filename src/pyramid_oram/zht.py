@@ -9,9 +9,9 @@ buckets whether or not it needs them.  What varies with the data is slot
 contents, not which buckets are touched.
 
 A Zht keeps all its slots in one SlotArray of shape (k, n, c): table, bucket,
-slot.  tables[j] is a core.Table view of row j, so per-table code (routing)
-writes straight into the store, and a search is one gather of the k path
-buckets out of it.  A slot is a key and a payload (route() keeps its tags to
+slot.  tables[j] is the (n, c) SlotArray view store[j], so per-table code
+(routing) writes straight into the store, and a search is one gather of the
+k path buckets out of it.  A slot is a key and a payload (route() keeps its tags to
 itself), real iff its key is not KEY_SENTINEL, which is above every real
 key, so a search compares keys only and `key == probe` is exactly "a real
 slot holding probe".  A removal writes the sentinel,
@@ -40,9 +40,7 @@ from .core import (
     MAX_REAL_KEY,
     HashFamily,
     Rng,
-    Slot,
     SlotArray,
-    Table,
     _require,
     debug_checks_enabled,
     is_power_of_two,
@@ -148,7 +146,7 @@ class Zht:
         self.level_id = level_id
         self.payload_size = payload_size
         self.store = SlotArray((k, n, c), payload_size)
-        self.tables = [Table.row_of(self.store, j) for j in range(k)]
+        self.tables = [self.store[j] for j in range(k)]
         self.regions = [table_region(level_id, j) for j in range(k)]
         self._subkeys = fam.subkeys(level_id, k)
         # (k*n, c) view of the store and each table's first row in it, so a
@@ -194,23 +192,24 @@ class Zht:
             todo = todo[~fits]
         return landed
 
-    def zigzag_insert(self, e: Slot, path, first_table: int = 0) -> bool:
-        """Insert a real slot at the first bucket along `path` with a free slot.
+    def zigzag_insert(self, key: int, payload, path, first_table: int = 0) -> bool:
+        """Insert a real key at the first bucket along `path` with a free slot.
 
-        All buckets on the path are read and written back regardless of where
-        (or whether) the element lands; the caller records the path (a build's
+        payload is payload_size bytes, or a uint8 row of them.  All buckets
+        on the path are read and written back regardless of where (or
+        whether) the element lands; the caller records the path (a build's
         sweep does so through draw_paths).  `first_table` restricts the walk
         to tables first_table..k-1; `path` then covers exactly those tables.
         """
-        _require(e.is_real, "only real slots are inserted")
+        _require(0 <= key <= MAX_REAL_KEY, "only real keys are inserted")
         _require(0 <= first_table < self.k, "first_table out of range")
         _require(len(path) == self.k - first_table,
                  "path length must cover the remaining tables")
-        _require(len(e.payload) == self.payload_size, "payload width mismatch")
+        payload = np.frombuffer(payload, dtype=np.uint8)
+        _require(payload.size == self.payload_size, "payload width mismatch")
         path = np.asarray(path, dtype=np.int64)[None, :]
         _require(((path >= 0) & (path < self.n)).all(), "path bucket out of range")
-        landed = self._first_fit(np.array([e.key], dtype=np.uint32),
-                                 np.frombuffer(e.payload, dtype=np.uint8)[None],
+        landed = self._first_fit(np.array([key], dtype=np.uint32), payload[None],
                                  path, first_table)
         return bool(landed[0] >= 0)
 

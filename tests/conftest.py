@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pyramid_oram.core import Rng, SlotArray, Table, set_debug_checks
+from pyramid_oram.core import Rng, SlotArray, set_debug_checks
 
 
 @pytest.fixture
@@ -46,9 +46,9 @@ def make_elems(reals: int, m_total: int, payload_size: int = 8,
 
 
 def make_routing_table(n: int, c: int, load: int, seed: int,
-                       payload_size: int = 8) -> tuple[Table, np.ndarray]:
-    """A table with `load` reals at random cells plus uniform dests."""
-    table = Table(n, c, payload_size)
+                       payload_size: int = 8) -> tuple[SlotArray, np.ndarray]:
+    """An (n, c) table with `load` reals at random cells plus uniform dests."""
+    table = SlotArray((n, c), payload_size)
     gen = np.random.Generator(np.random.PCG64(seed))
     dests = gen.integers(0, n, size=(n, c)).astype(np.int64)
     cells = [(b, s) for b in range(n) for s in range(c)]

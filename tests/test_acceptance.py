@@ -22,7 +22,7 @@ from pyramid_oram.analysis import (
     mc_prn_stage_spill,
     mc_throw_spill,
 )
-from pyramid_oram.core import HashFamily, Rng, Slot
+from pyramid_oram.core import HashFamily, Rng
 from pyramid_oram.ozht import oblivious_build
 from pyramid_oram.prn import route, route_reference
 from pyramid_oram.pyramid import PyramidConfig, PyramidOram, online_cost
@@ -150,7 +150,7 @@ def test_criterion_6_shapes_identical_across_data_and_simulators():
     fam = HashFamily(seed=9)
     z = Zht(n, k, c, fam, payload_size=8)
     for key in range(10):
-        z.zigzag_insert(Slot.real(key, value8(key, 0)), z.path(key))
+        z.zigzag_insert(key, value8(key, 0), z.path(key))
     rec = TraceRecorder()
     z.search(5, recorder=rec)
     assert shapes_equal(rec, sim_search(n, k, c, Rng(1, (0,))))

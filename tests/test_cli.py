@@ -164,7 +164,7 @@ def test_replay_rejects_malformed_lines(tmp_path, capsys):
         assert code == 2
 
 
-def test_exit_code_2_on_bad_parameters(tmp_path, capsys):
+def test_exit_code_2_on_bad_parameters(tmp_path, capsys, monkeypatch):
     data = RunConfig(capacity=64, first_level_size=4, payload_size=8, seed=1,
                      ops=10, workload="uniform", zipf_theta=0.99, key_space=64,
                      read_fraction=0.5, preload=0.0).to_json()
@@ -189,10 +189,17 @@ def test_exit_code_2_on_bad_parameters(tmp_path, capsys):
                  ["bench", *BASE, "--no-timing", "--csv", unwritable],
                  ["bench", *BASE, "--no-timing", "--cdf", unwritable],
                  ["trace", *BASE, "--out", unwritable],
-                 ["trace", *BASE, "--build-out", unwritable]):
+                 ["trace", *BASE, "--build-out", unwritable],
+                 # a non-integer default seed, read when the parser is built
+                 ["bounds", "--m", "8", "--n", "8", "--c", "2"]):
+        if argv[0] == "bounds":
+            monkeypatch.setenv("PYRAMID_ORAM_SEED", "abc")
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        if "--config" in argv:
+            # a bad config file, torn, absent or misfit, is named
+            assert argv[-1] in err
 
 
 def test_invalid_run_config_writes_no_dump(tmp_path, capsys):

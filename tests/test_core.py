@@ -1,4 +1,4 @@
-"""Slots, tables, the keyed hash family, and the seeded RNG."""
+"""Slot arrays, the keyed hash family, and the seeded RNG."""
 
 import warnings
 
@@ -11,9 +11,7 @@ from pyramid_oram.core import (
     HashFamily,
     InvalidParameterError,
     Rng,
-    Slot,
     SlotArray,
-    Table,
     is_power_of_two,
     path_buckets,
 )
@@ -27,59 +25,17 @@ COLLISION_EXPECTED = 1 / 256
 COLLISION_SLACK = 0.00187
 
 
-# -- slots ---------------------------------------------------------------------
-
-
-def test_slot_classmethods():
-    d = Slot.dummy(4)
-    r = Slot.real(7, b"\x01\x02\x03\x04")
-    assert d.key == KEY_SENTINEL and not d.is_real and d.payload == bytes(4)
-    assert r.is_real and r.key == 7 and r.payload == b"\x01\x02\x03\x04"
-    assert Slot(3).is_real and not Slot().is_real   # realness is the key alone
-
-
-def test_slot_validation():
-    with pytest.raises(InvalidParameterError):
-        Slot(KEY_SENTINEL + 1)                # keys are 32-bit
-    with pytest.raises(InvalidParameterError):
-        Slot.real(KEY_SENTINEL, b"")          # sentinel is not a real key
-    with pytest.raises(InvalidParameterError):
-        Slot.real(-1, b"")
-    Slot.real(MAX_REAL_KEY, b"")              # top of the range is fine
-
-
 # -- slot arrays ------------------------------------------------------------------
-
-
-def test_slot_array_roundtrip():
-    arr = SlotArray(4, payload_size=3)
-    slot = Slot.real(9, b"abc")
-    arr.put(2, slot)
-    back = arr.get(2)
-    assert back == slot
-    assert arr.real_count() == 1
-    assert (arr.key != KEY_SENTINEL).tolist() == [False, False, True, False]
-    arr.put(2, Slot.dummy(3))                 # writing the sentinel frees it
-    assert arr.real_count() == 0 and arr.key[2] == KEY_SENTINEL
 
 
 def test_clear_to_dummy_masks():
     arr = SlotArray(4, payload_size=2)
-    arr.put(1, Slot.real(5, b"xy"))
-    arr.put(2, Slot.real(6, b"zw"))
+    arr.key[1:3] = [5, 6]
+    arr.payload[1:3] = np.frombuffer(b"xyzw", np.uint8).reshape(2, 2)
     mask = np.array([False, True, True, False])
     arr.clear_to_dummy(mask)
     assert arr.real_count() == 0
-    assert arr.get(1) == arr.get(2) == Slot.dummy(2)
-    assert (arr.key == KEY_SENTINEL).all()
-
-
-def test_table_validation():
-    Table(8, 2, payload_size=1)
-    with pytest.raises(InvalidParameterError):
-        Table(6, 2, payload_size=1)
-    with pytest.raises(InvalidParameterError):
-        Table(8, 0, payload_size=1)
+    assert (arr.key == KEY_SENTINEL).all() and not arr.payload.any()
 
 
 def test_is_power_of_two():

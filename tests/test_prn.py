@@ -8,8 +8,7 @@ from pyramid_oram.core import (
     HashFamily,
     InvalidParameterError,
     Rng,
-    Slot,
-    Table,
+    SlotArray,
 )
 from pyramid_oram.prn import (
     RoutingSlot,
@@ -66,11 +65,11 @@ def test_stage_pairs_range_checked():
 
 
 def _rslot(key: int, tag: bool, dest: int) -> RoutingSlot:
-    return RoutingSlot(Slot.real(key, bytes([key % 251] * 8)), dest, tag)
+    return RoutingSlot(key, bytes([key % 251] * 8), dest, tag)
 
 
 def _dummy_rslot() -> RoutingSlot:
-    return RoutingSlot(Slot.dummy(8), 0, False)
+    return RoutingSlot(KEY_SENTINEL, bytes(8), 0, False)
 
 
 def _arrived(table, dests: np.ndarray) -> np.ndarray:
@@ -79,7 +78,7 @@ def _arrived(table, dests: np.ndarray) -> np.ndarray:
     They are exactly the slots the network still has tagged at the end (see
     test_stage_kernel_keeps_exactly_the_tagged_slots_at_their_dest).
     """
-    return (table.key != KEY_SENTINEL) & (dests == np.arange(table.n)[:, None])
+    return (table.key != KEY_SENTINEL) & (dests == np.arange(len(dests))[:, None])
 
 
 def test_repartition_moves_tagged_to_matching_side():
@@ -88,10 +87,10 @@ def test_repartition_moves_tagged_to_matching_side():
     b = [_rslot(2, True, 0b01), _dummy_rslot()]
     new_a, new_b, spills = repartition(a, b, 1, Rng(3, ()))
     assert spills == 0
-    keys_a = {rs.slot.key for rs in new_a if rs.slot.is_real}
-    keys_b = {rs.slot.key for rs in new_b if rs.slot.is_real}
+    keys_a = {rs.key for rs in new_a if rs.key != KEY_SENTINEL}
+    keys_b = {rs.key for rs in new_b if rs.key != KEY_SENTINEL}
     assert keys_a == {1} and keys_b == {2}
-    assert all(rs.tag for rs in new_a + new_b if rs.slot.is_real)
+    assert all(rs.tag for rs in new_a + new_b if rs.key != KEY_SENTINEL)
 
 
 def test_repartition_conserves_slots():
@@ -99,8 +98,8 @@ def test_repartition_conserves_slots():
     a = [_rslot(1, True, 3), _rslot(2, True, 1)]
     b = [_rslot(3, True, 0), _dummy_rslot()]
     new_a, new_b, _ = repartition(a, b, 2, rng)
-    before = sorted(rs.slot.key for rs in a + b if rs.slot.is_real)
-    after = sorted(rs.slot.key for rs in new_a + new_b if rs.slot.is_real)
+    before = sorted(rs.key for rs in a + b if rs.key != KEY_SENTINEL)
+    after = sorted(rs.key for rs in new_a + new_b if rs.key != KEY_SENTINEL)
     assert before == after
 
 
@@ -112,7 +111,7 @@ def test_repartition_spills_only_on_overflow():
     assert spills == 1
     tagged = [rs for rs in new_a + new_b if rs.tag]
     assert len(tagged) == 2
-    assert all(rs for rs in new_a if rs.slot.is_real)
+    assert all(rs for rs in new_a if rs.key != KEY_SENTINEL)
 
 
 def test_repartition_untagged_never_spill():
@@ -140,8 +139,8 @@ def test_spill_fairness_among_competitors():
         new_a, new_b, spills = repartition(a, b, 1, Rng(7, (trial,)))
         assert spills == 1
         for rs in new_a + new_b:
-            if rs.slot.is_real and not rs.tag:
-                spill_counts[rs.slot.key] += 1
+            if rs.key != KEY_SENTINEL and not rs.tag:
+                spill_counts[rs.key] += 1
     for key, count in spill_counts.items():
         assert abs(count / trials - 1 / 3) < 0.02, (key, count)
 
@@ -277,9 +276,16 @@ def test_route_trace_is_pair_schedule():
 
 
 def test_route_rejects_bad_dest_shape():
-    table, _ = make_routing_table(8, 2, 4, 1)
-    with pytest.raises(InvalidParameterError):
-        route(table, np.zeros((8, 3), dtype=np.int64), Rng(1, ()))
+    for route_fn in (route, route_reference):
+        table, _ = make_routing_table(8, 2, 4, 1)
+        with pytest.raises(InvalidParameterError):
+            route_fn(table, np.zeros((8, 3), dtype=np.int64), Rng(1, ()))
+        # a table is (n, c) slots with n a power of two and c >= 1
+        route_fn(table, np.zeros((8, 2), dtype=np.int64), Rng(1, ()))
+        for shape in ((6, 2), (8, 0), (8,)):
+            with pytest.raises(InvalidParameterError):
+                route_fn(SlotArray(shape, 1), np.zeros(shape, dtype=np.int64),
+                         Rng(1, ()))
 
 
 def test_route_census_matches_route():
@@ -321,7 +327,7 @@ def test_route_of_a_store_row_matches_a_standalone_copy():
     before = [field.copy() for field in (z.store.key, z.store.payload)]
     reals = int(np.count_nonzero(before[0][1] != KEY_SENTINEL))
 
-    copy = Table(n, c, payload)
+    copy = SlotArray((n, c), payload)
     row = z.tables[1]
     for name in ("key", "payload"):
         getattr(copy, name)[...] = getattr(row, name)
@@ -377,8 +383,10 @@ def test_route_rejects_out_of_range_or_copied_dests():
 def test_route_reference_rejects_copied_dests():
     table, dests = make_routing_table(8, 2, 6, 1)
     before = table.key.copy()
-    # converting either would permute a copy the caller never sees
-    for bad in (dests.astype(np.int32), dests.tolist()):
+    out_of_range = [dests.copy(), dests.copy()]
+    out_of_range[0][2, 0], out_of_range[1][5, 1] = 99, -1
+    # converting either copy would permute a copy the caller never sees
+    for bad in (*out_of_range, dests.astype(np.int32), dests.tolist()):
         with pytest.raises(InvalidParameterError):
             route_reference(table, bad, Rng(1, ()))
     assert np.array_equal(table.key, before)

@@ -11,10 +11,10 @@ from pyramid_oram import zht
 from pyramid_oram.analysis import zigzag_failure_union_bound
 from pyramid_oram.core import (
     KEY_SENTINEL,
+    MAX_REAL_KEY,
     HashFamily,
     InvalidParameterError,
     Rng,
-    Slot,
     SlotArray,
     set_debug_checks,
 )
@@ -53,7 +53,7 @@ def test_regions_distinct_per_table():
 def test_zigzag_insert_takes_first_free_bucket():
     z = make_zht()
     key = 42
-    assert z.zigzag_insert(Slot.real(key, pay(key)), z.path(key))
+    assert z.zigzag_insert(key, pay(key), z.path(key))
     b = z.path(key)[0]
     assert z.tables[0].real_count() == 1
     assert int(z.tables[0].key[b, 0]) == key
@@ -62,9 +62,9 @@ def test_zigzag_insert_takes_first_free_bucket():
 def test_zigzag_insert_overflows_to_next_table_and_falls_off():
     z = Zht(2, 2, 1, HashFamily(seed=0), payload_size=PAYLOAD)
     path = [0, 0]
-    assert z.zigzag_insert(Slot.real(1, pay(1)), path)
-    assert z.zigzag_insert(Slot.real(2, pay(2)), path)
-    assert not z.zigzag_insert(Slot.real(3, pay(3)), path)
+    assert z.zigzag_insert(1, pay(1), path)
+    assert z.zigzag_insert(2, pay(2), path)
+    assert not z.zigzag_insert(3, pay(3), path)
     assert z.real_counts() == [1, 1]
 
 
@@ -72,23 +72,27 @@ def test_zigzag_insert_suffix_skips_earlier_tables():
     z = make_zht()
     key = 9
     suffix = z.path(key)[1:]
-    assert z.zigzag_insert(Slot.real(key, pay(key)), suffix, first_table=1)
+    assert z.zigzag_insert(key, pay(key), suffix, first_table=1)
     assert z.tables[0].real_count() == 0
     assert z.tables[1].real_count() == 1
     with pytest.raises(InvalidParameterError):
-        z.zigzag_insert(Slot.real(8, pay(8)), z.path(8), first_table=1)
+        z.zigzag_insert(8, pay(8), z.path(8), first_table=1)
 
 
 def test_zigzag_insert_rejects_non_real():
     z = make_zht()
-    with pytest.raises(InvalidParameterError):
-        z.zigzag_insert(Slot.dummy(PAYLOAD), z.path(0))
+    # the sentinel is not a real key, and keys are 32-bit
+    for key in (-1, KEY_SENTINEL, KEY_SENTINEL + 1):
+        with pytest.raises(InvalidParameterError):
+            z.zigzag_insert(key, pay(0), z.path(0))
+    assert z.zigzag_insert(MAX_REAL_KEY, pay(0), z.path(MAX_REAL_KEY))
+    assert z.real_items() == [(MAX_REAL_KEY, pay(0))]
 
 
 def test_search_probes_every_table_even_after_hit():
     z = make_zht()
     key = 12
-    z.zigzag_insert(Slot.real(key, pay(key)), z.path(key))
+    z.zigzag_insert(key, pay(key), z.path(key))
     rec = TraceRecorder()
     assert z.search(key, recorder=rec) == pay(key)
     assert len(rec.events()) == z.k
@@ -101,7 +105,7 @@ def test_search_miss_returns_none_with_same_shape():
     rec_hit = TraceRecorder()
     rec_miss = TraceRecorder()
     key = 12
-    z.zigzag_insert(Slot.real(key, pay(key)), z.path(key))
+    z.zigzag_insert(key, pay(key), z.path(key))
     z.search(key, recorder=rec_hit)
     assert z.search(4040, recorder=rec_miss) is None
     assert shapes_equal(rec_hit, rec_miss)
@@ -110,19 +114,20 @@ def test_search_miss_returns_none_with_same_shape():
 def test_search_remove_extracts_the_slot():
     z = make_zht()
     key = 77
-    z.zigzag_insert(Slot.real(key, pay(key)), z.path(key))
+    z.zigzag_insert(key, pay(key), z.path(key))
     assert z.search(key, remove=True) == pay(key)
     assert sum(z.real_counts()) == 0
     assert z.search(key) is None
     # the vacated slot holds the sentinel key and a zero payload
     b = z.path(key)[0]
-    assert z.tables[0].get((b, 0)) == Slot.dummy(PAYLOAD)
+    assert z.tables[0].key[b, 0] == KEY_SENTINEL
+    assert not z.tables[0].payload[b, 0].any()
 
 
 def test_search_detects_double_residency_in_debug(debug_checks):
     z = make_zht()
     key = 31
-    z.zigzag_insert(Slot.real(key, pay(key)), z.path(key))
+    z.zigzag_insert(key, pay(key), z.path(key))
     # force a second copy into table 1 behind the structure's back
     b = z.path(key)[1]
     z.tables[1].key[b, 0] = key
@@ -228,9 +233,11 @@ def _first_fit_reference(z: Zht, keys, payloads, paths, first_table: int):
     for key, payload, path in zip(keys, payloads, paths):
         landed.append(-1)
         for j, b in enumerate(path, start=first_table):
-            free = [s for s in range(z.c) if not z.tables[j].get((b, s)).is_real]
-            if free:
-                z.tables[j].put((b, free[0]), Slot.real(int(key), payload))
+            tbl = z.tables[j]
+            free = np.flatnonzero(tbl.key[b] == KEY_SENTINEL)
+            if free.size:
+                tbl.key[b, free[0]] = key
+                tbl.payload[b, free[0]] = np.frombuffer(payload, np.uint8)
                 landed[-1] = j
                 break
     return landed
@@ -281,7 +288,7 @@ def test_first_fit_matches_scalar_reference(log_n, k, c, seed, data):
         first = data.draw(st.integers(0, k - 1), label="first table")
         paths = gen.integers(0, n, size=(load, k - first)).tolist()
         want = _first_fit_reference(ref, rest[:load], rest_pays[:load], paths, first)
-        got = [z.zigzag_insert(Slot.real(key, p), path, first_table=first)
+        got = [z.zigzag_insert(key, p, path, first_table=first)
                for key, p, path in zip(rest, rest_pays, paths)]
         assert got == [j >= 0 for j in want]
     assert _store_bytes(z) == _store_bytes(ref)
@@ -290,14 +297,15 @@ def test_first_fit_matches_scalar_reference(log_n, k, c, seed, data):
 def test_insert_reclaims_a_removed_slot():
     z = Zht(2, 2, 1, HashFamily(seed=0), payload_size=PAYLOAD)
     b = z.path(1)[0]
-    assert z.zigzag_insert(Slot.real(1, pay(1)), z.path(1))
+    assert z.zigzag_insert(1, pay(1), z.path(1))
     assert z.search(1, remove=True) == pay(1)
     # the slot key 1 left is free again, so key 2 lands in it, in table 0
-    assert z.zigzag_insert(Slot.real(2, pay(2)), [b, 0])
+    assert z.zigzag_insert(2, pay(2), [b, 0])
     assert z.real_counts() == [1, 0]
-    assert z.tables[0].get((b, 0)) == Slot.real(2, pay(2))
+    assert int(z.tables[0].key[b, 0]) == 2
+    assert z.tables[0].payload[b, 0].tobytes() == pay(2)
     with pytest.raises(InvalidParameterError):
-        z.zigzag_insert(Slot.real(3, pay(3)), [0, 2])
+        z.zigzag_insert(3, pay(3), [0, 2])
 
 
 def test_full_load_prf_failure_rate_within_union_bound():
@@ -319,7 +327,7 @@ def test_real_items_and_slot_array_roundtrip():
     z = make_zht(n=8, k=2, c=2)
     keys = [3, 9, 27]
     for key in keys:
-        z.zigzag_insert(Slot.real(key, pay(key)), z.path(key))
+        z.zigzag_insert(key, pay(key), z.path(key))
     items = dict(z.real_items())
     assert sorted(items) == sorted(keys)
     assert all(items[k] == pay(k) for k in keys)
@@ -332,7 +340,7 @@ def test_real_items_and_slot_array_roundtrip():
 def test_payload_width_must_match():
     z = make_zht()
     with pytest.raises(InvalidParameterError):
-        z.zigzag_insert(Slot.real(1, b"xx"), z.path(1))
+        z.zigzag_insert(1, b"xx", z.path(1))
     with pytest.raises(InvalidParameterError):
         z.throw(SlotArray(4, payload_size=3), Rng(0, ()))
 
@@ -379,7 +387,7 @@ def _scalar_probe(z: Zht, key: int, remove: bool, rec: TraceRecorder):
             if tbl.key[b, s] == key:
                 found = tbl.payload[b, s].tobytes()
                 if remove:
-                    tbl.put((b, s), Slot.dummy(z.payload_size))
+                    tbl.clear_to_dummy((b, s))
     return found
 
 
