@@ -83,34 +83,37 @@ def _log_comb(m: int, j: int) -> float:
     return math.lgamma(m + 1) - math.lgamma(j + 1) - math.lgamma(m - j + 1)
 
 
+def _float_bound(exact, m: int, n: int, c: int, j: int, method: str) -> float:
+    """exact(m, n, c) = C(m, j) / n^c as a float by `method`; past the float
+    range math.inf on every method (vacuous there, but still a bound)."""
+    _require(method in ("auto", "exact", "float"), "unknown method")
+    if method == "auto":
+        method = "exact" if m <= _AUTO_EXACT_LIMIT else "float"
+    if method == "float":
+        _require(m >= 0 and n >= 1 and c >= 1, "bad bound parameters")
+        if m < j:
+            return 0.0
+    try:
+        if method == "exact":
+            return float(exact(m, n, c))
+        return math.exp(_log_comb(m, j) - c * math.log(n))
+    except OverflowError:
+        return math.inf
+
+
 def bucket_overflow_prob_bound(m: int, n: int, c: int, method: str = "auto") -> float:
     """Float view of bucket_overflow_prob_bound_exact.
 
     method "exact" evaluates the rational and converts once; "float" stays in
     log space throughout (no big integers); "auto" picks exact for small m.
+    Past the float range it is math.inf.
     """
-    _require(method in ("auto", "exact", "float"), "unknown method")
-    if method == "auto":
-        method = "exact" if m <= _AUTO_EXACT_LIMIT else "float"
-    if method == "exact":
-        return float(bucket_overflow_prob_bound_exact(m, n, c))
-    _require(m >= 0 and n >= 1 and c >= 1, "bad bound parameters")
-    if m < c:
-        return 0.0
-    return math.exp(_log_comb(m, c) - c * math.log(n))
+    return _float_bound(bucket_overflow_prob_bound_exact, m, n, c, c, method)
 
 
 def expected_spill_bound(m: int, n: int, c: int, method: str = "auto") -> float:
     """Float view of expected_spill_bound_exact; same method switch."""
-    _require(method in ("auto", "exact", "float"), "unknown method")
-    if method == "auto":
-        method = "exact" if m <= _AUTO_EXACT_LIMIT else "float"
-    if method == "exact":
-        return float(expected_spill_bound_exact(m, n, c))
-    _require(m >= 0 and n >= 1 and c >= 1, "bad bound parameters")
-    if m <= c:
-        return 0.0
-    return math.exp(_log_comb(m, c + 1) - c * math.log(n))
+    return _float_bound(expected_spill_bound_exact, m, n, c, c + 1, method)
 
 
 def zigzag_failure_union_bound(n: int, k: int, c: int) -> float:

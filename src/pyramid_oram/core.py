@@ -22,6 +22,7 @@ or parallelized without stream overlap.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,16 @@ def is_power_of_two(x: int) -> bool:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise InvalidParameterError(message)
+
+
+def real_key(key) -> int:
+    """key as an int; InvalidParameterError unless an integer in [0, MAX_REAL_KEY]."""
+    try:
+        key = operator.index(key)  # a float or a str would alias another key
+    except TypeError:
+        raise InvalidParameterError(f"key must be an integer, not {key!r}") from None
+    _require(0 <= key <= MAX_REAL_KEY, "key out of range")
+    return key
 
 
 class SlotArray:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .core import KEY_SENTINEL, InvalidParameterError, Rng, _require, is_power_of_two
 from .oprim import PAD_KEY, SortItem, batcher_sort, sort_key, sort_network_perm
-from .trace import TraceOp, TraceRecorder, table_region
+from .trace import TraceRecorder, table_region
 
 
 @dataclass(frozen=True)
@@ -242,10 +242,7 @@ def route(table, dests: np.ndarray, rng: Rng,
         idx = np.arange(n)
         for bit in range(spills.shape[1]):
             lows = idx[(idx >> bit) & 1 == 0]
-            recorder.record_block(
-                region, np.column_stack([lows, lows | (1 << bit)]).ravel(),
-                TraceOp.READ_WRITE,
-            )
+            recorder.record(region, np.column_stack([lows, lows | (1 << bit)]))
     return RouteStats((n // 2) * spills.shape[1], spills[0].tolist(),
                       live[0].tolist())
 
@@ -278,8 +275,7 @@ def route_reference(table, dests: np.ndarray, rng: Rng,
             spilled += spills
             repartitions += 1
             if recorder is not None:
-                recorder.record(region, lo, TraceOp.READ_WRITE)
-                recorder.record(region, hi, TraceOp.READ_WRITE)
+                recorder.record(region, [lo, hi])
         stage_spills.append(spilled)
     return RouteStats(repartitions, stage_spills, stage_live)
 

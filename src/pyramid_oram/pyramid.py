@@ -43,7 +43,6 @@ import numpy as np
 from .core import (
     DEFAULT_PAYLOAD_SIZE,
     KEY_SENTINEL,
-    MAX_REAL_KEY,
     BuildFailedError,
     CapacityExceededError,
     HashFamily,
@@ -55,9 +54,10 @@ from .core import (
     debug_checks_enabled,
     is_power_of_two,
     path_buckets,
+    real_key,
 )
 from .ozht import BuildReport, build_access_count, oblivious_build
-from .trace import L0_REGION, TraceOp, TraceRecorder
+from .trace import L0_REGION, TraceRecorder
 from .zht import BuildInput, Zht
 
 DEFAULT_C = 4
@@ -285,7 +285,7 @@ class PyramidOram:
         self._refuse_if_broken()
         if op not in ("read", "write"):
             raise InvalidParameterError("op must be 'read' or 'write'")
-        _require(0 <= key <= MAX_REAL_KEY, "key out of range")
+        key = real_key(key)
         if op == "write":
             if value is None or len(value) != self.config.payload_size:
                 raise InvalidParameterError("write value must match payload_size")
@@ -346,8 +346,7 @@ class PyramidOram:
             return None
         size = self.config.payload_size
         _require(len(items) <= self.config.capacity, "bulk load exceeds capacity")
-        keys = [int(key) for key, _ in items]
-        _require(min(keys) >= 0 and max(keys) <= MAX_REAL_KEY, "key out of range")
+        keys = [real_key(key) for key, _ in items]
         _require(len(set(keys)) == len(keys), "duplicate keys in bulk load")
         payloads = [bytes(payload) for _, payload in items]
         _require(all(len(payload) == size for payload in payloads),
@@ -419,10 +418,7 @@ class PyramidOram:
 
     def _scan_level0(self, key: int) -> tuple[bool, bytes | None]:
         l0 = self.level0
-        if self.recorder.enabled:
-            self.recorder.record_block(
-                L0_REGION, self._l0_indices, TraceOp.READ_WRITE
-            )
+        self.recorder.record(L0_REGION, self._l0_indices)
         match = l0.key == key
         if not match.any():
             return False, None
@@ -445,13 +441,14 @@ class PyramidOram:
         target = rebuild_target(self.config, self.t)
         if target < 0:
             return None
-        full = target == self.config.num_levels and self.t % self.capacity == 0
         parts = [self.level0]
         for i in range(1, target):
             level = self.levels[i]
             assert level is not None, f"source level {i} empty at t={self.t}"
             parts.append(level.slot_array())
-        if full and self.levels[target] is not None:
+        # the schedule leaves the target empty except at a full rebuild,
+        # which absorbs the old last level
+        if self.levels[target] is not None:
             parts.append(self.levels[target].slot_array())
         self._build_level(target, BuildInput.gather(parts))
         self.level0.clear()

@@ -3,6 +3,8 @@
 A trace is the adversary's view: the sequence of (region, index, op) touches at
 bucket granularity.  Regions identify a structure (the L0 append log, or one
 table of one level); indices are bucket/slot positions inside the region.
+Every touch is a whole-bucket read and write-back, so every event's op is
+READ_WRITE, and TraceRecorder.record is the one call that records them.
 
 Obliviousness is tested in two parts.  The *shape* of a trace (indices erased)
 must be exactly equal between a real run and a simulator fed only public
@@ -62,8 +64,9 @@ class TraceRecorder:
     """Append-only event log; disabled recorders are no-ops.
 
     Events live in columnar chunks (region int32, index int64, op uint8).
-    position() marks a point in the stream so callers can slice per-operation
-    windows out of a long recording.
+    Every event is one bucket read-modify-write (op READ_WRITE), so record()
+    takes only regions and indices.  len() marks a point in the stream so
+    callers can slice per-operation windows out of a long recording.
     """
 
     __slots__ = ("enabled", "_chunks", "_count")
@@ -76,54 +79,30 @@ class TraceRecorder:
     def __len__(self) -> int:
         return self._count
 
-    def position(self) -> int:
-        return self._count
+    def record(self, regions, indices) -> None:
+        """Record read-modify-writes of `indices`, row by row.
 
-    def record(self, region: int, index: int, op: int) -> None:
-        if not self.enabled:
-            return
-        self._chunks.append(
-            (
-                np.array([region], dtype=np.int32),
-                np.array([index], dtype=np.int64),
-                np.array([op], dtype=np.uint8),
-            )
-        )
-        self._count += 1
-
-    def record_block(self, region: int, indices, op: int) -> None:
-        """Many events in one region, in the order of indices."""
-        if not self.enabled:
-            return
-        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-        self._chunks.append(
-            (
-                np.full(idx.size, region, dtype=np.int32),
-                idx,
-                np.full(idx.size, op, dtype=np.uint8),
-            )
-        )
-        self._count += idx.size
-
-    def record_tiled(self, regions, index_matrix, op: int) -> None:
-        """Row-major events over a (rows, len(regions)) index matrix.
-
-        Row r expands to events (regions[0], M[r,0]), (regions[1], M[r,1]), ...
-        which is the per-slot "touch each table in order" pattern.
+        regions is one region id, and indices then any shape, taken in C
+        order; or a sequence of r region ids, and indices then a (rows, r)
+        matrix whose row i is the events (regions[0], M[i,0]), ...,
+        (regions[r-1], M[i,r-1]): the "touch each table in order" pattern.
         """
         if not self.enabled:
             return
-        m = np.asarray(index_matrix, dtype=np.int64)
-        if m.ndim != 2 or m.shape[1] != len(regions):
+        regions = np.asarray(regions, dtype=np.int32).reshape(-1)
+        idx = np.asarray(indices, dtype=np.int64)
+        if regions.size == 1:
+            idx = idx.reshape(-1, 1)
+        elif idx.ndim != 2 or idx.shape[1] != regions.size:
             raise InvalidParameterError("index matrix does not match region list")
         self._chunks.append(
             (
-                np.tile(np.asarray(regions, dtype=np.int32), m.shape[0]),
-                m.reshape(-1),
-                np.full(m.size, op, dtype=np.uint8),
+                np.tile(regions, len(idx)),
+                idx.reshape(-1),
+                np.full(idx.size, TraceOp.READ_WRITE, dtype=np.uint8),
             )
         )
-        self._count += m.size
+        self._count += idx.size
 
     def clear(self) -> None:
         self._chunks = []

@@ -37,7 +37,6 @@ import numpy as np
 
 from .core import (
     KEY_SENTINEL,
-    MAX_REAL_KEY,
     HashFamily,
     Rng,
     SlotArray,
@@ -46,8 +45,9 @@ from .core import (
     is_power_of_two,
     path_buckets,
     rank_within_group,
+    real_key,
 )
-from .trace import TraceOp, TraceRecorder, table_region
+from .trace import TraceRecorder, table_region
 
 # rows per block when a build draws its path matrix: the scratch a throw or a
 # sweep holds is a block, not a row per input slot
@@ -58,7 +58,7 @@ def draw_paths(rng: Rng, n: int, rows: int, keep: np.ndarray, regions,
                recorder: TraceRecorder | None = None) -> np.ndarray:
     """Draw a (rows, len(regions)) uniform path matrix; return the rows in keep.
 
-    The matrix is drawn, and recorded as one READ_WRITE row per input slot,
+    The matrix is drawn, and recorded as one row of events per input slot,
     in blocks of _BLOCK_ROWS rows, so only a block and the kept rows are ever
     held.  The words drawn and the events recorded are those of one draw of
     the whole matrix, in the same order.  keep is ascending row indices.
@@ -70,7 +70,7 @@ def draw_paths(rng: Rng, n: int, rows: int, keep: np.ndarray, regions,
         hi = keep.searchsorted(r0 + len(block))
         out[lo:hi] = block[keep[lo:hi] - r0]
         if recorder is not None:
-            recorder.record_tiled(regions, block, TraceOp.READ_WRITE)
+            recorder.record(regions, block)
         lo = hi
     return out
 
@@ -201,7 +201,7 @@ class Zht:
         sweep does so through draw_paths).  `first_table` restricts the walk
         to tables first_table..k-1; `path` then covers exactly those tables.
         """
-        _require(0 <= key <= MAX_REAL_KEY, "only real keys are inserted")
+        key = real_key(key)
         _require(0 <= first_table < self.k, "first_table out of range")
         _require(len(path) == self.k - first_table,
                  "path length must cover the remaining tables")
@@ -249,11 +249,11 @@ class Zht:
         after a hit.  `buckets` is the path when the caller has hashed it
         already; by default the key is hashed under this table's subkeys.
         """
-        _require(0 <= key <= MAX_REAL_KEY, "key out of range")
+        key = real_key(key)
         if buckets is None:
             buckets = path_buckets(self._subkeys, key, self.n)
-        if recorder is not None and recorder.enabled:
-            recorder.record_tiled(self.regions, buckets[None, :], TraceOp.READ_WRITE)
+        if recorder is not None:
+            recorder.record(self.regions, [buckets])
         rows = buckets + self._row_base
         br = self._bucket_rows
         keys = br.key.take(rows, axis=0)
@@ -274,8 +274,8 @@ class Zht:
         """Shape-identical to search: one uniformly random bucket per table."""
         # read-modify-write of unchanged contents
         buckets = [rng.bucket(self.n) for _ in range(self.k)]
-        if recorder is not None and recorder.enabled:
-            recorder.record_tiled(self.regions, [buckets], TraceOp.READ_WRITE)
+        if recorder is not None:
+            recorder.record(self.regions, [buckets])
 
     # -- accounting ----------------------------------------------------------
 

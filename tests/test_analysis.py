@@ -75,6 +75,14 @@ def test_exact_and_float_paths_agree_to_ten_digits():
         assert a == pytest.approx(b, rel=1e-10), (m, n, c)
 
 
+def test_bounds_past_the_float_range_are_inf():
+    # C(m, c) / n^c above the float range: every method overflows to inf
+    for m, n, c in [(10000, 2, 200), (10**9, 2, 64)]:
+        for method in ("auto", "exact", "float"):
+            assert bucket_overflow_prob_bound(m, n, c, method=method) == math.inf
+            assert expected_spill_bound(m, n, c, method=method) == math.inf
+
+
 def test_method_switch_validated():
     with pytest.raises(InvalidParameterError):
         bucket_overflow_prob_bound(8, 8, 2, method="fastest")

@@ -1,8 +1,10 @@
 """CLI: reproducible outputs, exit codes, workload generation, subcommands."""
 
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -297,6 +299,15 @@ def test_bounds_subcommand(capsys):
     summary = json.loads(out)
     assert summary["overflow_prob_exact"] == "255/512"
     assert summary["overflow_prob_bound"] == 0.498046875
+
+
+def test_bounds_past_the_float_range_exit_0(capsys):
+    code, out = run_main(["bounds", "--m", "10000", "--n", "2", "--c", "200"],
+                         capsys)
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["overflow_prob_bound"] == math.inf
+    assert summary["overflow_prob_exact"] == str(Fraction(math.comb(10000, 200), 2**200))
 
 
 def test_usage_errors_return_2(capsys):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pyramid_oram.pyramid as pyramid_mod
 from pyramid_oram.core import (
     MAX_REAL_KEY,
     BuildFailedError,
@@ -19,7 +20,7 @@ from pyramid_oram.core import (
     path_buckets,
     set_debug_checks,
 )
-from pyramid_oram.ozht import build_access_count
+from pyramid_oram.ozht import build_access_count, oblivious_build
 from pyramid_oram.pyramid import (
     DEFAULT_C,
     LevelParams,
@@ -200,6 +201,14 @@ def test_miss_and_validation():
         oram.write(1, None)
     with pytest.raises(InvalidParameterError):
         oram.read(-1)
+    # a non-integer key is refused, not truncated or parsed into another key
+    for key in (1.5, "3", np.float64(2.0)):
+        with pytest.raises(InvalidParameterError):
+            oram.write(key, val(1))
+        with pytest.raises(InvalidParameterError):
+            oram.read(key)
+    assert oram.t == 1 and oram.stored_items() == {}
+    assert oram.read(1) is None
 
 
 def test_online_cost_holds_for_every_access(debug_checks):
@@ -208,12 +217,12 @@ def test_online_cost_holds_for_every_access(debug_checks):
     oram = PyramidOram(cfg, recorder=rec)
     gen = np.random.Generator(np.random.PCG64(23))
     for t in range(2 * cfg.first_level_size * 8):
-        before = rec.position()
+        before = len(rec)
         key = int(gen.integers(0, cfg.capacity))
         _, record = oram.access_with_record("write", key, val(key))
         assert record.op_index == t
         assert record.online_buckets == online_cost(cfg, t)
-        assert rec.position() - before == record.online_buckets
+        assert len(rec) - before == record.online_buckets
 
 
 def test_rebuild_info_first_and_full(debug_checks):
@@ -245,14 +254,65 @@ def test_build_recorder_charges_match_access_counts():
     brec = TraceRecorder()
     oram = PyramidOram(cfg, build_recorder=brec)
     for t in range(cfg.capacity):
-        before = brec.position()
+        before = len(brec)
         _, record = oram.access_with_record("write", t, val(t))
         charged = record.total_buckets - record.online_buckets
         if record.rebuilt_level >= 0:
-            assert brec.position() - before == charged
+            assert len(brec) - before == charged
             assert charged == oram.last_rebuild.access_count
         else:
-            assert brec.position() == before and charged == 0
+            assert len(brec) == before and charged == 0
+
+
+# the golden shapes: the default one, c = 3 (an 8-wire network for 6 slots),
+# and a k = 2, c = 1 store whose builds fail and retry
+OBSERVED = {
+    "p8": (dict(first_level_size=8), True),
+    "c3": (dict(first_level_size=8, c_override=3), True),
+    "k2c1-retry": (dict(first_level_size=8, k_override=2, c_override=1,
+                        max_retries=3), False),
+}
+
+
+def _observed_run(name, recorders, monkeypatch):
+    """Everything one seeded run shows but its traces."""
+    fields, bulk = OBSERVED[name]
+    cfg = PyramidConfig(capacity=256, payload_size=8, seed=1, **fields)
+    oram = PyramidOram(cfg, *recorders)
+    reports = []
+
+    def recording_build(*args, **kwargs):
+        z, report = oblivious_build(*args, **kwargs)
+        reports.append(report)
+        return z, report
+
+    monkeypatch.setattr(pyramid_mod, "oblivious_build", recording_build)
+    gen = np.random.Generator(np.random.PCG64(1001))
+    outs = []
+    try:
+        if bulk:
+            keys = gen.choice(200, size=64, replace=False).tolist()
+            outs.append(oram.bulk_load([(key, val(key)) for key in keys]))
+        for step in range(512):
+            key = int(gen.integers(200))
+            if gen.random() < 0.5:
+                outs.append(oram.access_with_record("read", key))
+            else:
+                outs.append(oram.access_with_record("write", key, val(key, salt=step)))
+    except BuildFailedError as err:
+        outs.append(str(err))
+    stores = [oram.level0] + [lvl.store for lvl in oram.levels if lvl is not None]
+    return (outs, reports, oram.stored_items(),
+            [(s.key.tobytes(), s.payload.tobytes()) for s in stores])
+
+
+@pytest.mark.parametrize("name", sorted(OBSERVED))
+def test_recording_only_observes(name, monkeypatch):
+    plain = _observed_run(name, (), monkeypatch)
+    recorders = (TraceRecorder(True), TraceRecorder(True))
+    recorded = _observed_run(name, recorders, monkeypatch)
+    assert len(recorders[0]) and len(recorders[1])
+    assert recorded == plain
 
 
 def test_capacity_enforced_for_fresh_keys_only(debug_checks):
@@ -340,7 +400,10 @@ def test_bulk_load_validation():
     (5, val(5) + b"\x00"),              # payload one byte long
     (-1, val(5)),                       # key below the range
     (MAX_REAL_KEY + 1, val(5)),         # the sentinel is not a real key
-], ids=["payload-short", "payload-long", "key-negative", "key-sentinel"])
+    ("3", val(5)),                      # a string is not parsed into a key
+    (4.9, val(5)),                      # a float is not truncated into a key
+], ids=["payload-short", "payload-long", "key-negative", "key-sentinel",
+        "key-str", "key-float"])
 def test_bulk_load_refusal_leaves_the_store_fresh(bad):
     oram = PyramidOram(SMALL)
     items = [(key, val(key)) for key in range(10)]

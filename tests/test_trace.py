@@ -55,89 +55,93 @@ def test_regions_are_distinct():
 
 def test_record_preserves_order():
     rec = TraceRecorder()
-    rec.record(L0_REGION, 3, TraceOp.READ)
-    rec.record(table_region(1, 0), 7, TraceOp.WRITE)
-    rec.record(L0_REGION, 3, TraceOp.READ_WRITE)
+    rec.record(L0_REGION, 3)
+    rec.record(table_region(1, 0), 7)
+    rec.record(L0_REGION, 3)
     assert len(rec) == 3
     assert rec.events() == [
-        TraceEvent(L0_REGION, 3, TraceOp.READ),
-        TraceEvent(table_region(1, 0), 7, TraceOp.WRITE),
+        TraceEvent(L0_REGION, 3, TraceOp.READ_WRITE),
+        TraceEvent(table_region(1, 0), 7, TraceOp.READ_WRITE),
         TraceEvent(L0_REGION, 3, TraceOp.READ_WRITE),
     ]
 
 
-def test_record_block_expands_in_index_order():
+def test_record_one_region_expands_in_index_order():
     rec = TraceRecorder()
-    rec.record_block(5, [4, 1, 9], TraceOp.READ)
-    assert [e.index for e in rec.events()] == [4, 1, 9]
-    assert {e.region for e in rec.events()} == {5}
+    rec.record(5, [4, 1, 9])
+    rec.record(6, [[2, 8], [0, 3]])  # any shape, C order
+    assert [e.index for e in rec.events()] == [4, 1, 9, 2, 8, 0, 3]
+    assert [e.region for e in rec.events()] == [5] * 3 + [6] * 4
 
 
-def test_record_tiled_is_row_major_per_slot():
+def test_record_regions_is_row_major_per_slot():
     rec = TraceRecorder()
     regions = [10, 11, 12]
     matrix = np.array([[0, 1, 2], [3, 4, 5]])
-    rec.record_tiled(regions, matrix, TraceOp.READ_WRITE)
+    rec.record(regions, matrix)
     got = [(e.region, e.index) for e in rec.events()]
     assert got == [(10, 0), (11, 1), (12, 2), (10, 3), (11, 4), (12, 5)]
+    assert {e.op for e in rec.events()} == {TraceOp.READ_WRITE}
 
 
-def test_record_tiled_shape_mismatch_raises():
+def test_record_shape_mismatch_raises():
     rec = TraceRecorder()
     with pytest.raises(InvalidParameterError):
-        rec.record_tiled([1, 2], np.zeros((3, 3), dtype=np.int64), TraceOp.READ)
+        rec.record([1, 2], np.zeros((3, 3), dtype=np.int64))
+    with pytest.raises(InvalidParameterError):
+        rec.record([1, 2], [0, 1])  # r > 1 needs a (rows, r) matrix
+    assert len(rec) == 0
 
 
 def test_disabled_recorder_is_noop():
     rec = TraceRecorder(enabled=False)
-    rec.record(1, 2, TraceOp.READ)
-    rec.record_block(1, [1, 2], TraceOp.READ)
-    rec.record_tiled([1], np.zeros((2, 1), dtype=np.int64), TraceOp.READ)
+    rec.record(1, 2)
+    rec.record(1, [1, 2])
+    rec.record([1, 2], np.zeros((2, 2), dtype=np.int64))
     assert len(rec) == 0
     assert rec.shape_projection().shape == (0, 2)
 
 
-def test_position_slices_windows():
+def test_len_marks_windows():
     rec = TraceRecorder()
-    rec.record(1, 0, TraceOp.READ)
-    mark = rec.position()
-    rec.record(2, 1, TraceOp.WRITE)
-    rec.record(3, 2, TraceOp.WRITE)
-    window = rec.shape_projection(mark, rec.position())
-    assert window.tolist() == [[2, TraceOp.WRITE], [3, TraceOp.WRITE]]
+    rec.record(1, 0)
+    mark = len(rec)
+    rec.record(2, 1)
+    rec.record(3, 2)
+    window = rec.shape_projection(mark, len(rec))
+    assert window.tolist() == [[2, TraceOp.READ_WRITE], [3, TraceOp.READ_WRITE]]
 
 
 def test_shape_projection_erases_indices():
     a = TraceRecorder()
     b = TraceRecorder()
-    a.record(7, 0, TraceOp.READ)
-    b.record(7, 5, TraceOp.READ)
+    a.record(7, 0)
+    b.record(7, 5)
     assert shapes_equal(a, b)
-    assert a.shape_projection().tolist() == [[7, TraceOp.READ]]
+    assert a.shape_projection().tolist() == [[7, TraceOp.READ_WRITE]]
 
 
 def test_shapes_differ_on_region_op_or_length():
     base = TraceRecorder()
-    base.record(7, 0, TraceOp.READ)
+    base.record(7, 0)
 
     other = TraceRecorder()
-    other.record(8, 0, TraceOp.READ)
+    other.record(8, 0)
     assert not shapes_equal(base, other)
 
-    other = TraceRecorder()
-    other.record(7, 0, TraceOp.WRITE)
-    assert not shapes_equal(base, other)
+    # record() writes READ_WRITE only, so the op case compares projections
+    assert not shapes_equal(np.array([[7, TraceOp.READ]]),
+                            np.array([[7, TraceOp.WRITE]]))
 
     other = TraceRecorder()
-    other.record(7, 0, TraceOp.READ)
-    other.record(7, 0, TraceOp.READ)
+    other.record(7, [0, 0])
     assert not shapes_equal(base, other)
 
 
 def test_index_histogram_counts_one_region():
     rec = TraceRecorder()
-    rec.record_block(4, [0, 2, 2, 3], TraceOp.READ)
-    rec.record_block(5, [1, 1], TraceOp.READ)
+    rec.record(4, [0, 2, 2, 3])
+    rec.record(5, [1, 1])
     assert rec.index_histogram(4, 5).tolist() == [1, 0, 2, 1, 0]
     assert rec.index_histogram(5, 2).tolist() == [0, 2]
     with pytest.raises(InvalidParameterError):
@@ -146,24 +150,24 @@ def test_index_histogram_counts_one_region():
 
 def test_regions_present_sorted():
     rec = TraceRecorder()
-    rec.record(9, 0, TraceOp.READ)
-    rec.record(2, 0, TraceOp.READ)
-    rec.record(9, 1, TraceOp.READ)
+    rec.record(9, 0)
+    rec.record(2, 0)
+    rec.record(9, 1)
     assert rec.regions_present() == [2, 9]
 
 
 def test_write_csv(tmp_path):
     rec = TraceRecorder()
-    rec.record(1, 2, TraceOp.READ)
-    rec.record(3, 4, TraceOp.READ_WRITE)
+    rec.record(1, 2)
+    rec.record(3, 4)
     out = tmp_path / "trace.csv"
     rec.write_csv(out)
-    assert out.read_text() == "1,2,0\n3,4,2\n"
+    assert out.read_text() == "1,2,2\n3,4,2\n"
 
 
 def test_clear_resets():
     rec = TraceRecorder()
-    rec.record(1, 2, TraceOp.READ)
+    rec.record(1, 2)
     rec.clear()
     assert len(rec) == 0
     assert rec.events() == []

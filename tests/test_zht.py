@@ -81,8 +81,8 @@ def test_zigzag_insert_suffix_skips_earlier_tables():
 
 def test_zigzag_insert_rejects_non_real():
     z = make_zht()
-    # the sentinel is not a real key, and keys are 32-bit
-    for key in (-1, KEY_SENTINEL, KEY_SENTINEL + 1):
+    # the sentinel is not a real key, keys are 32-bit, and keys are integers
+    for key in (-1, KEY_SENTINEL, KEY_SENTINEL + 1, 1.5, "3"):
         with pytest.raises(InvalidParameterError):
             z.zigzag_insert(key, pay(0), z.path(0))
     assert z.zigzag_insert(MAX_REAL_KEY, pay(0), z.path(MAX_REAL_KEY))
@@ -381,7 +381,7 @@ def _scalar_probe(z: Zht, key: int, remove: bool, rec: TraceRecorder):
     """Table by table along path(key), one slot at a time."""
     found = None
     for j, b in enumerate(z.path(key)):
-        rec.record(z.regions[j], b, TraceOp.READ_WRITE)
+        rec.record(z.regions[j], b)
         tbl = z.tables[j]
         for s in range(z.c):
             if tbl.key[b, s] == key:
