@@ -102,6 +102,20 @@ def real_key(key) -> int:
     return key
 
 
+def payload_bytes(value, size: int) -> bytes:
+    """value as payload bytes; InvalidParameterError unless bytes, bytearray
+    or a uint8 row, of width size."""
+    if isinstance(value, (bytes, bytearray)):
+        data = bytes(value)
+    elif isinstance(value, np.ndarray) and value.dtype == np.uint8 and value.ndim == 1:
+        data = value.tobytes()
+    else:  # bytes() would turn an int into zeros and a list into bytes
+        raise InvalidParameterError(
+            f"payload must be bytes, bytearray or a uint8 row, not {type(value).__name__}")
+    _require(len(data) == size, f"payload must be {size} bytes wide")
+    return data
+
+
 class SlotArray:
     """Structure-of-arrays slot storage.
 

@@ -1,14 +1,19 @@
-"""Data-independent swap and sorting-network primitives.
+"""Branchless swap and sorting-network primitives.
 
-Control flow here never branches on slot contents: swaps are computed with
-mask arithmetic and sorting uses Batcher's odd-even mergesort, whose
-compare-exchange schedule is a function of the input length alone.  The
-repartition step of the routing network sorts 2c slots by a (class, tiebreak)
-key; packing both into one 64-bit word keeps the comparator a single compare.
-The sorts then overwrite the key's low log2(m) bits with its wire index, so
-no two keys are equal: every comparator network that sorts gives the same
-permutation, a compare-exchange moves the key alone, and the permutation is
-read back from the low bits.
+Swaps are computed with mask arithmetic, and the specified sort is Batcher's
+odd-even mergesort, whose compare-exchange schedule is a function of the
+input length alone.  The repartition step of the routing network sorts 2c
+slots by a (class, tiebreak) key; packing both into one 64-bit word keeps the
+comparator a single compare.  The sorts then overwrite the key's low log2(m)
+bits with its wire index, so no two keys are equal: every comparator network
+that sorts gives the same permutation, a compare-exchange moves the key
+alone, and the permutation is read back from the low bits.
+
+Because the keys are distinct, any sort gives that permutation too.
+sort_network_perm runs the network for rows of at most 4 words, and at
+m >= 8 sorts each row instead: an equal realisation over at most 2c private
+words.  Its running time may depend on the keys; which buckets are read and
+written does not.
 """
 
 from __future__ import annotations
@@ -143,21 +148,42 @@ def _layer_wires(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     )
 
 
-# rows per block in sort_network_perm: keeps the work arrays cache-sized
+# rows per block in _network_perm: keeps the work arrays cache-sized
 _BLOCK_ROWS = 8192
+
+# the narrowest row that sort_network_perm sorts instead of running the
+# network: tools/stage_perm_bench.py times both at m = 2..16, and the sort
+# wins at m >= 8 for every row count timed, the network at m <= 4 with many
+_SORT_MIN_WIDTH = 8
 
 
 def sort_network_perm(skey: np.ndarray) -> np.ndarray:
-    """Row-wise sorting permutation via the comparator network, vectorized.
+    """Row-wise sorting permutation of the comparator network, vectorized.
 
     skey is (rows, m) uint64 with m a power of two; returns perm (rows, m),
     the stable sort of each row on the key bits above the low log2(m): those
     bits are overwritten with the wire index, which makes the keys distinct,
-    and perm is read back from them once sorted.  The network runs layer by
-    layer (comparator_layers) on blocks of _BLOCK_ROWS rows, each block
-    transposed so a wire is one contiguous row, as two takes, one minimum and
-    one maximum per layer.  Every row meets the same comparators in the same
-    order whatever the keys, so the work done is independent of the data.
+    and perm is read back from them once sorted.  The specified computation
+    is the comparator network (_network_perm).  At m >= 8, _sorted_perm
+    sorts each row's m distinct words instead, which has the same outcome.
+    The choice depends on m alone, which is public.  The network's work is
+    independent of the data; the sort's running time may depend on the keys,
+    but each row's sort touches only that row's private words, so no bucket
+    access and no trace event depends on them.
+    """
+    if skey.shape[1] >= _SORT_MIN_WIDTH:
+        return _sorted_perm(skey)
+    return _network_perm(skey)
+
+
+def _network_perm(skey: np.ndarray) -> np.ndarray:
+    """sort_network_perm by the comparator network.
+
+    The network runs layer by layer (comparator_layers) on blocks of
+    _BLOCK_ROWS rows, each block transposed so a wire is one contiguous row,
+    as two takes, one minimum and one maximum per layer.  Every row meets
+    the same comparators in the same order whatever the keys, so the work
+    done is independent of the data.
     """
     rows, m = skey.shape
     out = np.empty((rows, m), dtype=np.int64)
@@ -173,3 +199,14 @@ def sort_network_perm(skey: np.ndarray) -> np.ndarray:
             work[hi] = np.maximum(k_lo, k_hi)
         out[r0:r0 + _BLOCK_ROWS] = (work & low).T
     return out
+
+
+def _sorted_perm(skey: np.ndarray) -> np.ndarray:
+    """sort_network_perm by sorting each row's wire-tagged keys."""
+    m = skey.shape[1]
+    low = np.uint64(m - 1)
+    work = skey & ~low
+    work |= np.arange(m, dtype=np.uint64)
+    work.sort(axis=1)
+    work &= low
+    return work.view(np.int64)

@@ -13,9 +13,10 @@ on exit, losing nothing, since a slot ends tagged iff it started tagged and
 sits in its destination bucket (no stage after s moves a slot across bit s-1).
 
 A repartition reads both buckets, sorts the 2c slots by (side-class, random
-tiebreak) on a fixed comparator network, retags the misplaced, and writes both
-buckets back.  The pair schedule is a function of n alone: (n/2)*log2(n)
-repartitions, pairs in ascending order of the lower index.
+tiebreak) into the order a fixed comparator network gives (computed by
+oprim.sort_network_perm), retags the misplaced, and writes both buckets back.
+The pair schedule is a function of n alone: (n/2)*log2(n) repartitions, pairs
+in ascending order of the lower index.
 
 One kernel, route_census(), runs the stages over a batch of tables at once:
 every pair of a stage, in every table of the batch, in one pass.  It carries

@@ -54,6 +54,7 @@ from .core import (
     debug_checks_enabled,
     is_power_of_two,
     path_buckets,
+    payload_bytes,
     real_key,
 )
 from .ozht import BuildReport, build_access_count, oblivious_build
@@ -287,8 +288,7 @@ class PyramidOram:
             raise InvalidParameterError("op must be 'read' or 'write'")
         key = real_key(key)
         if op == "write":
-            if value is None or len(value) != self.config.payload_size:
-                raise InvalidParameterError("write value must match payload_size")
+            value = payload_bytes(value, self.config.payload_size)
         op_index = self.t
         if debug_checks_enabled():
             self._assert_schedule_consistent()
@@ -348,9 +348,7 @@ class PyramidOram:
         _require(len(items) <= self.config.capacity, "bulk load exceeds capacity")
         keys = [real_key(key) for key, _ in items]
         _require(len(set(keys)) == len(keys), "duplicate keys in bulk load")
-        payloads = [bytes(payload) for _, payload in items]
-        _require(all(len(payload) == size for payload in payloads),
-                 "payload width mismatch")
+        payloads = [payload_bytes(payload, size) for _, payload in items]
         elems = BuildInput(
             self.config.capacity, np.arange(len(keys)), np.array(keys, np.uint32),
             np.frombuffer(b"".join(payloads), np.uint8).reshape(-1, size))

@@ -44,6 +44,7 @@ from .core import (
     debug_checks_enabled,
     is_power_of_two,
     path_buckets,
+    payload_bytes,
     rank_within_group,
     real_key,
 )
@@ -205,8 +206,7 @@ class Zht:
         _require(0 <= first_table < self.k, "first_table out of range")
         _require(len(path) == self.k - first_table,
                  "path length must cover the remaining tables")
-        payload = np.frombuffer(payload, dtype=np.uint8)
-        _require(payload.size == self.payload_size, "payload width mismatch")
+        payload = np.frombuffer(payload_bytes(payload, self.payload_size), np.uint8)
         path = np.asarray(path, dtype=np.int64)[None, :]
         _require(((path >= 0) & (path < self.n)).all(), "path bucket out of range")
         landed = self._first_fit(np.array([key], dtype=np.uint32), payload[None],

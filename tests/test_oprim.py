@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pyramid_oram import oprim
 from pyramid_oram.core import InvalidParameterError
 from pyramid_oram.oprim import (
     SortItem,
+    _network_perm,
+    _sorted_perm,
     batcher_sort,
     comparator_layers,
     comparator_schedule,
@@ -125,11 +128,34 @@ def test_sort_network_perm_matches_python_sort():
             assert sorted_rows[row].tolist() == sorted(keys[row].tolist())
 
 
+# sort_network_perm and both of its realisations, each tested at every width
+PERMS = (sort_network_perm, _network_perm, _sorted_perm)
+
+
 def test_sort_network_perm_is_a_permutation():
-    keys = np.zeros((3, 16), dtype=np.uint64)  # all ties
-    perm = sort_network_perm(keys)
-    for row in perm:
-        assert sorted(row.tolist()) == list(range(16))
+    for m in (2, 4, 8, 16):
+        keys = np.zeros((3, m), dtype=np.uint64)  # all ties
+        for perm_of in PERMS:
+            perm = perm_of(keys)
+            for row in perm:
+                assert sorted(row.tolist()) == list(range(m))
+
+
+@pytest.mark.parametrize("m, realisation", [
+    (2, "_network_perm"), (4, "_network_perm"),
+    (8, "_sorted_perm"), (16, "_sorted_perm"), (32, "_sorted_perm")])
+def test_sort_network_perm_sorts_from_width_eight(monkeypatch, m, realisation):
+    # the choice is a function of the row width alone, never of rows or keys
+    calls = []
+    for name in ("_network_perm", "_sorted_perm"):
+        inner = getattr(oprim, name)
+        monkeypatch.setattr(
+            oprim, name,
+            lambda skey, name=name, inner=inner: calls.append(name) or inner(skey))
+    for rows in (1, 8192, 8193):
+        keys = np.zeros((rows, m), dtype=np.uint64)
+        assert (sort_network_perm(keys) == np.arange(m)).all()
+    assert calls == [realisation] * 3
 
 
 # row counts around the block size: one row, one short of a block, a full
@@ -146,7 +172,7 @@ def test_sort_network_perm_matches_sequential_network(m, rows, distinct,
     # equal across every row, 3 makes ties in almost every row.  The low
     # bits are random and must not matter.  Once the wire index makes the
     # keys distinct, any sorting network, sequential or layered, gives the
-    # stable sort on the compared bits.
+    # stable sort on the compared bits, and so does a plain row sort.
     log_m = m.bit_length() - 1
     gen = np.random.Generator(np.random.PCG64(seed))
     high = gen.integers(0, distinct, size=(rows, 2 * m), dtype=np.uint64,
@@ -156,13 +182,14 @@ def test_sort_network_perm_matches_sequential_network(m, rows, distinct,
     keys = keys[:, ::2] if sliced else np.ascontiguousarray(keys[:, :m])
     assert keys.flags.c_contiguous != sliced
     before = keys.copy()
-    perm = sort_network_perm(keys)
-    assert perm.dtype == np.int64 and perm.shape == (rows, m)
     want = np.argsort(keys >> np.uint64(log_m), axis=1, kind="stable")
-    assert np.array_equal(perm, want)
-    assert np.array_equal(keys, before), "input must not be modified"
-    if distinct == 1:
-        assert (perm == np.arange(m)).all(), "ties keep wire order"
+    for perm_of in PERMS:
+        perm = perm_of(keys)
+        assert perm.dtype == np.int64 and perm.shape == (rows, m)
+        assert np.array_equal(perm, want)
+        assert np.array_equal(keys, before), "input must not be modified"
+        if distinct == 1:
+            assert (perm == np.arange(m)).all(), "ties keep wire order"
 
 
 @pytest.mark.parametrize("m", [2, 4, 8, 16])
@@ -172,12 +199,13 @@ def test_sort_network_perm_matches_batcher_sort_on_ties(m):
     cls = gen.integers(0, 3, size=(200, m), dtype=np.uint64)
     tie = gen.choice(np.array([5, 1 << 40, (1 << 64) - 1], dtype=np.uint64),
                      size=(200, m))
-    perm = sort_network_perm(sort_key(cls, tie))
+    perms = [perm_of(sort_key(cls, tie)) for perm_of in PERMS]
     for row in range(200):
         items = [SortItem(int(cls[row, w]), int(tie[row, w]), payload_ref=w)
                  for w in range(m)]
         batcher_sort(items)
-        assert [item.payload_ref for item in items] == perm[row].tolist()
+        for perm in perms:
+            assert [item.payload_ref for item in items] == perm[row].tolist()
 
 
 @pytest.mark.parametrize("m", [2, 4, 8, 16, 32])

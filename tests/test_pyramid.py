@@ -1,5 +1,6 @@
 """Hierarchy: schedule closed forms, access semantics, rebuild accounting."""
 
+import copy
 import dataclasses
 import re
 import tracemalloc
@@ -211,6 +212,49 @@ def test_miss_and_validation():
     assert oram.read(1) is None
 
 
+BAD_VALUES = {
+    "str": "abcdefgh",
+    "list": [0] * 8,
+    "int": 8,
+    "short": b"x" * 7,
+    "long": b"x" * 9,
+    "short-row": np.zeros(7, np.uint8),
+    "long-row": np.zeros(9, np.uint8),
+    "int64-row": np.zeros(8, np.int64),
+    "2d-row": np.zeros((1, 8), np.uint8),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES, ids=list(BAD_VALUES))
+def test_bad_write_value_is_refused_before_the_search(bad):
+    cfg = PyramidConfig(capacity=64, first_level_size=4, payload_size=8, seed=1)
+    rec, brec = TraceRecorder(), TraceRecorder()
+    oram = PyramidOram(cfg, recorder=rec, build_recorder=brec)
+    for key in range(8):
+        oram.write(key, bytes([key]) * 8)
+
+    def state():
+        next_word = copy.deepcopy(oram._rng._gen.bit_generator).random_raw()
+        return oram.t, oram.stored_items(), len(rec), len(brec), next_word
+
+    before = state()
+    for key in (1, 40):  # a stored key and a fresh one
+        with pytest.raises(InvalidParameterError):
+            oram.write(key, BAD_VALUES[bad])
+        assert state() == before
+    assert oram.read(1) == b"\x01" * 8
+    assert oram.read(40) is None
+
+
+def test_write_value_may_be_bytes_bytearray_or_a_uint8_row():
+    oram = PyramidOram(SMALL)
+    oram.write(1, bytearray(val(1)))
+    oram.write(2, np.frombuffer(val(2), np.uint8))
+    strided = np.frombuffer(val(3) * 2, np.uint8)[::2]
+    oram.write(3, strided)
+    assert oram.stored_items() == {1: val(1), 2: val(2), 3: strided.tobytes()}
+
+
 def test_online_cost_holds_for_every_access(debug_checks):
     cfg = MED
     rec = TraceRecorder()
@@ -402,8 +446,10 @@ def test_bulk_load_validation():
     (MAX_REAL_KEY + 1, val(5)),         # the sentinel is not a real key
     ("3", val(5)),                      # a string is not parsed into a key
     (4.9, val(5)),                      # a float is not truncated into a key
+    (5, 8),                             # bytes(8) would be eight zero bytes
+    (5, "abcdefgh"),                    # a str is not a payload
 ], ids=["payload-short", "payload-long", "key-negative", "key-sentinel",
-        "key-str", "key-float"])
+        "key-str", "key-float", "payload-int", "payload-str"])
 def test_bulk_load_refusal_leaves_the_store_fresh(bad):
     oram = PyramidOram(SMALL)
     items = [(key, val(key)) for key in range(10)]

@@ -85,6 +85,11 @@ def test_zigzag_insert_rejects_non_real():
     for key in (-1, KEY_SENTINEL, KEY_SENTINEL + 1, 1.5, "3"):
         with pytest.raises(InvalidParameterError):
             z.zigzag_insert(key, pay(0), z.path(0))
+    # a payload is bytes or a uint8 row of payload_size, nothing else
+    for payload in ("x" * z.payload_size, z.payload_size, pay(0)[:-1],
+                    np.zeros(z.payload_size // 8, np.int64)):
+        with pytest.raises(InvalidParameterError):
+            z.zigzag_insert(0, payload, z.path(0))
     assert z.zigzag_insert(MAX_REAL_KEY, pay(0), z.path(MAX_REAL_KEY))
     assert z.real_items() == [(MAX_REAL_KEY, pay(0))]
 

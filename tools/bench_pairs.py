@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Run the benchmark on two checkouts in interleaved pairs; write a BENCH file.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \
+        --workloads uniform spill-mc --seeds 1-10 --seconds 40 --out BENCH_N.json
+
+Each checkout runs its own perfbench/run.py --trace 0 from its own root, one
+run at a time.  Seed by seed, each workload runs on both sides back to back,
+and the side that runs first alternates with the seed (parent first on odd
+seeds), so a change in the machine's speed falls on both sides alike.  Each
+side's values are summarised with perfbench/repeat.py's summarise.  The
+output has the layout of the earlier BENCH files: method, environment,
+seconds, seeds, run_order, and per side, workload and metric the values in
+seed order with their median and quartile spread.  Per metric it also prints
+in how many seeds the change did better than the parent.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from repeat import seeds, summarise  # noqa: E402
+
+LOWER_IS_BETTER = {"op_p50_ms", "op_p99_ms", "setup_s", "peak_rss_mb"}
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          timeout=600)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode or not lines:
+        raise SystemExit(f"{checkout}: {' '.join(cmd)} exited "
+                         f"{proc.returncode}:\n{proc.stderr}")
+    result = json.loads(lines[-1])
+    if not result["correct"] or result["failed"]:
+        raise SystemExit(f"{checkout}: {workload} seed {seed} failed its checks")
+    return result
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--parent-commit", default="")
+    parser.add_argument("--workloads", nargs="+", required=True)
+    parser.add_argument("--seeds", default="1-10", help="inclusive range, e.g. 1-10")
+    parser.add_argument("--seconds", type=float, default=40)
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args(argv)
+
+    import numpy
+
+    sides = {"parent": args.parent, "change": args.change}
+    runs = {side: {w: [] for w in args.workloads} for side in sides}
+    order = []
+    seed_list = seeds(args.seeds)
+    for seed in seed_list:
+        turn = ["parent", "change"] if seed % 2 else ["change", "parent"]
+        for workload in args.workloads:
+            for side in turn:
+                result = run_once(sides[side], workload, seed, args.seconds)
+                runs[side][workload].append(result["metrics"])
+                order.append(f"{side} {workload} {seed}")
+                print(f"{side:6s} {workload:10s} seed {seed:3d} " + " ".join(
+                    f"{name} {m['value']:.6g}"
+                    for name, m in result["metrics"].items()), flush=True)
+
+    summary = {
+        "method": (f"run.py --trace 0 --seconds {args.seconds:g}, one run at a "
+                   "time, on two checkouts, written by tools/bench_pairs.py: "
+                   "seed by seed, each workload runs on both sides back to back; "
+                   "the side that runs first alternates with the seed (parent "
+                   "first on odd seeds). Every run read correct with 0 failed "
+                   "operations."),
+        "parent_commit": args.parent_commit,
+        "environment": {"python": platform.python_version(),
+                        "numpy": numpy.__version__, "nproc": os.cpu_count(),
+                        "machine": platform.machine()},
+        "seconds": args.seconds,
+        "seeds": ",".join(map(str, seed_list)),
+        "run_order": order,
+    }
+    for side in sides:
+        summary[side] = {
+            workload: {name: {"unit": first["unit"],
+                              **summarise([r[name]["value"] for r in results])}
+                       for name, first in results[0].items()}
+            for workload, results in runs[side].items()}
+    for workload in args.workloads:
+        for name, parent in summary["parent"][workload].items():
+            change = summary["change"][workload][name]
+            lower = name in LOWER_IS_BETTER
+            wins = sum((c < p) if lower else (c > p)
+                       for p, c in zip(parent["values"], change["values"]))
+            print(f"{workload:10s} {name:12s} parent {parent['median']:10.4g} "
+                  f"change {change['median']:10.4g} "
+                  f"({change['median'] / parent['median'] - 1:+7.1%}), "
+                  f"change better in {wins}/{len(seed_list)}", flush=True)
+    Path(args.out).write_text(json.dumps(summary, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
