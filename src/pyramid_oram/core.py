@@ -33,10 +33,10 @@ MAX_REAL_KEY = 0xFFFFFFFE
 
 DEFAULT_PAYLOAD_SIZE = 56
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 _MIX_C1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_C2 = np.uint64(0x94D049BB133111EB)
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_GOLDEN = 0x9E3779B97F4A7C15  # a Python int: exact in key * _GOLDEN
 _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
@@ -189,10 +189,16 @@ def rank_within_group(groups: np.ndarray) -> np.ndarray:
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer over uint64 arrays (wraps mod 2^64)."""
-    x = (x ^ (x >> _S30)) * _MIX_C1
-    x = (x ^ (x >> _S27)) * _MIX_C2
-    return x ^ (x >> _S31)
+    """splitmix64 finalizer over a uint64 array, in place (wraps mod 2^64).
+
+    Returns x.  Callers pass an array of their own, never their input.
+    """
+    x ^= x >> _S30
+    x *= _MIX_C1
+    x ^= x >> _S27
+    x *= _MIX_C2
+    x ^= x >> _S31
+    return x
 
 
 # Bounded: every rebuild attempt draws a fresh epoch, so an unbounded cache
@@ -201,20 +207,23 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=1024)
 def _table_subkey(seed: int, epoch: int, level: int, table_index: int) -> np.uint64:
     """Derive the per-(epoch, level, table) 64-bit subkey by absorbing each word."""
-    x = np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    x = np.array([seed & _MASK64], dtype=np.uint64)
     x = _mix64(x + _GOLDEN)
-    x = _mix64(x ^ (np.uint64(epoch & 0xFFFFFFFFFFFFFFFF) + _MIX_C1))
+    x = _mix64(x ^ (np.uint64(epoch & _MASK64) + _MIX_C1))
     x = _mix64(x ^ (np.uint64((level << 16) | table_index) + _MIX_C2))
     return np.uint64(x[0])
 
 
-def _keyed_bucket(keys: np.ndarray, subkeys, n) -> np.ndarray:
-    """The hash itself: uint64 keys under (broadcast) subkeys into [0, n).
+def _keyed_bucket(x: np.ndarray, n) -> np.ndarray:
+    """The hash itself, in place: lanes x = (key * G) ^ subkey into [0, n).
 
-    n is an int or an array of counts broadcast against the lanes.
+    x is a fresh uint64 array that the caller owns; it is mixed and reduced
+    where it stands and returned as an int64 view (exact: every bucket is
+    below n <= 2^63).  n is an int or an array of counts, one per lane.
     """
-    n = np.asarray(n, dtype=np.uint64)
-    return (_mix64((keys * _GOLDEN) ^ subkeys) % n).astype(np.int64)
+    x = _mix64(x)
+    x %= np.asarray(n, dtype=np.uint64)
+    return x.view(np.int64)
 
 
 @dataclass(frozen=True)
@@ -234,9 +243,10 @@ class HashFamily:
         """Vectorized hash of uint keys into [0, n).  Scalar in, scalar out."""
         _require(n >= 1, "hash range n must be at least 1")
         scalar = np.isscalar(keys)
-        k = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
-        sub = _table_subkey(self.seed, self.epoch, level, table_index)
-        out = _keyed_bucket(k, sub, n)
+        # the product is a fresh array, so the caller's keys are never mixed
+        x = np.atleast_1d(np.asarray(keys, dtype=np.uint64)) * _GOLDEN
+        x ^= _table_subkey(self.seed, self.epoch, level, table_index)
+        out = _keyed_bucket(x, n)
         return int(out[0]) if scalar else out
 
     def subkeys(self, level: int, count: int) -> np.ndarray:
@@ -253,11 +263,11 @@ def path_buckets(subkeys: np.ndarray, key: int, n) -> np.ndarray:
     Lane j equals bucket_indices(level, j, key, n) when subkeys came from
     subkeys(level, ...).  n is one bucket count for every lane or an array
     of one count per lane, so the lanes of several levels, each with its own
-    subkeys and n, hash in one call.  The key is broadcast into a uint64 array
-    first, so the multiply wraps silently instead of warning as a numpy scalar
-    would.
+    subkeys and n, hash in one call.  key is a real key (core.real_key):
+    key * G mod 2^64 is taken as a Python int, the same word a uint64
+    multiply gives, and XORed into a fresh copy of the subkeys.
     """
-    return _keyed_bucket(np.full(subkeys.size, key, dtype=np.uint64), subkeys, n)
+    return _keyed_bucket(subkeys ^ ((key * _GOLDEN) & _MASK64), n)
 
 
 class Rng:

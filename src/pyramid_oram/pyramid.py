@@ -13,9 +13,13 @@ that writes self.levels, holds the subkeys and bucket counts of every table
 of every occupied level, and one path_buckets call gives all their buckets.
 Levels after the hit are hashed too (hashing is private computation, and
 its work then does not depend on where the hit is), but their buckets are
-never read: those levels get dummy searches over fresh random buckets.  The
-log, like every level, holds slots that are real iff their key is not
-KEY_SENTINEL, so the log scan, like Zht.search, compares keys only.
+never read: those levels get dummy searches over fresh random buckets.  A
+real search at a level is Zht.search over that level's slice of the lanes:
+one take of its k path buckets' keys and payload rows, one compare, and
+nonzero() for the hit's (table, slot).  The log, like every level, holds
+slots that are real iff their key is not KEY_SENTINEL, so the log scan too
+compares keys only and takes a hit's slot from nonzero().  An access reads
+the debug flag, the recorder and the RNG once, before its level loop.
 
 Every p accesses the log (plus every level smaller than the target) is rebuilt
 into the level addressed by the trailing-zero count of t/p, and every N
@@ -290,20 +294,22 @@ class PyramidOram:
         if op == "write":
             value = payload_bytes(value, self.config.payload_size)
         op_index = self.t
-        if debug_checks_enabled():
+        debug = debug_checks_enabled()
+        if debug:
             self._assert_schedule_consistent()
 
         found, payload = self._scan_level0(key)
         # every occupied level's path in one hash, the levels after the hit
         # included: hashing is private, only the gathers below touch memory
         lanes = path_buckets(self._lane_subkeys, key, self._lane_n)
+        recorder, rng = self.recorder, self._rng
         for j, level, lo, hi in self._probes:
             if found:
-                level.dummy_search(self._rng, recorder=self.recorder)
+                level.dummy_search(rng, recorder=recorder)
                 continue
-            if debug_checks_enabled():
+            if debug:
                 self._log_real_search(j, key)
-            hit = level.search(key, remove=True, recorder=self.recorder,
+            hit = level.search(key, remove=True, recorder=recorder,
                                buckets=lanes[lo:hi])
             if hit is not None:
                 found = True
@@ -417,11 +423,13 @@ class PyramidOram:
     def _scan_level0(self, key: int) -> tuple[bool, bytes | None]:
         l0 = self.level0
         self.recorder.record(L0_REGION, self._l0_indices)
-        match = l0.key == key
-        if not match.any():
+        (hit,) = (l0.key == key).nonzero()
+        if debug_checks_enabled():
+            assert hit.size <= 1, f"key {key} in {hit.size} log slots"
+        if not hit.size:
             return False, None
-        payload = np.dot(match.view(np.uint8), l0.payload).tobytes()
-        l0.clear_to_dummy(match)
+        payload = l0.payload[hit[0]].tobytes()
+        l0.clear_to_dummy(hit)
         return True, payload
 
     def _append(self, op: str, key: int, found: bool, payload: bytes | None,

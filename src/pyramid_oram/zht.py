@@ -14,9 +14,11 @@ slot.  tables[j] is the (n, c) SlotArray view store[j], so per-table code
 k path buckets out of it.  A slot is a key and a payload (route() keeps its tags to
 itself), real iff its key is not KEY_SENTINEL, which is above every real
 key, so a search compares keys only and `key == probe` is exactly "a real
-slot holding probe".  A removal writes the sentinel,
-which frees the slot.  The hit's payload is the dot product of the 0/1 match
-vector with the gathered payload rows.
+slot holding probe".  A search takes the k path buckets' keys and payload
+rows, every row on a hit and on a miss alike; nonzero() of the (k, c) key
+match gives the hit's (table, slot), and the hit's payload is that row of
+the gathered copy.  A removal writes the sentinel into that one slot, which
+frees it.
 
 Placement is one kernel, _first_fit, for a batch throw and a single insert
 alike.  It walks the tables in order; at table j it ranks every element still
@@ -158,8 +160,8 @@ class Zht:
     # -- paths ---------------------------------------------------------------
 
     def path(self, key: int) -> list[int]:
-        """The zigzag path h_1(key) .. h_k(key)."""
-        return path_buckets(self._subkeys, key, self.n).tolist()
+        """The zigzag path h_1(key) .. h_k(key) of a real key."""
+        return path_buckets(self._subkeys, real_key(key), self.n).tolist()
 
     # -- insertion -----------------------------------------------------------
 
@@ -242,9 +244,10 @@ class Zht:
                buckets: np.ndarray | None = None) -> bytes | None:
         """Probe all k path buckets; the match's payload, or None on a miss.
 
-        One gather of the k path buckets' keys and one compare find the key;
-        the payload is the dot product of the 0/1 match vector with the
-        gathered payload rows, exact because at most one slot matches.
+        One take of the k path buckets' keys and one compare find the key,
+        and nonzero() of the (k, c) match gives its (table, slot): at most
+        one slot holds a key.  The k buckets' payload rows are taken whether
+        or not the key is there, and a hit returns its row of that copy.
         `remove` frees the matching slot.  Every path bucket is visited even
         after a hit.  `buckets` is the path when the caller has hashed it
         already; by default the key is hashed under this table's subkeys.
@@ -256,19 +259,17 @@ class Zht:
             recorder.record(self.regions, [buckets])
         rows = buckets + self._row_base
         br = self._bucket_rows
-        keys = br.key.take(rows, axis=0)
-        match = keys == key
-        hits = np.count_nonzero(match)
+        j, s = (br.key.take(rows, axis=0) == key).nonzero()
+        payload = br.payload.take(rows, axis=0)
         if debug_checks_enabled():
-            assert hits <= 1, f"key {key} resident in {hits} slots"
-        payload = np.dot(match.reshape(-1).view(np.uint8),
-                         br.payload.take(rows, axis=0).reshape(match.size, -1))
-        if remove and hits:
-            hit_j, hit_s = np.nonzero(match)
-            hit_rows = rows[hit_j]
-            br.key[hit_rows, hit_s] = KEY_SENTINEL
-            br.payload[hit_rows, hit_s] = 0
-        return payload.tobytes() if hits else None
+            assert j.size <= 1, f"key {key} resident in {j.size} slots"
+        if not j.size:
+            return None
+        j, s = j[0], s[0]
+        if remove:
+            br.key[rows[j], s] = KEY_SENTINEL
+            br.payload[rows[j], s] = 0
+        return payload[j, s].tobytes()
 
     def dummy_search(self, rng: Rng, recorder: TraceRecorder | None = None) -> None:
         """Shape-identical to search: one uniformly random bucket per table."""

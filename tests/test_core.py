@@ -135,6 +135,25 @@ def test_path_buckets_with_per_lane_counts():
         assert path_buckets(subkeys[:0], 5, counts[:0].astype(np.uint64)).size == 0
 
 
+def test_hash_leaves_its_inputs_unchanged():
+    # the hash mixes its lanes in place; the lanes must be its own copy, never
+    # the caller's keys (a uint64 column converts without a copy) or subkeys
+    fam = HashFamily(9, epoch=4)
+    for dtype in (np.uint64, np.uint32, np.int64):
+        keys = np.arange(0, 4000, 7, dtype=dtype)
+        before = keys.copy()
+        fam.bucket_indices(3, 1, keys, 64)
+        assert np.array_equal(keys, before) and keys.dtype == dtype
+    subkeys = fam.subkeys(3, 5)
+    counts = np.full(5, 32, dtype=np.uint64)
+    sub_before, counts_before = subkeys.copy(), counts.copy()
+    for key in (0, 1, 2**31, MAX_REAL_KEY):
+        path_buckets(subkeys, key, counts)
+        path_buckets(subkeys, key, 32)
+    assert np.array_equal(subkeys, sub_before)
+    assert np.array_equal(counts, counts_before)
+
+
 # -- rng -----------------------------------------------------------------------------
 
 

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 import pyramid_oram.pyramid as pyramid_mod
 from pyramid_oram.core import (
+    KEY_SENTINEL,
     MAX_REAL_KEY,
     BuildFailedError,
     CapacityExceededError,
+    HashFamily,
     InvalidParameterError,
     OramError,
     StoreBrokenError,
@@ -620,6 +622,67 @@ def test_key_only_probe_keeps_the_sentinel_invariant(cfg, seed, ops):
 def _lane_owner_levels(cfg: PyramidConfig, t: int, loaded: bool) -> list[int]:
     return [j for j in range(1, cfg.num_levels + 1)
             if level_occupied(cfg, j, t, loaded)]
+
+
+def test_in_place_hash_leaves_its_inputs_unchanged(monkeypatch):
+    # path_buckets and bucket_indices mix their lanes in place: after a bulk
+    # load, accesses and rebuilds, the lane table, every level's subkeys and
+    # every key column a build hashed must hold what they held before
+    cfg = SMALL
+    hashed: list[bool] = []
+    bucket_indices = HashFamily.bucket_indices
+
+    def spy(self, level, table_index, keys, n):
+        # a build routes the column it hashed, so compare on return
+        before = np.array(keys, copy=True)
+        out = bucket_indices(self, level, table_index, keys, n)
+        hashed.append(np.array_equal(keys, before))
+        return out
+
+    monkeypatch.setattr(HashFamily, "bucket_indices", spy)
+    oram = PyramidOram(cfg)
+    oram.bulk_load([(key, val(key)) for key in range(0, cfg.capacity, 2)])
+    gen = np.random.Generator(np.random.PCG64(43))
+    for step in range(2 * cfg.capacity):
+        key = int(gen.integers(0, cfg.capacity))
+        if step % 2:
+            oram.write(key, val(key, salt=step))
+        else:
+            oram.read(key)
+        assert all(hashed)
+        subkeys, counts = [], []
+        for j, level, _, _ in oram._probes:
+            want = level.fam.subkeys(j, level.k)
+            assert np.array_equal(level._subkeys, want)
+            subkeys.append(want)
+            counts.append(np.full(level.k, level.n, dtype=np.uint64))
+        assert np.array_equal(oram._lane_subkeys, np.concatenate(subkeys))
+        assert np.array_equal(oram._lane_n, np.concatenate(counts))
+    assert hashed and oram.epochs[cfg.num_levels] >= 2, "no full rebuild was made"
+
+
+@pytest.mark.parametrize("slot", range(SMALL.first_level_size))
+def test_log_scan_hit_at_any_position(slot):
+    # the scan takes its hit from nonzero() of the key compare: the payload
+    # of that log slot comes back, and that slot alone becomes a dummy
+    cfg = SMALL
+    oram = PyramidOram(cfg)
+    keys = [11, 22, 33, 44][:cfg.first_level_size - 1]
+    for key in keys:
+        oram.write(key, val(key))
+    assert oram.t == len(keys) and oram.last_rebuild is None
+    l0 = oram.level0
+    if slot < len(keys):
+        key, want = keys[slot], (True, val(keys[slot]))
+    else:
+        key, want = 55, (False, None)
+    before_key, before_payload = l0.key.copy(), l0.payload.copy()
+    assert oram._scan_level0(key) == want
+    if want[0]:
+        before_key[slot] = KEY_SENTINEL
+        before_payload[slot] = 0
+    assert np.array_equal(l0.key, before_key)
+    assert np.array_equal(l0.payload, before_payload)
 
 
 @pytest.mark.parametrize("loaded", [False, True])

@@ -44,6 +44,14 @@ def test_path_is_deterministic_and_in_range():
         assert all(0 <= b < z.n for b in p)
 
 
+@pytest.mark.parametrize("key", [1.5, 2**40, -1, MAX_REAL_KEY + 1])
+def test_path_rejects_non_real_keys(key):
+    # a path is hashed from key * G mod 2^64 as a Python int, which would
+    # wrap a negative or wide key into some other key's word
+    with pytest.raises(InvalidParameterError):
+        make_zht().path(key)
+
+
 def test_regions_distinct_per_table():
     z = make_zht(level_id=3)
     assert len(set(z.regions)) == z.k
@@ -353,11 +361,13 @@ def test_payload_width_must_match():
 # -- the (k, n, c) store against a scalar probe ---------------------------------
 
 
-def _populated_zht(k: int, c: int, seed: int, probe: int, target: int) -> Zht:
+def _populated_zht(k: int, c: int, seed: int, probe: int, target: int,
+                   slot: int | None = None) -> Zht:
     """A 16-bucket Zht with random residents, written per table.
 
     Every write goes through tables[j], so the store only sees them if the
-    tables are views.  `probe` is placed in table `target` (-1: nowhere).
+    tables are views.  `probe` is placed in table `target` (-1: nowhere),
+    at `slot` of its bucket (by default the last, c - 1).
     """
     z = Zht(16, k, c, HashFamily(seed=seed), level_id=2, payload_size=PAYLOAD)
     gen = np.random.Generator(np.random.PCG64(seed))
@@ -376,9 +386,10 @@ def _populated_zht(k: int, c: int, seed: int, probe: int, target: int) -> Zht:
             tbl.payload[b, s] = gen.integers(0, 256, PAYLOAD, dtype=np.uint8)
     if target >= 0:
         b = z.path(probe)[target]
+        s = c - 1 if slot is None else slot
         tbl = z.tables[target]
-        tbl.key[b, c - 1] = probe
-        tbl.payload[b, c - 1] = np.frombuffer(pay(probe), np.uint8)
+        tbl.key[b, s] = probe
+        tbl.payload[b, s] = np.frombuffer(pay(probe), np.uint8)
     return z
 
 
@@ -420,6 +431,28 @@ def test_search_matches_scalar_probe(k, c, remove, seed, data):
     for j, event in enumerate(got_rec.events()):
         assert event.region == got_z.regions[j]
         assert event.index == got_z.path(probe)[j]
+
+
+@pytest.mark.parametrize("remove", [False, True])
+@pytest.mark.parametrize("c", [1, 4])
+def test_search_hit_at_every_table_and_slot_matches_scalar_probe(c, remove):
+    # the hit's (table, slot) comes from nonzero() of the (k, c) match: the
+    # payload returned and the one slot removed must be those of the key
+    k, probe = 3, 7
+    for seed in range(3):
+        for target in range(k):
+            for slot in range(c):
+                got_z = _populated_zht(k, c, seed, probe, target, slot)
+                want_z = _populated_zht(k, c, seed, probe, target, slot)
+                got_rec, want_rec = TraceRecorder(), TraceRecorder()
+                got = got_z.search(probe, remove=remove, recorder=got_rec)
+                want = _scalar_probe(want_z, probe, remove, want_rec)
+                assert got == want == pay(probe)
+                assert _store_bytes(got_z) == _store_bytes(want_z)
+                assert got_rec.events() == want_rec.events()
+                b = got_z.path(probe)[target]
+                held = int(got_z.tables[target].key[b, slot])
+                assert held == (KEY_SENTINEL if remove else probe)
 
 
 def test_tables_are_views_of_the_store():
