@@ -21,7 +21,6 @@ or parallelized without stream overlap.
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass
 
@@ -34,8 +33,12 @@ MAX_REAL_KEY = 0xFFFFFFFE
 DEFAULT_PAYLOAD_SIZE = 56
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_MIX_C1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_C2 = np.uint64(0x94D049BB133111EB)
+# splitmix64's finalizer constants, as Python ints; _mix64 uses them as
+# uint64 words, _mix64_word on one Python-int word
+_C1 = 0xBF58476D1CE4E5B9
+_C2 = 0x94D049BB133111EB
+_MIX_C1 = np.uint64(_C1)
+_MIX_C2 = np.uint64(_C2)
 _GOLDEN = 0x9E3779B97F4A7C15  # a Python int: exact in key * _GOLDEN
 _S30 = np.uint64(30)
 _S27 = np.uint64(27)
@@ -201,17 +204,26 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-# Bounded: every rebuild attempt draws a fresh epoch, so an unbounded cache
-# would grow by k entries per build for the life of the process.  Each Zht
-# keeps its own subkeys; this cache only serves repeated bucket_indices calls.
-@functools.lru_cache(maxsize=1024)
-def _table_subkey(seed: int, epoch: int, level: int, table_index: int) -> np.uint64:
-    """Derive the per-(epoch, level, table) 64-bit subkey by absorbing each word."""
-    x = np.array([seed & _MASK64], dtype=np.uint64)
-    x = _mix64(x + _GOLDEN)
-    x = _mix64(x ^ (np.uint64(epoch & _MASK64) + _MIX_C1))
-    x = _mix64(x ^ (np.uint64((level << 16) | table_index) + _MIX_C2))
-    return np.uint64(x[0])
+def _mix64_word(x: int) -> int:
+    """_mix64 of one word held as a Python int in [0, 2^64)."""
+    x ^= x >> 30
+    x = x * _C1 & _MASK64
+    x ^= x >> 27
+    x = x * _C2 & _MASK64
+    return x ^ x >> 31
+
+
+def _table_subkeys(seed: int, epoch: int, level: int, tables) -> list[int]:
+    """The 64-bit subkeys of (epoch, level, table) for each table in `tables`.
+
+    Each word is absorbed in turn: the seed, then the epoch, then
+    (level << 16) | table, every addition and product wrapping mod 2^64.
+    The seed and epoch are absorbed once for all the tables.
+    """
+    x = _mix64_word((seed + _GOLDEN) & _MASK64)
+    x = _mix64_word(x ^ ((epoch & _MASK64) + _C1) & _MASK64)
+    return [_mix64_word(x ^ ((((level << 16) | j) + _C2) & _MASK64))
+            for j in tables]
 
 
 def _keyed_bucket(x: np.ndarray, n) -> np.ndarray:
@@ -245,16 +257,14 @@ class HashFamily:
         scalar = np.isscalar(keys)
         # the product is a fresh array, so the caller's keys are never mixed
         x = np.atleast_1d(np.asarray(keys, dtype=np.uint64)) * _GOLDEN
-        x ^= _table_subkey(self.seed, self.epoch, level, table_index)
+        x ^= _table_subkeys(self.seed, self.epoch, level, (table_index,))[0]
         out = _keyed_bucket(x, n)
         return int(out[0]) if scalar else out
 
     def subkeys(self, level: int, count: int) -> np.ndarray:
         """uint64 subkeys of tables 0..count-1 at `level`, for path_buckets()."""
-        return np.array(
-            [_table_subkey(self.seed, self.epoch, level, j) for j in range(count)],
-            dtype=np.uint64,
-        )
+        return np.array(_table_subkeys(self.seed, self.epoch, level, range(count)),
+                        dtype=np.uint64)
 
 
 def path_buckets(subkeys: np.ndarray, key: int, n) -> np.ndarray:

@@ -60,6 +60,14 @@ def sort_key(sort_class, tiebreak):
     return (sort_class << _CLASS_SHIFT) | (tiebreak >> _TIE_SHIFT)
 
 
+def sort_key_into(tiebreak: np.ndarray, class_word: np.ndarray) -> np.ndarray:
+    """sort_key(class, tiebreak) built in tiebreak's uint64 buffer, from
+    class_word = sort_key(class, 0); returns that buffer."""
+    tiebreak >>= _TIE_SHIFT
+    tiebreak |= class_word
+    return tiebreak
+
+
 # Key of the entries that pad a sort to a power-of-two width.  They are
 # dropped after sorting, which leaves the real entries in sorted order
 # wherever the pads landed.

@@ -18,13 +18,18 @@ oprim.sort_network_perm), retags the misplaced, and writes both buckets back.
 The pair schedule is a function of n alone: (n/2)*log2(n) repartitions, pairs
 in ascending order of the lower index.
 
-One kernel, route_census(), runs the stages over a batch of tables at once:
-every pair of a stage, in every table of the batch, in one pass.  It carries
-only what the network reads, each slot's tag and destination, plus a slot id
-when the slot contents must follow, packed into one word per slot.  On tags
-and destinations alone, over many trials, it is the census behind the spill
-statistics; route() is the batch-1 case with slot ids, which after the last
-stage moves each cell's key and payload once, to where its slot id ended up.
+One stage kernel, _run_stages(), runs the stages over a batch of tables at
+once: every pair of a stage, in every table of the batch, in one pass.  It
+carries only what the network reads, each slot's tag and destination, plus
+a slot id when the slot contents must follow, packed into one word per
+slot.  The words stay in the current stage's pair order, rows of 2c words:
+a stage builds each word's sort key from the word itself, gathers the words
+into sorted order once, clears the misplaced tags there, and moves them into
+the next stage's pair order by one strided copy (the last stage's copy
+restores the natural order).  route_census() runs it on tags and
+destinations over many trials, the census behind the spill statistics;
+route() runs it on one table with slot ids, and after the last stage moves
+each cell's key and payload once, to where its slot id ended up.
 
 repartition() and route_reference() are the slot-at-a-time oracle: a
 RoutingSlot is one cell's key, payload, destination and tag, read off and
@@ -41,7 +46,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import KEY_SENTINEL, InvalidParameterError, Rng, _require, is_power_of_two
-from .oprim import PAD_KEY, SortItem, batcher_sort, sort_key, sort_network_perm
+from .oprim import (
+    PAD_KEY,
+    SortItem,
+    batcher_sort,
+    sort_key,
+    sort_key_into,
+    sort_network_perm,
+)
 from .trace import TraceRecorder, table_region
 
 
@@ -130,24 +142,125 @@ def _check_route(table, dests) -> tuple[int, int]:
     _require(isinstance(dests, np.ndarray) and dests.dtype == np.int64,
              "dests must be an int64 array: it is permuted in place")
     _require(dests.shape == table.shape, "dests must be shaped like the table")
-    _require(0 <= dests.min() and dests.max() < n,
-             f"destinations must lie in [0, {n})")
+    # n is a power of two: d & -n is nonzero iff d lies outside [0, n)
+    _require(not (dests & -n).any(), f"destinations must lie in [0, {n})")
     return n, c
 
 
-def _stage_perm(cls_rows: np.ndarray, tie_rows: np.ndarray) -> np.ndarray:
-    """Sorting permutation for (rows, 2c) class/tiebreak arrays, with padding."""
-    rows, m = cls_rows.shape
-    skey = sort_key(cls_rows, tie_rows)
+def _pack(tag: np.ndarray, dest: np.ndarray, slot: np.ndarray | None) -> np.ndarray:
+    """The (batch, n, c) slots' words, in the narrowest unsigned type that
+    holds them: tag in bit 0, destination above it, slot id on top."""
+    _, n, c = tag.shape
+    dest_bits = (n - 1).bit_length()
+    slot_bits = 0 if slot is None else (n * c - 1).bit_length()
+    _require(1 + dest_bits + slot_bits <= 64, "slot ids too wide to carry")
+    kind = np.min_scalar_type((1 << (1 + dest_bits + slot_bits)) - 1)
+    word = dest.astype(kind, order="C")
+    word <<= 1
+    word |= tag
+    if slot is not None:
+        ids = slot.astype(kind)
+        ids <<= 1 + dest_bits
+        word |= ids
+    return word
+
+
+def _unpack(word: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The destination and slot-id fields of _pack's words for n buckets."""
+    dest_bits = (n - 1).bit_length()
+    return (word >> 1) & ((1 << dest_bits) - 1), word >> (1 + dest_bits)
+
+
+def _stage_perm(skey: np.ndarray) -> np.ndarray:
+    """sort_network_perm of (rows, m) keys, padded to a power-of-two width."""
+    rows, m = skey.shape
     size = 1 << (m - 1).bit_length()
-    if size != m:
-        pad = np.full((rows, size - m), PAD_KEY, dtype=np.uint64)
-        skey = np.concatenate([skey, pad], axis=1)
-    perm = sort_network_perm(skey)
-    if size != m:
-        # every row keeps exactly its m real entries, in sorted order
-        perm = perm[perm < m].reshape(rows, m)
-    return perm
+    if size == m:
+        return sort_network_perm(skey)
+    pad = np.full((rows, size - m), PAD_KEY, dtype=np.uint64)
+    perm = sort_network_perm(np.concatenate([skey, pad], axis=1))
+    # every row keeps exactly its m real entries, in sorted order
+    return perm[perm < m].reshape(rows, m)
+
+
+# The sort key's class word, indexed by ((word >> bit) & 2) | (word & 1),
+# that is by (destination bit, tag): untagged slots float in class 1, tagged
+# ones sort to class 0 (low side) or 2 (high side).  The tiebreak >> 2 fills
+# the bits below it (oprim.sort_key_into), which makes the key
+# oprim.sort_key(class, tiebreak).
+_CLASS_WORD = np.array([sort_key(cls, 0) for cls in (1, 0, 1, 2)], dtype=np.uint64)
+
+
+def _stage_key(word: np.ndarray, bit: int, rng: Rng) -> np.ndarray:
+    """Stage `bit`'s sort key of each word: sort_key(class, fresh tiebreak)."""
+    skey = rng.bits64(word.shape)
+    klass = word >> bit
+    klass &= 2
+    klass |= word & 1
+    # an intp index: take() converts any other type element by element
+    return sort_key_into(skey, _CLASS_WORD.take(klass.astype(np.intp)))
+
+
+def _sort_rows(word: np.ndarray, bit: int, rng: Rng, base: np.ndarray) -> np.ndarray:
+    """Stage `bit`'s (rows, 2c) words, each row gathered into sorted order;
+    base holds each row's first flat index."""
+    perm = _stage_perm(_stage_key(word, bit, rng))
+    perm += base
+    return word.take(perm)
+
+
+def _clear_misplaced(word: np.ndarray, bit: int, side: np.ndarray,
+                     batch: int) -> np.ndarray | int:
+    """Clear, in place, the tag of every sorted word off its destination
+    side; returns how many were cleared in each of the batch's tables."""
+    misplaced = word >> (bit + 1)
+    misplaced ^= side
+    misplaced &= word
+    misplaced &= 1
+    word ^= misplaced
+    return _per_table(misplaced, batch)
+
+
+def _per_table(flags: np.ndarray, batch: int) -> np.ndarray | int:
+    """The count of nonzero entries in each table of a batch's 0/1 array."""
+    if batch == 1:  # a flat count costs a fraction of an axis reduction
+        return np.count_nonzero(flags)
+    # an unsigned sum would be uint64, and turn live into float64
+    return flags.reshape(batch, -1).sum(axis=1, dtype=np.int64)
+
+
+def _run_stages(word: np.ndarray, rng: Rng,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stage kernel over a (batch, n, c) array of packed words (_pack).
+
+    Between stages the words are held in the current stage's pair order,
+    rows of 2c words (the low bucket's slots first, pairs ascending by lower
+    index); stage 0's is the natural order.  Stage `bit` draws one (batch *
+    n/2, 2c) block of tiebreaks.  Returns the words in natural order and the
+    per-stage spills and live tags, each (batch, stages).
+    """
+    batch, n, c = word.shape
+    stages = stage_count(n)
+    m, rows = 2 * c, batch * (n // 2)
+    base = (np.arange(rows) * m)[:, None]
+    side = np.repeat(np.array([0, 1], dtype=word.dtype), c)
+    count = _per_table(word & 1, batch)
+    spills = np.zeros((batch, stages), dtype=np.int64)
+    for bit in range(stages):
+        # a stage's full-size scratch (keys, class index, permutation, the
+        # cleared tags) lives in the helpers, so none of it outlives the stage
+        word = _sort_rows(word.reshape(rows, m), bit, rng, base)
+        spills[:, bit] = _clear_misplaced(word, bit, side, batch)
+        if bit + 1 < stages:
+            # rows (H, L) of (side, slot) at stage bit, H = 2H' + side', to
+            # rows (H', L') of (side', slot) with L' = side * 2^bit + L
+            word = word.reshape(batch, n >> (bit + 2), 2, 1 << bit, 2, c).transpose(
+                0, 1, 4, 3, 2, 5).reshape(rows, m)
+        else:
+            word = word.reshape(batch, 1 << bit, 2, c).transpose(0, 2, 1, 3).reshape(
+                rows, m)
+    live = np.reshape(count, (batch, 1)) - spills.cumsum(axis=1) + spills
+    return word.reshape(batch, n, c), spills, live
 
 
 def route_census(tag: np.ndarray, dest: np.ndarray, rng: Rng,
@@ -156,18 +269,18 @@ def route_census(tag: np.ndarray, dest: np.ndarray, rng: Rng,
     """The routing network over a batch of tables: (batch, n, c) arrays.
 
     Over many trials of tags and destinations alone it is the census behind
-    the per-stage spill statistics; route() is its batch-1 case.  tag (bool)
-    and dest evolve in place exactly as route() evolves one table's tags and
-    destinations; slot, unless None, holds ids in [0, n*c) and is carried
-    along in place, so that afterwards slot[b, i, s] is the id the slot now
-    at (i, s) started with.  The three travel packed in one word per slot
-    (tag in bit 0, destination above it, slot id on top), in the narrowest
-    unsigned type that holds them.  Stage `bit` reads
-    each pair's 2c words through a reshape view (low bucket's slots first,
-    pairs ascending by lower index), sorts them by (side class, tiebreak),
-    clears the tag of the misplaced and writes them back through the same
-    view.  Tiebreaks are drawn per stage as one (batch, n/2, 2c) block.
-    Returns (spills, live), each (batch, stages).
+    the per-stage spill statistics; route() runs the same kernel on one
+    table.  tag (bool) and dest (integers in [0, n)) evolve in place exactly
+    as route() evolves one table's tags and destinations; slot, unless None,
+    holds integer ids in [0, n*c) and is carried along in place, so that
+    afterwards slot[b, i, s] is the id the slot now at (i, s) started with.
+    The three travel packed in one word per slot (tag in bit 0, destination
+    above it, slot id on top), in the narrowest unsigned type that holds
+    them, through the stage kernel _run_stages: each stage sorts every
+    pair's 2c words, in every table of the batch, in one pass, and the
+    words move from one stage's pair order to the next by one strided copy.
+    Every argument is checked before anything is written.  Returns (spills,
+    live), each (batch, stages).
     """
     if tag.ndim != 3:
         raise InvalidParameterError("tag must be shaped (batch, n, c)")
@@ -176,45 +289,22 @@ def route_census(tag: np.ndarray, dest: np.ndarray, rng: Rng,
     if tag.dtype != np.bool_:
         raise InvalidParameterError("tag must be boolean")
     batch, n, c = tag.shape
-    stages = stage_count(n)
+    _require(is_power_of_two(n), "table size must be a power of two")
     _require(c >= 1, "bucket capacity c must be at least 1")
+    # a float would be truncated on the way in and written back rounded
+    _require(np.issubdtype(dest.dtype, np.integer), "dest must hold integers")
     if dest.size and (dest.min() < 0 or dest.max() >= n):
         raise InvalidParameterError(f"destinations must lie in [0, {n})")
-    dest_bits = (n - 1).bit_length()
-    slot_bits = 0 if slot is None else (n * c - 1).bit_length()
-    _require(1 + dest_bits + slot_bits <= 64, "slot ids too wide to carry")
-    kind = np.min_scalar_type((1 << (1 + dest_bits + slot_bits)) - 1)
-    word = (dest.astype(kind) << 1) | tag
     if slot is not None:
-        word |= slot.astype(kind) << (1 + dest_bits)
-    m = 2 * c
-    rows = batch * (n // 2)
-    side = np.repeat(np.array([0, 1], dtype=kind), c)
-    base = (np.arange(rows) * m)[:, None]
-    spills = np.zeros((batch, stages), dtype=np.int64)
-    live = np.zeros((batch, stages), dtype=np.int64)
-    count = tag.sum(axis=(1, 2))
-    for bit in range(stages):
-        live[:, bit] = count
-        view = word.reshape(batch, n >> (bit + 1), 2, 1 << bit, c).transpose(
-            0, 1, 3, 2, 4)
-        pair = view.reshape(rows, m)
-        tagged = pair & 1
-        to_high = (pair >> (bit + 1)) & 1
-        # untagged slots float (class 1); tagged ones sort to their side
-        cls = 1 - tagged + 2 * (tagged & to_high)
-        ties = rng.bits64((batch, n // 2, m)).reshape(rows, m)
-        flat = (_stage_perm(cls, ties) + base).reshape(-1)
-        pair = pair.reshape(-1)[flat].reshape(rows, m)
-        misplaced = pair & 1 & ((pair >> (bit + 1)) ^ side)
-        pair ^= misplaced
-        spills[:, bit] = misplaced.reshape(batch, -1).sum(axis=1)
-        view[...] = pair.reshape(view.shape)
-        count = count - spills[:, bit]
+        _require(np.issubdtype(slot.dtype, np.integer), "slot must hold integers")
+        # an id past n*c would lose its high bits to the packed word
+        _require(not slot.size or (slot.min() >= 0 and slot.max() < n * c),
+                 f"slot ids must lie in [0, {n * c})")
+    word, spills, live = _run_stages(_pack(tag, dest, slot), rng)
     tag[...] = word & 1
-    dest[...] = (word >> 1) & ((1 << dest_bits) - 1)
+    dest[...], ids = _unpack(word, n)
     if slot is not None:
-        slot[...] = word >> (1 + dest_bits)
+        slot[...] = ids
     return spills, live
 
 
@@ -225,18 +315,20 @@ def route(table, dests: np.ndarray, rng: Rng,
 
     `dests` is an (n, c) int64 destination array that travels with the slots
     (it is permuted in place alongside them).  Consumes one 64-bit tiebreak
-    per slot per stage, in pair order, regardless of contents.  The network
-    moves only tags, destinations and slot ids; keys and payloads are then
-    moved once, to where their slot ids ended up.  A real slot spilled iff
-    it ends outside its destination bucket.
+    per slot per stage, in pair order, regardless of contents.  The stage
+    kernel (the one route_census runs) moves only tags, destinations and
+    slot ids; keys and payloads are then moved once, to where their slot
+    ids ended up.  The tags are dropped unread: a real slot spilled iff it
+    ends outside its destination bucket.
     """
     n, c = _check_route(table, dests)
     if region is None:
         region = table_region(0, 0)
-    slot = np.arange(n * c).reshape(1, n, c)
-    tag = (table.key != KEY_SENTINEL)[None]
-    spills, live = route_census(tag, dests[None], rng, slot)
-    src = slot[0]
+    # tagged: the real slots; slot ids: each cell's flat index
+    word, spills, live = _run_stages(_pack(
+        (table.key != KEY_SENTINEL)[None], dests[None],
+        np.arange(n * c).reshape(1, n, c)), rng)
+    dests[...], src = _unpack(word[0], n)
     table.key[...] = table.key.reshape(-1)[src]
     table.payload[...] = table.payload.reshape(n * c, -1)[src]
     if recorder is not None and recorder.enabled:

@@ -456,12 +456,14 @@ class PyramidOram:
         # which absorbs the old last level
         if self.levels[target] is not None:
             parts.append(self.levels[target].slot_array())
-        self._build_level(target, BuildInput.gather(parts))
+        self._build_level(target, BuildInput.gather(parts), emptied=range(1, target))
         self.level0.clear()
-        self._set_levels({i: None for i in range(1, target)})
         return self.last_rebuild
 
-    def _build_level(self, target: int, elems: BuildInput) -> BuildReport:
+    def _build_level(self, target: int, elems: BuildInput,
+                     emptied: range = range(0)) -> BuildReport:
+        """Build level `target` from elems; on success install it and empty
+        the source levels `emptied`, in one _set_levels call."""
         lp = self.config.levels[target - 1]
         attempts_allowed = 1 + self.config.max_retries
         report: BuildReport | None = None
@@ -473,7 +475,7 @@ class PyramidOram:
                 level_id=target, recorder=self.build_recorder,
             )
             if report.success:
-                self._set_levels({target: z})
+                self._set_levels({**dict.fromkeys(emptied), target: z})
                 self.last_rebuild = RebuildInfo(
                     level=target,
                     m_total=report.m_total,

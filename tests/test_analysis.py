@@ -151,6 +151,25 @@ def test_stage_spill_deterministic():
     assert a == b
 
 
+def test_stage_spill_report_frozen():
+    # 600 trials are two census blocks (512 + 88) of n=64, c=2: the m=4
+    # comparator network, every stage; values taken from the kernel that
+    # read and wrote each stage's pairs through a reshape view
+    assert mc_prn_stage_spill(64, 2, 64, trials=600, seed=3).to_dict() == {
+        "n": 64, "c": 2, "load": 64, "trials": 600,
+        "stage_mean": (3.2716666666666665, 2.5816666666666666, 2.355,
+                       2.1233333333333335, 1.7633333333333334, 1.63),
+        "stage_stderr": (0.06967446231808092, 0.06028125355945498,
+                         0.06315276811193898, 0.05619331579906437,
+                         0.05364803507673091, 0.0500378265373847),
+        "stage_live_mean": (57.545, 54.27333333333333, 51.69166666666667,
+                            49.336666666666666, 47.21333333333333, 45.45),
+        "throw": {"trials": 600, "mean": 6.4383333333333335,
+                  "stderr": 0.09102334075619752, "max_spill": 13},
+        "input_overflow_mean": 6.455,
+    }
+
+
 def test_stage_spill_validation():
     with pytest.raises(InvalidParameterError):
         mc_prn_stage_spill(60, 2, 10, trials=10, seed=0)

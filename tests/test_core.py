@@ -135,6 +135,22 @@ def test_path_buckets_with_per_lane_counts():
         assert path_buckets(subkeys[:0], 5, counts[:0].astype(np.uint64)).size == 0
 
 
+def test_subkeys_frozen_at_wide_and_negative_seeds():
+    # values of the per-table derivation (one 1-element numpy absorb chain
+    # per table); the seed and epoch enter modulo 2^64
+    assert HashFamily((1 << 64) + 12345, 7).subkeys(3, 4).tolist() == [
+        4230947197748801397, 8689071519745906437,
+        7771969460912176611, 5830219729319993143]
+    assert HashFamily(-5, 2).subkeys(11, 3).tolist() == [
+        6683040099069214644, 10719205022308413310, 16082535636289748786]
+    assert HashFamily(2**70 + 3, 2**64 + 9).subkeys(0, 2).tolist() == [
+        6170631935373805367, 10687766249259869809]
+    # one table's subkey is the one bucket_indices mixes in
+    fam = HashFamily(-5, 2)
+    assert fam.bucket_indices(11, 2, 77, 1 << 40) == path_buckets(
+        fam.subkeys(11, 3), 77, 1 << 40)[2]
+
+
 def test_hash_leaves_its_inputs_unchanged():
     # the hash mixes its lanes in place; the lanes must be its own copy, never
     # the caller's keys (a uint64 column converts without a copy) or subkeys

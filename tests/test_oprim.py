@@ -18,6 +18,7 @@ from pyramid_oram.oprim import (
     comparator_schedule,
     cond_swap,
     sort_key,
+    sort_key_into,
     sort_network_perm,
 )
 
@@ -60,6 +61,11 @@ def test_sort_key_array_matches_scalar():
     vec = sort_key(cls, tie)
     for i in range(4):
         assert int(vec[i]) == sort_key(int(cls[i]), int(tie[i]))
+    # the in-place form, from each class's word sort_key(class, 0)
+    words = np.array([sort_key(int(k), 0) for k in cls], dtype=np.uint64)
+    buf = tie.copy()
+    assert sort_key_into(buf, words) is buf
+    assert np.array_equal(buf, vec)
 
 
 def test_comparator_counts_match_recurrence():

@@ -185,8 +185,10 @@ def test_route_single_survivor_when_all_want_bucket_zero():
 
 
 def test_route_matches_reference_bit_for_bit():
-    # includes c=3 to exercise the non-power-of-two padding path
-    for n, c, load, seed in ((8, 2, 10, 5), (16, 4, 30, 6), (64, 3, 120, 7)):
+    # includes c=3 to exercise the non-power-of-two padding path, and n=1,
+    # a table with no stage
+    for n, c, load, seed in ((8, 2, 10, 5), (16, 4, 30, 6), (64, 3, 120, 7),
+                             (1, 3, 2, 8)):
         t_vec, d_vec = make_routing_table(n, c, load, seed)
         t_ref, d_ref = make_routing_table(n, c, load, seed)
         rec_vec = TraceRecorder()
@@ -201,6 +203,22 @@ def test_route_matches_reference_bit_for_bit():
         assert s_vec.stage_live == s_ref.stage_live
         assert s_vec.repartitions == s_ref.repartitions
         assert rec_vec.events() == rec_ref.events()
+
+
+def test_route_matches_reference_over_eight_stages():
+    # n=256 runs every relayout between stage orders from pairs of adjacent
+    # buckets to pairs 128 apart; c=5 pads each pair's 10 words to 16
+    for c, seed in ((4, 21), (5, 22)):
+        load = 256 * c * 3 // 4
+        t_vec, d_vec = make_routing_table(256, c, load, seed)
+        t_ref, d_ref = make_routing_table(256, c, load, seed)
+        s_vec = route(t_vec, d_vec, Rng(seed, (9,)))
+        s_ref = route_reference(t_ref, d_ref, Rng(seed, (9,)))
+        assert t_vec.key.tobytes() == t_ref.key.tobytes()
+        assert t_vec.payload.tobytes() == t_ref.payload.tobytes()
+        assert np.array_equal(d_vec, d_ref)
+        assert s_vec == s_ref
+        assert s_vec.total_spilled > 0, "no slot spilled"
 
 
 class _CollidingRng(Rng):
@@ -410,3 +428,104 @@ def test_route_census_updates_strided_views_in_place():
     assert np.array_equal(tag_base[:, :, 1::2], untouched[0])
     assert np.array_equal(dest_base[:, :, 1::2], untouched[1])
     assert not np.array_equal(dest, dest_start), "nothing was routed"
+
+
+class _RecordingRng(Rng):
+    """Rng that keeps a copy of every block of words it draws."""
+
+    def __init__(self, seed, path=()):
+        super().__init__(seed, path)
+        self.blocks = []
+
+    def bits64(self, size=None):
+        words = super().bits64(size)
+        self.blocks.append(words.copy())
+        return words
+
+
+class _ReplayRng(Rng):
+    """Rng that hands out the given blocks of words, one per draw."""
+
+    def __init__(self, blocks):
+        super().__init__(0)
+        self.blocks = list(blocks)
+
+    def bits64(self, size=None):
+        words = self.blocks.pop(0)
+        assert words.size == np.prod(size)
+        return words.reshape(size).copy()
+
+
+def test_route_census_batch_with_slot_ids_matches_single_routes():
+    # each table of a batch is routed on its own rows of every stage's draw:
+    # given those words, route() of the table moves its slots to where the
+    # census carried their slot ids, with the same tags, dests and spills
+    batch, n, c = 3, 16, 3
+    tables = [make_routing_table(n, c, 14 + 9 * b, 40 + b) for b in range(batch)]
+    tag = np.stack([t.key != KEY_SENTINEL for t, _ in tables])
+    dest = np.stack([d.copy() for _, d in tables])
+    slot = np.tile(np.arange(n * c).reshape(1, n, c), (batch, 1, 1))
+    rng = _RecordingRng(8, (1,))
+    spills, live = route_census(tag, dest, rng, slot)
+    assert spills.dtype == np.int64 and live.dtype == np.int64
+    assert len(rng.blocks) == stage_count(n)
+    for b, (table, dests) in enumerate(tables):
+        key, payload = table.key.copy(), table.payload.copy()
+        mine = [block.reshape(batch, n // 2, 2 * c)[b] for block in rng.blocks]
+        stats = route(table, dests, _ReplayRng(mine))
+        assert stats.stage_spills == spills[b].tolist()
+        assert stats.stage_live == live[b].tolist()
+        assert np.array_equal(dests, dest[b])
+        assert np.array_equal(table.key, key.reshape(-1)[slot[b]])
+        assert np.array_equal(table.payload, payload.reshape(n * c, -1)[slot[b]])
+        assert np.array_equal(tag[b], _arrived(table, dests))
+    assert spills.sum() > 0, "no slot spilled"
+
+
+def test_route_census_refuses_float_dests_and_stray_slot_ids():
+    # a float dest would be truncated (2.7 routed as 2, written back as 2.0)
+    # and an id outside [0, n*c) would lose its high bits in the packed word;
+    # both are refused before anything is written
+    batch, n, c = 2, 4, 2
+    gen = np.random.Generator(np.random.PCG64(4))
+    tag = gen.random((batch, n, c)) < 0.6
+    dest = gen.integers(0, n, size=(batch, n, c)).astype(np.int64)
+    slot = np.tile(np.arange(n * c).reshape(1, n, c), (batch, 1, 1))
+    bad_dests = [dest.astype(np.float64), dest.astype(np.float64)]
+    bad_dests[1][0, 1, 0] = 2.7
+    for bad in bad_dests:
+        t, d = tag.copy(), bad.copy()
+        with pytest.raises(InvalidParameterError):
+            route_census(t, d, Rng(0, ()), slot.copy())
+        assert np.array_equal(t, tag) and np.array_equal(d, bad)
+    for stray in (n * c, 40, -1):
+        ids = slot.copy()
+        ids[1, 2, 1] = stray
+        t, d, s = tag.copy(), dest.copy(), ids.copy()
+        with pytest.raises(InvalidParameterError):
+            route_census(t, d, Rng(0, ()), s)
+        assert np.array_equal(t, tag) and np.array_equal(d, dest)
+        assert np.array_equal(s, ids)
+    with pytest.raises(InvalidParameterError):
+        route_census(tag.copy(), dest.copy(), Rng(0, ()), slot.astype(np.float64))
+
+
+def test_route_with_words_wider_than_32_bits():
+    # n=65536, c=1: tag, 16 destination bits and 16 slot-id bits need a
+    # 64-bit word; the census of the same tags and dests, without slot ids,
+    # runs on 32-bit words and must agree with it
+    n, c = 1 << 16, 1
+    table, dests = make_routing_table(n, c, n // 2, 3)
+    tag = (table.key != KEY_SENTINEL)[None].copy()
+    dest = dests[None].copy()
+    reals = set(table.key[table.key != KEY_SENTINEL].tolist())
+    stats = route(table, dests, Rng(3, (2,)))
+    spills, live = route_census(tag, dest, Rng(3, (2,)))
+    assert stats.stage_spills == spills[0].tolist()
+    assert stats.stage_live == live[0].tolist()
+    assert np.array_equal(dests, dest[0])
+    assert np.array_equal(tag[0], _arrived(table, dests))
+    assert set(table.key[table.key != KEY_SENTINEL].tolist()) == reals
+    # every key still carries its own payload
+    moved = table.key != KEY_SENTINEL
+    assert np.array_equal(table.payload[moved][:, 0], table.key[moved] % 251)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time both realisations of the routing stage sort, and a level-1 build.
+"""Time the routing stage sort, the stage kernel, and a level-1 build.
 
     python3 tools/stage_perm_bench.py [--repeats 15] [--builds 400]
 
@@ -11,6 +11,15 @@ keys, the minimum over --repeats, the two timed alternately.  These are the
 shapes the stage kernel sorts: pyramid builds sort m = 2c = 8 at up to 8192
 rows, and the spill-mc census m = 4 at 65536.  sort_network_perm takes the
 sort from m = oprim._SORT_MIN_WIDTH on; the last column is its choice.
+
+Second table: the stage kernel, through prn.route on (n, 4) tables of
+n * 5/2 reals at random cells with uniform destinations, n in 64, 1024 and
+16384, and through prn.route_census on one spill-mc census block (512
+trials of n=256, c=2, 256 tags thrown first-fit, uniform destinations).
+Each line is the median of ROUTES = 9 calls: µs per call, µs per stage, and
+ns per repartition beside the count of repartitions, (n/2) log2 n per
+table.  A route's time includes its one move of keys and 56-byte
+payloads after the last stage.
 
 Then a level-1 build of the uniform benchmark's store (n=64, k=3, c=4,
 64 input slots, 40 reals, 56-byte payloads): the median µs of --builds
@@ -31,7 +40,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from pyramid_oram import oprim, prn  # noqa: E402
-from pyramid_oram.core import HashFamily, Rng  # noqa: E402
+from pyramid_oram.core import HashFamily, Rng, SlotArray, rank_within_group  # noqa: E402
 from pyramid_oram.ozht import oblivious_build  # noqa: E402
 from pyramid_oram.zht import BuildInput  # noqa: E402
 
@@ -59,6 +68,58 @@ def stage_table(repeats: int) -> None:
             cells.append(f"{network:9.0f} /{sort:8.0f}")
         chosen = "sort" if m >= oprim._SORT_MIN_WIDTH else "network"
         print(f"{m:3d}" + "".join(f"{cell:>20s}" for cell in cells) + f"   {chosen}")
+
+
+ROUTE_SIZES = (64, 1024, 16384)
+ROUTES = 9  # calls timed per line
+CENSUS = (512, 256, 2, 256)  # trials, n, c, load of one spill-mc block
+
+
+def census_block(gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Tags and destinations of one block as mc_prn_stage_spill draws them."""
+    trials, n, c, load = CENSUS
+    ti = np.repeat(np.arange(trials), load)
+    bucket = gen.integers(0, n, trials * load)
+    rank = rank_within_group(ti * n + bucket)
+    fits = rank < c
+    tag = np.zeros((trials, n, c), dtype=bool)
+    tag[ti[fits], bucket[fits], rank[fits]] = True
+    return tag, gen.integers(0, n, (trials, n, c))
+
+
+def kernel_table() -> None:
+    gen = np.random.default_rng(4)
+    rng = Rng(5)
+    print(f"stage kernel, median of {ROUTES} calls")
+    print(f"{'call':>22s} {'stages':>6s} {'repartitions':>12s} {'µs':>10s}"
+          f" {'µs/stage':>9s} {'ns/repart':>9s}")
+
+    def line(name: str, n: int, tables: int, times: list[float]) -> None:
+        stages = n.bit_length() - 1
+        parts = tables * (n // 2) * stages
+        us = statistics.median(times)
+        print(f"{name:>22s} {stages:6d} {parts:12d} {us:10.0f} {us / stages:9.1f}"
+              f" {us * 1e3 / parts:9.1f}")
+
+    for n in ROUTE_SIZES:
+        table = SlotArray((n, 4), 56)
+        cells = gen.choice(n * 4, n * 5 // 2, replace=False)
+        table.key.reshape(-1)[cells] = gen.choice(1 << 30, cells.size, replace=False)
+        times = []
+        for _ in range(ROUTES):
+            dests = gen.integers(0, n, (n, 4))
+            t0 = time.perf_counter_ns()
+            prn.route(table, dests, rng)
+            times.append((time.perf_counter_ns() - t0) / 1e3)
+        line(f"route n={n}", n, 1, times)
+    trials, n, _, _ = CENSUS
+    times = []
+    for _ in range(ROUTES):
+        tag, dest = census_block(gen)
+        t0 = time.perf_counter_ns()
+        prn.route_census(tag, dest, rng)
+        times.append((time.perf_counter_ns() - t0) / 1e3)
+    line(f"census {trials}x n={n}", n, trials, times)
 
 
 def level1_builds(builds: int) -> None:
@@ -96,6 +157,7 @@ def main(argv=None) -> int:
     parser.add_argument("--builds", type=int, default=400)
     args = parser.parse_args(argv)
     stage_table(args.repeats)
+    kernel_table()
     level1_builds(args.builds)
     return 0
 
