@@ -156,9 +156,6 @@ def _layer_wires(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     )
 
 
-# rows per block in _network_perm: keeps the work arrays cache-sized
-_BLOCK_ROWS = 8192
-
 # the narrowest row that sort_network_perm sorts instead of running the
 # network: tools/stage_perm_bench.py times both at m = 2..16, and the sort
 # wins at m >= 8 for every row count timed, the network at m <= 4 with many
@@ -187,26 +184,24 @@ def sort_network_perm(skey: np.ndarray) -> np.ndarray:
 def _network_perm(skey: np.ndarray) -> np.ndarray:
     """sort_network_perm by the comparator network.
 
-    The network runs layer by layer (comparator_layers) on blocks of
-    _BLOCK_ROWS rows, each block transposed so a wire is one contiguous row,
-    as two takes, one minimum and one maximum per layer.  Every row meets
-    the same comparators in the same order whatever the keys, so the work
-    done is independent of the data.
+    The network runs layer by layer (comparator_layers) on the keys
+    transposed, so a wire is one contiguous row, as two takes, one minimum
+    and one maximum per layer.  Every row meets the same comparators in the
+    same order whatever the keys, so the work done is independent of the
+    data.  The caller bounds the rows: the stage kernel sorts blocks of at
+    most prn._BLOCK_ROWS.
     """
-    rows, m = skey.shape
-    out = np.empty((rows, m), dtype=np.int64)
+    m = skey.shape[1]
     low = np.uint64(m - 1)
-    wires = np.arange(m, dtype=np.uint64)[:, None]
-    for r0 in range(0, rows, _BLOCK_ROWS):
-        work = skey[r0:r0 + _BLOCK_ROWS].T.copy()
-        work &= ~low
-        work |= wires
-        for lo, hi in _layer_wires(m):
-            k_lo, k_hi = work.take(lo, axis=0), work.take(hi, axis=0)
-            work[lo] = np.minimum(k_lo, k_hi)
-            work[hi] = np.maximum(k_lo, k_hi)
-        out[r0:r0 + _BLOCK_ROWS] = (work & low).T
-    return out
+    work = skey.T.copy()
+    work &= ~low
+    work |= np.arange(m, dtype=np.uint64)[:, None]
+    for lo, hi in _layer_wires(m):
+        k_lo, k_hi = work.take(lo, axis=0), work.take(hi, axis=0)
+        work[lo] = np.minimum(k_lo, k_hi)
+        work[hi] = np.maximum(k_lo, k_hi)
+    work &= low
+    return np.ascontiguousarray(work.T).view(np.int64)
 
 
 def _sorted_perm(skey: np.ndarray) -> np.ndarray:

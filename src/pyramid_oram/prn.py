@@ -22,11 +22,15 @@ One stage kernel, _run_stages(), runs the stages over a batch of tables at
 once: every pair of a stage, in every table of the batch, in one pass.  It
 carries only what the network reads, each slot's tag and destination, plus
 a slot id when the slot contents must follow, packed into one word per
-slot.  The words stay in the current stage's pair order, rows of 2c words:
-a stage builds each word's sort key from the word itself, gathers the words
-into sorted order once, clears the misplaced tags there, and moves them into
-the next stage's pair order by one strided copy (the last stage's copy
-restores the natural order).  route_census() runs it on tags and
+slot.  The words stay in the current stage's pair order, rows of 2c words,
+and a stage runs over row blocks of at most _BLOCK_ROWS rows in row order.
+Each block draws its own tiebreaks, which together are the words of one
+draw per stage, builds each word's sort key from the word itself, gathers
+the words into sorted order in a second word buffer, and clears the
+misplaced tags there.  A strided copy then moves the stage's words back
+into the first buffer in the next stage's pair order (the last stage's copy
+restores the natural order): two word buffers per call, and a block's
+scratch reused from block to block.  route_census() runs it on tags and
 destinations over many trials, the census behind the spill statistics;
 route() runs it on one table with slot ids, and after the last stage moves
 each cell's key and payload once, to where its slot id ended up.
@@ -201,24 +205,31 @@ def _stage_key(word: np.ndarray, bit: int, rng: Rng) -> np.ndarray:
     return sort_key_into(skey, _CLASS_WORD.take(klass.astype(np.intp)))
 
 
-def _sort_rows(word: np.ndarray, bit: int, rng: Rng, base: np.ndarray) -> np.ndarray:
-    """Stage `bit`'s (rows, 2c) words, each row gathered into sorted order;
-    base holds each row's first flat index."""
+# rows per block of the stage kernel: a block's scratch (tiebreaks, class
+# index, sort key, permutation) stays cache-sized and is reused from one
+# block to the next instead of faulting in fresh pages every stage
+_BLOCK_ROWS = 8192
+
+
+def _sort_block(word: np.ndarray, bit: int, rng: Rng, base: np.ndarray,
+                out: np.ndarray) -> None:
+    """Stage `bit`'s (rows, 2c) words, each row gathered into sorted order
+    in out; base holds each row's first flat index."""
     perm = _stage_perm(_stage_key(word, bit, rng))
     perm += base
-    return word.take(perm)
+    # the indices lie in range by construction; "raise" would buffer out
+    word.take(perm, out=out, mode="wrap")
 
 
 def _clear_misplaced(word: np.ndarray, bit: int, side: np.ndarray,
-                     batch: int) -> np.ndarray | int:
+                     misplaced: np.ndarray) -> None:
     """Clear, in place, the tag of every sorted word off its destination
-    side; returns how many were cleared in each of the batch's tables."""
-    misplaced = word >> (bit + 1)
+    side, and write the cleared tags, as 0/1 words, into misplaced."""
+    np.right_shift(word, bit + 1, out=misplaced)
     misplaced ^= side
     misplaced &= word
     misplaced &= 1
     word ^= misplaced
-    return _per_table(misplaced, batch)
 
 
 def _per_table(flags: np.ndarray, batch: int) -> np.ndarray | int:
@@ -231,36 +242,51 @@ def _per_table(flags: np.ndarray, batch: int) -> np.ndarray | int:
 
 def _run_stages(word: np.ndarray, rng: Rng,
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stage kernel over a (batch, n, c) array of packed words (_pack).
+    """The stage kernel over a C-contiguous (batch, n, c) array of packed
+    words (_pack).
 
     Between stages the words are held in the current stage's pair order,
     rows of 2c words (the low bucket's slots first, pairs ascending by lower
-    index); stage 0's is the natural order.  Stage `bit` draws one (batch *
-    n/2, 2c) block of tiebreaks.  Returns the words in natural order and the
-    per-stage spills and live tags, each (batch, stages).
+    index); stage 0's is the natural order.  A stage runs over row blocks of
+    at most _BLOCK_ROWS rows, in row order, and each block draws its own
+    (rows, 2c) tiebreaks: together the words of one (batch * n/2, 2c) draw,
+    in the same order.  Each block is sorted into a second word buffer, made
+    once per call; its spent unsorted words then hold its cleared tags until
+    the stage has counted them, and the stage's pair-order change is one
+    strided copy back into the first buffer.  Returns the words in natural
+    order, in the buffer passed in, and the per-stage spills and live tags,
+    each (batch, stages).
     """
     batch, n, c = word.shape
     stages = stage_count(n)
     m, rows = 2 * c, batch * (n // 2)
-    base = (np.arange(rows) * m)[:, None]
-    side = np.repeat(np.array([0, 1], dtype=word.dtype), c)
-    count = _per_table(word & 1, batch)
     spills = np.zeros((batch, stages), dtype=np.int64)
+    if not rows:  # n=1 or an empty batch: no stage moves a word
+        return word, spills, spills.copy()
+    flat, out = word.reshape(rows, m), np.empty((rows, m), dtype=word.dtype)
+    step = min(_BLOCK_ROWS, rows)
+    base = np.arange(0, step * m, m)[:, None]
+    # per block: its words, its sorted words, each row's first flat index
+    blocks = [(flat[r0:r0 + step], out[r0:r0 + step], base[:rows - r0])
+              for r0 in range(0, rows, step)]
+    side = np.array([0] * c + [1] * c, dtype=word.dtype)
+    count = _per_table(flat & 1, batch)
     for bit in range(stages):
-        # a stage's full-size scratch (keys, class index, permutation, the
-        # cleared tags) lives in the helpers, so none of it outlives the stage
-        word = _sort_rows(word.reshape(rows, m), bit, rng, base)
-        spills[:, bit] = _clear_misplaced(word, bit, side, batch)
+        for words, sorted_words, first in blocks:
+            _sort_block(words, bit, rng, first, sorted_words)
+            _clear_misplaced(sorted_words, bit, side, words)
+        spills[:, bit] = _per_table(flat, batch)
         if bit + 1 < stages:
             # rows (H, L) of (side, slot) at stage bit, H = 2H' + side', to
             # rows (H', L') of (side', slot) with L' = side * 2^bit + L
-            word = word.reshape(batch, n >> (bit + 2), 2, 1 << bit, 2, c).transpose(
-                0, 1, 4, 3, 2, 5).reshape(rows, m)
+            shape = (batch, n >> (bit + 2), 2, 1 << bit, 2, c)
+            word.reshape(shape)[...] = out.reshape(shape).transpose(
+                0, 1, 4, 3, 2, 5)
         else:
-            word = word.reshape(batch, 1 << bit, 2, c).transpose(0, 2, 1, 3).reshape(
-                rows, m)
-    live = np.reshape(count, (batch, 1)) - spills.cumsum(axis=1) + spills
-    return word.reshape(batch, n, c), spills, live
+            word.reshape(batch, 2, 1 << bit, c)[...] = out.reshape(
+                batch, 1 << bit, 2, c).transpose(0, 2, 1, 3)
+    live = np.asarray(count).reshape(-1, 1) - spills.cumsum(axis=1) + spills
+    return word, spills, live
 
 
 def route_census(tag: np.ndarray, dest: np.ndarray, rng: Rng,
@@ -277,10 +303,12 @@ def route_census(tag: np.ndarray, dest: np.ndarray, rng: Rng,
     The three travel packed in one word per slot (tag in bit 0, destination
     above it, slot id on top), in the narrowest unsigned type that holds
     them, through the stage kernel _run_stages: each stage sorts every
-    pair's 2c words, in every table of the batch, in one pass, and the
-    words move from one stage's pair order to the next by one strided copy.
-    Every argument is checked before anything is written.  Returns (spills,
-    live), each (batch, stages).
+    pair's 2c words, in every table of the batch, in row blocks of at most
+    _BLOCK_ROWS rows, each with its own draw of tiebreaks in row order, into
+    a second word buffer; the words move from one stage's pair order to the
+    next by one strided copy back into the first.  Every argument is checked
+    before anything is written.  Returns (spills, live), each (batch,
+    stages) int64; an empty batch gives (0, stages).
     """
     if tag.ndim != 3:
         raise InvalidParameterError("tag must be shaped (batch, n, c)")

@@ -164,8 +164,8 @@ def test_sort_network_perm_sorts_from_width_eight(monkeypatch, m, realisation):
     assert calls == [realisation] * 3
 
 
-# row counts around the block size: one row, one short of a block, a full
-# block, one past it
+# row counts around the stage kernel's row block (prn._BLOCK_ROWS): one row,
+# one short of a block, a full block, one past it
 @settings(max_examples=40, deadline=None)
 @given(m=st.sampled_from([2, 4, 8, 16]),
        rows=st.sampled_from([1, 8191, 8192, 8193]),

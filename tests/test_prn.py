@@ -1,8 +1,11 @@
 """Routing network: stage schedule, repartition semantics, spill fairness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pyramid_oram import prn
 from pyramid_oram.core import (
     KEY_SENTINEL,
     HashFamily,
@@ -529,3 +532,79 @@ def test_route_with_words_wider_than_32_bits():
     # every key still carries its own payload
     moved = table.key != KEY_SENTINEL
     assert np.array_equal(table.payload[moved][:, 0], table.key[moved] % 251)
+
+
+def test_route_census_of_an_empty_batch_or_one_bucket():
+    # an empty batch has no rows to sort, nor has n=1, which has no stages
+    for batch, n, stages in ((0, 8, 3), (3, 1, 0)):
+        tag = np.zeros((batch, n, 2), dtype=bool)
+        dest = np.zeros((batch, n, 2), dtype=np.int64)
+        spills, live = route_census(tag, dest, Rng(0))
+        for counts in (spills, live):
+            assert counts.dtype == np.int64 and counts.shape == (batch, stages)
+
+
+# row blocks of 1, 3 and 5 divide neither a table's rows nor a batch's, so
+# blocks straddle pairs' tables and a stage's last block is short
+ODD_BLOCKS = (1, 3, 5)
+
+
+@pytest.mark.parametrize("block", ODD_BLOCKS)
+@pytest.mark.parametrize("c", [4, 5])
+def test_route_matches_reference_in_any_row_block(monkeypatch, block, c):
+    # each block draws its own tiebreaks, in row order: the words of one
+    # draw per stage, so the blocks change nothing the reference sees
+    n = 64
+    monkeypatch.setattr(prn, "_BLOCK_ROWS", block)
+    t_vec, d_vec = make_routing_table(n, c, n * c * 3 // 4, block)
+    t_ref, d_ref = make_routing_table(n, c, n * c * 3 // 4, block)
+    s_vec = route(t_vec, d_vec, Rng(block, (c,)))
+    s_ref = route_reference(t_ref, d_ref, Rng(block, (c,)))
+    assert t_vec.key.tobytes() == t_ref.key.tobytes()
+    assert t_vec.payload.tobytes() == t_ref.payload.tobytes()
+    assert np.array_equal(d_vec, d_ref)
+    assert s_vec == s_ref
+    assert s_vec.total_spilled > 0, "no slot spilled"
+
+
+def _census_in_blocks(monkeypatch, block):
+    batch, n, c = 3, 16, 3
+    if block is not None:
+        monkeypatch.setattr(prn, "_BLOCK_ROWS", block)
+    gen = np.random.Generator(np.random.PCG64(12))
+    tag = gen.random((batch, n, c)) < 0.8
+    dest = gen.integers(0, n, size=(batch, n, c))
+    slot = np.tile(np.arange(n * c).reshape(1, n, c), (batch, 1, 1))
+    spills, live = route_census(tag, dest, Rng(12, (4,)), slot)
+    return tag, dest, slot, spills, live
+
+
+@pytest.mark.parametrize("block", ODD_BLOCKS)
+def test_route_census_is_independent_of_the_row_block(monkeypatch, block):
+    # a table has 8 rows per stage here: blocks of 3 and 5 rows straddle
+    # tables, and the spills and live tags are still counted per table
+    want = _census_in_blocks(monkeypatch, None)
+    got = _census_in_blocks(monkeypatch, block)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert want[3].sum() > 0, "no slot spilled"
+    assert not (want[3] == want[3][:1]).all(), "every table spilled alike"
+
+
+def test_census_block_scratch_is_bounded():
+    # one spill-mc census block: 512 trials of n=256, c=2.  The stage kernel
+    # holds two word buffers and one row block's scratch; a kernel that
+    # allocated each stage's temporaries at full size held 7.9 MB
+    trials, n, c = 512, 256, 2
+    gen = np.random.Generator(np.random.PCG64(2))
+    tag = gen.random((trials, n, c)) < 0.4
+    dest = gen.integers(0, n, size=(trials, n, c))
+    rng = Rng(2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        route_census(tag, dest, rng)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6, f"census block held {peak / 1e6:.2f} MB"

@@ -1,25 +1,34 @@
 #!/usr/bin/env python3
-"""Time the routing stage sort, the stage kernel, and a level-1 build.
+"""Time a spill-mc call, the stage kernel, the stage sort, and a level-1 build.
 
     python3 tools/stage_perm_bench.py [--repeats 15] [--builds 400]
 
 Run from the root of a checkout; the package is imported from its src/.
+Page faults are minor faults of this process (getrusage ru_minflt).
 
-First table: µs per call of oprim._network_perm (the comparator network) and
+First, one whole spill-mc call, analysis.mc_prn_stage_spill(256, 2, 256,
+10000), after a 1024-trial warm-up call like the benchmark's set-up: its
+seconds and page faults.  It runs first, in a fresh process as the
+benchmark's spill-mc run does, because the allocator stops handing out
+fresh pages once the process has freed large arrays, which every later
+measurement here does.
+
+Then the stage kernel, through prn.route on (n, 4) tables of n * 5/2 reals
+at random cells with uniform destinations, n in 64, 1024 and 16384, and
+through prn.route_census on one spill-mc census block (512 trials of n=256,
+c=2, 256 tags thrown first-fit, uniform destinations).  Each line is the
+median of ROUTES = 9 calls: µs per call, µs per stage, ns per repartition
+beside the count of repartitions, (n/2) log2 n per table, and the page
+faults of the call.  A route's time includes its one move of keys and
+56-byte payloads after the last stage.
+
+Then µs per call of oprim._network_perm (the comparator network) and
 oprim._sorted_perm (a row sort of the wire-tagged keys) on rows × m random
 keys, the minimum over --repeats, the two timed alternately.  These are the
-shapes the stage kernel sorts: pyramid builds sort m = 2c = 8 at up to 8192
-rows, and the spill-mc census m = 4 at 65536.  sort_network_perm takes the
-sort from m = oprim._SORT_MIN_WIDTH on; the last column is its choice.
-
-Second table: the stage kernel, through prn.route on (n, 4) tables of
-n * 5/2 reals at random cells with uniform destinations, n in 64, 1024 and
-16384, and through prn.route_census on one spill-mc census block (512
-trials of n=256, c=2, 256 tags thrown first-fit, uniform destinations).
-Each line is the median of ROUTES = 9 calls: µs per call, µs per stage, and
-ns per repartition beside the count of repartitions, (n/2) log2 n per
-table.  A route's time includes its one move of keys and 56-byte
-payloads after the last stage.
+shapes the stage kernel sorts: it sorts a stage in row blocks of at most
+prn._BLOCK_ROWS = 8192 rows, so pyramid builds sort m = 2c = 8 at up to
+8192 rows, and the spill-mc census m = 4 at 8192.  sort_network_perm takes
+the sort from m = oprim._SORT_MIN_WIDTH on; the last column is its choice.
 
 Then a level-1 build of the uniform benchmark's store (n=64, k=3, c=4,
 64 input slots, 40 reals, 56-byte payloads): the median µs of --builds
@@ -30,6 +39,7 @@ network at every width, in alternating blocks of 20.
 from __future__ import annotations
 
 import argparse
+import resource
 import statistics
 import sys
 import time
@@ -40,12 +50,13 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from pyramid_oram import oprim, prn  # noqa: E402
+from pyramid_oram.analysis import mc_prn_stage_spill  # noqa: E402
 from pyramid_oram.core import HashFamily, Rng, SlotArray, rank_within_group  # noqa: E402
 from pyramid_oram.ozht import oblivious_build  # noqa: E402
 from pyramid_oram.zht import BuildInput  # noqa: E402
 
 WIDTHS = (2, 4, 8, 16)
-ROWS = (32, 512, 8192, 65536)
+ROWS = (32, 512, 8192)
 BLOCK = 20
 
 
@@ -87,39 +98,58 @@ def census_block(gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     return tag, gen.integers(0, n, (trials, n, c))
 
 
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def timed(call) -> tuple[float, int]:
+    """µs and minor page faults of one call."""
+    f0, t0 = minor_faults(), time.perf_counter_ns()
+    call()
+    return (time.perf_counter_ns() - t0) / 1e3, minor_faults() - f0
+
+
 def kernel_table() -> None:
     gen = np.random.default_rng(4)
     rng = Rng(5)
     print(f"stage kernel, median of {ROUTES} calls")
     print(f"{'call':>22s} {'stages':>6s} {'repartitions':>12s} {'µs':>10s}"
-          f" {'µs/stage':>9s} {'ns/repart':>9s}")
+          f" {'µs/stage':>9s} {'ns/repart':>9s} {'faults':>7s}")
 
-    def line(name: str, n: int, tables: int, times: list[float]) -> None:
+    def line(name: str, n: int, tables: int, runs: list[tuple[float, int]]) -> None:
         stages = n.bit_length() - 1
         parts = tables * (n // 2) * stages
-        us = statistics.median(times)
+        us = statistics.median(t for t, _ in runs)
+        faults = statistics.median(f for _, f in runs)
         print(f"{name:>22s} {stages:6d} {parts:12d} {us:10.0f} {us / stages:9.1f}"
-              f" {us * 1e3 / parts:9.1f}")
+              f" {us * 1e3 / parts:9.1f} {faults:7.0f}")
 
     for n in ROUTE_SIZES:
         table = SlotArray((n, 4), 56)
         cells = gen.choice(n * 4, n * 5 // 2, replace=False)
         table.key.reshape(-1)[cells] = gen.choice(1 << 30, cells.size, replace=False)
-        times = []
+        runs = []
         for _ in range(ROUTES):
             dests = gen.integers(0, n, (n, 4))
-            t0 = time.perf_counter_ns()
-            prn.route(table, dests, rng)
-            times.append((time.perf_counter_ns() - t0) / 1e3)
-        line(f"route n={n}", n, 1, times)
+            runs.append(timed(lambda: prn.route(table, dests, rng)))
+        line(f"route n={n}", n, 1, runs)
     trials, n, _, _ = CENSUS
-    times = []
+    runs = []
     for _ in range(ROUTES):
         tag, dest = census_block(gen)
-        t0 = time.perf_counter_ns()
-        prn.route_census(tag, dest, rng)
-        times.append((time.perf_counter_ns() - t0) / 1e3)
-    line(f"census {trials}x n={n}", n, trials, times)
+        runs.append(timed(lambda: prn.route_census(tag, dest, rng)))
+    line(f"census {trials}x n={n}", n, trials, runs)
+
+
+SPILL_MC = (256, 2, 256, 10_000)  # n, c, load, trials of the spill-mc workload
+
+
+def spill_mc_call() -> None:
+    n, c, load, trials = SPILL_MC
+    mc_prn_stage_spill(n, c, load, 1024, seed=0)
+    us, faults = timed(lambda: mc_prn_stage_spill(n, c, load, trials, seed=1))
+    print(f"mc_prn_stage_spill({n}, {c}, {load}, {trials}): "
+          f"{us / 1e6:.3f} s, {faults} minor faults")
 
 
 def level1_builds(builds: int) -> None:
@@ -156,8 +186,9 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=15)
     parser.add_argument("--builds", type=int, default=400)
     args = parser.parse_args(argv)
-    stage_table(args.repeats)
+    spill_mc_call()
     kernel_table()
+    stage_table(args.repeats)
     level1_builds(args.builds)
     return 0
 
