@@ -53,8 +53,6 @@ from .pyramid import (
 )
 from .trace import (
     ChiSquareResult,
-    TraceEvent,
-    TraceOp,
     TraceRecorder,
     chi_square_uniform,
     shapes_equal,
@@ -91,8 +89,6 @@ __all__ = [
     "StageSpillReport",
     "StoreBrokenError",
     "ThrowReport",
-    "TraceEvent",
-    "TraceOp",
     "TraceRecorder",
     "Zht",
     "bounds_report",

@@ -7,7 +7,8 @@ Subcommands:
   zht     Monte Carlo throw-spill statistics for one table shape
   prn     per-routing-stage spill statistics with a paired throw baseline
   bounds  the closed-form bounds at one parameter point
-  trace   run a workload with recorders on and dump the access trace
+  trace   run a workload with recorders on and dump the access trace as
+          `region,index` CSV lines, one per bucket read-modify-write
 
 All randomness is seeded (flag --seed, falling back to the PYRAMID_ORAM_SEED
 environment variable, then 0), and with --no-timing the outputs of bench are
@@ -47,6 +48,7 @@ from .core import (
     CapacityExceededError,
     InsufficientDataError,
     InvalidParameterError,
+    as_int,
 )
 from .pyramid import PyramidConfig, PyramidOram
 from .trace import TraceRecorder
@@ -142,7 +144,18 @@ class RunConfig:
     def __post_init__(self):
         # the store's rules too, so a bad run fails before anything is written
         _check_run(self.to_json())
+        for name, rule in _RUN_SCHEMA["properties"].items():
+            if rule.get("type") == "integer":  # jsonschema admits 256.0 there
+                as_int(getattr(self, name), name)
+        if self.preload_keys > self.capacity:
+            raise InvalidParameterError(f"a preload of {self.preload_keys} keys "
+                                        f"exceeds capacity {self.capacity}")
         self.store_config()
+
+    @property
+    def preload_keys(self) -> int:
+        """The run bulk-loads keys 0 .. preload_keys - 1."""
+        return int(self.preload * self.key_space)
 
     def to_json(self) -> dict:
         return {"version": RUN_VERSION, **asdict(self)}
@@ -227,7 +240,7 @@ def _start_run(run: RunConfig, recorder=None, build_recorder=None):
         for i, (op, key) in enumerate(generate_workload(run))
     ]
     items = [(key, make_value(key, -1, run.payload_size))
-             for key in range(int(run.preload * run.key_space))]
+             for key in range(run.preload_keys)]
     oram = PyramidOram(run.store_config(), recorder, build_recorder)
     oram.bulk_load(items)
     return oram, items, steps

@@ -95,6 +95,21 @@ def _require(cond: bool, message: str) -> None:
         raise InvalidParameterError(message)
 
 
+def as_int(value, name: str) -> int:
+    """value as an int; InvalidParameterError unless an integer.
+
+    A float, a str or a bool is refused, not converted: it would alias
+    another value.  real_key calls operator.index inline instead, since
+    every access and probe calls it.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidParameterError(f"{name} must be an integer, not {value!r}")
+
+
 def real_key(key) -> int:
     """key as an int; InvalidParameterError unless an integer in [0, MAX_REAL_KEY]."""
     try:

@@ -55,6 +55,7 @@ from .core import (
     SlotArray,
     StoreBrokenError,
     _require,
+    as_int,
     debug_checks_enabled,
     is_power_of_two,
     path_buckets,
@@ -104,6 +105,10 @@ class PyramidConfig:
     c_override: int | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:  # overrides may be None
+                as_int(value, f.name)
         _require(is_power_of_two(self.capacity), "capacity must be a power of two")
         _require(is_power_of_two(self.first_level_size),
                  "first_level_size must be a power of two")

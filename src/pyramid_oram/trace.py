@@ -1,15 +1,18 @@
 """Access-trace capture and the obliviousness test surface.
 
-A trace is the adversary's view: the sequence of (region, index, op) touches at
+A trace is the adversary's view: the sequence of (region, index) touches at
 bucket granularity.  Regions identify a structure (the L0 append log, or one
 table of one level); indices are bucket/slot positions inside the region.
-Every touch is a whole-bucket read and write-back, so every event's op is
-READ_WRITE, and TraceRecorder.record is the one call that records them.
+Every touch is a whole-bucket read and write-back, so an event is only the
+address touched, and TraceRecorder.record is the one call that records them.
+write_csv exports a trace as `region,index` lines, one per bucket
+read-modify-write.
 
-Obliviousness is tested in two parts.  The *shape* of a trace (indices erased)
-must be exactly equal between a real run and a simulator fed only public
-parameters.  The erased indices must in turn be indistinguishable from uniform,
-which is checked with Pearson chi-square at a conservative significance.
+Obliviousness is tested in two parts.  The *shape* of a trace (its region
+column, indices erased) must be exactly equal between a real run and a
+simulator fed only public parameters.  The erased indices must in turn be
+indistinguishable from uniform, which is checked with Pearson chi-square at a
+conservative significance.
 
 The recorder stores events in columnar numpy chunks so that recording a full
 rebuild (millions of events) costs a few array appends, not millions of Python
@@ -19,26 +22,12 @@ objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
-from typing import NamedTuple
 
 import numpy as np
 
 from .core import InsufficientDataError, InvalidParameterError, Rng
 
 L0_REGION = 0
-
-
-class TraceOp(IntEnum):
-    READ = 0
-    WRITE = 1
-    READ_WRITE = 2
-
-
-class TraceEvent(NamedTuple):
-    region: int
-    index: int
-    op: int
 
 
 def table_region(level: int, table_index: int) -> int:
@@ -63,9 +52,8 @@ def is_table_region(region: int) -> bool:
 class TraceRecorder:
     """Append-only event log; disabled recorders are no-ops.
 
-    Events live in columnar chunks (region int32, index int64, op uint8).
-    Every event is one bucket read-modify-write (op READ_WRITE), so record()
-    takes only regions and indices.  len() marks a point in the stream so
+    Events live in columnar chunks (region int32, index int64); every event
+    is one bucket read-modify-write.  len() marks a point in the stream so
     callers can slice per-operation windows out of a long recording.
     """
 
@@ -73,7 +61,7 @@ class TraceRecorder:
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._chunks: list[tuple[np.ndarray, np.ndarray]] = []
         self._count = 0
 
     def __len__(self) -> int:
@@ -95,65 +83,40 @@ class TraceRecorder:
             idx = idx.reshape(-1, 1)
         elif idx.ndim != 2 or idx.shape[1] != regions.size:
             raise InvalidParameterError("index matrix does not match region list")
-        self._chunks.append(
-            (
-                np.tile(regions, len(idx)),
-                idx.reshape(-1),
-                np.full(idx.size, TraceOp.READ_WRITE, dtype=np.uint8),
-            )
-        )
+        self._chunks.append((np.tile(regions, len(idx)), idx.reshape(-1)))
         self._count += idx.size
 
     def clear(self) -> None:
         self._chunks = []
         self._count = 0
 
-    def to_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (regions, indices) columns of every event so far."""
         if not self._chunks:
-            return (
-                np.empty(0, dtype=np.int32),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.uint8),
-            )
+            return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64)
         regions = np.concatenate([c[0] for c in self._chunks])
         indices = np.concatenate([c[1] for c in self._chunks])
-        ops = np.concatenate([c[2] for c in self._chunks])
-        self._chunks = [(regions, indices, ops)]
-        return regions, indices, ops
-
-    def events(self) -> list[TraceEvent]:
-        regions, indices, ops = self.to_arrays()
-        return [
-            TraceEvent(int(r), int(i), int(o))
-            for r, i, o in zip(regions, indices, ops)
-        ]
+        self._chunks = [(regions, indices)]
+        return regions, indices
 
     def shape_projection(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """(m, 2) array of (region, op) with indices erased; the comparable shape."""
-        regions, _, ops = self.to_arrays()
-        sl = slice(start, stop)
-        return np.column_stack(
-            (regions[sl].astype(np.int64), ops[sl].astype(np.int64))
-        )
+        """Region column of events [start, stop): the comparable shape."""
+        return self.to_arrays()[0][start:stop]
 
     def index_histogram(self, region: int, n: int) -> np.ndarray:
         """Counts of indices 0..n-1 recorded for one region."""
-        regions, indices, _ = self.to_arrays()
+        regions, indices = self.to_arrays()
         sel = indices[regions == region]
         if sel.size and (sel.min() < 0 or sel.max() >= n):
             raise InvalidParameterError("recorded index outside [0, n)")
         return np.bincount(sel, minlength=n)
 
     def regions_present(self) -> list[int]:
-        regions, _, _ = self.to_arrays()
-        return sorted(int(r) for r in np.unique(regions))
+        return sorted(int(r) for r in np.unique(self.to_arrays()[0]))
 
     def write_csv(self, path) -> None:
-        """Line-delimited `region,index,op` export."""
-        regions, indices, ops = self.to_arrays()
-        with open(path, "w", newline="") as fh:
-            for r, i, o in zip(regions, indices, ops):
-                fh.write(f"{r},{i},{o}\n")
+        """Line-delimited `region,index` export, one line per event."""
+        np.savetxt(path, np.column_stack(self.to_arrays()), fmt="%d", delimiter=",")
 
 
 def shapes_equal(a: TraceRecorder | np.ndarray, b: TraceRecorder | np.ndarray) -> bool:

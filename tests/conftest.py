@@ -35,6 +35,12 @@ class ToySchedule:
         return target
 
 
+def trace_pairs(recorder) -> list[tuple[int, int]]:
+    """A recorder's events as (region, index) pairs, in order."""
+    regions, indices = recorder.to_arrays()
+    return list(zip(regions.tolist(), indices.tolist()))
+
+
 def make_elems(reals: int, m_total: int, payload_size: int = 8,
                key_offset: int = 0) -> SlotArray:
     """m_total slots, the first `reals` of them real with distinct keys."""

@@ -57,6 +57,20 @@ def test_run_config_validation_and_roundtrip():
                   read_fraction=1.5, preload=0.0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("capacity", 64.0), ("first_level_size", 4.0), ("payload_size", 8.0),
+    ("seed", 1.0), ("seed", 1.5), ("ops", 10.0), ("key_space", 64.0),
+])
+def test_run_config_refuses_non_integer_fields(field, value):
+    # jsonschema counts 64.0 as an integer; the run must not
+    data = {**RunConfig(capacity=64, first_level_size=4, payload_size=8,
+                        seed=1, ops=10, workload="uniform", zipf_theta=0.99,
+                        key_space=64, read_fraction=0.5,
+                        preload=0.0).to_json(), field: value}
+    with pytest.raises(InvalidParameterError, match=field):
+        RunConfig.from_json(data)
+
+
 def test_generate_workload_is_pure_and_ranged():
     run = RunConfig(capacity=64, first_level_size=4, payload_size=8, seed=9,
                     ops=500, workload="zipf", zipf_theta=0.99, key_space=32,
@@ -214,6 +228,33 @@ def test_invalid_run_config_writes_no_dump(tmp_path, capsys):
         assert not dump.exists()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("capacity", 256.0), ("seed", 1.0), ("ops", 10.0), ("key_space", 256.0),
+])
+def test_non_integer_config_field_exits_2(tmp_path, capsys, field, value):
+    data = RunConfig(capacity=256, first_level_size=8, payload_size=8, seed=0,
+                     ops=10, workload="uniform", zipf_theta=0.99, key_space=256,
+                     read_fraction=0.5, preload=0.0).to_json()
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**data, field: value}))
+    assert main(["bench", "--config", str(path), "--no-timing"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert field in captured.err
+
+
+def test_preload_beyond_capacity_exits_2_before_the_dump(tmp_path, capsys):
+    dump = tmp_path / "d.json"
+    assert main(["bench", "--capacity", "256", "--first-level-size", "8",
+                 "--key-space", "20000", "--preload", "1",
+                 "--dump-config", str(dump)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exceeds capacity" in err
+    assert not dump.exists()
+
+
 def test_exit_code_3_when_capacity_exhausted(capsys):
     code, _ = run_main(
         ["bench", "--capacity", "4", "--first-level-size", "2",
@@ -261,7 +302,9 @@ def test_trace_outputs_and_reproducible_shape(tmp_path, capsys):
         summary = json.loads(out)
         assert summary["online_events"] > 0
         assert summary["build_events"] > 0
-        assert len(out_csv.read_text().splitlines()) == summary["online_events"]
+        lines = out_csv.read_text().splitlines()
+        assert len(lines) == summary["online_events"]
+        assert all(line.count(",") == 1 for line in lines)  # region,index
         shas.append((summary["online_shape_sha256"],
                      summary["build_shape_sha256"]))
     assert shas[0] == shas[1]

@@ -22,10 +22,10 @@ from pyramid_oram.prn import (
     stage_count,
     stage_pairs,
 )
-from pyramid_oram.trace import TraceOp, TraceRecorder
+from pyramid_oram.trace import TraceRecorder
 from pyramid_oram.zht import Zht
 
-from conftest import make_routing_table
+from conftest import make_routing_table, trace_pairs
 
 # schedule for n=8, worked out by hand: stage s pairs indices differing
 # in bit s-1, ascending by the lower index
@@ -205,7 +205,7 @@ def test_route_matches_reference_bit_for_bit():
         assert s_vec.stage_spills == s_ref.stage_spills
         assert s_vec.stage_live == s_ref.stage_live
         assert s_vec.repartitions == s_ref.repartitions
-        assert rec_vec.events() == rec_ref.events()
+        assert trace_pairs(rec_vec) == trace_pairs(rec_ref)
 
 
 def test_route_matches_reference_over_eight_stages():
@@ -286,14 +286,12 @@ def test_route_trace_is_pair_schedule():
     table, dests = make_routing_table(n, c, 5, 31)
     rec = TraceRecorder()
     route(table, dests, Rng(31, (4,)), recorder=rec, region=42)
-    events = rec.events()
-    assert len(events) == 2 * (n // 2) * stage_count(n)
+    assert len(rec) == 2 * (n // 2) * stage_count(n)
     want = []
     for stage in (1, 2, 3):
         for lo, hi in STAGE_PAIRS_8[stage]:
             want.extend([(42, lo), (42, hi)])
-    assert [(e.region, e.index) for e in events] == want
-    assert all(e.op == TraceOp.READ_WRITE for e in events)
+    assert trace_pairs(rec) == want
 
 
 def test_route_rejects_bad_dest_shape():

@@ -10,8 +10,6 @@ from pyramid_oram.core import InsufficientDataError, InvalidParameterError, Rng
 from pyramid_oram.ozht import build_access_count
 from pyramid_oram.trace import (
     L0_REGION,
-    TraceEvent,
-    TraceOp,
     TraceRecorder,
     chi_square_uniform,
     is_table_region,
@@ -23,6 +21,8 @@ from pyramid_oram.trace import (
     sim_throw,
     table_region,
 )
+
+from conftest import trace_pairs
 
 
 def test_region_packing_roundtrip():
@@ -59,10 +59,8 @@ def test_record_preserves_order():
     rec.record(table_region(1, 0), 7)
     rec.record(L0_REGION, 3)
     assert len(rec) == 3
-    assert rec.events() == [
-        TraceEvent(L0_REGION, 3, TraceOp.READ_WRITE),
-        TraceEvent(table_region(1, 0), 7, TraceOp.READ_WRITE),
-        TraceEvent(L0_REGION, 3, TraceOp.READ_WRITE),
+    assert trace_pairs(rec) == [
+        (L0_REGION, 3), (table_region(1, 0), 7), (L0_REGION, 3),
     ]
 
 
@@ -70,8 +68,10 @@ def test_record_one_region_expands_in_index_order():
     rec = TraceRecorder()
     rec.record(5, [4, 1, 9])
     rec.record(6, [[2, 8], [0, 3]])  # any shape, C order
-    assert [e.index for e in rec.events()] == [4, 1, 9, 2, 8, 0, 3]
-    assert [e.region for e in rec.events()] == [5] * 3 + [6] * 4
+    regions, indices = rec.to_arrays()
+    assert indices.tolist() == [4, 1, 9, 2, 8, 0, 3]
+    assert regions.tolist() == [5] * 3 + [6] * 4
+    assert (regions.dtype, indices.dtype) == (np.int32, np.int64)
 
 
 def test_record_regions_is_row_major_per_slot():
@@ -79,9 +79,7 @@ def test_record_regions_is_row_major_per_slot():
     regions = [10, 11, 12]
     matrix = np.array([[0, 1, 2], [3, 4, 5]])
     rec.record(regions, matrix)
-    got = [(e.region, e.index) for e in rec.events()]
-    assert got == [(10, 0), (11, 1), (12, 2), (10, 3), (11, 4), (12, 5)]
-    assert {e.op for e in rec.events()} == {TraceOp.READ_WRITE}
+    assert trace_pairs(rec) == [(10, 0), (11, 1), (12, 2), (10, 3), (11, 4), (12, 5)]
 
 
 def test_record_shape_mismatch_raises():
@@ -99,7 +97,7 @@ def test_disabled_recorder_is_noop():
     rec.record(1, [1, 2])
     rec.record([1, 2], np.zeros((2, 2), dtype=np.int64))
     assert len(rec) == 0
-    assert rec.shape_projection().shape == (0, 2)
+    assert rec.shape_projection().shape == (0,)
 
 
 def test_len_marks_windows():
@@ -109,7 +107,7 @@ def test_len_marks_windows():
     rec.record(2, 1)
     rec.record(3, 2)
     window = rec.shape_projection(mark, len(rec))
-    assert window.tolist() == [[2, TraceOp.READ_WRITE], [3, TraceOp.READ_WRITE]]
+    assert window.tolist() == [2, 3]
 
 
 def test_shape_projection_erases_indices():
@@ -118,20 +116,16 @@ def test_shape_projection_erases_indices():
     a.record(7, 0)
     b.record(7, 5)
     assert shapes_equal(a, b)
-    assert a.shape_projection().tolist() == [[7, TraceOp.READ_WRITE]]
+    assert a.shape_projection().tolist() == [7]
 
 
-def test_shapes_differ_on_region_op_or_length():
+def test_shapes_differ_on_region_or_length():
     base = TraceRecorder()
     base.record(7, 0)
 
     other = TraceRecorder()
     other.record(8, 0)
     assert not shapes_equal(base, other)
-
-    # record() writes READ_WRITE only, so the op case compares projections
-    assert not shapes_equal(np.array([[7, TraceOp.READ]]),
-                            np.array([[7, TraceOp.WRITE]]))
 
     other = TraceRecorder()
     other.record(7, [0, 0])
@@ -157,12 +151,20 @@ def test_regions_present_sorted():
 
 
 def test_write_csv(tmp_path):
-    rec = TraceRecorder()
-    rec.record(1, 2)
-    rec.record(3, 4)
-    out = tmp_path / "trace.csv"
-    rec.write_csv(out)
-    assert out.read_text() == "1,2,2\n3,4,2\n"
+    # region,index lines that read back as to_arrays(), column by column
+    one, many = TraceRecorder(), TraceRecorder()
+    one.record(table_region(2, 1), [5, 0, 1 << 40])
+    many.record([L0_REGION, table_region(1, 0), table_region(1, 1)],
+                np.arange(12).reshape(4, 3))
+    for rec in (one, many):
+        out = tmp_path / "trace.csv"
+        rec.write_csv(out)
+        back = np.loadtxt(out, delimiter=",", dtype=np.int64, ndmin=2)
+        assert back.shape == (len(rec), 2)
+        for column, want in zip(back.T, rec.to_arrays()):
+            assert np.array_equal(column, want)
+    TraceRecorder().write_csv(out)
+    assert out.read_text() == ""
 
 
 def test_clear_resets():
@@ -170,7 +172,7 @@ def test_clear_resets():
     rec.record(1, 2)
     rec.clear()
     assert len(rec) == 0
-    assert rec.events() == []
+    assert trace_pairs(rec) == []
 
 
 def test_importing_the_package_leaves_scipy_unloaded():
@@ -214,9 +216,9 @@ def test_chi_square_input_validation():
 def test_sim_search_touches_one_bucket_per_table():
     for k in (1, 2, 4):
         rec = sim_search(32, k, 2, Rng(11, (k,)))
-        events = rec.events()
-        assert len(events) == k
-        assert [region_table(e.region) for e in events] == list(range(k))
+        regions = rec.shape_projection()
+        assert len(regions) == k
+        assert [region_table(region) for region in regions] == list(range(k))
 
 
 def test_sim_throw_touches_k_buckets_per_slot():
@@ -224,7 +226,7 @@ def test_sim_throw_touches_k_buckets_per_slot():
     assert len(rec) == 12 * 3
     proj = rec.shape_projection()
     # every slot touches tables 0..k-1 in order
-    assert proj[:, 0].reshape(12, 3).tolist() == [
+    assert proj.reshape(12, 3).tolist() == [
         [table_region(0, 0), table_region(0, 1), table_region(0, 2)]
     ] * 12
 

@@ -18,10 +18,10 @@ from pyramid_oram.core import (
     SlotArray,
     set_debug_checks,
 )
-from pyramid_oram.trace import TraceOp, TraceRecorder, region_table, shapes_equal
+from pyramid_oram.trace import TraceRecorder, region_table, shapes_equal
 from pyramid_oram.zht import Zht
 
-from conftest import make_elems
+from conftest import make_elems, trace_pairs
 
 PAYLOAD = 8
 
@@ -108,9 +108,7 @@ def test_search_probes_every_table_even_after_hit():
     z.zigzag_insert(key, pay(key), z.path(key))
     rec = TraceRecorder()
     assert z.search(key, recorder=rec) == pay(key)
-    assert len(rec.events()) == z.k
-    assert [e.index for e in rec.events()] == z.path(key)
-    assert all(e.op == TraceOp.READ_WRITE for e in rec.events())
+    assert trace_pairs(rec) == list(zip(z.regions, z.path(key)))
 
 
 def test_search_miss_returns_none_with_same_shape():
@@ -427,10 +425,8 @@ def test_search_matches_scalar_probe(k, c, remove, seed, data):
     if got is not None:
         assert got == want == pay(probe)
     assert _store_bytes(got_z) == _store_bytes(want_z)
-    assert got_rec.events() == want_rec.events()
-    for j, event in enumerate(got_rec.events()):
-        assert event.region == got_z.regions[j]
-        assert event.index == got_z.path(probe)[j]
+    assert trace_pairs(got_rec) == trace_pairs(want_rec)
+    assert trace_pairs(got_rec) == list(zip(got_z.regions, got_z.path(probe)))
 
 
 @pytest.mark.parametrize("remove", [False, True])
@@ -449,7 +445,7 @@ def test_search_hit_at_every_table_and_slot_matches_scalar_probe(c, remove):
                 want = _scalar_probe(want_z, probe, remove, want_rec)
                 assert got == want == pay(probe)
                 assert _store_bytes(got_z) == _store_bytes(want_z)
-                assert got_rec.events() == want_rec.events()
+                assert trace_pairs(got_rec) == trace_pairs(want_rec)
                 b = got_z.path(probe)[target]
                 held = int(got_z.tables[target].key[b, slot])
                 assert held == (KEY_SENTINEL if remove else probe)
