@@ -33,7 +33,6 @@ from .core import (
     SlotArray,
     _require,
     is_power_of_two,
-    rank_within_group,
 )
 from .ozht import build_access_count, oblivious_build
 from .prn import route_census, stage_count
@@ -162,15 +161,31 @@ class SpillStats:
         return asdict(self)
 
 
+def _throw_loads(draws: np.ndarray, n: int) -> np.ndarray:
+    """How many of each trial's draws, a (trials, m) array of buckets in
+    [0, n), landed in each bucket: (trials, n) int64, one bincount."""
+    trials = draws.shape[0]
+    offsets = (np.arange(trials) * n)[:, None]
+    return np.bincount(
+        (draws + offsets).ravel(), minlength=trials * n
+    ).reshape(trials, n)
+
+
+def _first_fit_tags(draws: np.ndarray, n: int, c: int) -> np.ndarray:
+    """The (trials, n, c) slots that a first-fit throw of each trial's draws
+    fills.  First-fit fills a bucket's slots in order, so slot s is filled
+    iff more than s draws landed in its bucket; the rest are dropped."""
+    loads = _throw_loads(draws, n)
+    tag = np.empty(loads.shape + (c,), dtype=bool)
+    for s in range(c):  # a broadcast compare would run inner loops c long
+        np.greater(loads, s, out=tag[:, :, s])
+    return tag
+
+
 def _throw_spill_chunk(args) -> np.ndarray:
     seed, chunk_id, count, m, n, c = args
     rng = Rng(seed, (_THROW_STREAM, chunk_id))
-    draws = rng.buckets(n, (count, m))
-    offsets = (np.arange(count) * n)[:, None]
-    counts = np.bincount(
-        (draws + offsets).ravel(), minlength=count * n
-    ).reshape(count, n)
-    over = counts - c
+    over = _throw_loads(rng.buckets(n, (count, m)), n) - c
     np.maximum(over, 0, out=over)
     return over.sum(axis=1)
 
@@ -250,15 +265,8 @@ def mc_prn_stage_spill(n: int, c: int, load: int, trials: int,
     while done < trials:
         count = min(_CENSUS_BLOCK, trials - done)
         rng = Rng(seed, (_CENSUS_STREAM, block_id))
-        draws = rng.buckets(n, (count, load))
-
-        ti = np.repeat(np.arange(count), load)
-        bucket = draws.ravel()
-        rank = rank_within_group(ti * n + bucket)
-        fits = rank < c
-        overflow_total += int((~fits).sum())
-        tag = np.zeros((count, n, c), dtype=bool)
-        tag[ti[fits], bucket[fits], rank[fits]] = True
+        tag = _first_fit_tags(rng.buckets(n, (count, load)), n, c)
+        overflow_total += count * load - int(np.count_nonzero(tag))
         dest = rng.buckets(n, (count, n, c))
         spills, live = route_census(tag, dest, rng)
         spill_parts.append(spills)

@@ -111,12 +111,19 @@ def as_int(value, name: str) -> int:
 
 
 def real_key(key) -> int:
-    """key as an int; InvalidParameterError unless an integer in [0, MAX_REAL_KEY]."""
+    """key as an int; InvalidParameterError unless an integer in [0, MAX_REAL_KEY].
+
+    A bool is refused like a float or a str: each would alias another key.
+    The checks are inline, since every access and probe calls this.
+    """
+    if key.__class__ is bool:
+        raise InvalidParameterError(f"key must be an integer, not {key!r}")
     try:
-        key = operator.index(key)  # a float or a str would alias another key
+        key = operator.index(key)
     except TypeError:
         raise InvalidParameterError(f"key must be an integer, not {key!r}") from None
-    _require(0 <= key <= MAX_REAL_KEY, "key out of range")
+    if not 0 <= key <= MAX_REAL_KEY:
+        raise InvalidParameterError("key out of range")
     return key
 
 

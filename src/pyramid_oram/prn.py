@@ -27,13 +27,15 @@ and a stage runs over row blocks of at most _BLOCK_ROWS rows in row order.
 Each block draws its own tiebreaks, which together are the words of one
 draw per stage, builds each word's sort key from the word itself, gathers
 the words into sorted order in a second word buffer, and clears the
-misplaced tags there.  A strided copy then moves the stage's words back
-into the first buffer in the next stage's pair order (the last stage's copy
-restores the natural order): two word buffers per call, and a block's
-scratch reused from block to block.  route_census() runs it on tags and
-destinations over many trials, the census behind the spill statistics;
-route() runs it on one table with slot ids, and after the last stage moves
-each cell's key and payload once, to where its slot id ended up.
+misplaced tags there.  One take along the bucket axis then moves the
+stage's words back into the first buffer in the next stage's pair order
+(the last stage's take restores the natural order), c words at a time, by
+an index that depends on n and the stage alone and is built once: two word
+buffers per call, and a block's scratch reused from block to block.
+route_census() runs it on tags and destinations over many trials, the
+census behind the spill statistics; route() runs it on one table with slot
+ids, and after the last stage moves each cell's key and payload once, to
+where its slot id ended up.
 
 repartition() and route_reference() are the slot-at-a-time oracle: a
 RoutingSlot is one cell's key, payload, destination and tag, read off and
@@ -45,6 +47,7 @@ route_reference(), colliding tiebreaks included; the suite asserts both.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -169,10 +172,14 @@ def _pack(tag: np.ndarray, dest: np.ndarray, slot: np.ndarray | None) -> np.ndar
     return word
 
 
-def _unpack(word: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The destination and slot-id fields of _pack's words for n buckets."""
-    dest_bits = (n - 1).bit_length()
-    return (word >> 1) & ((1 << dest_bits) - 1), word >> (1 + dest_bits)
+def _unpack_dest(word: np.ndarray, n: int) -> np.ndarray:
+    """The destination field of _pack's words for n buckets."""
+    return (word >> 1) & (n - 1)
+
+
+def _unpack_slot(word: np.ndarray, n: int) -> np.ndarray:
+    """The slot-id field of _pack's words for n buckets."""
+    return word >> (1 + (n - 1).bit_length())
 
 
 def _stage_perm(skey: np.ndarray) -> np.ndarray:
@@ -232,6 +239,30 @@ def _clear_misplaced(word: np.ndarray, bit: int, side: np.ndarray,
     word ^= misplaced
 
 
+def _pair_position(n: int, bit: int) -> np.ndarray:
+    """Each bucket's position in stage `bit`'s pair order: twice the rank of
+    its pair's lower index among the lower indices, plus its own bit."""
+    b = np.arange(n)
+    low = b & ((1 << bit) - 1)
+    return (b >> (bit + 1) << (bit + 1)) | (low << 1) | ((b >> bit) & 1)
+
+
+@functools.cache
+def _reorder_index(n: int, bit: int) -> np.ndarray:
+    """The take index from stage `bit`'s pair order to the next stage's, or
+    to the natural order after the last stage, within each run of g =
+    min(n, 4 << bit) buckets, which both orders keep in place: entry q is
+    where, in stage bit's order, the bucket sits that goes to position q of
+    its run.  A function of (n, bit) alone, so it is built once; per n the
+    indices hold about 3n entries, against n log2 n for whole tables."""
+    g = min(n, 4 << bit)
+    after = np.arange(g) if g == 2 << bit else _pair_position(g, bit + 1)
+    index = np.empty(g, dtype=np.intp)
+    index[after] = _pair_position(g, bit)
+    index.flags.writeable = False
+    return index
+
+
 def _per_table(flags: np.ndarray, batch: int) -> np.ndarray | int:
     """The count of nonzero entries in each table of a batch's 0/1 array."""
     if batch == 1:  # a flat count costs a fraction of an axis reduction
@@ -252,10 +283,12 @@ def _run_stages(word: np.ndarray, rng: Rng,
     (rows, 2c) tiebreaks: together the words of one (batch * n/2, 2c) draw,
     in the same order.  Each block is sorted into a second word buffer, made
     once per call; its spent unsorted words then hold its cleared tags until
-    the stage has counted them, and the stage's pair-order change is one
-    strided copy back into the first buffer.  Returns the words in natural
-    order, in the buffer passed in, and the per-stage spills and live tags,
-    each (batch, stages).
+    the stage has counted them.  The stage's pair-order change is one take
+    of the sorted words along the bucket axis, c words at a time, back into
+    the first buffer, by the cached _reorder_index(n, bit) applied to every
+    run of its size.
+    Returns the words in natural order, in the buffer passed in, and the
+    per-stage spills and live tags, each (batch, stages).
     """
     batch, n, c = word.shape
     stages = stage_count(n)
@@ -276,15 +309,10 @@ def _run_stages(word: np.ndarray, rng: Rng,
             _sort_block(words, bit, rng, first, sorted_words)
             _clear_misplaced(sorted_words, bit, side, words)
         spills[:, bit] = _per_table(flat, batch)
-        if bit + 1 < stages:
-            # rows (H, L) of (side, slot) at stage bit, H = 2H' + side', to
-            # rows (H', L') of (side', slot) with L' = side * 2^bit + L
-            shape = (batch, n >> (bit + 2), 2, 1 << bit, 2, c)
-            word.reshape(shape)[...] = out.reshape(shape).transpose(
-                0, 1, 4, 3, 2, 5)
-        else:
-            word.reshape(batch, 2, 1 << bit, c)[...] = out.reshape(
-                batch, 1 << bit, 2, c).transpose(0, 2, 1, 3)
+        index = _reorder_index(n, bit)
+        runs = (-1, index.size, c)
+        # in range by construction, as in _sort_block: "raise" would buffer
+        out.reshape(runs).take(index, axis=1, out=word.reshape(runs), mode="wrap")
     live = np.asarray(count).reshape(-1, 1) - spills.cumsum(axis=1) + spills
     return word, spills, live
 
@@ -306,9 +334,9 @@ def route_census(tag: np.ndarray, dest: np.ndarray, rng: Rng,
     pair's 2c words, in every table of the batch, in row blocks of at most
     _BLOCK_ROWS rows, each with its own draw of tiebreaks in row order, into
     a second word buffer; the words move from one stage's pair order to the
-    next by one strided copy back into the first.  Every argument is checked
-    before anything is written.  Returns (spills, live), each (batch,
-    stages) int64; an empty batch gives (0, stages).
+    next by one take of whole buckets back into the first.  Every argument
+    is checked before anything is written.  Returns (spills, live), each
+    (batch, stages) int64; an empty batch gives (0, stages).
     """
     if tag.ndim != 3:
         raise InvalidParameterError("tag must be shaped (batch, n, c)")
@@ -330,9 +358,9 @@ def route_census(tag: np.ndarray, dest: np.ndarray, rng: Rng,
                  f"slot ids must lie in [0, {n * c})")
     word, spills, live = _run_stages(_pack(tag, dest, slot), rng)
     tag[...] = word & 1
-    dest[...], ids = _unpack(word, n)
+    dest[...] = _unpack_dest(word, n)
     if slot is not None:
-        slot[...] = ids
+        slot[...] = _unpack_slot(word, n)
     return spills, live
 
 
@@ -356,7 +384,8 @@ def route(table, dests: np.ndarray, rng: Rng,
     word, spills, live = _run_stages(_pack(
         (table.key != KEY_SENTINEL)[None], dests[None],
         np.arange(n * c).reshape(1, n, c)), rng)
-    dests[...], src = _unpack(word[0], n)
+    dests[...] = _unpack_dest(word[0], n)
+    src = _unpack_slot(word[0], n)
     table.key[...] = table.key.reshape(-1)[src]
     table.payload[...] = table.payload.reshape(n * c, -1)[src]
     if recorder is not None and recorder.enabled:

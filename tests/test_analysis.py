@@ -170,6 +170,36 @@ def test_stage_spill_report_frozen():
     }
 
 
+def test_stage_spill_report_frozen_at_one_and_three_slots():
+    # loads that overflow the input throw, so buckets fill past c; values
+    # taken from the throw that ranked each draw within its bucket and
+    # tagged the first c, which the counting throw must reproduce
+    assert mc_prn_stage_spill(16, 1, 16, trials=50, seed=2).to_dict() == {
+        "n": 16, "c": 1, "load": 16, "trials": 50,
+        "stage_mean": (1.64, 1.34, 0.84, 0.62),
+        "stage_stderr": (0.15053645568365134, 0.1358570677482142,
+                         0.11556427666375252, 0.09428571428571425),
+        "stage_live_mean": (10.28, 8.64, 7.3, 6.46),
+        "throw": {"trials": 50, "mean": 5.44,
+                  "stderr": 0.16941676663284105, "max_spill": 8},
+        "input_overflow_mean": 5.72,
+    }
+    # 600 trials are two census blocks (512 + 88)
+    assert mc_prn_stage_spill(32, 3, 90, trials=600, seed=4).to_dict() == {
+        "n": 32, "c": 3, "load": 90, "trials": 600,
+        "stage_mean": (6.503333333333333, 4.703333333333333, 3.87,
+                       3.058333333333333, 2.5883333333333334),
+        "stage_stderr": (0.09845768525396296, 0.08448332828612314,
+                         0.07683681006647082, 0.07230520110763641,
+                         0.06393945238087424),
+        "stage_live_mean": (72.105, 65.60166666666667, 60.89833333333333,
+                            57.028333333333336, 53.97),
+        "throw": {"trials": 600, "mean": 17.743333333333332,
+                  "stderr": 0.12244578295891692, "max_spill": 26},
+        "input_overflow_mean": 17.895,
+    }
+
+
 def test_stage_spill_validation():
     with pytest.raises(InvalidParameterError):
         mc_prn_stage_spill(60, 2, 10, trials=10, seed=0)

@@ -188,10 +188,12 @@ def test_route_single_survivor_when_all_want_bucket_zero():
 
 
 def test_route_matches_reference_bit_for_bit():
-    # includes c=3 to exercise the non-power-of-two padding path, and n=1,
-    # a table with no stage
+    # includes c=3 to exercise the non-power-of-two padding path, n=1, a
+    # table with no stage, and n=2, whose one stage is the last: between
+    # stages a route moves its words a bucket of c words at a time
     for n, c, load, seed in ((8, 2, 10, 5), (16, 4, 30, 6), (64, 3, 120, 7),
-                             (1, 3, 2, 8)):
+                             (1, 3, 2, 8), (2, 1, 2, 9), (2, 3, 5, 10),
+                             (4, 1, 3, 11), (4, 3, 10, 12)):
         t_vec, d_vec = make_routing_table(n, c, load, seed)
         t_ref, d_ref = make_routing_table(n, c, load, seed)
         rec_vec = TraceRecorder()

@@ -229,6 +229,20 @@ def test_miss_and_validation():
     assert oram.read(1) is None
 
 
+def test_bool_keys_are_refused_not_read_as_0_or_1():
+    # True would index as key 1 and False as key 0
+    oram = PyramidOram(SMALL)
+    oram.write(0, val(0))
+    oram.write(1, val(1))
+    before = oram.stored_items()
+    for key in (True, False, np.True_):
+        with pytest.raises(InvalidParameterError):
+            oram.read(key)
+        with pytest.raises(InvalidParameterError):
+            oram.write(key, val(2))
+    assert oram.t == 2 and oram.stored_items() == before
+
+
 BAD_VALUES = {
     "str": "abcdefgh",
     "list": [0] * 8,

@@ -44,12 +44,16 @@ def test_path_is_deterministic_and_in_range():
         assert all(0 <= b < z.n for b in p)
 
 
-@pytest.mark.parametrize("key", [1.5, 2**40, -1, MAX_REAL_KEY + 1])
+@pytest.mark.parametrize("key", [1.5, 2**40, -1, MAX_REAL_KEY + 1, True, False])
 def test_path_rejects_non_real_keys(key):
     # a path is hashed from key * G mod 2^64 as a Python int, which would
-    # wrap a negative or wide key into some other key's word
+    # wrap a negative or wide key into some other key's word; a bool would
+    # be hashed as key 0 or 1
+    z = make_zht()
+    z.zigzag_insert(1, pay(1), z.path(1))
     with pytest.raises(InvalidParameterError):
-        make_zht().path(key)
+        z.path(key)
+    assert z.real_items() == [(1, pay(1))]
 
 
 def test_regions_distinct_per_table():

@@ -50,8 +50,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from pyramid_oram import oprim, prn  # noqa: E402
-from pyramid_oram.analysis import mc_prn_stage_spill  # noqa: E402
-from pyramid_oram.core import HashFamily, Rng, SlotArray, rank_within_group  # noqa: E402
+from pyramid_oram.analysis import _first_fit_tags, mc_prn_stage_spill  # noqa: E402
+from pyramid_oram.core import HashFamily, Rng, SlotArray  # noqa: E402
 from pyramid_oram.ozht import oblivious_build  # noqa: E402
 from pyramid_oram.zht import BuildInput  # noqa: E402
 
@@ -89,12 +89,7 @@ CENSUS = (512, 256, 2, 256)  # trials, n, c, load of one spill-mc block
 def census_block(gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Tags and destinations of one block as mc_prn_stage_spill draws them."""
     trials, n, c, load = CENSUS
-    ti = np.repeat(np.arange(trials), load)
-    bucket = gen.integers(0, n, trials * load)
-    rank = rank_within_group(ti * n + bucket)
-    fits = rank < c
-    tag = np.zeros((trials, n, c), dtype=bool)
-    tag[ti[fits], bucket[fits], rank[fits]] = True
+    tag = _first_fit_tags(gen.integers(0, n, (trials, load)), n, c)
     return tag, gen.integers(0, n, (trials, n, c))
 
 
