@@ -195,16 +195,19 @@ def mc_throw_spill(m: int, n: int, c: int, trials: int, seed: int,
     """Empirical spill of throwing m elements into n buckets of c slots.
 
     Trials run in fixed chunks with per-chunk substreams, so the estimate is
-    identical for any worker count.
+    identical for any worker count.  The pool holds at most one process per
+    chunk.
     """
     _require(is_power_of_two(n), "n must be a power of two")
     _require(m >= 0 and c >= 1 and trials >= 2, "need at least two trials")
+    _require(workers >= 1, "workers must be at least 1")
     jobs = []
     done = 0
     while done < trials:
         count = min(_CHUNK, trials - done)
         jobs.append((seed, len(jobs), count, m, n, c))
         done += count
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_throw_spill_chunk, jobs))

@@ -12,11 +12,11 @@ Subcommands:
 
 All randomness is seeded (flag --seed, falling back to the PYRAMID_ORAM_SEED
 environment variable, then 0), and with --no-timing the outputs of bench are
-byte-for-byte reproducible.  Summaries go to stdout as JSON and are validated
-against the schemas below before printing.  Exit codes: 0 success, 1 a
-verification found a divergence, 2 bad parameters or usage, or a file that
-cannot be read or written, 3 a runtime failure (capacity exhausted or a build
-failed).
+byte-for-byte reproducible.  Summaries go to stdout as JSON.  A run config,
+from flags or from --config, is checked field by field before anything is
+written.  Exit codes: 0 success, 1 a verification found a divergence, 2 bad
+parameters or usage, or a file that cannot be read or written, 3 a runtime
+failure (capacity exhausted or a build failed).
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import asdict, dataclass
 
-import jsonschema
 import numpy as np
 
 from .analysis import (
@@ -44,11 +44,13 @@ from .analysis import (
 )
 from .core import (
     KEY_SENTINEL,
+    MAX_REAL_KEY,
     BuildFailedError,
     CapacityExceededError,
     InsufficientDataError,
     InvalidParameterError,
     as_int,
+    config_fields,
 )
 from .pyramid import PyramidConfig, PyramidOram
 from .trace import TraceRecorder
@@ -58,62 +60,39 @@ _WORKLOAD_STREAM = 9
 
 _WORKLOADS = ("uniform", "sequential", "zipf", "replay")
 
-_RUN_SCHEMA = {
-    "type": "object",
-    "required": ["version", "capacity", "first_level_size", "payload_size",
-                 "seed", "ops", "workload", "zipf_theta", "key_space",
-                 "read_fraction", "preload", "replay_file"],
-    "properties": {
-        "version": {"const": RUN_VERSION},
-        "capacity": {"type": "integer", "minimum": 2},
-        "first_level_size": {"type": "integer", "minimum": 2},
-        "payload_size": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
-        "ops": {"type": "integer", "minimum": 0},
-        "workload": {"enum": list(_WORKLOADS)},
-        "zipf_theta": {"type": "number", "minimum": 0},
-        "key_space": {"type": "integer", "minimum": 1},
-        "read_fraction": {"type": "number", "minimum": 0, "maximum": 1},
-        "preload": {"type": "number", "minimum": 0, "maximum": 1},
-        "replay_file": {"type": ["string", "null"]},
-    },
-    "additionalProperties": False,
-    "if": {"properties": {"workload": {"const": "replay"}}},
-    "then": {"properties": {"replay_file": {"type": "string", "minLength": 1}}},
+# The fields only a run has, each as name: (kind, low, high).  An int or a
+# float kind is a number in [low, high] (high None: unbounded) that must be an
+# integer, or finite and not a bool or a str; a tuple kind lists the allowed
+# values.  The store's fields are checked by PyramidConfig.
+_RUN_FIELDS = {
+    "ops": (int, 0, None),
+    "workload": (_WORKLOADS, None, None),
+    "zipf_theta": (float, 0, None),
+    "key_space": (int, 1, MAX_REAL_KEY + 1),
+    "read_fraction": (float, 0, 1),
+    "preload": (float, 0, 1),
 }
 
-_BENCH_SCHEMA = {
-    "type": "object",
-    "required": ["version", "run", "ops", "found", "rebuilds",
-                 "online_buckets_total", "total_buckets_total",
-                 "online_min_seen", "online_max_seen", "wall_ns_total",
-                 "cost_model"],
-}
 
-_VERIFY_SCHEMA = {
-    "type": "object",
-    "required": ["version", "ok", "ops", "checked_keys", "fault_injected",
-                 "divergence"],
-}
-
-_TRACE_SCHEMA = {
-    "type": "object",
-    "required": ["version", "ops", "online_events", "build_events",
-                 "online_shape_sha256", "build_shape_sha256"],
-}
-
-_STATS_SCHEMA = {"type": "object", "required": ["version"]}
-
-
-def _check_run(data) -> None:
-    """The one check of a run config dict, against _RUN_SCHEMA.
-
-    A misfit raises InvalidParameterError("<json path>: <message>").
-    """
-    try:
-        jsonschema.validate(data, _RUN_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise InvalidParameterError(f"{exc.json_path}: {exc.message}") from None
+def _check_field(name: str, value) -> None:
+    """value against its _RUN_FIELDS row; InvalidParameterError("$.name: ...")."""
+    kind, low, high = _RUN_FIELDS[name]
+    if kind is int:
+        as_int(value, f"$.{name}:")
+    elif kind is float:
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):  # a str, or an int past the floats
+            finite = False
+        if not finite:
+            raise InvalidParameterError(
+                f"$.{name}: must be a finite number, not {value!r}")
+    elif value not in kind:
+        raise InvalidParameterError(
+            f"$.{name}: must be one of {', '.join(kind)}, not {value!r}")
+    if low is not None and (value < low or high is not None and value > high):
+        bounds = f"at least {low}" if high is None else f"in [{low}, {high}]"
+        raise InvalidParameterError(f"$.{name}: must be {bounds}, not {value!r}")
 
 
 def _default_seed() -> int:
@@ -143,14 +122,18 @@ class RunConfig:
 
     def __post_init__(self):
         # the store's rules too, so a bad run fails before anything is written
-        _check_run(self.to_json())
-        for name, rule in _RUN_SCHEMA["properties"].items():
-            if rule.get("type") == "integer":  # jsonschema admits 256.0 there
-                as_int(getattr(self, name), name)
+        for name in _RUN_FIELDS:
+            _check_field(name, getattr(self, name))
+        replay = self.replay_file  # the replay rule
+        if not isinstance(replay, (str, type(None))) or (
+                self.workload == "replay" and not replay):
+            raise InvalidParameterError(
+                "$.replay_file: must be a string or null, and a file name "
+                f"for the replay workload, not {replay!r}")
+        self.store_config()
         if self.preload_keys > self.capacity:
             raise InvalidParameterError(f"a preload of {self.preload_keys} keys "
                                         f"exceeds capacity {self.capacity}")
-        self.store_config()
 
     @property
     def preload_keys(self) -> int:
@@ -162,9 +145,7 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "RunConfig":
-        _check_run(data)
-        return cls(**{key: value for key, value in data.items()
-                      if key != "version"})
+        return cls(**config_fields(cls, data, RUN_VERSION))
 
     def store_config(self) -> PyramidConfig:
         return PyramidConfig(
@@ -246,8 +227,7 @@ def _start_run(run: RunConfig, recorder=None, build_recorder=None):
     return oram, items, steps
 
 
-def _emit(obj: dict, schema: dict) -> None:
-    jsonschema.validate(obj, schema)
+def _emit(obj: dict) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
@@ -256,7 +236,7 @@ def _run_from_args(args) -> RunConfig:
         with open(args.config) as fh:
             try:
                 run = RunConfig.from_json(json.load(fh))
-            except (json.JSONDecodeError, InvalidParameterError) as exc:
+            except ValueError as exc:  # torn JSON, bad UTF-8 or a misfit
                 raise InvalidParameterError(f"{args.config}: {exc}") from None
     else:
         run = RunConfig(
@@ -323,7 +303,7 @@ def cmd_bench(args) -> int:
         "wall_ns_total": sum(row[5] for row in rows),
         "cost_model": model.to_dict(),
     }
-    _emit(summary, _BENCH_SCHEMA)
+    _emit(summary)
     return 0
 
 
@@ -390,7 +370,7 @@ def cmd_verify(args) -> int:
         "fault_injected": fault_injected,
         "divergence": divergence,
     }
-    _emit(summary, _VERIFY_SCHEMA)
+    _emit(summary)
     return 0 if divergence is None else 1
 
 
@@ -421,7 +401,7 @@ def cmd_trace(args) -> int:
             build_recorder.shape_projection().tobytes()
         ).hexdigest(),
     }
-    _emit(summary, _TRACE_SCHEMA)
+    _emit(summary)
     return 0
 
 
@@ -439,14 +419,14 @@ def cmd_zht(args) -> int:
         "expected_spill_bound": bound,
         "within_bound": stats.mean <= bound,
     }
-    _emit(out, _STATS_SCHEMA)
+    _emit(out)
     return 0
 
 
 def cmd_prn(args) -> int:
     report = mc_prn_stage_spill(args.n, args.c, args.load, args.trials, args.seed)
     out = {"version": RUN_VERSION, **report.to_dict()}
-    _emit(out, _STATS_SCHEMA)
+    _emit(out)
     return 0
 
 
@@ -462,7 +442,7 @@ def cmd_bounds(args) -> int:
             expected_spill_bound_exact(args.m, args.n, args.c)
         ),
     }
-    _emit(out, _STATS_SCHEMA)
+    _emit(out)
     return 0
 
 

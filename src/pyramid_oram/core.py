@@ -22,7 +22,7 @@ or parallelized without stream overlap.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -108,6 +108,27 @@ def as_int(value, name: str) -> int:
         except TypeError:
             pass
     raise InvalidParameterError(f"{name} must be an integer, not {value!r}")
+
+
+def config_fields(cls, data, version: int) -> dict:
+    """The fields of a versioned config dict, for cls(**fields).
+
+    data must be an object whose "version" is the int `version` (a bool is
+    refused: True == 1) and whose other keys are fields of the dataclass
+    cls; a field with a default may be left out.  Anything else raises
+    InvalidParameterError.  The values themselves are checked by cls.
+    """
+    _require(isinstance(data, dict), "a config must be a JSON object")
+    got = data.get("version")
+    _require(type(got) is int and got == version,
+             f"unsupported config version {got!r}")
+    values = {key: value for key, value in data.items() if key != "version"}
+    unknown = sorted(values.keys() - {f.name for f in fields(cls)})
+    _require(not unknown, f"unknown config fields {unknown}")
+    missing = [f.name for f in fields(cls)
+               if f.default is MISSING and f.name not in values]
+    _require(not missing, f"missing config fields {missing}")
+    return values
 
 
 def real_key(key) -> int:
@@ -315,6 +336,9 @@ class Rng:
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
         self.seed = int(seed)
         self.path = tuple(int(i) for i in path)
+        # SeedSequence would raise a bare ValueError
+        _require(min((self.seed, *self.path)) >= 0,
+                 "a seed and its substream indices must be non-negative")
         self._gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([self.seed, *self.path]))
         )

@@ -56,6 +56,7 @@ from .core import (
     StoreBrokenError,
     _require,
     as_int,
+    config_fields,
     debug_checks_enabled,
     is_power_of_two,
     path_buckets,
@@ -115,6 +116,7 @@ class PyramidConfig:
         _require(2 <= self.first_level_size <= self.capacity,
                  "first_level_size must be in [2, capacity]")
         _require(self.payload_size >= 1, "payload_size must be at least 1")
+        _require(self.seed >= 0, "seed must be non-negative")
         _require(self.max_retries >= 0, "max_retries must be non-negative")
         if self.k_override is not None:
             _require(self.k_override >= 1, "k_override must be at least 1")
@@ -141,19 +143,8 @@ class PyramidConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "PyramidConfig":
-        """Inverse of to_json; fields with a default may be left out.
-
-        Anything but an object of this version with known fields and a
-        capacity raises InvalidParameterError.
-        """
-        _require(isinstance(data, dict), "a config must be a JSON object")
-        _require(data.get("version") == CONFIG_VERSION,
-                 f"unsupported config version {data.get('version')!r}")
-        values = {key: value for key, value in data.items() if key != "version"}
-        unknown = sorted(values.keys() - {f.name for f in fields(cls)})
-        _require(not unknown, f"unknown config fields {unknown}")
-        _require("capacity" in values, "missing config field 'capacity'")
-        return cls(**values)
+        """Inverse of to_json; read by core.config_fields."""
+        return cls(**config_fields(cls, data, CONFIG_VERSION))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from scipy import stats
 
+import pyramid_oram.analysis as analysis_mod
 from pyramid_oram.analysis import (
     BoundReport,
     bounds_report,
@@ -127,6 +128,34 @@ def test_mc_throw_spill_validation():
         mc_throw_spill(8, 12, 2, trials=10, seed=0)
     with pytest.raises(InvalidParameterError):
         mc_throw_spill(8, 16, 2, trials=1, seed=0)
+
+
+def test_mc_throw_spill_pool_holds_at_most_one_process_per_chunk(monkeypatch):
+    sizes = []
+
+    class InProcessPool:  # records the pool size and runs the jobs here
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(analysis_mod, "ProcessPoolExecutor", InProcessPool)
+    serial = mc_throw_spill(64, 32, 2, trials=600, seed=3)
+    assert mc_throw_spill(64, 32, 2, trials=600, seed=3, workers=1000) == serial
+    assert sizes == [3]  # 600 trials are three chunks
+    one_chunk = mc_throw_spill(64, 32, 2, trials=200, seed=3)
+    assert mc_throw_spill(64, 32, 2, trials=200, seed=3, workers=8) == one_chunk
+    assert sizes == [3]  # one chunk runs here, with no pool
+    for workers in (0, -4):
+        with pytest.raises(InvalidParameterError, match="workers"):
+            mc_throw_spill(64, 32, 2, trials=600, seed=3, workers=workers)
 
 
 def test_stage_spill_below_fresh_throw_baseline():

@@ -14,10 +14,15 @@ from pyramid_oram.cli import (
     main,
     make_value,
 )
-from pyramid_oram.core import InvalidParameterError
+from pyramid_oram.core import MAX_REAL_KEY, InvalidParameterError
 
 BASE = ["--capacity", "64", "--first-level-size", "4", "--payload-size", "8",
         "--seed", "11", "--ops", "200", "--key-space", "48"]
+
+
+SMALL_RUN = dict(capacity=64, first_level_size=4, payload_size=8, seed=1,
+                 ops=10, workload="uniform", zipf_theta=0.99, key_space=64,
+                 read_fraction=0.5, preload=0.0)
 
 
 def run_main(argv, capsys):
@@ -57,12 +62,24 @@ def test_run_config_validation_and_roundtrip():
                   read_fraction=1.5, preload=0.0)
 
 
+def test_run_config_version_is_an_int_and_replay_file_may_be_left_out():
+    data = RunConfig(**SMALL_RUN).to_json()
+    with pytest.raises(InvalidParameterError, match="version"):
+        RunConfig.from_json({**data, "version": True})  # True == 1
+    del data["replay_file"]
+    assert RunConfig.from_json(data) == RunConfig(**SMALL_RUN)
+    assert RunConfig(**{**SMALL_RUN, "key_space": MAX_REAL_KEY + 1}).key_space \
+        == MAX_REAL_KEY + 1  # every real key
+    with pytest.raises(InvalidParameterError, match="key_space"):
+        RunConfig(**{**SMALL_RUN, "key_space": MAX_REAL_KEY + 2})
+
+
 @pytest.mark.parametrize("field,value", [
     ("capacity", 64.0), ("first_level_size", 4.0), ("payload_size", 8.0),
     ("seed", 1.0), ("seed", 1.5), ("ops", 10.0), ("key_space", 64.0),
 ])
 def test_run_config_refuses_non_integer_fields(field, value):
-    # jsonschema counts 64.0 as an integer; the run must not
+    # JSON parses 64.0 as a float equal to 64; the run must refuse it
     data = {**RunConfig(capacity=64, first_level_size=4, payload_size=8,
                         seed=1, ops=10, workload="uniform", zipf_theta=0.99,
                         key_space=64, read_fraction=0.5,
@@ -255,6 +272,70 @@ def test_preload_beyond_capacity_exits_2_before_the_dump(tmp_path, capsys):
     assert not dump.exists()
 
 
+def assert_refused_before_the_dump(argv, dump, field, capsys):
+    assert main([*argv, "--dump-config", str(dump)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert field in captured.err
+    assert not dump.exists()
+
+
+@pytest.mark.parametrize("field,text", [
+    ("preload", "nan"), ("preload", "inf"), ("read_fraction", "nan"),
+    ("read_fraction", "-inf"), ("zipf_theta", "nan"), ("zipf_theta", "inf"),
+])
+def test_non_finite_numbers_exit_2_before_the_dump(tmp_path, capsys, field, text):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({**RunConfig(**SMALL_RUN).to_json(),
+                                  field: float(text)}))  # NaN, -Infinity
+    flag = f"--{field.replace('_', '-')}={text}"  # "=": -inf is not a flag
+    for argv in (["bench", "--workload", "zipf", flag],
+                 ["bench", "--config", str(config)]):
+        assert_refused_before_the_dump(argv, tmp_path / "d.json", field, capsys)
+
+
+def test_negative_seed_exits_2_in_every_subcommand(tmp_path, capsys, monkeypatch):
+    dump = tmp_path / "d.json"
+    for argv in ([*cmd, *BASE[:6], "--ops", "10"]
+                 for cmd in (["bench"], ["verify"], ["trace"])):
+        assert_refused_before_the_dump([*argv, "--seed", "-1"], dump, "seed", capsys)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({**RunConfig(**SMALL_RUN).to_json(), "seed": -1}))
+    assert_refused_before_the_dump(["bench", "--config", str(config)], dump,
+                                   "seed", capsys)
+    stats = (["zht", "--m", "64", "--n", "32", "--c", "2", "--trials", "10"],
+             ["prn", "--n", "8", "--c", "2", "--load", "8", "--trials", "10"])
+    for argv in stats:
+        assert main([*argv, "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+    monkeypatch.setenv("PYRAMID_ORAM_SEED", "-1")
+    for argv in (["bench", *BASE[:6], "--ops", "10"], *stats):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "seed" in err
+
+
+def test_key_space_beyond_the_key_range_exits_2_before_the_dump(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({**RunConfig(**SMALL_RUN).to_json(),
+                                  "key_space": 1 << 33}))
+    for argv in (["bench", "--key-space", str(1 << 33)],
+                 ["bench", "--config", str(config)]):
+        assert_refused_before_the_dump(argv, tmp_path / "d.json", "key_space",
+                                       capsys)
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_bytes(b"\xff\xfe{}")
+    assert main(["bench", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(config) in err
+
+
 def test_exit_code_3_when_capacity_exhausted(capsys):
     code, _ = run_main(
         ["bench", "--capacity", "4", "--first-level-size", "2",
@@ -353,6 +434,32 @@ def test_bounds_past_the_float_range_exit_0(capsys):
     assert summary["overflow_prob_exact"] == str(Fraction(math.comb(10000, 200), 2**200))
 
 
+@pytest.mark.parametrize("argv,keys", [
+    (["bench", *BASE, "--no-timing"],
+     {"version", "run", "ops", "found", "rebuilds", "online_buckets_total",
+      "total_buckets_total", "online_min_seen", "online_max_seen",
+      "wall_ns_total", "cost_model"}),
+    (["verify", *BASE],
+     {"version", "ok", "ops", "checked_keys", "fault_injected", "divergence"}),
+    (["trace", *BASE],
+     {"version", "ops", "online_events", "build_events",
+      "online_shape_sha256", "build_shape_sha256"}),
+    (["zht", "--m", "64", "--n", "32", "--c", "2", "--trials", "10"],
+     {"version", "m", "n", "c", "stats", "expected_spill_bound",
+      "within_bound"}),
+    (["prn", "--n", "8", "--c", "2", "--load", "8", "--trials", "10"],
+     {"version", "n", "c", "load", "trials", "stage_mean", "throw"}),
+    (["bounds", "--m", "8", "--n", "8", "--c", "2"],
+     {"version", "overflow_prob_exact", "expected_spill_exact"}),
+], ids=lambda value: value[0] if isinstance(value, list) else None)
+def test_summary_has_its_keys(argv, keys, capsys):
+    code, out = run_main(argv, capsys)
+    assert code == 0
+    summary = json.loads(out)
+    assert isinstance(summary, dict)
+    assert keys <= summary.keys()
+
+
 def test_usage_errors_return_2(capsys):
     assert main([]) == 2
     assert main(["bench", "--bogus-flag"]) == 2
@@ -366,3 +473,13 @@ def test_installed_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["m"] == 8
+
+
+def test_cli_import_leaves_out_jsonschema():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pyramid_oram.cli; print('jsonschema' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "False\n"

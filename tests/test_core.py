@@ -200,6 +200,15 @@ def test_rng_replayable():
     assert a.bucket(64) == b.bucket(64)
 
 
+def test_rng_refuses_negative_seeds_and_indices():
+    # SeedSequence would raise a bare ValueError
+    for seed, path in ((-1, ()), (0, (-1,)), (3, (2, -5))):
+        with pytest.raises(InvalidParameterError, match="non-negative"):
+            Rng(seed, path)
+    with pytest.raises(InvalidParameterError, match="non-negative"):
+        Rng(1).substream(-1)
+
+
 def test_rng_substreams_differ():
     root = Rng(5)
     s0 = root.substream(0).bits64(8)

@@ -65,6 +65,15 @@ def test_config_validation():
         PyramidConfig(capacity=128, first_level_size=4, k_override=0)
 
 
+def test_config_refuses_a_negative_seed():
+    # the store's Rng would refuse it only once the store is built
+    with pytest.raises(InvalidParameterError, match="seed"):
+        PyramidConfig(capacity=128, first_level_size=4, seed=-1)
+    with pytest.raises(InvalidParameterError, match="seed"):
+        PyramidConfig.from_json({**PyramidConfig(capacity=1024).to_json(),
+                                 "seed": -1})
+
+
 @pytest.mark.parametrize("field,value", [
     ("capacity", "256"), ("capacity", 256.0), ("first_level_size", 8.0),
     ("payload_size", "8"), ("seed", 1.5), ("seed", 1.0), ("seed", True),
