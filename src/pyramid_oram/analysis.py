@@ -14,14 +14,14 @@ The randomized pieces of the structure admit simple binomial-tail bounds:
 
 Each bound has an exact rational path (Fraction arithmetic) and a log-gamma
 float path; the suite requires them to agree to ten significant digits.  The
-mc_* functions estimate the corresponding empirical quantities with seeded,
-chunked substreams so runs reproduce exactly, serial or parallel.
+mc_* functions estimate the corresponding empirical quantities in one
+process, a block of trials at a time, each block from its own seeded
+substream, so runs reproduce exactly.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -32,6 +32,7 @@ from .core import (
     Rng,
     SlotArray,
     _require,
+    as_int,
     is_power_of_two,
 )
 from .ozht import build_access_count, oblivious_build
@@ -41,9 +42,10 @@ from .pyramid import PyramidConfig
 _THROW_STREAM = 1
 _CENSUS_STREAM = 2
 _DECAY_STREAM = 3
+# trials per throw block and per census block; each block draws from its own
+# substream, so these fix the stream layouts of mc_throw_spill and
+# mc_prn_stage_spill
 _CHUNK = 256
-# trials per census block; each block draws from its own substream, so this
-# fixes the stream layout of mc_prn_stage_spill
 _CENSUS_BLOCK = 512
 
 _AUTO_EXACT_LIMIT = 10_000
@@ -182,38 +184,26 @@ def _first_fit_tags(draws: np.ndarray, n: int, c: int) -> np.ndarray:
     return tag
 
 
-def _throw_spill_chunk(args) -> np.ndarray:
-    seed, chunk_id, count, m, n, c = args
-    rng = Rng(seed, (_THROW_STREAM, chunk_id))
-    over = _throw_loads(rng.buckets(n, (count, m)), n) - c
-    np.maximum(over, 0, out=over)
-    return over.sum(axis=1)
-
-
-def mc_throw_spill(m: int, n: int, c: int, trials: int, seed: int,
-                   workers: int = 1) -> SpillStats:
+def mc_throw_spill(m: int, n: int, c: int, trials: int, seed: int) -> SpillStats:
     """Empirical spill of throwing m elements into n buckets of c slots.
 
-    Trials run in fixed chunks with per-chunk substreams, so the estimate is
-    identical for any worker count.  The pool holds at most one process per
-    chunk.
+    Trials run in blocks of _CHUNK, block b drawing from the substream
+    Rng(seed, (_THROW_STREAM, b)), so the estimate depends on the arguments
+    alone.
     """
+    m, n, c, trials = (as_int(m, "m"), as_int(n, "n"), as_int(c, "c"),
+                       as_int(trials, "trials"))
     _require(is_power_of_two(n), "n must be a power of two")
-    _require(m >= 0 and c >= 1 and trials >= 2, "need at least two trials")
-    _require(workers >= 1, "workers must be at least 1")
-    jobs = []
-    done = 0
-    while done < trials:
-        count = min(_CHUNK, trials - done)
-        jobs.append((seed, len(jobs), count, m, n, c))
-        done += count
-    workers = min(workers, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_throw_spill_chunk, jobs))
-    else:
-        parts = [_throw_spill_chunk(job) for job in jobs]
-    spills = np.concatenate(parts)
+    _require(m >= 0, "m must be at least 0")
+    _require(c >= 1, "c must be at least 1")
+    _require(trials >= 2, "need at least two trials")
+    spills = np.empty(trials, dtype=np.int64)
+    for chunk_id, start in enumerate(range(0, trials, _CHUNK)):
+        count = min(_CHUNK, trials - start)
+        rng = Rng(seed, (_THROW_STREAM, chunk_id))
+        over = _throw_loads(rng.buckets(n, (count, m)), n) - c
+        np.maximum(over, 0, out=over)
+        over.sum(axis=1, out=spills[start:start + count])
     return SpillStats(
         trials=trials,
         mean=float(spills.mean()),
@@ -256,28 +246,23 @@ def mc_prn_stage_spill(n: int, c: int, load: int, trials: int,
     destinations, and routes.  The paired mc_throw_spill run at the same load
     is the per-stage comparison baseline.
     """
+    n, c, load, trials = (as_int(n, "n"), as_int(c, "c"), as_int(load, "load"),
+                          as_int(trials, "trials"))
     _require(is_power_of_two(n) and n >= 2, "n must be a power of two >= 2")
+    _require(c >= 1, "c must be at least 1")
     _require(1 <= load <= n * c, "load must fit the table")
     _require(trials >= 2, "need at least two trials")
-    stages = stage_count(n)
-    spill_parts = []
-    live_parts = []
+    spills = np.empty((trials, stage_count(n)), dtype=np.int64)
+    live = np.empty_like(spills)
     overflow_total = 0
-    done = 0
-    block_id = 0
-    while done < trials:
-        count = min(_CENSUS_BLOCK, trials - done)
+    for block_id, start in enumerate(range(0, trials, _CENSUS_BLOCK)):
+        count = min(_CENSUS_BLOCK, trials - start)
         rng = Rng(seed, (_CENSUS_STREAM, block_id))
         tag = _first_fit_tags(rng.buckets(n, (count, load)), n, c)
         overflow_total += count * load - int(np.count_nonzero(tag))
         dest = rng.buckets(n, (count, n, c))
-        spills, live = route_census(tag, dest, rng)
-        spill_parts.append(spills)
-        live_parts.append(live)
-        done += count
-        block_id += 1
-    spills = np.concatenate(spill_parts)
-    live = np.concatenate(live_parts)
+        rows = slice(start, start + count)
+        spills[rows], live[rows] = route_census(tag, dest, rng)
     throw = mc_throw_spill(load, n, c, trials, seed)
     return StageSpillReport(
         n=n, c=c, load=load, trials=trials,

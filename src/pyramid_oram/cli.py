@@ -59,6 +59,9 @@ RUN_VERSION = 1
 _WORKLOAD_STREAM = 9
 
 _WORKLOADS = ("uniform", "sequential", "zipf", "replay")
+# generate_workload builds the zipf CDF from three float arrays with one
+# entry per key: about 0.4 GB at this bound
+_ZIPF_MAX_KEYS = 1 << 24
 
 # The fields only a run has, each as name: (kind, low, high).  An int or a
 # float kind is a number in [low, high] (high None: unbounded) that must be an
@@ -130,6 +133,10 @@ class RunConfig:
             raise InvalidParameterError(
                 "$.replay_file: must be a string or null, and a file name "
                 f"for the replay workload, not {replay!r}")
+        if self.workload == "zipf" and self.key_space > _ZIPF_MAX_KEYS:
+            raise InvalidParameterError(
+                f"$.key_space: must be at most {_ZIPF_MAX_KEYS} for the zipf "
+                f"workload, not {self.key_space}")
         self.store_config()
         if self.preload_keys > self.capacity:
             raise InvalidParameterError(f"a preload of {self.preload_keys} keys "
@@ -409,8 +416,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_zht(args) -> int:
-    stats = mc_throw_spill(args.m, args.n, args.c, args.trials, args.seed,
-                           workers=args.workers)
+    stats = mc_throw_spill(args.m, args.n, args.c, args.trials, args.seed)
     bound = expected_spill_bound(args.m, args.n, args.c)
     out = {
         "version": RUN_VERSION,
@@ -507,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     zht.add_argument("--c", type=int, required=True)
     zht.add_argument("--trials", type=int, default=10_000)
     zht.add_argument("--seed", type=int, default=_default_seed())
-    zht.add_argument("--workers", type=int, default=1)
     zht.set_defaults(func=cmd_zht)
 
     prn = sub.add_parser("prn", help="per-stage routing spill statistics")

@@ -52,11 +52,8 @@ def cond_swap(flag, values, i: int, j: int) -> None:
 
 
 def sort_key(sort_class, tiebreak):
-    """Pack (class, tiebreak) into one comparable word; works on ints and arrays."""
-    if isinstance(sort_class, np.ndarray):
-        return (sort_class.astype(np.uint64) << np.uint64(_CLASS_SHIFT)) | (
-            tiebreak >> np.uint64(_TIE_SHIFT)
-        )
+    """Pack (class, tiebreak) ints into one comparable word; on uint64
+    arrays it packs elementwise."""
     return (sort_class << _CLASS_SHIFT) | (tiebreak >> _TIE_SHIFT)
 
 

@@ -338,6 +338,9 @@ def route_census(tag: np.ndarray, dest: np.ndarray, rng: Rng,
     is checked before anything is written.  Returns (spills, live), each
     (batch, stages) int64; an empty batch gives (0, stages).
     """
+    arrays = (tag, dest) if slot is None else (tag, dest, slot)
+    _require(all(isinstance(a, np.ndarray) for a in arrays),
+             "tag, dest and slot must be numpy arrays")
     if tag.ndim != 3:
         raise InvalidParameterError("tag must be shaped (batch, n, c)")
     if dest.shape != tag.shape or (slot is not None and slot.shape != tag.shape):

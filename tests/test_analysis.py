@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 from scipy import stats
 
-import pyramid_oram.analysis as analysis_mod
 from pyramid_oram.analysis import (
     BoundReport,
+    SpillStats,
     bounds_report,
     bucket_overflow_prob_bound,
     bucket_overflow_prob_bound_exact,
@@ -115,12 +115,23 @@ def test_mc_throw_spill_matches_oracle():
     assert result.max_spill >= result.mean
 
 
-def test_mc_throw_spill_deterministic_and_worker_invariant():
+def test_mc_throw_spill_deterministic():
     a = mc_throw_spill(512, 256, 2, trials=600, seed=7)
     b = mc_throw_spill(512, 256, 2, trials=600, seed=7)
-    c = mc_throw_spill(512, 256, 2, trials=600, seed=7, workers=2)
-    assert a == b == c
+    assert a == b
     assert abs(a.mean - TRUE_SPILL_512_256_2) <= 4 * a.stderr
+
+
+def test_mc_throw_spill_frozen():
+    # 600 trials are three chunks (256 + 256 + 88), each from its own
+    # substream; values taken from the estimator that could also run the
+    # chunks in a process pool
+    assert mc_throw_spill(512, 256, 2, trials=600, seed=7) == SpillStats(
+        trials=600, mean=138.30833333333334, stderr=0.2885399621812408,
+        max_spill=162)
+    # one partial chunk: the first 200 draws of chunk 0
+    assert mc_throw_spill(512, 256, 2, trials=200, seed=7) == SpillStats(
+        trials=200, mean=137.77, stderr=0.5089999062108097, max_spill=162)
 
 
 def test_mc_throw_spill_validation():
@@ -128,34 +139,13 @@ def test_mc_throw_spill_validation():
         mc_throw_spill(8, 12, 2, trials=10, seed=0)
     with pytest.raises(InvalidParameterError):
         mc_throw_spill(8, 16, 2, trials=1, seed=0)
-
-
-def test_mc_throw_spill_pool_holds_at_most_one_process_per_chunk(monkeypatch):
-    sizes = []
-
-    class InProcessPool:  # records the pool size and runs the jobs here
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(analysis_mod, "ProcessPoolExecutor", InProcessPool)
-    serial = mc_throw_spill(64, 32, 2, trials=600, seed=3)
-    assert mc_throw_spill(64, 32, 2, trials=600, seed=3, workers=1000) == serial
-    assert sizes == [3]  # 600 trials are three chunks
-    one_chunk = mc_throw_spill(64, 32, 2, trials=200, seed=3)
-    assert mc_throw_spill(64, 32, 2, trials=200, seed=3, workers=8) == one_chunk
-    assert sizes == [3]  # one chunk runs here, with no pool
-    for workers in (0, -4):
-        with pytest.raises(InvalidParameterError, match="workers"):
-            mc_throw_spill(64, 32, 2, trials=600, seed=3, workers=workers)
+    # each bad argument is named, a non-integer one included
+    for args, name in (((4.0, 4, 2, 10), "m"), ((4, 4.0, 2, 10), "n"),
+                       ((4, 4, 2.5, 10), "c"), ((4, 4, 2, "10"), "trials"),
+                       ((-1, 4, 2, 10), "m"), ((4, 4, 0, 10), "c"),
+                       ((4, 4, 2, True), "trials")):
+        with pytest.raises(InvalidParameterError, match=rf"^{name} "):
+            mc_throw_spill(*args, seed=0)
 
 
 def test_stage_spill_below_fresh_throw_baseline():
@@ -236,6 +226,11 @@ def test_stage_spill_validation():
         mc_prn_stage_spill(64, 2, 129, trials=10, seed=0)
     with pytest.raises(InvalidParameterError):
         mc_prn_stage_spill(64, 2, 100, trials=1, seed=0)
+    for args, name in (((4.0, 2, 4, 10), "n"), ((4, 1.5, 4, 10), "c"),
+                       ((4, 2, 4.0, 10), "load"), ((4, 2, 4, 10.0), "trials"),
+                       ((4, 0, 4, 10), "c")):
+        with pytest.raises(InvalidParameterError, match=rf"^{name} "):
+            mc_prn_stage_spill(*args, seed=0)
 
 
 def test_decay_check_small_run():

@@ -327,6 +327,24 @@ def test_key_space_beyond_the_key_range_exits_2_before_the_dump(tmp_path, capsys
                                        capsys)
 
 
+def test_zipf_key_space_beyond_its_cdf_bound_exits_2_before_the_dump(tmp_path,
+                                                                    capsys):
+    # the zipf CDF has one entry per key, so its key space is bounded
+    assert RunConfig(**{**SMALL_RUN, "workload": "zipf",
+                        "key_space": 1 << 24}).key_space == 1 << 24
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({**RunConfig(**SMALL_RUN).to_json(),
+                                  "workload": "zipf",
+                                  "key_space": (1 << 24) + 1}))
+    for argv in (["bench", "--workload", "zipf", "--key-space", str((1 << 24) + 1)],
+                 ["bench", "--config", str(config)]):
+        assert_refused_before_the_dump(argv, tmp_path / "d.json", "key_space",
+                                       capsys)
+    # the other workloads do not build it
+    assert RunConfig(**{**SMALL_RUN, "key_space": (1 << 24) + 1}).key_space \
+        == (1 << 24) + 1
+
+
 def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_bytes(b"\xff\xfe{}")
@@ -463,6 +481,9 @@ def test_summary_has_its_keys(argv, keys, capsys):
 def test_usage_errors_return_2(capsys):
     assert main([]) == 2
     assert main(["bench", "--bogus-flag"]) == 2
+    # the estimators run in one process; there is no worker count to set
+    assert main(["zht", "--m", "64", "--n", "32", "--c", "2", "--trials", "10",
+                 "--workers", "2"]) == 2
 
 
 def test_installed_entry_point_runs():
@@ -473,6 +494,17 @@ def test_installed_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["m"] == 8
+
+
+def test_import_leaves_out_multiprocessing():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pyramid_oram; print(sorted({'multiprocessing', "
+         "'concurrent.futures.process'} & sys.modules.keys()))"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "[]\n"
 
 
 def test_cli_import_leaves_out_jsonschema():

@@ -379,6 +379,10 @@ def test_route_census_rejects_bad_input():
         route_census(tag, dest[:, :, :1], Rng(0, ()))      # shapes differ
     with pytest.raises(InvalidParameterError):
         route_census(tag.astype(np.int64), dest, Rng(0, ()))
+    for name in ("tag", "dest", "slot"):  # a list in place of an array
+        args = {"tag": tag, "dest": dest, name: dest.tolist()}
+        with pytest.raises(InvalidParameterError, match="numpy arrays"):
+            route_census(rng=Rng(0, ()), **args)
     for bad in (8, 99, -1):
         out = dest.copy()
         out[1, 3, 1] = bad
