@@ -54,6 +54,14 @@ _AUTO_EXACT_LIMIT = 10_000
 # -- analytic bounds ---------------------------------------------------------
 
 
+def _bound_args(m: int, n: int, c: int) -> tuple[int, int, int]:
+    """(m, n, c) through as_int; InvalidParameterError unless m >= 0,
+    n >= 1 and c >= 1."""
+    m, n, c = as_int(m, "m"), as_int(n, "n"), as_int(c, "c")
+    _require(m >= 0 and n >= 1 and c >= 1, "bad bound parameters")
+    return m, n, c
+
+
 def bucket_overflow_prob_bound_exact(m: int, n: int, c: int) -> Fraction:
     """C(m, c) / n^c as an exact rational; 0 when fewer than c are thrown.
 
@@ -61,7 +69,7 @@ def bucket_overflow_prob_bound_exact(m: int, n: int, c: int) -> Fraction:
     c or more of m uniformly thrown elements.  Not clamped: values above 1
     are vacuous but still exact.
     """
-    _require(m >= 0 and n >= 1 and c >= 1, "bad bound parameters")
+    m, n, c = _bound_args(m, n, c)
     if m < c:
         return Fraction(0)
     return Fraction(math.comb(m, c), n**c)
@@ -69,7 +77,7 @@ def bucket_overflow_prob_bound_exact(m: int, n: int, c: int) -> Fraction:
 
 def expected_spill_bound_exact(m: int, n: int, c: int) -> Fraction:
     """C(m, c+1) / n^c exactly: a bound on the mean spill of one throw."""
-    _require(m >= 0 and n >= 1 and c >= 1, "bad bound parameters")
+    m, n, c = _bound_args(m, n, c)
     if m <= c:
         return Fraction(0)
     return Fraction(math.comb(m, c + 1), n**c)
@@ -88,12 +96,11 @@ def _float_bound(exact, m: int, n: int, c: int, j: int, method: str) -> float:
     """exact(m, n, c) = C(m, j) / n^c as a float by `method`; past the float
     range math.inf on every method (vacuous there, but still a bound)."""
     _require(method in ("auto", "exact", "float"), "unknown method")
+    m, n, c = _bound_args(m, n, c)
     if method == "auto":
         method = "exact" if m <= _AUTO_EXACT_LIMIT else "float"
-    if method == "float":
-        _require(m >= 0 and n >= 1 and c >= 1, "bad bound parameters")
-        if m < j:
-            return 0.0
+    if method == "float" and m < j:
+        return 0.0
     try:
         if method == "exact":
             return float(exact(m, n, c))
@@ -119,6 +126,7 @@ def expected_spill_bound(m: int, n: int, c: int, method: str = "auto") -> float:
 
 def zigzag_failure_union_bound(n: int, k: int, c: int) -> float:
     """Union bound on build failure at full load: n * (C(n, c)/n^c)^k, <= 1."""
+    n, k, c = as_int(n, "n"), as_int(k, "k"), as_int(c, "c")
     _require(n >= 1 and k >= 1 and c >= 1, "bad bound parameters")
     per_bucket = bucket_overflow_prob_bound_exact(n, n, c)
     return float(min(Fraction(1), n * per_bucket**k))
@@ -141,6 +149,7 @@ class BoundReport:
 
 
 def bounds_report(m: int, n: int, c: int, k: int) -> BoundReport:
+    m, n, c, k = as_int(m, "m"), as_int(n, "n"), as_int(c, "c"), as_int(k, "k")
     return BoundReport(
         m=m, n=n, c=c, k=k,
         overflow_prob_bound=bucket_overflow_prob_bound(m, n, c),
@@ -305,6 +314,8 @@ def decay_check(n: int, c: int, k: int, trials: int, seed: int) -> DecayReport:
     asymptotic and misleading at toy sizes.  Each trial uses its own hash
     epoch and substream.
     """
+    n, c, k, trials = (as_int(n, "n"), as_int(c, "c"), as_int(k, "k"),
+                       as_int(trials, "trials"))
     _require(is_power_of_two(n) and n >= 1024, "decay check needs n >= 1024")
     _require(k >= 1 and c >= 1 and trials >= 1, "bad decay parameters")
     failures = 0

@@ -334,8 +334,8 @@ class Rng:
     __slots__ = ("seed", "path", "_gen")
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
-        self.seed = int(seed)
-        self.path = tuple(int(i) for i in path)
+        self.seed = as_int(seed, "seed")
+        self.path = tuple(as_int(i, "substream index") for i in path)
         # SeedSequence would raise a bare ValueError
         _require(min((self.seed, *self.path)) >= 0,
                  "a seed and its substream indices must be non-negative")
@@ -344,7 +344,7 @@ class Rng:
         )
 
     def substream(self, index: int) -> "Rng":
-        return Rng(self.seed, self.path + (int(index),))
+        return Rng(self.seed, self.path + (index,))
 
     def bits64(self, size=None) -> np.ndarray | int:
         # the generator's raw 64-bit words: the stream a full-range uint64

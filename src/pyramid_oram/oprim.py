@@ -10,10 +10,10 @@ that sorts gives the same permutation, a compare-exchange moves the key
 alone, and the permutation is read back from the low bits.
 
 Because the keys are distinct, any sort gives that permutation too.
-sort_network_perm runs the network for rows of at most 4 words, and at
-m >= 8 sorts each row instead: an equal realisation over at most 2c private
-words.  Its running time may depend on the keys; which buckets are read and
-written does not.
+sort_network_perm runs the network in place on the key columns for rows of
+at most 4 words, and at m >= 8 sorts each row instead: an equal realisation
+over at most 2c private words.  Its running time may depend on the keys;
+which buckets are read and written does not.
 """
 
 from __future__ import annotations
@@ -124,38 +124,10 @@ def batcher_sort(items: list[SortItem],
     items[:] = [items[key & (m - 1)] for key in keys if key & (m - 1) < n]
 
 
-@functools.cache
-def comparator_layers(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """comparator_schedule(m) grouped into layers of wire-disjoint comparators.
-
-    Each comparator goes to the earliest layer after every earlier comparator
-    on either of its wires, so comparators within a layer commute and each
-    wire meets its comparators in schedule order: running the layers one after
-    another is the sequential network exactly.
-    """
-    depth = [0] * m
-    layers: list[list[tuple[int, int]]] = []
-    for i, j in comparator_schedule(m):
-        d = max(depth[i], depth[j])
-        if d == len(layers):
-            layers.append([])
-        layers[d].append((i, j))
-        depth[i] = depth[j] = d + 1
-    return tuple(tuple(layer) for layer in layers)
-
-
-@functools.cache
-def _layer_wires(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per layer, the low and high wire index arrays of its comparators."""
-    return tuple(
-        (np.array([i for i, _ in layer]), np.array([j for _, j in layer]))
-        for layer in comparator_layers(m)
-    )
-
-
 # the narrowest row that sort_network_perm sorts instead of running the
-# network: tools/stage_perm_bench.py times both at m = 2..16, and the sort
-# wins at m >= 8 for every row count timed, the network at m <= 4 with many
+# network: tools/stage_perm_bench.py times both at m = 2..16 on fresh keys;
+# the sort wins at m >= 8 (narrowly at 8192 rows), and the network at m <= 4
+# with thousands of rows, as in the spill-mc census's 8192
 _SORT_MIN_WIDTH = 8
 
 
@@ -163,50 +135,34 @@ def sort_network_perm(skey: np.ndarray) -> np.ndarray:
     """Row-wise sorting permutation of the comparator network, vectorized.
 
     skey is (rows, m) uint64 with m a power of two; returns perm (rows, m),
-    the stable sort of each row on the key bits above the low log2(m): those
-    bits are overwritten with the wire index, which makes the keys distinct,
-    and perm is read back from them once sorted.  The specified computation
-    is the comparator network (_network_perm).  At m >= 8, _sorted_perm
-    sorts each row's m distinct words instead, which has the same outcome.
-    The choice depends on m alone, which is public.  The network's work is
-    independent of the data; the sort's running time may depend on the keys,
-    but each row's sort touches only that row's private words, so no bucket
-    access and no trace event depends on them.
-    """
-    if skey.shape[1] >= _SORT_MIN_WIDTH:
-        return _sorted_perm(skey)
-    return _network_perm(skey)
+    row-major, the stable sort of each row on the key bits above the low
+    log2(m): those bits are overwritten with the wire index, which makes the
+    keys distinct, and perm is read back from them once sorted.  skey is left
+    unchanged.
 
-
-def _network_perm(skey: np.ndarray) -> np.ndarray:
-    """sort_network_perm by the comparator network.
-
-    The network runs layer by layer (comparator_layers) on the keys
-    transposed, so a wire is one contiguous row, as two takes, one minimum
-    and one maximum per layer.  Every row meets the same comparators in the
-    same order whatever the keys, so the work done is independent of the
-    data.  The caller bounds the rows: the stage kernel sorts blocks of at
-    most prn._BLOCK_ROWS.
+    Below m = _SORT_MIN_WIDTH the comparator network runs in place on the
+    key columns of a column-major working copy, one compare-exchange of two
+    columns at a time for every row at once, in comparator_schedule order:
+    the work done is independent of the data.  From m = _SORT_MIN_WIDTH on,
+    each row's m distinct words are sorted instead, which has the same
+    outcome; its running time may depend on the keys, but each row's sort
+    touches only that row's private words, so no bucket access and no trace
+    event depends on them.  The choice depends on m alone, which is public.
     """
     m = skey.shape[1]
     low = np.uint64(m - 1)
-    work = skey.T.copy()
-    work &= ~low
-    work |= np.arange(m, dtype=np.uint64)[:, None]
-    for lo, hi in _layer_wires(m):
-        k_lo, k_hi = work.take(lo, axis=0), work.take(hi, axis=0)
-        work[lo] = np.minimum(k_lo, k_hi)
-        work[hi] = np.maximum(k_lo, k_hi)
-    work &= low
-    return np.ascontiguousarray(work.T).view(np.int64)
-
-
-def _sorted_perm(skey: np.ndarray) -> np.ndarray:
-    """sort_network_perm by sorting each row's wire-tagged keys."""
-    m = skey.shape[1]
-    low = np.uint64(m - 1)
-    work = skey & ~low
+    sort = m >= _SORT_MIN_WIDTH
+    # the sort runs along rows and the network along columns: each gets its
+    # working copy in the order that keeps its lines contiguous
+    work = np.bitwise_and(skey, ~low, order="C" if sort else "F")
     work |= np.arange(m, dtype=np.uint64)
-    work.sort(axis=1)
+    if sort:
+        work.sort(axis=1)
+    else:
+        tmp = np.empty(len(work), dtype=np.uint64)
+        for i, j in comparator_schedule(m):
+            np.minimum(work[:, i], work[:, j], out=tmp)
+            np.maximum(work[:, i], work[:, j], out=work[:, j])
+            work[:, i] = tmp
     work &= low
-    return work.view(np.int64)
+    return np.ascontiguousarray(work).view(np.int64)

@@ -93,6 +93,31 @@ def test_method_switch_validated():
         bucket_overflow_prob_bound_exact(-1, 8, 2)
 
 
+def test_bounds_refuse_non_integers():
+    # each bad argument is named; a float is refused, not read as a count
+    for call, name in (
+            (lambda: zigzag_failure_union_bound(1024, 2.5, 4), "k"),
+            (lambda: zigzag_failure_union_bound(1024.0, 4, 4), "n"),
+            (lambda: expected_spill_bound(64.5, 64, 2, method="float"), "m"),
+            (lambda: expected_spill_bound(64, 64, 2.0, method="exact"), "c"),
+            (lambda: bucket_overflow_prob_bound(64, "64", 2), "n"),
+            (lambda: bucket_overflow_prob_bound_exact(64, 64, True), "c"),
+            (lambda: expected_spill_bound_exact(64.0, 64, 2), "m"),
+            (lambda: bounds_report(8.0, 8, 2, 2), "m"),
+            (lambda: bounds_report(8, 8, 2, 2.0), "k"),
+            (lambda: decay_check(1024.0, 4, 3, trials=1, seed=0), "n"),
+            (lambda: decay_check(1024, 4, 3, trials=1.0, seed=0), "trials"),
+            (lambda: decay_check(1024, 4, 3, trials=1, seed=0.5), "seed")):
+        with pytest.raises(InvalidParameterError, match=rf"^{name} "):
+            call()
+    # the float path checks its arguments as the exact one does
+    for method in ("auto", "exact", "float"):
+        with pytest.raises(InvalidParameterError, match="bad bound parameters"):
+            expected_spill_bound(-1, 64, 2, method=method)
+        with pytest.raises(InvalidParameterError, match="bad bound parameters"):
+            bucket_overflow_prob_bound(64, 0, 2, method=method)
+
+
 def test_union_bound_frozen():
     assert zigzag_failure_union_bound(2048, 4, 4) == 0.0061008829855669165
     assert zigzag_failure_union_bound(4, 1, 1) == 1.0  # clamped

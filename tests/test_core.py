@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pyramid_oram.analysis import mc_throw_spill
 from pyramid_oram.core import (
     KEY_SENTINEL,
     MAX_REAL_KEY,
@@ -207,6 +208,19 @@ def test_rng_refuses_negative_seeds_and_indices():
             Rng(seed, path)
     with pytest.raises(InvalidParameterError, match="non-negative"):
         Rng(1).substream(-1)
+    # a float, a str or a bool is refused, not read as another stream
+    for seed, path, name in ((1.9, (), "seed"), ("7", (), "seed"),
+                             (True, (), "seed"), (0, (2.5,), "substream index"),
+                             (0, ("2",), "substream index")):
+        with pytest.raises(InvalidParameterError, match=rf"^{name} "):
+            Rng(seed, path)
+    with pytest.raises(InvalidParameterError, match="^substream index "):
+        Rng(1).substream(2.0)
+    with pytest.raises(InvalidParameterError, match="^seed "):
+        mc_throw_spill(4, 4, 2, 10, 1.5)
+    # numpy integers are integers
+    assert Rng(np.int64(3), (np.uint8(1),)).bits64(4).tolist() == \
+        Rng(3, (1,)).bits64(4).tolist()
 
 
 def test_rng_substreams_differ():

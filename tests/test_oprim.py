@@ -11,10 +11,7 @@ from pyramid_oram import oprim
 from pyramid_oram.core import InvalidParameterError
 from pyramid_oram.oprim import (
     SortItem,
-    _network_perm,
-    _sorted_perm,
     batcher_sort,
-    comparator_layers,
     comparator_schedule,
     cond_swap,
     sort_key,
@@ -124,44 +121,53 @@ def test_batcher_exchange_hook_sees_fixed_schedule():
     assert tuple(touched) == comparator_schedule(4)
 
 
-def test_sort_network_perm_matches_python_sort():
+@pytest.fixture(scope="module")
+def perms():
+    """sort_network_perm with oprim._SORT_MIN_WIDTH patched to 2 and to 2^30:
+    the row sort at every width, then the comparator network at every width."""
+    def at(threshold):
+        def perm_of(skey):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(oprim, "_SORT_MIN_WIDTH", threshold)
+                return sort_network_perm(skey)
+        return perm_of
+    return at(2), at(1 << 30)
+
+
+def test_sort_network_perm_matches_python_sort(perms):
     gen = np.random.Generator(np.random.PCG64(21))
-    for _ in range(30):
-        keys = gen.integers(0, 1 << 63, size=(5, 8), dtype=np.uint64)
-        perm = sort_network_perm(keys)
-        sorted_rows = np.take_along_axis(keys, perm, axis=1)
-        for row in range(5):
-            assert sorted_rows[row].tolist() == sorted(keys[row].tolist())
+    for m in (2, 4, 8, 16):
+        for _ in range(30):
+            keys = gen.integers(0, 1 << 63, size=(5, m), dtype=np.uint64)
+            for perm_of in perms:
+                perm = perm_of(keys)
+                sorted_rows = np.take_along_axis(keys, perm, axis=1)
+                for row in range(5):
+                    assert sorted_rows[row].tolist() == sorted(keys[row].tolist())
 
 
-# sort_network_perm and both of its realisations, each tested at every width
-PERMS = (sort_network_perm, _network_perm, _sorted_perm)
-
-
-def test_sort_network_perm_is_a_permutation():
+def test_sort_network_perm_is_a_permutation(perms):
     for m in (2, 4, 8, 16):
         keys = np.zeros((3, m), dtype=np.uint64)  # all ties
-        for perm_of in PERMS:
+        for perm_of in perms:
             perm = perm_of(keys)
             for row in perm:
                 assert sorted(row.tolist()) == list(range(m))
 
 
-@pytest.mark.parametrize("m, realisation", [
-    (2, "_network_perm"), (4, "_network_perm"),
-    (8, "_sorted_perm"), (16, "_sorted_perm"), (32, "_sorted_perm")])
-def test_sort_network_perm_sorts_from_width_eight(monkeypatch, m, realisation):
-    # the choice is a function of the row width alone, never of rows or keys
+@pytest.mark.parametrize("m", [2, 4, 8, 16, 32])
+def test_sort_network_perm_sorts_from_width_eight(monkeypatch, m):
+    # the choice is a function of the row width alone, never of rows or keys:
+    # the network (the only caller of comparator_schedule) below 8, the sort
+    # from 8
     calls = []
-    for name in ("_network_perm", "_sorted_perm"):
-        inner = getattr(oprim, name)
-        monkeypatch.setattr(
-            oprim, name,
-            lambda skey, name=name, inner=inner: calls.append(name) or inner(skey))
+    monkeypatch.setattr(
+        oprim, "comparator_schedule",
+        lambda width: calls.append(width) or comparator_schedule(width))
     for rows in (1, 8192, 8193):
         keys = np.zeros((rows, m), dtype=np.uint64)
         assert (sort_network_perm(keys) == np.arange(m)).all()
-    assert calls == [realisation] * 3
+    assert calls == ([m] * 3 if m < 8 else [])
 
 
 # row counts around the stage kernel's row block (prn._BLOCK_ROWS): one row,
@@ -172,12 +178,12 @@ def test_sort_network_perm_sorts_from_width_eight(monkeypatch, m, realisation):
        distinct=st.sampled_from([1, 3, 1 << 64]),
        sliced=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
-def test_sort_network_perm_matches_sequential_network(m, rows, distinct,
+def test_sort_network_perm_matches_sequential_network(perms, m, rows, distinct,
                                                       sliced, seed):
     # the compared bits are the ones above log2(m); distinct=1 makes them
     # equal across every row, 3 makes ties in almost every row.  The low
     # bits are random and must not matter.  Once the wire index makes the
-    # keys distinct, any sorting network, sequential or layered, gives the
+    # keys distinct, the network, run a column pair at a time, gives the
     # stable sort on the compared bits, and so does a plain row sort.
     log_m = m.bit_length() - 1
     gen = np.random.Generator(np.random.PCG64(seed))
@@ -189,9 +195,10 @@ def test_sort_network_perm_matches_sequential_network(m, rows, distinct,
     assert keys.flags.c_contiguous != sliced
     before = keys.copy()
     want = np.argsort(keys >> np.uint64(log_m), axis=1, kind="stable")
-    for perm_of in PERMS:
+    for perm_of in perms:
         perm = perm_of(keys)
         assert perm.dtype == np.int64 and perm.shape == (rows, m)
+        assert perm.flags.c_contiguous
         assert np.array_equal(perm, want)
         assert np.array_equal(keys, before), "input must not be modified"
         if distinct == 1:
@@ -199,34 +206,17 @@ def test_sort_network_perm_matches_sequential_network(m, rows, distinct,
 
 
 @pytest.mark.parametrize("m", [2, 4, 8, 16])
-def test_sort_network_perm_matches_batcher_sort_on_ties(m):
+def test_sort_network_perm_matches_batcher_sort_on_ties(perms, m):
     # classes and tiebreaks from pools of 3, so most rows tie in every bit
     gen = np.random.Generator(np.random.PCG64(m))
     cls = gen.integers(0, 3, size=(200, m), dtype=np.uint64)
     tie = gen.choice(np.array([5, 1 << 40, (1 << 64) - 1], dtype=np.uint64),
                      size=(200, m))
-    perms = [perm_of(sort_key(cls, tie)) for perm_of in PERMS]
+    got = [perm_of(sort_key(cls, tie)) for perm_of in perms]
     for row in range(200):
         items = [SortItem(int(cls[row, w]), int(tie[row, w]), payload_ref=w)
                  for w in range(m)]
         batcher_sort(items)
-        for perm in perms:
+        for perm in got:
             assert [item.payload_ref for item in items] == perm[row].tolist()
 
-
-@pytest.mark.parametrize("m", [2, 4, 8, 16, 32])
-def test_comparator_layers_partition_the_schedule(m):
-    layers = comparator_layers(m)
-    schedule = comparator_schedule(m)
-    log_m = m.bit_length() - 1
-    assert len(layers) == log_m * (log_m + 1) // 2
-    assert sum(len(layer) for layer in layers) == len(schedule)
-    for layer in layers:
-        wires = [w for pair in layer for w in pair]
-        assert len(wires) == len(set(wires)), "a layer reuses a wire"
-    # every wire meets its comparators in schedule order
-    flat = [pair for layer in layers for pair in layer]
-    for wire in range(m):
-        assert ([p for p in flat if wire in p]
-                == [p for p in schedule if wire in p])
-    assert comparator_layers(m) is layers

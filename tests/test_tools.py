@@ -1,9 +1,8 @@
 """Smoke test of the timing tools: each runs at its smallest arguments.
 
 The tools import private names (PyramidOram._scan_level0, core.path_buckets,
-oprim._network_perm, oprim._sorted_perm, oprim._SORT_MIN_WIDTH,
-prn._BLOCK_ROWS, analysis._first_fit_tags), so a rename shows here.  tools/bench_pairs.py is left out:
-it needs two checkouts.
+oprim._SORT_MIN_WIDTH, prn._BLOCK_ROWS, analysis._first_fit_tags), so a
+rename shows here.  tools/bench_pairs.py is left out: it needs two checkouts.
 """
 
 import subprocess

@@ -22,13 +22,16 @@ beside the count of repartitions, (n/2) log2 n per table, and the page
 faults of the call.  A route's time includes its one move of keys and
 56-byte payloads after the last stage.
 
-Then µs per call of oprim._network_perm (the comparator network) and
-oprim._sorted_perm (a row sort of the wire-tagged keys) on rows × m random
-keys, the minimum over --repeats, the two timed alternately.  These are the
-shapes the stage kernel sorts: it sorts a stage in row blocks of at most
-prn._BLOCK_ROWS = 8192 rows, so pyramid builds sort m = 2c = 8 at up to
-8192 rows, and the spill-mc census m = 4 at 8192.  sort_network_perm takes
-the sort from m = oprim._SORT_MIN_WIDTH on; the last column is its choice.
+Then µs per call of oprim.sort_network_perm on rows × m random keys with
+oprim._SORT_MIN_WIDTH patched high (the comparator network at every width)
+and to 0 (a row sort of the wire-tagged keys at every width): the minimum
+over --repeats, the two timed alternately, each call on fresh keys drawn
+untimed before it, since a sort that meets the same keys again runs on
+predicted branches.  These are the shapes the stage kernel sorts: it sorts
+a stage in row blocks of at most prn._BLOCK_ROWS = 8192 rows, so pyramid
+builds sort m = 2c = 8 at up to 8192 rows, and the spill-mc census m = 4 at
+8192.  sort_network_perm takes the sort from m = oprim._SORT_MIN_WIDTH on;
+the last column is its choice.
 
 Then a level-1 build of the uniform benchmark's store (n=64, k=3, c=4,
 64 input slots, 40 reals, 56-byte payloads): the median µs of --builds
@@ -58,27 +61,31 @@ from pyramid_oram.zht import BuildInput  # noqa: E402
 WIDTHS = (2, 4, 8, 16)
 ROWS = (32, 512, 8192)
 BLOCK = 20
+# oprim._SORT_MIN_WIDTH that runs the network at every width, and the sort
+NETWORK, SORT = 1 << 30, 0
 
 
 def stage_table(repeats: int) -> None:
     gen = np.random.default_rng(1)
-    print(f"µs per call, min of {repeats}: network / sort")
+    default = oprim._SORT_MIN_WIDTH
+    print(f"µs per call, min of {repeats}, fresh keys per call: network / sort")
     print(f"{'m':>3s}" + "".join(f"{rows:>20d}" for rows in ROWS) + "   chosen")
     for m in WIDTHS:
         cells = []
         for rows in ROWS:
-            keys = gen.integers(0, 1 << 63, size=(rows, m), dtype=np.uint64)
-            best = {oprim._network_perm: np.inf, oprim._sorted_perm: np.inf}
+            best = {NETWORK: np.inf, SORT: np.inf}
             for _ in range(repeats):
-                for perm_of in best:
+                for side in best:
+                    oprim._SORT_MIN_WIDTH = side
+                    keys = gen.integers(0, 1 << 63, (rows, m), dtype=np.uint64)
                     t0 = time.perf_counter_ns()
-                    perm_of(keys)
-                    best[perm_of] = min(best[perm_of],
-                                        (time.perf_counter_ns() - t0) / 1e3)
-            network, sort = best.values()
-            cells.append(f"{network:9.0f} /{sort:8.0f}")
-        chosen = "sort" if m >= oprim._SORT_MIN_WIDTH else "network"
+                    oprim.sort_network_perm(keys)
+                    best[side] = min(best[side],
+                                     (time.perf_counter_ns() - t0) / 1e3)
+            cells.append(f"{best[NETWORK]:9.0f} /{best[SORT]:8.0f}")
+        chosen = "sort" if m >= default else "network"
         print(f"{m:3d}" + "".join(f"{cell:>20s}" for cell in cells) + f"   {chosen}")
+    oprim._SORT_MIN_WIDTH = default
 
 
 ROUTE_SIZES = (64, 1024, 16384)
@@ -155,13 +162,13 @@ def level1_builds(builds: int) -> None:
     elems = BuildInput(size, rows, keys,
                        gen.integers(0, 256, (reals, payload), dtype=np.uint8))
     rng = Rng(3)
-    sides = {"as chosen": oprim.sort_network_perm, "network": oprim._network_perm}
+    sides = {"as chosen": oprim._SORT_MIN_WIDTH, "network": NETWORK}
     times: dict[str, list[float]] = {side: [] for side in sides}
     epoch = 0
     try:
         while len(times["network"]) < builds:
-            for side, perm_of in sides.items():
-                prn.sort_network_perm = perm_of
+            for side, threshold in sides.items():
+                oprim._SORT_MIN_WIDTH = threshold
                 for _ in range(BLOCK):
                     epoch += 1
                     fam = HashFamily(0, epoch)
@@ -169,7 +176,7 @@ def level1_builds(builds: int) -> None:
                     oblivious_build(elems, n, k, c, fam, rng, level_id=1)
                     times[side].append((time.perf_counter_ns() - t0) / 1e3)
     finally:
-        prn.sort_network_perm = oprim.sort_network_perm
+        oprim._SORT_MIN_WIDTH = sides["as chosen"]
     print(f"level-1 build (n={n}, k={k}, c={c}, {size} slots, {reals} reals), "
           f"median µs of {len(times['network'])}:")
     for side, values in times.items():
