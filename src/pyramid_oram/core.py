@@ -288,11 +288,18 @@ class HashFamily:
     Evaluation is pure: the same (seed, epoch, level, table_index, key, n)
     always yields the same bucket.  Families of one seed under different
     epochs give statistically independent outputs; each build attempt takes
-    its level's next epoch.
+    its level's next epoch.  seed and epoch are non-negative integers: a
+    bool or a float is refused, not read as another seed.
     """
 
     seed: int
     epoch: int = 0
+
+    def __post_init__(self):
+        for name in ("seed", "epoch"):
+            value = as_int(getattr(self, name), name)
+            _require(value >= 0, f"{name} must be non-negative")
+            object.__setattr__(self, name, value)  # frozen: set the checked int
 
     def bucket_indices(self, level: int, table_index: int, keys, n: int):
         """Vectorized hash of uint keys into [0, n).  Scalar in, scalar out."""

@@ -4,16 +4,16 @@ Swaps are computed with mask arithmetic, and the specified sort is Batcher's
 odd-even mergesort, whose compare-exchange schedule is a function of the
 input length alone.  The repartition step of the routing network sorts 2c
 slots by a (class, tiebreak) key; packing both into one 64-bit word keeps the
-comparator a single compare.  The sorts then overwrite the key's low log2(m)
-bits with its wire index, so no two keys are equal: every comparator network
-that sorts gives the same permutation, a compare-exchange moves the key
-alone, and the permutation is read back from the low bits.
+comparator a single compare.  The sorts then overwrite the key's low
+ceil(log2 m) bits with its wire index, so no two keys are equal: every
+comparator network that sorts gives the same permutation, a compare-exchange
+moves the key alone, and the permutation is read back from the low bits.
 
-Because the keys are distinct, any sort gives that permutation too.
-sort_network_perm runs the network in place on the key columns for rows of
-at most 4 words, and at m >= 8 sorts each row instead: an equal realisation
-over at most 2c private words.  Its running time may depend on the keys;
-which buckets are read and written does not.
+Because the keys are distinct, any sort gives that permutation too, at any
+width.  sort_network_perm runs the network in place on the key columns for
+rows of 2 or 4 words, and sorts each row of any other width instead: an
+equal realisation over 2c private words.  Its running time may depend on
+the keys; which buckets are read and written does not.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import numpy as np
 from .core import InvalidParameterError, is_power_of_two
 
 # Sort key layout: class in the top 2 bits, tiebreak below, and the sorts put
-# the wire index in the low log2(m) bits.  Tiebreaks are 64-bit draws; the
-# 62 - log2(m) bits left compared keep collisions at ~2^-(60 - log2 m) per
+# the wire index in the low w = ceil(log2 m) bits.  Tiebreaks are 64-bit
+# draws; the 62 - w bits left compared keep collisions at ~2^-(60 - w) per
 # pair, and a collision falls back to wire order in every path.
 _CLASS_SHIFT = 62
 _TIE_SHIFT = 2
@@ -124,34 +124,35 @@ def batcher_sort(items: list[SortItem],
     items[:] = [items[key & (m - 1)] for key in keys if key & (m - 1) < n]
 
 
-# the narrowest row that sort_network_perm sorts instead of running the
-# network: tools/stage_perm_bench.py times both at m = 2..16 on fresh keys;
-# the sort wins at m >= 8 (narrowly at 8192 rows), and the network at m <= 4
-# with thousands of rows, as in the spill-mc census's 8192
+# the narrowest power of two that sort_network_perm sorts rather than run the
+# network on: tools/stage_perm_bench.py times both at m = 2..16 on fresh
+# keys; the sort wins at m >= 8 (narrowly at 8192 rows), and the network at
+# m <= 4 with thousands of rows, as in the spill-mc census's 8192
 _SORT_MIN_WIDTH = 8
 
 
 def sort_network_perm(skey: np.ndarray) -> np.ndarray:
     """Row-wise sorting permutation of the comparator network, vectorized.
 
-    skey is (rows, m) uint64 with m a power of two; returns perm (rows, m),
+    skey is (rows, m) uint64 of any width m; returns perm (rows, m),
     row-major, the stable sort of each row on the key bits above the low
-    log2(m): those bits are overwritten with the wire index, which makes the
-    keys distinct, and perm is read back from them once sorted.  skey is left
-    unchanged.
+    ceil(log2 m): those bits are overwritten with the wire index, which makes
+    the keys distinct, and perm is read back from them once sorted.  skey is
+    left unchanged.
 
-    Below m = _SORT_MIN_WIDTH the comparator network runs in place on the
-    key columns of a column-major working copy, one compare-exchange of two
-    columns at a time for every row at once, in comparator_schedule order:
-    the work done is independent of the data.  From m = _SORT_MIN_WIDTH on,
-    each row's m distinct words are sorted instead, which has the same
-    outcome; its running time may depend on the keys, but each row's sort
+    For a power of two m below _SORT_MIN_WIDTH the comparator network runs in
+    place on the key columns of a column-major working copy, one
+    compare-exchange of two columns at a time for every row at once, in
+    comparator_schedule order: the work done is independent of the data.
+    At every other width each row's m distinct words are sorted instead,
+    which has the outcome the network on the row padded to a power of two
+    would have; its running time may depend on the keys, but each row's sort
     touches only that row's private words, so no bucket access and no trace
     event depends on them.  The choice depends on m alone, which is public.
     """
     m = skey.shape[1]
-    low = np.uint64(m - 1)
-    sort = m >= _SORT_MIN_WIDTH
+    low = np.uint64((1 << (m - 1).bit_length()) - 1)
+    sort = m >= _SORT_MIN_WIDTH or not is_power_of_two(m)
     # the sort runs along rows and the network along columns: each gets its
     # working copy in the order that keeps its lines contiguous
     work = np.bitwise_and(skey, ~low, order="C" if sort else "F")

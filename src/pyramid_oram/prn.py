@@ -53,14 +53,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import KEY_SENTINEL, InvalidParameterError, Rng, _require, is_power_of_two
-from .oprim import (
-    PAD_KEY,
-    SortItem,
-    batcher_sort,
-    sort_key,
-    sort_key_into,
-    sort_network_perm,
-)
+from .oprim import SortItem, batcher_sort, sort_key, sort_key_into, sort_network_perm
 from .trace import TraceRecorder, table_region
 
 
@@ -182,18 +175,6 @@ def _unpack_slot(word: np.ndarray, n: int) -> np.ndarray:
     return word >> (1 + (n - 1).bit_length())
 
 
-def _stage_perm(skey: np.ndarray) -> np.ndarray:
-    """sort_network_perm of (rows, m) keys, padded to a power-of-two width."""
-    rows, m = skey.shape
-    size = 1 << (m - 1).bit_length()
-    if size == m:
-        return sort_network_perm(skey)
-    pad = np.full((rows, size - m), PAD_KEY, dtype=np.uint64)
-    perm = sort_network_perm(np.concatenate([skey, pad], axis=1))
-    # every row keeps exactly its m real entries, in sorted order
-    return perm[perm < m].reshape(rows, m)
-
-
 # The sort key's class word, indexed by ((word >> bit) & 2) | (word & 1),
 # that is by (destination bit, tag): untagged slots float in class 1, tagged
 # ones sort to class 0 (low side) or 2 (high side).  The tiebreak >> 2 fills
@@ -222,7 +203,7 @@ def _sort_block(word: np.ndarray, bit: int, rng: Rng, base: np.ndarray,
                 out: np.ndarray) -> None:
     """Stage `bit`'s (rows, 2c) words, each row gathered into sorted order
     in out; base holds each row's first flat index."""
-    perm = _stage_perm(_stage_key(word, bit, rng))
+    perm = sort_network_perm(_stage_key(word, bit, rng))
     perm += base
     # the indices lie in range by construction; "raise" would buffer out
     word.take(perm, out=out, mode="wrap")

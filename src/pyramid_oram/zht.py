@@ -43,6 +43,7 @@ from .core import (
     Rng,
     SlotArray,
     _require,
+    as_int,
     debug_checks_enabled,
     is_power_of_two,
     path_buckets,
@@ -139,6 +140,8 @@ class Zht:
 
     def __init__(self, n: int, k: int, c: int, fam: HashFamily, level_id: int = 0,
                  payload_size: int = 56):
+        n, k, c = as_int(n, "n"), as_int(k, "k"), as_int(c, "c")
+        level_id = as_int(level_id, "level_id")
         _require(k >= 1, "need at least one table")
         _require(is_power_of_two(n), "bucket count n must be a power of two")
         _require(c >= 1, "bucket capacity c must be at least 1")
@@ -209,7 +212,10 @@ class Zht:
         _require(len(path) == self.k - first_table,
                  "path length must cover the remaining tables")
         payload = np.frombuffer(payload_bytes(payload, self.payload_size), np.uint8)
-        path = np.asarray(path, dtype=np.int64)[None, :]
+        path = np.asarray(path)
+        # a float or bool path would be truncated to buckets it does not name
+        _require(np.issubdtype(path.dtype, np.integer), "path must hold integers")
+        path = path.astype(np.int64, copy=False)[None, :]
         _require(((path >= 0) & (path < self.n)).all(), "path bucket out of range")
         landed = self._first_fit(np.array([key], dtype=np.uint32), payload[None],
                                  path, first_table)

@@ -138,16 +138,20 @@ def test_path_buckets_with_per_lane_counts():
 
 def test_subkeys_frozen_at_wide_and_negative_seeds():
     # values of the per-table derivation (one 1-element numpy absorb chain
-    # per table); the seed and epoch enter modulo 2^64
+    # per table); the seed and epoch enter modulo 2^64.  A negative seed is
+    # refused (test_hash_family_refuses_negative_and_non_integer_seeds), and
+    # 2^64 - 5 enters as the word -5 would
     assert HashFamily((1 << 64) + 12345, 7).subkeys(3, 4).tolist() == [
         4230947197748801397, 8689071519745906437,
         7771969460912176611, 5830219729319993143]
-    assert HashFamily(-5, 2).subkeys(11, 3).tolist() == [
+    assert HashFamily((1 << 64) - 5, 2).subkeys(11, 3).tolist() == [
         6683040099069214644, 10719205022308413310, 16082535636289748786]
     assert HashFamily(2**70 + 3, 2**64 + 9).subkeys(0, 2).tolist() == [
         6170631935373805367, 10687766249259869809]
+    with pytest.raises(InvalidParameterError, match="non-negative"):
+        HashFamily(-5, 2)
     # one table's subkey is the one bucket_indices mixes in
-    fam = HashFamily(-5, 2)
+    fam = HashFamily((1 << 64) - 5, 2)
     assert fam.bucket_indices(11, 2, 77, 1 << 40) == path_buckets(
         fam.subkeys(11, 3), 77, 1 << 40)[2]
 
@@ -221,6 +225,23 @@ def test_rng_refuses_negative_seeds_and_indices():
     # numpy integers are integers
     assert Rng(np.int64(3), (np.uint8(1),)).bits64(4).tolist() == \
         Rng(3, (1,)).bits64(4).tolist()
+
+
+def test_hash_family_refuses_negative_and_non_integer_seeds():
+    # a bool would hash as seed or epoch 1, and a float fail at the first hash
+    for seed, epoch, name in ((True, 0, "seed"), (1.5, 0, "seed"),
+                              ("7", 0, "seed"), (0, True, "epoch"),
+                              (0, 2.0, "epoch")):
+        with pytest.raises(InvalidParameterError, match=rf"^{name} must be an"):
+            HashFamily(seed, epoch)
+    for seed, epoch, name in ((-1, 0, "seed"), (0, -1, "epoch")):
+        with pytest.raises(InvalidParameterError, match=rf"^{name} must be non"):
+            HashFamily(seed, epoch)
+    # numpy integers are integers, and are held as ints
+    fam = HashFamily(np.int64(3), np.uint8(1))
+    assert fam == HashFamily(3, 1) and type(fam.seed) is int
+    assert fam.bucket_indices(2, 1, 77, 64) == HashFamily(3, 1).bucket_indices(
+        2, 1, 77, 64)
 
 
 def test_rng_substreams_differ():

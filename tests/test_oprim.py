@@ -79,7 +79,8 @@ def test_comparator_schedule_is_fixed():
 
 
 # the packed key drops tiebreak bits 0..1 and the sorts overwrite the next
-# log2(m) with the wire index, so tests space values above both for m <= 16
+# ceil(log2 m) with the wire index, so tests space values above both for
+# m <= 16
 SPACING = 2 + 4
 
 
@@ -124,7 +125,8 @@ def test_batcher_exchange_hook_sees_fixed_schedule():
 @pytest.fixture(scope="module")
 def perms():
     """sort_network_perm with oprim._SORT_MIN_WIDTH patched to 2 and to 2^30:
-    the row sort at every width, then the comparator network at every width."""
+    the row sort at every width, then the comparator network at every power
+    of two (every other width sorts under both)."""
     def at(threshold):
         def perm_of(skey):
             with pytest.MonkeyPatch.context() as patch:
@@ -134,9 +136,14 @@ def perms():
     return at(2), at(1 << 30)
 
 
+# the powers of two up to 16, where either branch may run, and widths
+# between them, which always sort
+WIDTHS = (2, 3, 4, 5, 6, 7, 8, 10, 12, 16)
+
+
 def test_sort_network_perm_matches_python_sort(perms):
     gen = np.random.Generator(np.random.PCG64(21))
-    for m in (2, 4, 8, 16):
+    for m in WIDTHS:
         for _ in range(30):
             keys = gen.integers(0, 1 << 63, size=(5, m), dtype=np.uint64)
             for perm_of in perms:
@@ -147,7 +154,7 @@ def test_sort_network_perm_matches_python_sort(perms):
 
 
 def test_sort_network_perm_is_a_permutation(perms):
-    for m in (2, 4, 8, 16):
+    for m in WIDTHS:
         keys = np.zeros((3, m), dtype=np.uint64)  # all ties
         for perm_of in perms:
             perm = perm_of(keys)
@@ -155,11 +162,11 @@ def test_sort_network_perm_is_a_permutation(perms):
                 assert sorted(row.tolist()) == list(range(m))
 
 
-@pytest.mark.parametrize("m", [2, 4, 8, 16, 32])
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 12, 16, 32])
 def test_sort_network_perm_sorts_from_width_eight(monkeypatch, m):
     # the choice is a function of the row width alone, never of rows or keys:
-    # the network (the only caller of comparator_schedule) below 8, the sort
-    # from 8
+    # the network (the only caller of comparator_schedule) at the powers of
+    # two below 8, the sort from 8 and at every other width
     calls = []
     monkeypatch.setattr(
         oprim, "comparator_schedule",
@@ -167,30 +174,51 @@ def test_sort_network_perm_sorts_from_width_eight(monkeypatch, m):
     for rows in (1, 8192, 8193):
         keys = np.zeros((rows, m), dtype=np.uint64)
         assert (sort_network_perm(keys) == np.arange(m)).all()
-    assert calls == ([m] * 3 if m < 8 else [])
+    assert calls == ([m] * 3 if m in (2, 4) else [])
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+def test_sort_network_perm_is_a_stable_argsort_at_every_width(monkeypatch,
+                                                             perms, m):
+    # keys from a pool of 3 above the low ceil(log2 m) bits, random below:
+    # ties in almost every row, which only wire order can break
+    log_m = (m - 1).bit_length()
+    gen = np.random.Generator(np.random.PCG64(100 + m))
+    keys = (gen.integers(0, 3, size=(300, m), dtype=np.uint64)
+            << np.uint64(log_m)) | gen.integers(0, 1 << log_m, size=(300, m),
+                                                dtype=np.uint64)
+    want = np.argsort(keys >> np.uint64(log_m), axis=1, kind="stable")
+    calls = []
+    monkeypatch.setattr(
+        oprim, "comparator_schedule",
+        lambda width: calls.append(width) or comparator_schedule(width))
+    for perm_of in perms:
+        assert np.array_equal(perm_of(keys), want)
+    # a width that is not a power of two sorts under both thresholds
+    assert calls == ([m] if (m & (m - 1)) == 0 else [])
 
 
 # row counts around the stage kernel's row block (prn._BLOCK_ROWS): one row,
 # one short of a block, a full block, one past it
 @settings(max_examples=40, deadline=None)
-@given(m=st.sampled_from([2, 4, 8, 16]),
+@given(m=st.sampled_from(WIDTHS),
        rows=st.sampled_from([1, 8191, 8192, 8193]),
        distinct=st.sampled_from([1, 3, 1 << 64]),
        sliced=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 def test_sort_network_perm_matches_sequential_network(perms, m, rows, distinct,
                                                       sliced, seed):
-    # the compared bits are the ones above log2(m); distinct=1 makes them
-    # equal across every row, 3 makes ties in almost every row.  The low
+    # the compared bits are the ones above ceil(log2 m); distinct=1 makes
+    # them equal across every row, 3 makes ties in almost every row.  The low
     # bits are random and must not matter.  Once the wire index makes the
     # keys distinct, the network, run a column pair at a time, gives the
     # stable sort on the compared bits, and so does a plain row sort.
-    log_m = m.bit_length() - 1
+    log_m = (m - 1).bit_length()
     gen = np.random.Generator(np.random.PCG64(seed))
     high = gen.integers(0, distinct, size=(rows, 2 * m), dtype=np.uint64,
                         endpoint=False)
     keys = (high << np.uint64(log_m)) | gen.integers(
-        0, m, size=(rows, 2 * m), dtype=np.uint64)
+        0, 1 << log_m, size=(rows, 2 * m), dtype=np.uint64)
     keys = keys[:, ::2] if sliced else np.ascontiguousarray(keys[:, :m])
     assert keys.flags.c_contiguous != sliced
     before = keys.copy()
@@ -205,7 +233,7 @@ def test_sort_network_perm_matches_sequential_network(perms, m, rows, distinct,
             assert (perm == np.arange(m)).all(), "ties keep wire order"
 
 
-@pytest.mark.parametrize("m", [2, 4, 8, 16])
+@pytest.mark.parametrize("m", WIDTHS)
 def test_sort_network_perm_matches_batcher_sort_on_ties(perms, m):
     # classes and tiebreaks from pools of 3, so most rows tie in every bit
     gen = np.random.Generator(np.random.PCG64(m))

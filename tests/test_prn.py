@@ -188,9 +188,10 @@ def test_route_single_survivor_when_all_want_bucket_zero():
 
 
 def test_route_matches_reference_bit_for_bit():
-    # includes c=3 to exercise the non-power-of-two padding path, n=1, a
-    # table with no stage, and n=2, whose one stage is the last: between
-    # stages a route moves its words a bucket of c words at a time
+    # includes c=3, whose 6-word rows the kernel sorts at their own width
+    # and only the reference pads to 8, n=1, a table with no stage, and n=2,
+    # whose one stage is the last: between stages a route moves its words a
+    # bucket of c words at a time
     for n, c, load, seed in ((8, 2, 10, 5), (16, 4, 30, 6), (64, 3, 120, 7),
                              (1, 3, 2, 8), (2, 1, 2, 9), (2, 3, 5, 10),
                              (4, 1, 3, 11), (4, 3, 10, 12)):
@@ -212,8 +213,9 @@ def test_route_matches_reference_bit_for_bit():
 
 def test_route_matches_reference_over_eight_stages():
     # n=256 runs every relayout between stage orders from pairs of adjacent
-    # buckets to pairs 128 apart; c=5 pads each pair's 10 words to 16
-    for c, seed in ((4, 21), (5, 22)):
+    # buckets to pairs 128 apart; at c=5 and c=6 the kernel sorts each pair's
+    # 10 and 12 words at their own width, and only the reference pads to 16
+    for c, seed in ((4, 21), (5, 22), (6, 23)):
         load = 256 * c * 3 // 4
         t_vec, d_vec = make_routing_table(256, c, load, seed)
         t_ref, d_ref = make_routing_table(256, c, load, seed)
@@ -240,8 +242,8 @@ class _CollidingRng(Rng):
 
 
 def test_route_matches_reference_when_tiebreaks_collide():
-    # c=3 pads each pair to 8 wires; tiebreak 1 << 63 ties a floating slot
-    # with the pad key, so the padded path meets collisions too
+    # the reference pads each c=3 pair to 8 wires, and tiebreak 1 << 63 ties
+    # a floating slot with its pad key; the kernel sorts the 6 words alone
     for n, c in ((8, 2), (16, 3), (16, 4)):
         for seed in range(20):
             load = seed * n * c // 20

@@ -106,6 +106,32 @@ def test_zigzag_insert_rejects_non_real():
     assert z.real_items() == [(MAX_REAL_KEY, pay(0))]
 
 
+def test_zigzag_insert_refuses_a_path_not_of_integers():
+    # a float path would be truncated to buckets it does not name, and a
+    # bool one read as buckets 0 and 1
+    z = Zht(2, 2, 1, HashFamily(seed=0), payload_size=PAYLOAD)
+    for path in ([1.9, 0.5], [True, False], np.array([1.0, 0.0])):
+        with pytest.raises(InvalidParameterError, match="integers"):
+            z.zigzag_insert(5, pay(5), path)
+    assert z.real_items() == []
+    # numpy integers of any width are buckets
+    assert z.zigzag_insert(5, pay(5), np.array([1, 0], dtype=np.uint8))
+    assert int(z.tables[0].key[1, 0]) == 5
+
+
+def test_zht_refuses_sizes_that_are_not_integers():
+    fam = HashFamily(seed=0)
+    for n, k, c, level_id, name in ((8.0, 2, 2, 0, "n"), (8, 2.0, 2, 0, "k"),
+                                    (8, 2, True, 0, "c"),
+                                    (8, 2, 2, 1.5, "level_id")):
+        with pytest.raises(InvalidParameterError, match=rf"^{name} "):
+            Zht(n, k, c, fam, level_id=level_id, payload_size=PAYLOAD)
+    z = Zht(np.int64(8), np.uint8(2), np.int32(2), fam, level_id=np.int64(1),
+            payload_size=PAYLOAD)
+    assert (z.n, z.k, z.c, z.level_id) == (8, 2, 2, 1)
+    assert type(z.n) is int
+
+
 def test_search_probes_every_table_even_after_hit():
     z = make_zht()
     key = 12

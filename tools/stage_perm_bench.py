@@ -23,8 +23,9 @@ faults of the call.  A route's time includes its one move of keys and
 56-byte payloads after the last stage.
 
 Then µs per call of oprim.sort_network_perm on rows × m random keys with
-oprim._SORT_MIN_WIDTH patched high (the comparator network at every width)
-and to 0 (a row sort of the wire-tagged keys at every width): the minimum
+oprim._SORT_MIN_WIDTH patched high (the comparator network at every width
+timed, all powers of two; any other width is always sorted) and to 0 (a row
+sort of the wire-tagged keys at every width): the minimum
 over --repeats, the two timed alternately, each call on fresh keys drawn
 untimed before it, since a sort that meets the same keys again runs on
 predicted branches.  These are the shapes the stage kernel sorts: it sorts
@@ -61,7 +62,8 @@ from pyramid_oram.zht import BuildInput  # noqa: E402
 WIDTHS = (2, 4, 8, 16)
 ROWS = (32, 512, 8192)
 BLOCK = 20
-# oprim._SORT_MIN_WIDTH that runs the network at every width, and the sort
+# oprim._SORT_MIN_WIDTH that runs the network at every power-of-two width,
+# and the sort
 NETWORK, SORT = 1 << 30, 0
 
 
