@@ -58,7 +58,7 @@ from .trace import (
     shapes_equal,
     table_region,
 )
-from .zht import ThrowReport, Zht
+from .zht import Zht
 
 __version__ = "0.1.0"
 
@@ -88,7 +88,6 @@ __all__ = [
     "SpillStats",
     "StageSpillReport",
     "StoreBrokenError",
-    "ThrowReport",
     "TraceRecorder",
     "Zht",
     "bounds_report",

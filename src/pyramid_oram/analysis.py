@@ -30,7 +30,6 @@ import numpy as np
 from .core import (
     HashFamily,
     Rng,
-    SlotArray,
     _require,
     as_int,
     is_power_of_two,
@@ -38,6 +37,7 @@ from .core import (
 from .ozht import build_access_count, oblivious_build
 from .prn import route_census, stage_count
 from .pyramid import PyramidConfig
+from .zht import BuildInput
 
 _THROW_STREAM = 1
 _CENSUS_STREAM = 2
@@ -321,11 +321,11 @@ def decay_check(n: int, c: int, k: int, trials: int, seed: int) -> DecayReport:
     failures = 0
     arrivals = []
     occupancy = []
+    elems = BuildInput(n, np.arange(n), np.arange(n, dtype=np.uint32),
+                       np.zeros((n, 8), np.uint8))
     for trial in range(trials):
         rng = Rng(seed, (_DECAY_STREAM, trial))
         fam = HashFamily(seed, epoch=trial)
-        elems = SlotArray(n, payload_size=8)
-        elems.key[:] = np.arange(n, dtype=np.uint32)
         _, report = oblivious_build(elems, n, k, c, fam, rng)
         if not report.success:
             failures += 1

@@ -9,14 +9,14 @@ when it is.  A fresh SlotArray is all dummies, writing a key makes a slot
 real, and writing the sentinel frees it.  A table is an (n, c) SlotArray of
 n buckets times c slots; scans and bucket accesses always cover whole buckets.
 
-Hashing is a keyed, seedable PRF: a splitmix64-style finalizer chain absorbed
+Hashing is a keyed splitmix64 mix, not a PRF: a finalizer chain absorbed
 over (seed, epoch, level, table).  It is vectorizable over numpy uint64 arrays,
 which is what makes rebuilds affordable; statistical quality is enforced by the
 chi-square tests in the suite rather than by construction.
 
-Randomness comes from PCG64 behind a thin Rng wrapper.  Substreams are derived
-from (seed, index...) via SeedSequence, so independent trials can be replayed
-or parallelized without stream overlap.
+Randomness comes from PCG64 behind a thin Rng wrapper, seeded from
+(seed, index...) via SeedSequence, so independent trials can be replayed
+without stream overlap.
 """
 
 from __future__ import annotations
@@ -110,6 +110,12 @@ def as_int(value, name: str) -> int:
     raise InvalidParameterError(f"{name} must be an integer, not {value!r}")
 
 
+def _non_negative(value, name: str) -> int:
+    """as_int(value, name), refused unless non-negative."""
+    _require(as_int(value, name) >= 0, f"{name} must be non-negative")
+    return operator.index(value)
+
+
 def config_fields(cls, data, version: int) -> dict:
     """The fields of a versioned config dict, for cls(**fields).
 
@@ -177,7 +183,7 @@ class SlotArray:
     def __init__(self, shape, payload_size: int = DEFAULT_PAYLOAD_SIZE):
         if isinstance(shape, int):
             shape = (shape,)
-        _require(payload_size >= 0, "payload_size must be non-negative")
+        payload_size = _non_negative(payload_size, "payload_size")
         self.payload_size = payload_size
         self.key = np.full(shape, KEY_SENTINEL, dtype=np.uint32)
         self.payload = np.zeros(shape + (payload_size,), dtype=np.uint8)
@@ -263,6 +269,7 @@ def _table_subkeys(seed: int, epoch: int, level: int, tables) -> list[int]:
     (level << 16) | table, every addition and product wrapping mod 2^64.
     The seed and epoch are absorbed once for all the tables.
     """
+    level = _non_negative(level, "level")
     x = _mix64_word((seed + _GOLDEN) & _MASK64)
     x = _mix64_word(x ^ ((epoch & _MASK64) + _C1) & _MASK64)
     return [_mix64_word(x ^ ((((level << 16) | j) + _C2) & _MASK64))
@@ -297,23 +304,24 @@ class HashFamily:
 
     def __post_init__(self):
         for name in ("seed", "epoch"):
-            value = as_int(getattr(self, name), name)
-            _require(value >= 0, f"{name} must be non-negative")
-            object.__setattr__(self, name, value)  # frozen: set the checked int
+            # frozen: set the checked int
+            object.__setattr__(self, name, _non_negative(getattr(self, name), name))
 
     def bucket_indices(self, level: int, table_index: int, keys, n: int):
         """Vectorized hash of uint keys into [0, n).  Scalar in, scalar out."""
-        _require(n >= 1, "hash range n must be at least 1")
+        table = (_non_negative(table_index, "table_index"),)
+        _require(as_int(n, "n") >= 1, "hash range n must be at least 1")
         scalar = np.isscalar(keys)
         # the product is a fresh array, so the caller's keys are never mixed
         x = np.atleast_1d(np.asarray(keys, dtype=np.uint64)) * _GOLDEN
-        x ^= _table_subkeys(self.seed, self.epoch, level, (table_index,))[0]
+        x ^= _table_subkeys(self.seed, self.epoch, level, table)[0]
         out = _keyed_bucket(x, n)
         return int(out[0]) if scalar else out
 
     def subkeys(self, level: int, count: int) -> np.ndarray:
         """uint64 subkeys of tables 0..count-1 at `level`, for path_buckets()."""
-        return np.array(_table_subkeys(self.seed, self.epoch, level, range(count)),
+        tables = range(_non_negative(count, "count"))
+        return np.array(_table_subkeys(self.seed, self.epoch, level, tables),
                         dtype=np.uint64)
 
 
@@ -331,27 +339,21 @@ def path_buckets(subkeys: np.ndarray, key: int, n) -> np.ndarray:
 
 
 class Rng:
-    """Seeded random stream with derivable substreams.
+    """Seeded random stream, one per (seed, path): SeedSequence entropy.
 
-    Rng(seed) and Rng(seed).substream(i) are reproducible and non-overlapping
-    (SeedSequence spawn keys).  Bucket draws consume exactly one 64-bit word
-    per value, so stream positions are a deterministic function of call counts.
+    Paths that differ past trailing zeros never overlap (the entropy is
+    zero-padded: Rng(s) is Rng(s, (0,))).  Bucket draws consume exactly one
+    64-bit word per value, so stream positions are a function of call counts.
     """
 
-    __slots__ = ("seed", "path", "_gen")
+    __slots__ = ("_gen",)
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
-        self.seed = as_int(seed, "seed")
-        self.path = tuple(as_int(i, "substream index") for i in path)
+        words = [as_int(seed, "seed"), *(as_int(i, "substream index") for i in path)]
         # SeedSequence would raise a bare ValueError
-        _require(min((self.seed, *self.path)) >= 0,
+        _require(min(words) >= 0,
                  "a seed and its substream indices must be non-negative")
-        self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([self.seed, *self.path]))
-        )
-
-    def substream(self, index: int) -> "Rng":
-        return Rng(self.seed, self.path + (index,))
+        self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
     def bits64(self, size=None) -> np.ndarray | int:
         # the generator's raw 64-bit words: the stream a full-range uint64

@@ -50,7 +50,6 @@ from .core import (
     KEY_SENTINEL,
     HashFamily,
     Rng,
-    SlotArray,
     _require,
     debug_checks_enabled,
     is_power_of_two,
@@ -95,7 +94,7 @@ def build_access_count(m_total: int, n: int, k: int, c: int) -> int:
     return k * m_total + k * n * stages + n * c * (k * (k - 1) // 2)
 
 
-def oblivious_build(elems: BuildInput | SlotArray, n: int, k: int, c: int,
+def oblivious_build(elems: BuildInput, n: int, k: int, c: int,
                     fam: HashFamily, rng: Rng, *, level_id: int = 0,
                     recorder: TraceRecorder | None = None,
                     ) -> tuple[Zht, BuildReport]:
@@ -106,7 +105,7 @@ def oblivious_build(elems: BuildInput | SlotArray, n: int, k: int, c: int,
     """
     _require(is_power_of_two(n) and n >= 2, "n must be a power of two >= 2")
     _require(k >= 1, "need at least one table")
-    elems = BuildInput.of(elems)
+    _require(isinstance(elems, BuildInput), "a build takes a BuildInput")
     real = elems.rows.size
     _require(real <= n, "more reals than one table column can drain")
     m_total = elems.size
@@ -130,9 +129,9 @@ def oblivious_build(elems: BuildInput | SlotArray, n: int, k: int, c: int,
         )
         return z, report
 
-    treport = z.throw(elems, rng, recorder=recorder)
-    if treport.failed:
-        return finish(FAILURE_THROW, treport.unplaced)
+    unplaced = z.throw(elems, rng, recorder=recorder)
+    if unplaced:
+        return finish(FAILURE_THROW, unplaced)
 
     for tj in range(k):
         tbl = z.tables[tj]

@@ -32,10 +32,10 @@ stage's words back into the first buffer in the next stage's pair order
 (the last stage's take restores the natural order), c words at a time, by
 an index that depends on n and the stage alone and is built once: two word
 buffers per call, and a block's scratch reused from block to block.
-route_census() runs it on tags and destinations over many trials, the
-census behind the spill statistics; route() runs it on one table with slot
-ids, and after the last stage moves each cell's key and payload once, to
-where its slot id ended up.
+route_census() runs it on tags and destinations over many trials and
+returns only the per-stage counts, the census behind the spill statistics;
+route() runs it on one table with slot ids, and after the last stage moves
+each cell's key and payload once, to where its slot id ended up.
 
 repartition() and route_reference() are the slot-at-a-time oracle: a
 RoutingSlot is one cell's key, payload, destination and tag, read off and
@@ -52,7 +52,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import KEY_SENTINEL, InvalidParameterError, Rng, _require, is_power_of_two
+from .core import KEY_SENTINEL, Rng, _require, is_power_of_two
 from .oprim import SortItem, batcher_sort, sort_key, sort_key_into, sort_network_perm
 from .trace import TraceRecorder, table_region
 
@@ -299,52 +299,26 @@ def _run_stages(word: np.ndarray, rng: Rng,
 
 
 def route_census(tag: np.ndarray, dest: np.ndarray, rng: Rng,
-                 slot: np.ndarray | None = None,
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """The routing network over a batch of tables: (batch, n, c) arrays.
+    """Per-stage spill counts of route()'s stage kernel over a batch of tables.
 
-    Over many trials of tags and destinations alone it is the census behind
-    the per-stage spill statistics; route() runs the same kernel on one
-    table.  tag (bool) and dest (integers in [0, n)) evolve in place exactly
-    as route() evolves one table's tags and destinations; slot, unless None,
-    holds integer ids in [0, n*c) and is carried along in place, so that
-    afterwards slot[b, i, s] is the id the slot now at (i, s) started with.
-    The three travel packed in one word per slot (tag in bit 0, destination
-    above it, slot id on top), in the narrowest unsigned type that holds
-    them, through the stage kernel _run_stages: each stage sorts every
-    pair's 2c words, in every table of the batch, in row blocks of at most
-    _BLOCK_ROWS rows, each with its own draw of tiebreaks in row order, into
-    a second word buffer; the words move from one stage's pair order to the
-    next by one take of whole buckets back into the first.  Every argument
-    is checked before anything is written.  Returns (spills, live), each
-    (batch, stages) int64; an empty batch gives (0, stages).
+    tag (bool) and dest (integers in [0, n)) are (batch, n, c) arrays, each
+    table's tagged slots and their destinations; both are only read.
+    Returns (spills, live), each (batch, stages) int64: the tags cleared at
+    each stage and those entering it; an empty batch gives (0, stages).
     """
-    arrays = (tag, dest) if slot is None else (tag, dest, slot)
-    _require(all(isinstance(a, np.ndarray) for a in arrays),
-             "tag, dest and slot must be numpy arrays")
-    if tag.ndim != 3:
-        raise InvalidParameterError("tag must be shaped (batch, n, c)")
-    if dest.shape != tag.shape or (slot is not None and slot.shape != tag.shape):
-        raise InvalidParameterError("tag, dest and slot shapes must match")
-    if tag.dtype != np.bool_:
-        raise InvalidParameterError("tag must be boolean")
-    batch, n, c = tag.shape
-    _require(is_power_of_two(n), "table size must be a power of two")
+    _require(isinstance(tag, np.ndarray) and isinstance(dest, np.ndarray),
+             "tag and dest must be numpy arrays")
+    _require(tag.ndim == 3, "tag must be shaped (batch, n, c)")
+    _require(dest.shape == tag.shape, "tag and dest shapes must match")
+    _require(tag.dtype == np.bool_, "tag must be boolean")
+    _, n, c = tag.shape
     _require(c >= 1, "bucket capacity c must be at least 1")
-    # a float would be truncated on the way in and written back rounded
+    # a float would be truncated on the way in
     _require(np.issubdtype(dest.dtype, np.integer), "dest must hold integers")
-    if dest.size and (dest.min() < 0 or dest.max() >= n):
-        raise InvalidParameterError(f"destinations must lie in [0, {n})")
-    if slot is not None:
-        _require(np.issubdtype(slot.dtype, np.integer), "slot must hold integers")
-        # an id past n*c would lose its high bits to the packed word
-        _require(not slot.size or (slot.min() >= 0 and slot.max() < n * c),
-                 f"slot ids must lie in [0, {n * c})")
-    word, spills, live = _run_stages(_pack(tag, dest, slot), rng)
-    tag[...] = word & 1
-    dest[...] = _unpack_dest(word, n)
-    if slot is not None:
-        slot[...] = _unpack_slot(word, n)
+    _require(not dest.size or (dest.min() >= 0 and dest.max() < n),
+             f"destinations must lie in [0, {n})")
+    _, spills, live = _run_stages(_pack(tag, dest, None), rng)
     return spills, live
 
 

@@ -40,7 +40,7 @@ moves to the log and only returns to a level when that level is rebuilt.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -56,7 +56,6 @@ from .core import (
     StoreBrokenError,
     _require,
     as_int,
-    config_fields,
     debug_checks_enabled,
     is_power_of_two,
     path_buckets,
@@ -68,8 +67,6 @@ from .trace import L0_REGION, TraceRecorder
 from .zht import BuildInput, Zht
 
 DEFAULT_C = 4
-
-CONFIG_VERSION = 2
 
 
 def default_k(n: int) -> int:
@@ -137,14 +134,6 @@ class PyramidConfig:
             c = self.c_override if self.c_override is not None else DEFAULT_C
             out.append(LevelParams(j, n, k, c))
         return tuple(out)
-
-    def to_json(self) -> dict:
-        return {"version": CONFIG_VERSION, **asdict(self)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PyramidConfig":
-        """Inverse of to_json; read by core.config_fields."""
-        return cls(**config_fields(cls, data, CONFIG_VERSION))
 
 
 @dataclass(frozen=True)
@@ -338,7 +327,8 @@ class PyramidOram:
         """Load (key, payload) pairs into a fresh store's last level.
 
         The build reads the items as the first reals of `capacity` slots,
-        so its shape is a constant.  Loading nothing is a no-op.
+        so its shape is a constant; BuildInput refuses more items than that,
+        and a repeated key.  Loading nothing is a no-op.
         """
         self._refuse_if_broken()
         items = list(items)
@@ -347,9 +337,7 @@ class PyramidOram:
         if not items:
             return None
         size = self.config.payload_size
-        _require(len(items) <= self.config.capacity, "bulk load exceeds capacity")
         keys = [real_key(key) for key, _ in items]
-        _require(len(set(keys)) == len(keys), "duplicate keys in bulk load")
         payloads = [payload_bytes(payload, size) for _, payload in items]
         elems = BuildInput(
             self.config.capacity, np.arange(len(keys)), np.array(keys, np.uint32),

@@ -177,9 +177,10 @@ def sim_build(num_slots: int, n: int, k: int, c: int, rng: Rng,
     """Trace of an oblivious build fed nothing but dummies."""
     from .core import HashFamily, SlotArray
     from .ozht import oblivious_build
+    from .zht import BuildInput
 
     recorder = TraceRecorder()
-    elems = SlotArray(num_slots, payload_size)
+    elems = BuildInput.gather([SlotArray(num_slots, payload_size)])
     fam = HashFamily(seed=int(rng.bits64()) & 0x7FFFFFFFFFFFFFFF)
     oblivious_build(elems, n, k, c, fam, rng, recorder=recorder)
     return recorder
@@ -200,10 +201,9 @@ def sim_throw(m: int, n: int, k: int, c: int, rng: Rng,
               payload_size: int = 8) -> TraceRecorder:
     """Trace of throwing m slots that are all dummies (k random touches each)."""
     from .core import HashFamily, SlotArray
-    from .zht import Zht
+    from .zht import BuildInput, Zht
 
     recorder = TraceRecorder()
     z = Zht(n, k, c, HashFamily(seed=0), level_id=0, payload_size=payload_size)
-    elems = SlotArray(m, payload_size)
-    z.throw(elems, rng, recorder=recorder)
+    z.throw(BuildInput.gather([SlotArray(m, payload_size)]), rng, recorder=recorder)
     return recorder

@@ -38,10 +38,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DEFAULT_PAYLOAD_SIZE,
     KEY_SENTINEL,
     HashFamily,
     Rng,
     SlotArray,
+    _non_negative,
     _require,
     as_int,
     debug_checks_enabled,
@@ -83,15 +85,33 @@ def draw_paths(rng: Rng, n: int, rows: int, keep: np.ndarray, regions,
 class BuildInput:
     """What a throw or a build reads of its input: the slot count and the reals.
 
-    size is the input's slot count, dummies included; it alone sets the
-    throw's shape and trace.  rows are the reals' ascending positions among
-    those slots, key and payload the reals' keys and payload rows.
+    size, the slot count with dummies, alone sets the throw's shape and
+    trace; rows are the reals' strictly ascending positions, key their
+    distinct real uint32 keys, payload their uint8 rows; all else is refused.
     """
 
     size: int
     rows: np.ndarray
     key: np.ndarray
     payload: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "size", _non_negative(self.size, "size"))
+        rows, key, payload = self.rows, self.key, self.payload
+        _require(isinstance(rows, np.ndarray) and rows.ndim == 1
+                 and np.issubdtype(rows.dtype, np.integer),
+                 "rows must be a 1-D integer array")
+        # -1, rows, size ascend strictly iff the rows do, within [0, size)
+        _require((np.diff(rows, prepend=-1, append=self.size) > 0).all(),
+                 f"rows must ascend strictly within [0, {self.size})")
+        _require(isinstance(key, np.ndarray) and key.dtype == np.uint32
+                 and key.shape == rows.shape, "key must be uint32, one per row")
+        # likewise the sorted keys, then KEY_SENTINEL, the largest uint32
+        _require((np.diff(np.sort(key), append=KEY_SENTINEL) > 0).all(),
+                 "key must not repeat or hold the sentinel")
+        _require(isinstance(payload, np.ndarray) and payload.dtype == np.uint8
+                 and payload.shape[:1] == rows.shape and payload.ndim == 2,
+                 "payload must be 2-D uint8, one row per real")
 
     @classmethod
     def gather(cls, parts) -> "BuildInput":
@@ -107,39 +127,16 @@ class BuildInput:
         return cls(at, np.concatenate(rows), np.concatenate(keys),
                    np.concatenate(payloads))
 
-    @classmethod
-    def of(cls, elems: "BuildInput | SlotArray") -> "BuildInput":
-        """elems itself, or the reals of a SlotArray."""
-        return elems if isinstance(elems, cls) else cls.gather([elems])
-
     @property
     def payload_size(self) -> int:
         return self.payload.shape[1]
-
-
-@dataclass
-class ThrowReport:
-    """Outcome of one batch throw.
-
-    spills_per_table[j] counts elements that reached table j and found their
-    bucket full (they moved on, or fell off the end at j = k-1); unplaced is
-    the number that fell off the end.
-    """
-
-    spills_per_table: list[int]
-    placed_per_table: list[int]
-    unplaced: int
-
-    @property
-    def failed(self) -> bool:
-        return self.unplaced > 0
 
 
 class Zht:
     """k-table zigzag hash table over a fixed hash family epoch."""
 
     def __init__(self, n: int, k: int, c: int, fam: HashFamily, level_id: int = 0,
-                 payload_size: int = 56):
+                 payload_size: int = DEFAULT_PAYLOAD_SIZE):
         n, k, c = as_int(n, "n"), as_int(k, "k"), as_int(c, "c")
         level_id = as_int(level_id, "level_id")
         _require(k >= 1, "need at least one table")
@@ -150,8 +147,8 @@ class Zht:
         self.c = c
         self.fam = fam
         self.level_id = level_id
-        self.payload_size = payload_size
         self.store = SlotArray((k, n, c), payload_size)
+        self.payload_size = self.store.payload_size
         self.tables = [self.store[j] for j in range(k)]
         self.regions = [table_region(level_id, j) for j in range(k)]
         self._subkeys = fam.subkeys(level_id, k)
@@ -221,8 +218,8 @@ class Zht:
                                  path, first_table)
         return bool(landed[0] >= 0)
 
-    def throw(self, elems: BuildInput | SlotArray, rng: Rng,
-              recorder: TraceRecorder | None = None) -> ThrowReport:
+    def throw(self, elems: BuildInput, rng: Rng,
+              recorder: TraceRecorder | None = None) -> int:
         """Throw every input slot: real slots zigzag-insert, the rest fake.
 
         Every input slot gets one fresh uniform path row, so the randomness
@@ -230,18 +227,14 @@ class Zht:
         slot count.  The rows are drawn and recorded in blocks (draw_paths)
         and only the reals' rows are kept, so the scratch does not grow with
         the dummies; the stream and the trace are those of one draw of the
-        whole matrix.
+        whole matrix.  Returns how many reals fell off the end of their path.
         """
-        elems = BuildInput.of(elems)
+        _require(isinstance(elems, BuildInput), "a throw takes a BuildInput")
         _require(elems.payload_size == self.payload_size, "payload width mismatch")
         paths = draw_paths(rng, self.n, elems.size, elems.rows, self.regions,
                            recorder)
         landed = self._first_fit(elems.key, elems.payload, paths, 0)
-        placed = np.bincount(landed[landed >= 0], minlength=self.k)
-        unplaced = elems.rows.size - int(placed.sum())
-        # spilled at table j: every arrival there that landed later or fell off
-        spills = unplaced + placed[::-1].cumsum()[::-1] - placed
-        return ThrowReport(spills.tolist(), placed.tolist(), unplaced)
+        return int(np.count_nonzero(landed < 0))
 
     # -- lookup --------------------------------------------------------------
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pyramid_oram.core import Rng, SlotArray, set_debug_checks
+from pyramid_oram.zht import BuildInput
 
 
 @pytest.fixture
@@ -41,14 +42,20 @@ def trace_pairs(recorder) -> list[tuple[int, int]]:
     return list(zip(regions.tolist(), indices.tolist()))
 
 
-def make_elems(reals: int, m_total: int, payload_size: int = 8,
+def make_slots(reals: int, m_total: int, payload_size: int = 8,
                key_offset: int = 0) -> SlotArray:
     """m_total slots, the first `reals` of them real with distinct keys."""
-    elems = SlotArray(m_total, payload_size)
-    elems.key[:reals] = np.arange(key_offset, key_offset + reals, dtype=np.uint32)
+    slots = SlotArray(m_total, payload_size)
+    slots.key[:reals] = np.arange(key_offset, key_offset + reals, dtype=np.uint32)
     for row in range(reals):
-        elems.payload[row] = (key_offset + row) % 251
-    return elems
+        slots.payload[row] = (key_offset + row) % 251
+    return slots
+
+
+def make_elems(reals: int, m_total: int, payload_size: int = 8,
+               key_offset: int = 0) -> BuildInput:
+    """The build input of make_slots(reals, m_total, ...)."""
+    return BuildInput.gather([make_slots(reals, m_total, payload_size, key_offset)])
 
 
 def make_routing_table(n: int, c: int, load: int, seed: int,

@@ -210,16 +210,12 @@ def test_rng_refuses_negative_seeds_and_indices():
     for seed, path in ((-1, ()), (0, (-1,)), (3, (2, -5))):
         with pytest.raises(InvalidParameterError, match="non-negative"):
             Rng(seed, path)
-    with pytest.raises(InvalidParameterError, match="non-negative"):
-        Rng(1).substream(-1)
     # a float, a str or a bool is refused, not read as another stream
     for seed, path, name in ((1.9, (), "seed"), ("7", (), "seed"),
                              (True, (), "seed"), (0, (2.5,), "substream index"),
                              (0, ("2",), "substream index")):
         with pytest.raises(InvalidParameterError, match=rf"^{name} "):
             Rng(seed, path)
-    with pytest.raises(InvalidParameterError, match="^substream index "):
-        Rng(1).substream(2.0)
     with pytest.raises(InvalidParameterError, match="^seed "):
         mc_throw_spill(4, 4, 2, 10, 1.5)
     # numpy integers are integers
@@ -244,10 +240,45 @@ def test_hash_family_refuses_negative_and_non_integer_seeds():
         2, 1, 77, 64)
 
 
+def test_hash_family_refuses_non_integer_levels_tables_and_ranges():
+    # a float range would hash into [0, floor(n)) and a bool level or range
+    # alias level 1 or n = 1; a negative level or table would hash too
+    fam, keys = HashFamily(3), np.arange(50, dtype=np.uint32)
+    for level, table, n, name in ((True, 0, 8, "level"), (1.0, 0, 8, "level"),
+                                  (1, 1.0, 8, "table_index"),
+                                  (1, "0", 8, "table_index"),
+                                  (1, 0, 2.5, "n"), (1, 0, True, "n")):
+        with pytest.raises(InvalidParameterError, match=rf"^{name} must be an"):
+            fam.bucket_indices(level, table, keys, n)
+    for level, table, name in ((-1, 0, "level"), (1, -1, "table_index")):
+        with pytest.raises(InvalidParameterError, match=rf"^{name} must be non"):
+            fam.bucket_indices(level, table, keys, 8)
+    with pytest.raises(InvalidParameterError, match="at least 1"):
+        fam.bucket_indices(1, 0, keys, 0)
+    for level, count, name in ((1, 2.0, "count"), (True, 2, "level"),
+                               (-1, 2, "level"), (1, -1, "count")):
+        with pytest.raises(InvalidParameterError, match=rf"^{name} must be"):
+            fam.subkeys(level, count)
+    # numpy integers are integers
+    assert np.array_equal(fam.bucket_indices(np.int64(1), np.uint8(0), keys,
+                                             np.int32(8)),
+                          fam.bucket_indices(1, 0, keys, 8))
+    assert fam.subkeys(np.int64(2), np.uint8(3)).tolist() == \
+        fam.subkeys(2, 3).tolist()
+
+
+def test_slot_array_refuses_a_non_integer_payload_size():
+    for size in (8.0, True, "8"):
+        with pytest.raises(InvalidParameterError, match="^payload_size must be an"):
+            SlotArray(4, size)
+    with pytest.raises(InvalidParameterError, match="non-negative"):
+        SlotArray(4, -1)
+    assert SlotArray(4, np.int64(3)).payload.shape == (4, 3)
+
+
 def test_rng_substreams_differ():
-    root = Rng(5)
-    s0 = root.substream(0).bits64(8)
-    s1 = root.substream(1).bits64(8)
+    s0 = Rng(5, (0,)).bits64(8)
+    s1 = Rng(5, (1,)).bits64(8)
     assert s0.tolist() != s1.tolist()
 
 

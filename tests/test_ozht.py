@@ -19,9 +19,9 @@ from pyramid_oram.ozht import (
     oblivious_build,
 )
 from pyramid_oram.trace import TraceRecorder, shapes_equal
-from pyramid_oram.zht import BuildInput
+from pyramid_oram.zht import BuildInput, Zht
 
-from conftest import make_elems
+from conftest import make_elems, make_slots
 
 PAYLOAD = 8
 
@@ -46,7 +46,8 @@ def test_failure_depends_on_the_reals_not_only_public_randomness():
     for keys in ([0, 2], [0, 1]):
         elems = SlotArray(2, PAYLOAD)
         elems.key[:] = keys
-        _, report = oblivious_build(elems, 2, 1, 1, HashFamily(seed=5), Rng(1, ()))
+        _, report = oblivious_build(BuildInput.gather([elems]), 2, 1, 1,
+                                    HashFamily(seed=5), Rng(1, ()))
         outcomes.append(report.failure_reason)
     assert outcomes == [FAILURE_FINAL_SPILL, FAILURE_NONE]
 
@@ -123,6 +124,59 @@ def test_build_rejects_more_reals_than_drain():
         build(4, 12, 12, 1, 1, seed=0)  # non-power-of-two n
 
 
+def _build_input(**change) -> BuildInput:
+    """Three reals among six slots, with the fields in `change` swapped in."""
+    fields = {"size": 6, "rows": np.array([0, 2, 5]),
+              "key": np.array([7, 3, 9], np.uint32),
+              "payload": np.zeros((3, PAYLOAD), np.uint8)}
+    return BuildInput(**{**fields, **change})
+
+
+@pytest.mark.parametrize("change,match", [
+    # a row equal to size died in draw_paths with an IndexError
+    ({"rows": np.array([0, 2, 6])}, "rows must ascend"),
+    ({"rows": np.array([-1, 2, 5])}, "rows must ascend"),
+    ({"rows": np.array([0, 5, 2])}, "rows must ascend"),
+    ({"rows": np.array([0, 2, 2])}, "rows must ascend"),
+    ({"rows": np.array([0.0, 2.0, 5.0])}, "rows must be a 1-D integer"),
+    ({"rows": np.array([[0, 2, 5]])}, "rows must be a 1-D integer"),
+    ({"rows": [0, 2, 5]}, "rows must be a 1-D integer"),
+    # a sentinel among the reals was counted as a real but stored as a dummy
+    ({"key": np.array([7, KEY_SENTINEL, 9], np.uint32)}, "sentinel"),
+    # a repeated key was stored twice, and the build reported success
+    ({"key": np.array([7, 3, 7], np.uint32)}, "must not repeat"),
+    ({"key": np.array([7, 3, 9], np.int64)}, "key must be uint32"),
+    ({"key": np.array([7, 3], np.uint32)}, "key must be uint32"),
+    ({"payload": np.zeros((2, PAYLOAD), np.uint8)}, "payload must be"),
+    ({"payload": np.zeros((3, PAYLOAD), np.int64)}, "payload must be"),
+    ({"payload": np.zeros(3 * PAYLOAD, np.uint8)}, "payload must be"),
+    ({"size": 6.0}, "size must be an integer"),
+    ({"size": -1, "rows": np.zeros(0, np.int64), "key": np.zeros(0, np.uint32),
+      "payload": np.zeros((0, PAYLOAD), np.uint8)}, "size must be non-negative"),
+])
+def test_build_input_refuses_what_a_build_cannot_store(change, match):
+    with pytest.raises(InvalidParameterError, match=match):
+        _build_input(**change)
+
+
+def test_build_input_checks_pass_a_valid_input():
+    elems = _build_input(size=np.int64(6), rows=np.array([0, 2, 5], np.uint8))
+    assert elems.size == 6 and type(elems.size) is int
+    empty = _build_input(rows=np.zeros(0, np.int64), key=np.zeros(0, np.uint32),
+                         payload=np.zeros((0, PAYLOAD), np.uint8))
+    assert empty.payload_size == PAYLOAD
+    _, report = oblivious_build(elems, 4, 2, 2, HashFamily(1), Rng(1))
+    assert report.success and report.real_count == 3
+
+
+def test_build_and_throw_take_only_a_build_input():
+    slots = make_slots(3, 6, PAYLOAD)
+    with pytest.raises(InvalidParameterError, match="BuildInput"):
+        oblivious_build(slots, 4, 2, 2, HashFamily(1), Rng(1))
+    with pytest.raises(InvalidParameterError, match="BuildInput"):
+        Zht(4, 2, 2, HashFamily(1), payload_size=PAYLOAD).throw(slots, Rng(1))
+
+
 def test_throw_overflow_failure_frozen():
     z, report = build(4, 4, 4, 1, 1, seed=SEED_THROW_OVERFLOW)
     assert not report.success
@@ -186,14 +240,14 @@ def _scattered(shape, keys) -> SlotArray:
 # (parts, n, k, c, seed, expected failure_reason)
 GATHER_CASES = {
     "mixed": (lambda: [_scattered((2, 4, 2), [40, 3, 17]), SlotArray(5, PAYLOAD),
-                       make_elems(4, 4, PAYLOAD, key_offset=20),
+                       make_slots(4, 4, PAYLOAD, key_offset=20),
                        _scattered(9, [8, 90, 1]), SlotArray((2, 3), PAYLOAD),
-                       make_elems(2, 2, PAYLOAD, key_offset=60)],
+                       make_slots(2, 2, PAYLOAD, key_offset=60)],
               16, 2, 2, 5, FAILURE_NONE),
     "empty": (lambda: [SlotArray(8, PAYLOAD), SlotArray((2, 4, 2), PAYLOAD)],
               8, 2, 2, 1, FAILURE_NONE),
-    "failing": (lambda: [make_elems(2, 2, PAYLOAD), SlotArray(3, PAYLOAD),
-                         make_elems(2, 2, PAYLOAD, key_offset=2)],
+    "failing": (lambda: [make_slots(2, 2, PAYLOAD), SlotArray(3, PAYLOAD),
+                         make_slots(2, 2, PAYLOAD, key_offset=2)],
                 4, 1, 1, SEED_THROW_OVERFLOW, FAILURE_THROW),
 }
 
@@ -222,7 +276,7 @@ def test_gathered_parts_build_as_their_concatenation(case):
     assert gathered.size == whole.size
     assert gathered.rows.size == reals and gathered.key.size == reals
     assert gathered.payload.shape == (reals, PAYLOAD)
-    got, want = run(gathered), run(whole)
+    got, want = run(gathered), run(BuildInput.gather([whole]))
     assert got[2]["failure_reason"] == reason
     assert got == want
 

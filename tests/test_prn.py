@@ -84,6 +84,18 @@ def _arrived(table, dests: np.ndarray) -> np.ndarray:
     return (table.key != KEY_SENTINEL) & (dests == np.arange(len(dests))[:, None])
 
 
+def _stages(tag, dest, rng, slot=None):
+    """The stage kernel that route() and route_census() share, run on a
+    batch's tags, destinations and, unless None, slot ids: the tags, dests
+    (and slot ids) after the last stage, then the spills and live tags."""
+    n = tag.shape[1]
+    word, spills, live = prn._run_stages(prn._pack(tag, dest, slot), rng)
+    out = [(word & 1).astype(bool), prn._unpack_dest(word, n)]
+    if slot is not None:
+        out.append(prn._unpack_slot(word, n))
+    return (*out, spills, live)
+
+
 def test_repartition_moves_tagged_to_matching_side():
     # two tagged slots, one per side; both should land on their side
     a = [_rslot(1, True, 0b10), _dummy_rslot()]
@@ -269,9 +281,9 @@ def test_stage_kernel_keeps_exactly_the_tagged_slots_at_their_dest():
                 gen = np.random.Generator(np.random.PCG64(100 * n + c))
                 tag_in = gen.random((batch, n, c)) < 0.7
                 dest_in = gen.integers(0, n, size=(batch, n, c)).astype(np.int64)
-                tag, dest = tag_in.copy(), dest_in.copy()
-                slot = np.tile(np.arange(n * c).reshape(1, n, c), (batch, 1, 1))
-                spills, _ = route_census(tag, dest, rng_class(n, (c,)), slot)
+                ids = np.tile(np.arange(n * c).reshape(1, n, c), (batch, 1, 1))
+                tag, dest, slot, spills, _ = _stages(
+                    tag_in, dest_in, rng_class(n, (c,)), ids)
                 spilled += int(spills.sum())
 
                 def carried(a):
@@ -316,12 +328,13 @@ def test_route_census_matches_route():
     table, dests = make_routing_table(n, c, load, seed)
     tag0 = (table.key != KEY_SENTINEL)[None, ...]
     dest0 = dests.copy()[None, ...]
+    tag, dest, spills_k, live_k = _stages(tag0, dest0, Rng(seed, (5,)))
     stats = route(table, dests, Rng(seed, (5,)))
     spills, live = route_census(tag0, dest0, Rng(seed, (5,)))
-    assert spills[0].tolist() == stats.stage_spills
-    assert live[0].tolist() == stats.stage_live
-    assert np.array_equal(tag0[0], _arrived(table, dests))
-    assert np.array_equal(dest0[0], dests)
+    assert spills[0].tolist() == stats.stage_spills == spills_k[0].tolist()
+    assert live[0].tolist() == stats.stage_live == live_k[0].tolist()
+    assert np.array_equal(tag[0], _arrived(table, dests))
+    assert np.array_equal(dest[0], dests)
 
 
 def test_route_census_batched_invariants():
@@ -334,7 +347,9 @@ def test_route_census_batched_invariants():
     assert np.array_equal(live[:, 0], start)
     for s in range(live.shape[1] - 1):
         assert np.array_equal(live[:, s + 1], live[:, s] - spills[:, s])
-    # every surviving tag sits in its destination bucket
+    # every surviving tag of the shared kernel sits in its destination bucket
+    tag, dest, *counts = _stages(tag, dest, Rng(99, (6,)))
+    assert all(np.array_equal(a, b) for a, b in zip(counts, (spills, live)))
     buckets = np.broadcast_to(np.arange(n)[None, :, None], tag.shape)
     assert (dest[tag] == buckets[tag]).all()
 
@@ -381,7 +396,9 @@ def test_route_census_rejects_bad_input():
         route_census(tag, dest[:, :, :1], Rng(0, ()))      # shapes differ
     with pytest.raises(InvalidParameterError):
         route_census(tag.astype(np.int64), dest, Rng(0, ()))
-    for name in ("tag", "dest", "slot"):  # a list in place of an array
+    with pytest.raises(InvalidParameterError, match="power of two"):
+        route_census(tag[:, :6], dest[:, :6], Rng(0, ()))  # n = 6 buckets
+    for name in ("tag", "dest"):  # a list in place of an array
         args = {"tag": tag, "dest": dest, name: dest.tolist()}
         with pytest.raises(InvalidParameterError, match="numpy arrays"):
             route_census(rng=Rng(0, ()), **args)
@@ -419,24 +436,31 @@ def test_route_reference_rejects_copied_dests():
     assert np.array_equal(table.key, before)
 
 
-def test_route_census_updates_strided_views_in_place():
+def test_route_census_reads_its_arguments_and_counts_as_route():
+    # the census writes neither argument, a strided view included, and each
+    # table's counts are those route() reports for that table alone
     trials, n, c = 4, 16, 2
     gen = np.random.Generator(np.random.PCG64(17))
     tag_base = gen.random((trials, n, 2 * c)) < 0.7
     dest_base = gen.integers(0, n, size=(trials, n, 2 * c)).astype(np.int64)
+    before = tag_base.copy(), dest_base.copy()
     tag, dest = tag_base[:, :, ::2], dest_base[:, :, ::2]
     assert not tag.flags.c_contiguous and not dest.flags.c_contiguous
-    tag_copy, dest_copy = tag.copy(), dest.copy()
-    dest_start = dest.copy()
-    untouched = tag_base[:, :, 1::2].copy(), dest_base[:, :, 1::2].copy()
-    want = route_census(tag_copy, dest_copy, Rng(17, (1,)))
-    got = route_census(tag, dest, Rng(17, (1,)))
+    rng = _RecordingRng(17, (1,))
+    got = route_census(tag, dest, rng)
+    want = route_census(tag.copy(), dest.copy(), Rng(17, (1,)))
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    assert np.array_equal(tag_base[:, :, ::2], tag_copy)
-    assert np.array_equal(dest_base[:, :, ::2], dest_copy)
-    assert np.array_equal(tag_base[:, :, 1::2], untouched[0])
-    assert np.array_equal(dest_base[:, :, 1::2], untouched[1])
-    assert not np.array_equal(dest, dest_start), "nothing was routed"
+    assert np.array_equal(tag_base, before[0])
+    assert np.array_equal(dest_base, before[1])
+    spills, live = got
+    assert spills.sum() > 0, "no slot spilled"
+    for b in range(trials):
+        table = SlotArray((n, c), 1)
+        table.key[tag[b]] = np.arange(np.count_nonzero(tag[b]))
+        mine = [block.reshape(trials, n // 2, 2 * c)[b] for block in rng.blocks]
+        stats = route(table, dest[b].copy(), _ReplayRng(mine))
+        assert stats.stage_spills == spills[b].tolist()
+        assert stats.stage_live == live[b].tolist()
 
 
 class _RecordingRng(Rng):
@@ -468,14 +492,15 @@ class _ReplayRng(Rng):
 def test_route_census_batch_with_slot_ids_matches_single_routes():
     # each table of a batch is routed on its own rows of every stage's draw:
     # given those words, route() of the table moves its slots to where the
-    # census carried their slot ids, with the same tags, dests and spills
+    # batched stage kernel carried their slot ids, with the same tags, dests
+    # and spills
     batch, n, c = 3, 16, 3
     tables = [make_routing_table(n, c, 14 + 9 * b, 40 + b) for b in range(batch)]
     tag = np.stack([t.key != KEY_SENTINEL for t, _ in tables])
     dest = np.stack([d.copy() for _, d in tables])
-    slot = np.tile(np.arange(n * c).reshape(1, n, c), (batch, 1, 1))
+    ids = np.tile(np.arange(n * c).reshape(1, n, c), (batch, 1, 1))
     rng = _RecordingRng(8, (1,))
-    spills, live = route_census(tag, dest, rng, slot)
+    tag, dest, slot, spills, live = _stages(tag, dest, rng, ids)
     assert spills.dtype == np.int64 and live.dtype == np.int64
     assert len(rng.blocks) == stage_count(n)
     for b, (table, dests) in enumerate(tables):
@@ -491,45 +516,32 @@ def test_route_census_batch_with_slot_ids_matches_single_routes():
     assert spills.sum() > 0, "no slot spilled"
 
 
-def test_route_census_refuses_float_dests_and_stray_slot_ids():
-    # a float dest would be truncated (2.7 routed as 2, written back as 2.0)
-    # and an id outside [0, n*c) would lose its high bits in the packed word;
-    # both are refused before anything is written
+def test_route_census_refuses_float_dests():
+    # a float dest is refused, integral or not: 2.7 would be routed as 2
     batch, n, c = 2, 4, 2
     gen = np.random.Generator(np.random.PCG64(4))
     tag = gen.random((batch, n, c)) < 0.6
     dest = gen.integers(0, n, size=(batch, n, c)).astype(np.int64)
-    slot = np.tile(np.arange(n * c).reshape(1, n, c), (batch, 1, 1))
     bad_dests = [dest.astype(np.float64), dest.astype(np.float64)]
     bad_dests[1][0, 1, 0] = 2.7
     for bad in bad_dests:
-        t, d = tag.copy(), bad.copy()
-        with pytest.raises(InvalidParameterError):
-            route_census(t, d, Rng(0, ()), slot.copy())
-        assert np.array_equal(t, tag) and np.array_equal(d, bad)
-    for stray in (n * c, 40, -1):
-        ids = slot.copy()
-        ids[1, 2, 1] = stray
-        t, d, s = tag.copy(), dest.copy(), ids.copy()
-        with pytest.raises(InvalidParameterError):
-            route_census(t, d, Rng(0, ()), s)
-        assert np.array_equal(t, tag) and np.array_equal(d, dest)
-        assert np.array_equal(s, ids)
-    with pytest.raises(InvalidParameterError):
-        route_census(tag.copy(), dest.copy(), Rng(0, ()), slot.astype(np.float64))
+        with pytest.raises(InvalidParameterError, match="integers"):
+            route_census(tag, bad, Rng(0, ()))
 
 
 def test_route_with_words_wider_than_32_bits():
     # n=65536, c=1: tag, 16 destination bits and 16 slot-id bits need a
-    # 64-bit word; the census of the same tags and dests, without slot ids,
-    # runs on 32-bit words and must agree with it
+    # 64-bit word; the stage kernel on the same tags and dests, without slot
+    # ids, runs on 32-bit words and must agree with it, as must the census
     n, c = 1 << 16, 1
     table, dests = make_routing_table(n, c, n // 2, 3)
-    tag = (table.key != KEY_SENTINEL)[None].copy()
+    tag = (table.key != KEY_SENTINEL)[None]
     dest = dests[None].copy()
+    assert prn._pack(tag, dest, None).dtype == np.uint32
     reals = set(table.key[table.key != KEY_SENTINEL].tolist())
-    stats = route(table, dests, Rng(3, (2,)))
     spills, live = route_census(tag, dest, Rng(3, (2,)))
+    tag, dest, *_ = _stages(tag, dest, Rng(3, (2,)))
+    stats = route(table, dests, Rng(3, (2,)))
     assert stats.stage_spills == spills[0].tolist()
     assert stats.stage_live == live[0].tolist()
     assert np.array_equal(dests, dest[0])
@@ -581,8 +593,7 @@ def _census_in_blocks(monkeypatch, block):
     tag = gen.random((batch, n, c)) < 0.8
     dest = gen.integers(0, n, size=(batch, n, c))
     slot = np.tile(np.arange(n * c).reshape(1, n, c), (batch, 1, 1))
-    spills, live = route_census(tag, dest, Rng(12, (4,)), slot)
-    return tag, dest, slot, spills, live
+    return _stages(tag, dest, Rng(12, (4,)), slot)
 
 
 @pytest.mark.parametrize("block", ODD_BLOCKS)

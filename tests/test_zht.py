@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pyramid_oram import zht
 from pyramid_oram.analysis import zigzag_failure_union_bound
 from pyramid_oram.core import (
+    DEFAULT_PAYLOAD_SIZE,
     KEY_SENTINEL,
     MAX_REAL_KEY,
     HashFamily,
@@ -19,7 +20,7 @@ from pyramid_oram.core import (
     set_debug_checks,
 )
 from pyramid_oram.trace import TraceRecorder, region_table, shapes_equal
-from pyramid_oram.zht import Zht
+from pyramid_oram.zht import BuildInput, Zht
 
 from conftest import make_elems, trace_pairs
 
@@ -126,10 +127,14 @@ def test_zht_refuses_sizes_that_are_not_integers():
                                     (8, 2, 2, 1.5, "level_id")):
         with pytest.raises(InvalidParameterError, match=rf"^{name} "):
             Zht(n, k, c, fam, level_id=level_id, payload_size=PAYLOAD)
+    for size in (8.0, True):
+        with pytest.raises(InvalidParameterError, match="^payload_size "):
+            Zht(8, 2, 2, fam, payload_size=size)
     z = Zht(np.int64(8), np.uint8(2), np.int32(2), fam, level_id=np.int64(1),
-            payload_size=PAYLOAD)
-    assert (z.n, z.k, z.c, z.level_id) == (8, 2, 2, 1)
-    assert type(z.n) is int
+            payload_size=np.int64(PAYLOAD))
+    assert (z.n, z.k, z.c, z.level_id, z.payload_size) == (8, 2, 2, 1, PAYLOAD)
+    assert type(z.n) is int and type(z.payload_size) is int
+    assert Zht(8, 2, 2, fam).payload_size == DEFAULT_PAYLOAD_SIZE
 
 
 def test_search_probes_every_table_even_after_hit():
@@ -194,10 +199,10 @@ def test_throw_trace_covers_every_slot_and_table():
     z = make_zht(n=16, k=3)
     elems = make_elems(5, 20, PAYLOAD)
     rec = TraceRecorder()
-    report = z.throw(elems, Rng(8, ()), recorder=rec)
+    unplaced = z.throw(elems, Rng(8, ()), recorder=rec)
     assert len(rec) == 20 * 3
-    assert report.unplaced == 0
-    assert sum(report.placed_per_table) == 5
+    assert unplaced == 0
+    assert sum(z.real_counts()) == 5
 
 
 def test_throw_shape_is_independent_of_real_mix():
@@ -213,19 +218,17 @@ def test_throw_shape_is_independent_of_real_mix():
 
 
 def test_throw_accounting_chain():
-    # arrivals at table j+1 equal spills at table j; leftovers fall off the end
-    z = Zht(2, 3, 1, HashFamily(seed=2), payload_size=PAYLOAD)
-    report = z.throw(make_elems(6, 6, PAYLOAD), Rng(3, ()))
-    arrivals = 6
-    for j in range(3):
-        assert report.placed_per_table[j] + report.spills_per_table[j] == arrivals
-        arrivals = report.spills_per_table[j]
-    assert report.unplaced == arrivals
-    assert report.failed == (report.unplaced > 0)
+    # every real a throw does not place is counted as fallen off the end:
+    # eight reals into three tables of two one-slot buckets
+    for seed in range(8):
+        z = Zht(2, 3, 1, HashFamily(seed=2), payload_size=PAYLOAD)
+        unplaced = z.throw(make_elems(8, 8, PAYLOAD), Rng(seed, ()))
+        assert unplaced == 8 - sum(z.real_counts()) >= 2
 
 
 def _blocked_throw(monkeypatch, block, m):
-    """Store bytes, report, trace bytes and next word of one seeded throw."""
+    """Store bytes, unplaced count, trace bytes and next word of one seeded
+    throw."""
     monkeypatch.setattr(zht, "_BLOCK_ROWS", block)
     gen = np.random.Generator(np.random.PCG64(m))
     elems = SlotArray(m, PAYLOAD)
@@ -234,9 +237,9 @@ def _blocked_throw(monkeypatch, block, m):
     elems.payload[rows] = gen.integers(0, 256, (rows.size, PAYLOAD), np.uint8)
     z = make_zht(n=8, k=3, c=1)
     rng, rec = Rng(12, (m,)), TraceRecorder()
-    report = z.throw(elems, rng, recorder=rec)
+    unplaced = z.throw(BuildInput.gather([elems]), rng, recorder=rec)
     trace = b"".join(column.tobytes() for column in rec.to_arrays())
-    return _store_bytes(z), report, trace, rng.bits64()
+    return _store_bytes(z), unplaced, trace, rng.bits64()
 
 
 @pytest.mark.parametrize("m", [0, 6, 7, 8, 20])
@@ -314,17 +317,13 @@ def test_first_fit_matches_scalar_reference(log_n, k, c, seed, data):
         elems.key[real] = rest[:load]
         elems.payload[real] = np.frombuffer(b"".join(rest_pays[:load]), np.uint8
                                             ).reshape(load, PAYLOAD)
-        report = z.throw(elems, Rng(seed, (1,)))
+        unplaced = z.throw(BuildInput.gather([elems]), Rng(seed, (1,)))
         paths = Rng(seed, (1,)).buckets(n, (load + 3, k))
         real = np.sort(real)
         want = _first_fit_reference(ref, elems.key[real].tolist(),
                                     [elems.payload[r].tobytes() for r in real],
                                     paths[real].tolist(), 0)
-        placed = [want.count(j) for j in range(k)]
-        assert report.placed_per_table == placed
-        assert report.unplaced == want.count(-1)
-        assert report.spills_per_table == [
-            want.count(-1) + sum(placed[j + 1:]) for j in range(k)]
+        assert unplaced == want.count(-1)
     else:
         first = data.draw(st.integers(0, k - 1), label="first table")
         paths = gen.integers(0, n, size=(load, k - first)).tolist()
@@ -383,7 +382,7 @@ def test_payload_width_must_match():
     with pytest.raises(InvalidParameterError):
         z.zigzag_insert(1, b"xx", z.path(1))
     with pytest.raises(InvalidParameterError):
-        z.throw(SlotArray(4, payload_size=3), Rng(0, ()))
+        z.throw(BuildInput.gather([SlotArray(4, payload_size=3)]), Rng(0, ()))
 
 
 # -- the (k, n, c) store against a scalar probe ---------------------------------

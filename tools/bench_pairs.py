@@ -58,13 +58,16 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=40)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
+    seed_list = seeds(args.seeds)
+    if len(seed_list) < 2:  # refused before any run: summarise needs two
+        parser.error(f"--seeds {args.seeds} names {len(seed_list)} seed(s); "
+                     "a quartile spread needs at least two seeds")
 
     import numpy
 
     sides = {"parent": args.parent, "change": args.change}
     runs = {side: {w: [] for w in args.workloads} for side in sides}
     order = []
-    seed_list = seeds(args.seeds)
     for seed in seed_list:
         turn = ["parent", "change"] if seed % 2 else ["change", "parent"]
         for workload in args.workloads:
