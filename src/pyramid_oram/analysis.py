@@ -44,9 +44,10 @@ _CENSUS_STREAM = 2
 _DECAY_STREAM = 3
 # trials per throw block and per census block; each block draws from its own
 # substream, so these fix the stream layouts of mc_throw_spill and
-# mc_prn_stage_spill
+# mc_prn_stage_spill, which any number of census destinations per draw keeps
 _CHUNK = 256
 _CENSUS_BLOCK = 512
+_DEST_PIECE = 8192  # census destinations per draw, into the census words' type
 
 _AUTO_EXACT_LIMIT = 10_000
 
@@ -173,13 +174,12 @@ class SpillStats:
 
 
 def _throw_loads(draws: np.ndarray, n: int) -> np.ndarray:
-    """How many of each trial's draws, a (trials, m) array of buckets in
-    [0, n), landed in each bucket: (trials, n) int64, one bincount."""
+    """How many of each trial's draws, a (trials, m) int64 array of buckets
+    in [0, n), landed in each bucket: (trials, n) int64, one bincount.  The
+    draws are offset in place by trial * n, which spares a temporary."""
     trials = draws.shape[0]
-    offsets = (np.arange(trials) * n)[:, None]
-    return np.bincount(
-        (draws + offsets).ravel(), minlength=trials * n
-    ).reshape(trials, n)
+    draws += (np.arange(trials) * n)[:, None]
+    return np.bincount(draws.ravel(), minlength=trials * n).reshape(trials, n)
 
 
 def _first_fit_tags(draws: np.ndarray, n: int, c: int) -> np.ndarray:
@@ -264,14 +264,17 @@ def mc_prn_stage_spill(n: int, c: int, load: int, trials: int,
     spills = np.empty((trials, stage_count(n)), dtype=np.int64)
     live = np.empty_like(spills)
     overflow_total = 0
+    dest = np.empty((_CENSUS_BLOCK, n, c), dtype=np.min_scalar_type(2 * n - 1))
     for block_id, start in enumerate(range(0, trials, _CENSUS_BLOCK)):
         count = min(_CENSUS_BLOCK, trials - start)
         rng = Rng(seed, (_CENSUS_STREAM, block_id))
         tag = _first_fit_tags(rng.buckets(n, (count, load)), n, c)
         overflow_total += count * load - int(np.count_nonzero(tag))
-        dest = rng.buckets(n, (count, n, c))
+        words = dest[:count].reshape(-1)
+        for at in range(0, words.size, _DEST_PIECE):
+            words[at:at + _DEST_PIECE] = rng.buckets(n, len(words[at:at + _DEST_PIECE]))
         rows = slice(start, start + count)
-        spills[rows], live[rows] = route_census(tag, dest, rng)
+        spills[rows], live[rows] = route_census(tag, dest[:count], rng)
     throw = mc_throw_spill(load, n, c, trials, seed)
     return StageSpillReport(
         n=n, c=c, load=load, trials=trials,

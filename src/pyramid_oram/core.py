@@ -270,6 +270,7 @@ def _table_subkeys(seed: int, epoch: int, level: int, tables) -> list[int]:
     The seed and epoch are absorbed once for all the tables.
     """
     level = _non_negative(level, "level")
+    _require(all(j < 1 << 16 for j in tables), "at most 2^16 tables per level")
     x = _mix64_word((seed + _GOLDEN) & _MASK64)
     x = _mix64_word(x ^ ((epoch & _MASK64) + _C1) & _MASK64)
     return [_mix64_word(x ^ ((((level << 16) | j) + _C2) & _MASK64))

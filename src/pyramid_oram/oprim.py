@@ -10,10 +10,10 @@ comparator network that sorts gives the same permutation, a compare-exchange
 moves the key alone, and the permutation is read back from the low bits.
 
 Because the keys are distinct, any sort gives that permutation too, at any
-width.  sort_network_perm runs the network in place on the key columns for
-rows of 2 or 4 words, and sorts each row of any other width instead: an
-equal realisation over 2c private words.  Its running time may depend on
-the keys; which buckets are read and written does not.
+width.  sort_network_perm runs the network on the key columns for rows of
+2 or 4 words, and sorts each row of any other width instead: an equal
+realisation over 2c private words.  Its running time may depend on the
+keys; which buckets are read and written does not.
 """
 
 from __future__ import annotations
@@ -125,25 +125,29 @@ def batcher_sort(items: list[SortItem],
 
 
 # the narrowest power of two that sort_network_perm sorts rather than run the
-# network on: tools/stage_perm_bench.py times both at m = 2..16 on fresh
-# keys; the sort wins at m >= 8 (narrowly at 8192 rows), and the network at
-# m <= 4 with thousands of rows, as in the spill-mc census's 8192
+# network on: by tools/stage_perm_bench.py, at 8192 rows the sort wins from m = 8
+# and the network at m <= 4 (by 3-9x); at 32 rows the sort wins at every m (4-7
+# against 7-20 µs at m <= 4), at 512 it no longer does: the crossover is by rows too
 _SORT_MIN_WIDTH = 8
 
 
-def sort_network_perm(skey: np.ndarray) -> np.ndarray:
+def sort_network_perm(skey: np.ndarray, wire: np.ndarray | None = None,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise sorting permutation of the comparator network, vectorized.
 
     skey is (rows, m) uint64 of any width m; returns perm (rows, m),
     row-major, the stable sort of each row on the key bits above the low
     ceil(log2 m): those bits are overwritten with the wire index, which makes
     the keys distinct, and perm is read back from them once sorted.  skey is
-    left unchanged.
+    left unchanged; wire, if given, holds each column's index at full shape,
+    and out, if given, is a C-contiguous (rows, m) uint64 buffer for perm.
 
-    For a power of two m below _SORT_MIN_WIDTH the comparator network runs in
-    place on the key columns of a column-major working copy, one
-    compare-exchange of two columns at a time for every row at once, in
+    For a power of two m below _SORT_MIN_WIDTH the comparator network runs on
+    the strided key columns of a row-major working copy, which becomes perm,
+    one compare-exchange of two columns at a time for every row at once, in
     comparator_schedule order: the work done is independent of the data.
+    Each writes one output over an input and one to a spare column buffer,
+    each to its own column's where it can: m = 2 copies one back, m = 4 none.
     At every other width each row's m distinct words are sorted instead,
     which has the outcome the network on the row padded to a power of two
     would have; its running time may depend on the keys, but each row's sort
@@ -152,18 +156,23 @@ def sort_network_perm(skey: np.ndarray) -> np.ndarray:
     """
     m = skey.shape[1]
     low = np.uint64((1 << (m - 1).bit_length()) - 1)
-    sort = m >= _SORT_MIN_WIDTH or not is_power_of_two(m)
-    # the sort runs along rows and the network along columns: each gets its
-    # working copy in the order that keeps its lines contiguous
-    work = np.bitwise_and(skey, ~low, order="C" if sort else "F")
-    work |= np.arange(m, dtype=np.uint64)
-    if sort:
+    work = np.bitwise_and(skey, ~low, out=out, order="C")
+    work |= np.arange(m, dtype=np.uint64) if wire is None else wire
+    if m >= _SORT_MIN_WIDTH or not is_power_of_two(m):
         work.sort(axis=1)
     else:
-        tmp = np.empty(len(work), dtype=np.uint64)
+        cols = [work[:, k] for k in range(m)] + [np.empty(len(work), np.uint64)]
+        at, spare = list(range(m)), m  # each column's buffer; the free one
         for i, j in comparator_schedule(m):
-            np.minimum(work[:, i], work[:, j], out=tmp)
-            np.maximum(work[:, i], work[:, j], out=work[:, j])
-            work[:, i] = tmp
+            first, other = (j, i) if spare == j else (i, j)
+            keep = other if other in (at[i], at[j]) else at[other]
+            a, b = cols[at[i]], cols[at[j]]
+            (np.minimum if first == i else np.maximum)(a, b, out=cols[spare])
+            (np.maximum if first == i else np.minimum)(a, b, out=cols[keep])
+            at[first], at[other], spare = spare, keep, at[i] + at[j] - keep
+        while spare != m:  # home the column whose buffer is free, and so on
+            cols[spare][...], at[spare], spare = cols[at[spare]], spare, at[spare]
+        if at != list(range(m)):  # columns swapped in a cycle, from m = 64
+            work = np.column_stack([cols[k] for k in at])
     work &= low
-    return np.ascontiguousarray(work).view(np.int64)
+    return work.view(np.int64)

@@ -25,13 +25,14 @@ a slot id when the slot contents must follow, packed into one word per
 slot.  The words stay in the current stage's pair order, rows of 2c words,
 and a stage runs over row blocks of at most _BLOCK_ROWS rows in row order.
 Each block draws its own tiebreaks, which together are the words of one
-draw per stage, builds each word's sort key from the word itself, gathers
-the words into sorted order in a second word buffer, and clears the
-misplaced tags there.  One take along the bucket axis then moves the
-stage's words back into the first buffer in the next stage's pair order
-(the last stage's take restores the natural order), c words at a time, by
-an index that depends on n and the stage alone and is built once: two word
-buffers per call, and a block's scratch reused from block to block.
+draw per stage, builds each word's sort key from the word itself by shifts,
+sorts the keys in their own row-major layout, gathers the words into sorted
+order in a second word buffer, and clears the misplaced tags there.  One
+take along the bucket axis then moves the stage's words back into the first
+buffer in the next stage's pair order (the last stage's take restores the
+natural order), c words at a time, by an index that depends on n and the
+stage alone and is built once.  Two word buffers and one block's full-shape
+constants and scratch are made per call: no step broadcasts a short row.
 route_census() runs it on tags and destinations over many trials and
 returns only the per-stage counts, the census behind the spill statistics;
 route() runs it on one table with slot ids, and after the last stage moves
@@ -53,7 +54,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import KEY_SENTINEL, Rng, _require, is_power_of_two
-from .oprim import SortItem, batcher_sort, sort_key, sort_key_into, sort_network_perm
+from .oprim import _CLASS_SHIFT, SortItem, batcher_sort, sort_key_into, sort_network_perm
 from .trace import TraceRecorder, table_region
 
 
@@ -175,35 +176,33 @@ def _unpack_slot(word: np.ndarray, n: int) -> np.ndarray:
     return word >> (1 + (n - 1).bit_length())
 
 
-# The sort key's class word, indexed by ((word >> bit) & 2) | (word & 1),
-# that is by (destination bit, tag): untagged slots float in class 1, tagged
-# ones sort to class 0 (low side) or 2 (high side).  The tiebreak >> 2 fills
-# the bits below it (oprim.sort_key_into), which makes the key
-# oprim.sort_key(class, tiebreak).
-_CLASS_WORD = np.array([sort_key(cls, 0) for cls in (1, 0, 1, 2)], dtype=np.uint64)
-
-
-def _stage_key(word: np.ndarray, bit: int, rng: Rng) -> np.ndarray:
-    """Stage `bit`'s sort key of each word: sort_key(class, fresh tiebreak)."""
-    skey = rng.bits64(word.shape)
-    klass = word >> bit
-    klass &= 2
-    klass |= word & 1
-    # an intp index: take() converts any other type element by element
-    return sort_key_into(skey, _CLASS_WORD.take(klass.astype(np.intp)))
+def _stage_key(word: np.ndarray, bit: int, rng: Rng, klass: np.ndarray,
+               mask: np.ndarray, class_word: np.ndarray) -> np.ndarray:
+    """Stage `bit`'s sort key of each word, sort_key(class, fresh tiebreak),
+    in the tiebreaks' buffer; the other arrays are scratch of word's shape."""
+    # class (destination bit, 1) & (tag, untagged): 2 or 0 tagged, 1 untagged
+    np.right_shift(word, bit, out=klass)
+    klass |= 1
+    np.bitwise_and(word, 1, out=mask)
+    mask += 1
+    klass &= mask
+    np.copyto(class_word, klass)
+    class_word <<= _CLASS_SHIFT
+    return sort_key_into(rng.bits64(word.shape), class_word)
 
 
 # rows per block of the stage kernel: a block's scratch (tiebreaks, class
-# index, sort key, permutation) stays cache-sized and is reused from one
+# words, sort key, permutation) stays cache-sized and is reused from one
 # block to the next instead of faulting in fresh pages every stage
 _BLOCK_ROWS = 8192
 
 
-def _sort_block(word: np.ndarray, bit: int, rng: Rng, base: np.ndarray,
-                out: np.ndarray) -> None:
-    """Stage `bit`'s (rows, 2c) words, each row gathered into sorted order
-    in out; base holds each row's first flat index."""
-    perm = sort_network_perm(_stage_key(word, bit, rng))
+def _sort_block(word: np.ndarray, bit: int, rng: Rng, out: np.ndarray,
+                base: np.ndarray, wire: np.ndarray, *scratch: np.ndarray) -> None:
+    """Stage `bit`'s (rows, 2c) words, each row gathered into sorted order in
+    out; base and wire hold each word's row start and column, at full shape,
+    and the permutation goes to the class words, spent once the key is built."""
+    perm = sort_network_perm(_stage_key(word, bit, rng, *scratch), wire, out=scratch[-1])
     perm += base
     # the indices lie in range by construction; "raise" would buffer out
     word.take(perm, out=out, mode="wrap")
@@ -248,8 +247,9 @@ def _per_table(flags: np.ndarray, batch: int) -> np.ndarray | int:
     """The count of nonzero entries in each table of a batch's 0/1 array."""
     if batch == 1:  # a flat count costs a fraction of an axis reduction
         return np.count_nonzero(flags)
-    # an unsigned sum would be uint64, and turn live into float64
-    return flags.reshape(batch, -1).sum(axis=1, dtype=np.int64)
+    # in the flags' own type where the counts fit: a cast is 4x slower
+    kind = np.promote_types(flags.dtype, np.min_scalar_type(flags.size // batch))
+    return flags.reshape(batch, -1).sum(axis=1, dtype=kind).astype(np.int64)
 
 
 def _run_stages(word: np.ndarray, rng: Rng,
@@ -279,15 +279,17 @@ def _run_stages(word: np.ndarray, rng: Rng,
         return word, spills, spills.copy()
     flat, out = word.reshape(rows, m), np.empty((rows, m), dtype=word.dtype)
     step = min(_BLOCK_ROWS, rows)
-    base = np.arange(0, step * m, m)[:, None]
-    # per block: its words, its sorted words, each row's first flat index
-    blocks = [(flat[r0:r0 + step], out[r0:r0 + step], base[:rows - r0])
-              for r0 in range(0, rows, step)]
-    side = np.array([0] * c + [1] * c, dtype=word.dtype)
-    count = _per_table(flat & 1, batch)
+    # one block's full-shape pair sides, row starts, columns and key scratch
+    wire = np.arange(m, dtype=np.uint64)[None].repeat(step, axis=0)
+    shared = ((wire >= c).astype(word.dtype),
+              np.arange(0, step * m, m).repeat(m).reshape(step, m), wire,
+              *np.empty((2, step, m), dtype=word.dtype), np.empty_like(wire))
+    blocks = [(flat[r0:r0 + step], out[r0:r0 + step],
+               *(a[:rows - r0] for a in shared)) for r0 in range(0, rows, step)]
+    count = _per_table(np.bitwise_and(flat, 1, out=out), batch)
     for bit in range(stages):
-        for words, sorted_words, first in blocks:
-            _sort_block(words, bit, rng, first, sorted_words)
+        for words, sorted_words, side, *scratch in blocks:
+            _sort_block(words, bit, rng, sorted_words, *scratch)
             _clear_misplaced(sorted_words, bit, side, words)
         spills[:, bit] = _per_table(flat, batch)
         index = _reorder_index(n, bit)

@@ -78,6 +78,21 @@ def test_hash_separates_tables_levels_epochs():
         assert (base != other).any()
 
 
+def test_hash_refuses_table_indices_that_alias_the_next_level():
+    # the subkey absorbs (level << 16) | table, so table 2^16 of level 0
+    # would hash as table 0 of level 1: both that index and a count of more
+    # than 2^16 tables are refused, and the largest of each still hashes
+    fam = HashFamily(3)
+    keys = np.arange(100, dtype=np.uint64)
+    with pytest.raises(InvalidParameterError, match="2\\^16 tables per level"):
+        fam.bucket_indices(0, 1 << 16, keys, 64)
+    with pytest.raises(InvalidParameterError, match="2\\^16 tables per level"):
+        fam.subkeys(0, (1 << 16) + 1)
+    last = fam.subkeys(0, 1 << 16)[-1]
+    assert fam.bucket_indices(0, (1 << 16) - 1, keys, 64).tolist() == [
+        path_buckets(np.array([last]), int(k), 64)[0] for k in keys]
+
+
 def test_hash_bucket_uniformity():
     fam = HashFamily(7)
     n = 256

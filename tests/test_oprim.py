@@ -233,6 +233,20 @@ def test_sort_network_perm_matches_sequential_network(perms, m, rows, distinct,
             assert (perm == np.arange(m)).all(), "ties keep wire order"
 
 
+@pytest.mark.parametrize("m", [8, 16, 32, 64, 128])
+def test_sort_network_perm_brings_every_column_home(monkeypatch, m):
+    # the network's compare-exchanges leave some columns in other columns'
+    # buffers from m = 8 on, along one chain, and from m = 64 also in cycles;
+    # each must end in its own column of perm
+    monkeypatch.setattr(oprim, "_SORT_MIN_WIDTH", 1 << 30)
+    log_m = (m - 1).bit_length()
+    gen = np.random.Generator(np.random.PCG64(m))
+    keys = gen.integers(0, 1 << 63, size=(40, m), dtype=np.uint64)
+    want = np.argsort(keys >> np.uint64(log_m), axis=1, kind="stable")
+    perm = sort_network_perm(keys)
+    assert perm.flags.c_contiguous and np.array_equal(perm, want)
+
+
 @pytest.mark.parametrize("m", WIDTHS)
 def test_sort_network_perm_matches_batcher_sort_on_ties(perms, m):
     # classes and tiebreaks from pools of 3, so most rows tie in every bit

@@ -22,6 +22,7 @@ from pyramid_oram.prn import (
     stage_count,
     stage_pairs,
 )
+from pyramid_oram.oprim import sort_key
 from pyramid_oram.trace import TraceRecorder
 from pyramid_oram.zht import Zht
 
@@ -487,6 +488,55 @@ class _ReplayRng(Rng):
         words = self.blocks.pop(0)
         assert words.size == np.prod(size)
         return words.reshape(size).copy()
+
+
+class _CollidingRecordingRng(_RecordingRng, _CollidingRng):
+    """_CollidingRng that keeps a copy of every block of words it draws."""
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 4])
+def test_route_census_matches_reference_when_tiebreaks_collide(c):
+    # the batched census under tiebreaks from a pool of three, at every
+    # stage sort the store uses: the network at m = 2 and 4, the row sort at
+    # m = 6 and 8.  Given its rows of every stage's draw, pair by pair, each
+    # table's spills and live tags are those route_reference finds on it
+    batch, n = 4, 16
+    gen = np.random.Generator(np.random.PCG64(60 + c))
+    tag = gen.random((batch, n, c)) < 0.8
+    dest = gen.integers(0, n, size=(batch, n, c))
+    rng = _CollidingRecordingRng(c, (5,))
+    spills, live = route_census(tag, dest, rng)
+    assert spills.sum() > 0, "no slot spilled"
+    for b in range(batch):
+        table = SlotArray((n, c), 1)
+        table.key[tag[b]] = np.arange(np.count_nonzero(tag[b]))
+        pairs = [row for block in rng.blocks
+                 for row in block.reshape(batch, n // 2, 2 * c)[b]]
+        stats = route_reference(table, dest[b].astype(np.int64), _ReplayRng(pairs))
+        assert stats.stage_spills == spills[b].tolist(), (c, b)
+        assert stats.stage_live == live[b].tolist(), (c, b)
+
+
+@pytest.mark.parametrize("kind", [np.uint8, np.uint16, np.uint32, np.uint64])
+def test_stage_key_is_sort_key_of_class_and_tiebreak(kind):
+    # the kernel builds each word's class word by shifts.  At every stage
+    # bit a word of this type can hold, over every (tag, destination bit)
+    # pair and random bits everywhere else (the other destination bits, slot
+    # ids), its key must be sort_key(class, tiebreak) bit for bit: class 1
+    # untagged, 0 or 2 tagged for side 0 or 1
+    bits = np.iinfo(kind).bits
+    gen = np.random.Generator(np.random.PCG64(bits))
+    for bit in range(bits - 1):
+        word = gen.integers(0, np.iinfo(kind).max, size=(64, 4), dtype=kind,
+                            endpoint=True)
+        tag, side = (word & 1).astype(np.uint64), (word >> (bit + 1)) & 1
+        assert len(set(zip(tag.ravel().tolist(), side.ravel().tolist()))) == 4
+        scratch = (np.empty_like(word), np.empty_like(word),
+                   np.empty(word.shape, dtype=np.uint64))
+        key = prn._stage_key(word, bit, Rng(bit), *scratch)
+        klass = np.where(tag == 1, 2 * side.astype(np.uint64), 1).astype(np.uint64)
+        want = sort_key(klass, Rng(bit).bits64(word.shape))
+        assert key.dtype == np.uint64 and np.array_equal(key, want), bit
 
 
 def test_route_census_batch_with_slot_ids_matches_single_routes():

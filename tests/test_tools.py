@@ -3,9 +3,11 @@
 The tools import private names (PyramidOram._scan_level0, core.path_buckets,
 oprim._SORT_MIN_WIDTH, prn._BLOCK_ROWS, analysis._first_fit_tags), so a
 rename shows here.  tools/bench_pairs.py needs two checkouts to run, so only
-its refusal of a seed range too short to summarise, which comes first, is run.
+its refusal of a seed range too short to summarise, which comes first, is run,
+and its count of the seeds the change did better in is called directly.
 """
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -41,3 +43,27 @@ def test_bench_pairs_refuses_fewer_than_two_seeds(tmp_path, spec):
     assert proc.returncode == 2, proc.stderr
     assert "at least two seeds" in proc.stderr
     assert not out.exists()
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs",
+                                                  TOOLS / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_counts_the_seeds_the_change_did_better_in():
+    # lower is better for times and memory, higher for throughput; a tie is
+    # not better
+    def side(p99, items, rss):
+        return {"uniform": {"op_p99_ms": {"values": p99},
+                            "peak_rss_mb": {"values": rss}},
+                "spill-mc": {"items_per_s": {"values": items}}}
+
+    parent = side([2.0, 2.0, 2.0], [10.0, 10.0, 10.0], [100.0, 100.0, 100.0])
+    change = side([1.0, 3.0, 1.5], [12.0, 10.0, 9.0], [100.0, 99.0, 101.0])
+    assert _bench_pairs().change_better(parent, change) == {
+        "uniform": {"op_p99_ms": "2/3", "peak_rss_mb": "1/3"},
+        "spill-mc": {"items_per_s": "1/3"},
+    }

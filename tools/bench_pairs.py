@@ -11,8 +11,9 @@ seeds), so a change in the machine's speed falls on both sides alike.  Each
 side's values are summarised with perfbench/repeat.py's summarise.  The
 output has the layout of the earlier BENCH files: method, environment,
 seconds, seeds, run_order, and per side, workload and metric the values in
-seed order with their median and quartile spread.  Per metric it also prints
-in how many seeds the change did better than the parent.
+seed order with their median and quartile spread.  Per workload and metric
+it also writes, under change_better, and prints in how many seeds the change
+did better than the parent, as "k/N".
 """
 
 from __future__ import annotations
@@ -46,6 +47,21 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if not result["correct"] or result["failed"]:
         raise SystemExit(f"{checkout}: {workload} seed {seed} failed its checks")
     return result
+
+
+def change_better(parent: dict, change: dict) -> dict:
+    """Per workload and metric of two sides' summaries (workload -> metric
+    -> {"values": ...}), the seeds in which the change did better than the
+    parent, as "k/N": lower is better for LOWER_IS_BETTER, higher otherwise."""
+    better = {}
+    for workload, metrics in parent.items():
+        better[workload] = {}
+        for name, side in metrics.items():
+            pairs = list(zip(side["values"], change[workload][name]["values"]))
+            wins = sum((c < p) if name in LOWER_IS_BETTER else (c > p)
+                       for p, c in pairs)
+            better[workload][name] = f"{wins}/{len(pairs)}"
+    return better
 
 
 def main(argv=None) -> int:
@@ -100,16 +116,14 @@ def main(argv=None) -> int:
                               **summarise([r[name]["value"] for r in results])}
                        for name, first in results[0].items()}
             for workload, results in runs[side].items()}
-    for workload in args.workloads:
-        for name, parent in summary["parent"][workload].items():
-            change = summary["change"][workload][name]
-            lower = name in LOWER_IS_BETTER
-            wins = sum((c < p) if lower else (c > p)
-                       for p, c in zip(parent["values"], change["values"]))
-            print(f"{workload:10s} {name:12s} parent {parent['median']:10.4g} "
-                  f"change {change['median']:10.4g} "
-                  f"({change['median'] / parent['median'] - 1:+7.1%}), "
-                  f"change better in {wins}/{len(seed_list)}", flush=True)
+    summary["change_better"] = change_better(summary["parent"], summary["change"])
+    for workload, metrics in summary["change_better"].items():
+        for name, wins in metrics.items():
+            parent = summary["parent"][workload][name]["median"]
+            change = summary["change"][workload][name]["median"]
+            print(f"{workload:10s} {name:12s} parent {parent:10.4g} "
+                  f"change {change:10.4g} ({change / parent - 1:+7.1%}), "
+                  f"change better in {wins}", flush=True)
     Path(args.out).write_text(json.dumps(summary, indent=1) + "\n")
     return 0
 

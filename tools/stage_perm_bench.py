@@ -8,10 +8,14 @@ Page faults are minor faults of this process (getrusage ru_minflt).
 
 First, one whole spill-mc call, analysis.mc_prn_stage_spill(256, 2, 256,
 10000), after a 1024-trial warm-up call like the benchmark's set-up: its
-seconds and page faults.  It runs first, in a fresh process as the
+seconds and page faults, then those of a second call, as the benchmark
+makes one after another.  It runs first, in a fresh process as the
 benchmark's spill-mc run does, because the allocator stops handing out
 fresh pages once the process has freed large arrays, which every later
-measurement here does.
+measurement here does.  How many pages the first call faults depends on
+what the allocator kept from the warm-up: glibc returns the top of its
+heap to the system beyond a threshold that grows with the largest block
+freed so far.
 
 Then the stage kernel, through prn.route on (n, 4) tables of n * 5/2 reals
 at random cells with uniform destinations, n in 64, 1024 and 16384, and
@@ -22,17 +26,18 @@ beside the count of repartitions, (n/2) log2 n per table, and the page
 faults of the call.  A route's time includes its one move of keys and
 56-byte payloads after the last stage.
 
-Then µs per call of oprim.sort_network_perm on rows × m random keys with
-oprim._SORT_MIN_WIDTH patched high (the comparator network at every width
-timed, all powers of two; any other width is always sorted) and to 0 (a row
-sort of the wire-tagged keys at every width): the minimum
-over --repeats, the two timed alternately, each call on fresh keys drawn
-untimed before it, since a sort that meets the same keys again runs on
-predicted branches.  These are the shapes the stage kernel sorts: it sorts
-a stage in row blocks of at most prn._BLOCK_ROWS = 8192 rows, so pyramid
-builds sort m = 2c = 8 at up to 8192 rows, and the spill-mc census m = 4 at
-8192.  sort_network_perm takes the sort from m = oprim._SORT_MIN_WIDTH on;
-the last column is its choice.
+Then µs per call of oprim.sort_network_perm on rows × m random keys, given
+the full-shape wire indices the stage kernel passes, with
+oprim._SORT_MIN_WIDTH patched high (the comparator network on the keys'
+row-major columns at every width timed, all powers of two; any other width
+is always sorted) and to 0 (a row sort of the wire-tagged keys at every
+width): the minimum over --repeats, the two timed alternately, each call on
+fresh keys drawn untimed before it, since a sort that meets the same keys
+again runs on predicted branches.  These are the shapes the stage kernel
+sorts: it sorts a stage in row blocks of at most prn._BLOCK_ROWS = 8192
+rows, so pyramid builds sort m = 2c = 8 at up to 8192 rows, and the
+spill-mc census m = 4 at 8192.  sort_network_perm takes the sort from
+m = oprim._SORT_MIN_WIDTH on; the last column is its choice.
 
 Then a level-1 build of the uniform benchmark's store (n=64, k=3, c=4,
 64 input slots, 40 reals, 56-byte payloads): the median µs of --builds
@@ -76,12 +81,14 @@ def stage_table(repeats: int) -> None:
         cells = []
         for rows in ROWS:
             best = {NETWORK: np.inf, SORT: np.inf}
+            # the full-shape wire indices the stage kernel passes
+            wire = np.tile(np.arange(m, dtype=np.uint64), (rows, 1))
             for _ in range(repeats):
                 for side in best:
                     oprim._SORT_MIN_WIDTH = side
                     keys = gen.integers(0, 1 << 63, (rows, m), dtype=np.uint64)
                     t0 = time.perf_counter_ns()
-                    oprim.sort_network_perm(keys)
+                    oprim.sort_network_perm(keys, wire)
                     best[side] = min(best[side],
                                      (time.perf_counter_ns() - t0) / 1e3)
             cells.append(f"{best[NETWORK]:9.0f} /{best[SORT]:8.0f}")
@@ -152,8 +159,10 @@ def spill_mc_call() -> None:
     n, c, load, trials = SPILL_MC
     mc_prn_stage_spill(n, c, load, 1024, seed=0)
     us, faults = timed(lambda: mc_prn_stage_spill(n, c, load, trials, seed=1))
+    again, faults_again = timed(lambda: mc_prn_stage_spill(n, c, load, trials, seed=2))
     print(f"mc_prn_stage_spill({n}, {c}, {load}, {trials}): "
-          f"{us / 1e6:.3f} s, {faults} minor faults")
+          f"{us / 1e6:.3f} s, {faults} minor faults; "
+          f"again {again / 1e6:.3f} s, {faults_again} minor faults")
 
 
 def level1_builds(builds: int) -> None:
