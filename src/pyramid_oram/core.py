@@ -168,6 +168,14 @@ def payload_bytes(value, size: int) -> bytes:
     return data
 
 
+def _shape(shape) -> tuple[int, ...]:
+    """A leading shape, an int or a tuple or list of them, as a tuple of
+    non-negative ints; InvalidParameterError for anything else."""
+    if not isinstance(shape, (tuple, list)):
+        shape = (shape,)
+    return tuple(_non_negative(size, "shape entry") for size in shape)
+
+
 class SlotArray:
     """Structure-of-arrays slot storage.
 
@@ -181,8 +189,7 @@ class SlotArray:
     __slots__ = ("key", "payload", "payload_size")
 
     def __init__(self, shape, payload_size: int = DEFAULT_PAYLOAD_SIZE):
-        if isinstance(shape, int):
-            shape = (shape,)
+        shape = _shape(shape)
         payload_size = _non_negative(payload_size, "payload_size")
         self.payload_size = payload_size
         self.key = np.full(shape, KEY_SENTINEL, dtype=np.uint32)
@@ -204,8 +211,7 @@ class SlotArray:
 
     def reshape(self, shape) -> "SlotArray":
         """The same slots under a new leading shape; a view when contiguous."""
-        if isinstance(shape, int):
-            shape = (shape,)
+        shape = _shape(shape)
         return self._view(self.key.reshape(shape),
                           self.payload.reshape(shape + (self.payload_size,)))
 

@@ -36,7 +36,8 @@ constants and scratch are made per call: no step broadcasts a short row.
 route_census() runs it on tags and destinations over many trials and
 returns only the per-stage counts, the census behind the spill statistics;
 route() runs it on one table with slot ids, and after the last stage moves
-each cell's key and payload once, to where its slot id ended up.
+each cell's key once, to where its slot id ended up, and its payload row
+too if a real holds the cell or held it; the other rows stay unwritten.
 
 repartition() and route_reference() are the slot-at-a-time oracle: a
 RoutingSlot is one cell's key, payload, destination and tag, read off and
@@ -53,7 +54,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import KEY_SENTINEL, Rng, _require, is_power_of_two
+from .core import KEY_SENTINEL, Rng, _require, debug_checks_enabled, is_power_of_two
 from .oprim import _CLASS_SHIFT, SortItem, batcher_sort, sort_key_into, sort_network_perm
 from .trace import TraceRecorder, table_region
 
@@ -333,21 +334,30 @@ def route(table, dests: np.ndarray, rng: Rng,
     (it is permuted in place alongside them).  Consumes one 64-bit tiebreak
     per slot per stage, in pair order, regardless of contents.  The stage
     kernel (the one route_census runs) moves only tags, destinations and
-    slot ids; keys and payloads are then moved once, to where their slot
-    ids ended up.  The tags are dropped unread: a real slot spilled iff it
-    ends outside its destination bucket.
+    slot ids; then every key, and each real's payload row, moves once to
+    where its slot id ended up, through the table itself (a view such as
+    Zht.tables[j] routes in place).  Every dummy's payload row must be zero,
+    as the store writes it (refused otherwise under debug checks): a cell
+    that gets a dummy is written only where a real left, with that zero row.
+    The tags are dropped unread: a real slot spilled iff it ends outside its
+    destination bucket.
     """
     n, c = _check_route(table, dests)
     if region is None:
         region = table_region(0, 0)
+    real = table.key != KEY_SENTINEL
+    if debug_checks_enabled():
+        _require(not table.payload[~real].any(), "a dummy slot holds payload bytes")
     # tagged: the real slots; slot ids: each cell's flat index
     word, spills, live = _run_stages(_pack(
-        (table.key != KEY_SENTINEL)[None], dests[None],
-        np.arange(n * c).reshape(1, n, c)), rng)
+        real[None], dests[None], np.arange(n * c).reshape(1, n, c)), rng)
     dests[...] = _unpack_dest(word[0], n)
     src = _unpack_slot(word[0], n)
     table.key[...] = table.key.reshape(-1)[src]
-    table.payload[...] = table.payload.reshape(n * c, -1)[src]
+    # the cells that hold a real or held one: where a real left, the dummy
+    # that came brings its zero row
+    moved = real | (table.key != KEY_SENTINEL)
+    table.payload[moved] = table.payload.reshape(n * c, -1).take(src[moved], axis=0)
     if recorder is not None and recorder.enabled:
         idx = np.arange(n)
         for bit in range(spills.shape[1]):

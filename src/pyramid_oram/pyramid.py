@@ -106,7 +106,8 @@ class PyramidConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if value is not None or f.default is not None:  # overrides may be None
-                as_int(value, f.name)
+                # frozen: store the checked Python int, not a numpy integer
+                object.__setattr__(self, f.name, as_int(value, f.name))
         _require(is_power_of_two(self.capacity), "capacity must be a power of two")
         _require(is_power_of_two(self.first_level_size),
                  "first_level_size must be a power of two")

@@ -291,6 +291,21 @@ def test_slot_array_refuses_a_non_integer_payload_size():
     assert SlotArray(4, np.int64(3)).payload.shape == (4, 3)
 
 
+def test_slot_array_shape_is_an_int_or_a_tuple_or_list_of_ints():
+    # np.int64(4) + (8,) broadcasts to array([12]): each entry must be an int
+    for shape, want in ((np.int64(4), (4,)), ([2, 3], (2, 3)),
+                        ((np.uint8(2), 0), (2, 0)), ((), ())):
+        arr = SlotArray(shape, 8)
+        assert arr.key.shape == want and arr.payload.shape == (*want, 8)
+    for bad in ((2, -1), -3, [2.0, 3], (2, "3"), 4.0, True, np.array([2, 3]), None):
+        with pytest.raises(InvalidParameterError, match="^shape entry must be"):
+            SlotArray(bad, 8)
+        with pytest.raises(InvalidParameterError, match="^shape entry must be"):
+            SlotArray(6, 8).reshape(bad)
+    arr = SlotArray(6, 8).reshape([np.int64(2), 3])
+    assert arr.key.shape == (2, 3) and arr.payload.shape == (2, 3, 8)
+
+
 def test_rng_substreams_differ():
     s0 = Rng(5, (0,)).bits64(8)
     s1 = Rng(5, (1,)).bits64(8)

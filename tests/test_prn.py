@@ -271,6 +271,40 @@ def test_route_matches_reference_when_tiebreaks_collide():
             assert s_vec.stage_live == s_ref.stage_live
 
 
+def test_route_refuses_a_dummy_with_payload_bytes_under_debug_checks(debug_checks):
+    # route() copies a dummy's payload row only into a cell a real left, so
+    # it needs every dummy row zero, as the store keeps them
+    table, dests = make_routing_table(8, 2, 6, 1)
+    dummy = np.argwhere(table.key == KEY_SENTINEL)[0]
+    table.payload[tuple(dummy)][3] = 1
+    before = [a.copy() for a in (table.key, table.payload, dests)]
+    with pytest.raises(InvalidParameterError, match="dummy"):
+        route(table, dests, Rng(1, ()))
+    for now, then in zip((table.key, table.payload, dests), before):
+        assert np.array_equal(now, then)
+
+
+def test_route_writes_no_dummy_row_that_no_real_lands_on():
+    # with the debug check off, a marker byte in a dummy row shows whether
+    # route() wrote it: the row no real leaves or reaches keeps it, and
+    # every real's row is where route_reference puts it
+    n, c, load, seed = 16, 4, 20, 4
+    t_vec, d_vec = make_routing_table(n, c, load, seed)
+    t_ref, d_ref = make_routing_table(n, c, load, seed)
+    route_reference(t_ref, d_ref, Rng(seed, (5,)))
+    untouched = np.argwhere((t_vec.key == KEY_SENTINEL)
+                            & (t_ref.key == KEY_SENTINEL))
+    assert len(untouched), "every dummy cell received a real"
+    marked = tuple(untouched[len(untouched) // 2])
+    t_vec.payload[marked][0] = 0xA5
+    route(t_vec, d_vec, Rng(seed, (5,)))
+    assert t_vec.key.tobytes() == t_ref.key.tobytes()
+    assert np.array_equal(d_vec, d_ref)
+    assert t_vec.payload[marked][0] == 0xA5
+    real = t_ref.key != KEY_SENTINEL
+    assert np.array_equal(t_vec.payload[real], t_ref.payload[real])
+
+
 def test_stage_kernel_keeps_exactly_the_tagged_slots_at_their_dest():
     # route() drops the network's tags, and ozht reads a real slot's spill
     # off whether it sits in its destination bucket; that is lossless iff a

@@ -84,6 +84,22 @@ def test_config_refuses_non_integer_fields(field, value):
         PyramidConfig(**values)
 
 
+def test_config_stores_numpy_integers_as_ints():
+    # a numpy integer passes as_int but has no bit_length for num_levels
+    numpy_config = PyramidConfig(capacity=np.int64(1024),
+                                 first_level_size=np.int64(64),
+                                 payload_size=np.uint8(8), k_override=np.int32(2))
+    config = PyramidConfig(capacity=1024, first_level_size=64, payload_size=8,
+                           k_override=2)
+    assert numpy_config == config
+    assert all(type(getattr(numpy_config, f.name)) is type(getattr(config, f.name))
+               for f in dataclasses.fields(config))
+    oram = PyramidOram(numpy_config)
+    for key in range(200):
+        oram.write(key, bytes([key]) * 8)
+    assert oram.read(7) == bytes([7]) * 8
+
+
 def test_default_k_frozen_points():
     for n, want in ((2, 2), (4, 2), (16, 2), (32, 3), (256, 3), (512, 4),
                     (16384, 4), (1 << 17, 5)):

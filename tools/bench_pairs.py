@@ -13,7 +13,9 @@ output has the layout of the earlier BENCH files: method, environment,
 seconds, seeds, run_order, and per side, workload and metric the values in
 seed order with their median and quartile spread.  Per workload and metric
 it also writes, under change_better, and prints in how many seeds the change
-did better than the parent, as "k/N".
+did better than the parent, as "k/N", and under verdict the verdict on the
+change (verdicts): "gain", "worse" against the metric's bound in the
+BENCHMARK.json beside this tool, which is only read, or "unresolved".
 """
 
 from __future__ import annotations
@@ -62,6 +64,32 @@ def change_better(parent: dict, change: dict) -> dict:
                        for p, c in pairs)
             better[workload][name] = f"{wins}/{len(pairs)}"
     return better
+
+
+def verdicts(parent: dict, change: dict, bounds: dict) -> dict:
+    """Per workload and metric of two sides' summaries (workload -> metric ->
+    summarise()'s dict), the verdict on the change: "gain" when it did
+    better in at least 9 of every 10 seeds and its median is better by more
+    than the parent's quartile distance, "worse" when its median is worse
+    than the parent's by more than the metric's relative bound in `bounds`
+    (metric -> bound), "unresolved" otherwise."""
+    out = {}
+    for workload, metrics in parent.items():
+        out[workload] = {}
+        for name, side in metrics.items():
+            other = change[workload][name]
+            sign = -1 if name in LOWER_IS_BETTER else 1
+            wins = sum(sign * (c - p) > 0
+                       for p, c in zip(side["values"], other["values"]))
+            gap = sign * (other["median"] - side["median"])
+            if 10 * wins >= 9 * len(side["values"]) and \
+                    gap > side["spread"] * side["median"]:
+                out[workload][name] = "gain"
+            elif -gap > bounds[name] * side["median"]:
+                out[workload][name] = "worse"
+            else:
+                out[workload][name] = "unresolved"
+    return out
 
 
 def main(argv=None) -> int:
@@ -117,13 +145,17 @@ def main(argv=None) -> int:
                        for name, first in results[0].items()}
             for workload, results in runs[side].items()}
     summary["change_better"] = change_better(summary["parent"], summary["change"])
+    bounds = {metric["name"]: metric["bound"] for metric in
+              json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    summary["verdict"] = verdicts(summary["parent"], summary["change"], bounds)
     for workload, metrics in summary["change_better"].items():
         for name, wins in metrics.items():
             parent = summary["parent"][workload][name]["median"]
             change = summary["change"][workload][name]["median"]
             print(f"{workload:10s} {name:12s} parent {parent:10.4g} "
                   f"change {change:10.4g} ({change / parent - 1:+7.1%}), "
-                  f"change better in {wins}", flush=True)
+                  f"change better in {wins}: "
+                  f"{summary['verdict'][workload][name]}", flush=True)
     Path(args.out).write_text(json.dumps(summary, indent=1) + "\n")
     return 0
 

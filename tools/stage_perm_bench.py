@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time a spill-mc call, the stage kernel, the stage sort, and a level-1 build.
+"""Time spill-mc, a bulk load, the stage kernel and sort, and a level-1 build.
 
     python3 tools/stage_perm_bench.py [--repeats 15] [--builds 400]
 
@@ -17,14 +17,22 @@ what the allocator kept from the warm-up: glibc returns the top of its
 heap to the system beyond a threshold that grows with the largest block
 freed so far.
 
+Then one bulk load of the uniform benchmark's store (N=2^14, p=64,
+56-byte payloads, all N keys into its last level, n=16384, k=4, c=4): its
+milliseconds, minor faults and resident-set growth (the rise of getrusage
+ru_maxrss over the load).  It runs in a fresh subprocess of its own, since
+how many pages a load faults in depends on what the allocator holds.  A
+route writes payload rows only into the cells a real reaches or leaves, so
+the growth counts the pages the load touches, not all the level reserves.
+
 Then the stage kernel, through prn.route on (n, 4) tables of n * 5/2 reals
 at random cells with uniform destinations, n in 64, 1024 and 16384, and
 through prn.route_census on one spill-mc census block (512 trials of n=256,
 c=2, 256 tags thrown first-fit, uniform destinations).  Each line is the
 median of ROUTES = 9 calls: µs per call, µs per stage, ns per repartition
 beside the count of repartitions, (n/2) log2 n per table, and the page
-faults of the call.  A route's time includes its one move of keys and
-56-byte payloads after the last stage.
+faults of the call.  A route's time includes its one move of the keys and
+of the 56-byte payload rows that reals reach or leave, after the last stage.
 
 Then µs per call of oprim.sort_network_perm on rows × m random keys, given
 the full-shape wire indices the stage kernel passes, with
@@ -50,6 +58,7 @@ from __future__ import annotations
 import argparse
 import resource
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -165,6 +174,39 @@ def spill_mc_call() -> None:
           f"again {again / 1e6:.3f} s, {faults_again} minor faults")
 
 
+# run in a fresh interpreter: argv[1] is the src/ to import from
+BULK_LOAD = """
+import resource, sys, time
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from pyramid_oram.pyramid import PyramidConfig, PyramidOram
+N, P, SIZE = 1 << 14, 64, 56
+pay = np.random.default_rng(6).integers(0, 256, (N, SIZE), dtype=np.uint8)
+items = [(key, pay[key].tobytes()) for key in range(N)]
+oram = PyramidOram(PyramidConfig(capacity=N, first_level_size=P,
+                                 payload_size=SIZE, seed=1))
+before = resource.getrusage(resource.RUSAGE_SELF)
+t0 = time.perf_counter_ns()
+oram.bulk_load(items)
+ms = (time.perf_counter_ns() - t0) / 1e6
+after = resource.getrusage(resource.RUSAGE_SELF)
+if len(oram.stored_items()) != N:
+    sys.exit("the bulk load lost items")
+print(f"bulk_load(N={N}, p={P}, {SIZE}-byte payloads), fresh process: "
+      f"{ms:.0f} ms, {after.ru_minflt - before.ru_minflt} minor faults, "
+      f"{(after.ru_maxrss - before.ru_maxrss) / 1024:.1f} MB resident growth")
+"""
+
+
+def bulk_load_line() -> None:
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", BULK_LOAD, str(src)],
+                          capture_output=True, text=True, timeout=300)
+    if proc.returncode:
+        raise SystemExit(f"bulk load exited {proc.returncode}:\n{proc.stderr}")
+    print(proc.stdout, end="", flush=True)
+
+
 def level1_builds(builds: int) -> None:
     n, k, c, size, reals, payload = 64, 3, 4, 64, 40, 56
     gen = np.random.default_rng(2)
@@ -200,6 +242,7 @@ def main(argv=None) -> int:
     parser.add_argument("--builds", type=int, default=400)
     args = parser.parse_args(argv)
     spill_mc_call()
+    bulk_load_line()
     kernel_table()
     stage_table(args.repeats)
     level1_builds(args.builds)
