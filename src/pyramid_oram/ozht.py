@@ -50,6 +50,7 @@ from .core import (
     KEY_SENTINEL,
     HashFamily,
     Rng,
+    SlotArray,
     _require,
     debug_checks_enabled,
     is_power_of_two,
@@ -97,11 +98,14 @@ def build_access_count(m_total: int, n: int, k: int, c: int) -> int:
 def oblivious_build(elems: BuildInput, n: int, k: int, c: int,
                     fam: HashFamily, rng: Rng, *, level_id: int = 0,
                     recorder: TraceRecorder | None = None,
+                    store: SlotArray | None = None,
                     ) -> tuple[Zht, BuildReport]:
     """Build a k-table structure holding the reals of `elems`.
 
     Only the reals are read; the slot count, dummies included, pads the
-    access pattern.  Requires real count <= n.
+    access pattern.  Requires real count <= n.  The tables are built over
+    `store`, an all-dummy (k, n, c) SlotArray (checked under debug checks),
+    or over a fresh one when store is None.
     """
     _require(is_power_of_two(n) and n >= 2, "n must be a power of two >= 2")
     _require(k >= 1, "need at least one table")
@@ -109,7 +113,8 @@ def oblivious_build(elems: BuildInput, n: int, k: int, c: int,
     real = elems.rows.size
     _require(real <= n, "more reals than one table column can drain")
     m_total = elems.size
-    z = Zht(n, k, c, fam, level_id=level_id, payload_size=elems.payload_size)
+    z = Zht(n, k, c, fam, level_id=level_id, payload_size=elems.payload_size,
+            store=store)
 
     arrivals: list[int] = []
     spills_after: list[int] = []

@@ -353,7 +353,7 @@ def route(table, dests: np.ndarray, rng: Rng,
         real[None], dests[None], np.arange(n * c).reshape(1, n, c)), rng)
     dests[...] = _unpack_dest(word[0], n)
     src = _unpack_slot(word[0], n)
-    table.key[...] = table.key.reshape(-1)[src]
+    table.key[...] = table.key.reshape(-1).take(src)
     # the cells that hold a real or held one: where a real left, the dummy
     # that came brings its zero row
     moved = real | (table.key != KEY_SENTINEL)

@@ -23,12 +23,14 @@ the debug flag, the recorder and the RNG once, before its level loop.
 
 Every p accesses the log (plus every level smaller than the target) is rebuilt
 into the level addressed by the trailing-zero count of t/p, and every N
-accesses everything is rebuilt into a fresh last level under a fresh hash
-epoch.  Which levels exist at any time is therefore a public function of t
-alone: level j < l is occupied exactly when bit j-1 of t/p is set, and the
-last level is occupied once t reaches N (or after a bulk load).  online_cost()
-is the closed form of the per-access bucket count this schedule implies, and
-the suite holds the implementation to it exactly.
+accesses everything is rebuilt into the last level under a fresh hash epoch,
+over the other of that level's two buffers, while the old last level stays
+installed until the new one is built.  Which levels exist at any time is
+therefore a public function of t alone: level j < l is occupied exactly when
+bit j-1 of t/p is set, and the last level is occupied once t reaches N (or
+after a bulk load).  online_cost() is the closed form of the per-access
+bucket count this schedule implies, and the suite holds the implementation
+to it exactly.
 
 The one access-pattern caveat is inherent to search-until-found: reading a key
 that is absent performs a real search at every level, so reading the same
@@ -41,6 +43,7 @@ moves to the log and only returns to a level when that level is rebuilt.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -126,8 +129,9 @@ class PyramidConfig:
         ratio = self.capacity // self.first_level_size
         return (ratio.bit_length() - 1) + 1
 
-    @property
+    @cached_property
     def levels(self) -> tuple[LevelParams, ...]:
+        """Every level's shape, computed once per config."""
         out = []
         for j in range(1, self.num_levels + 1):
             n = (1 << (j - 1)) * self.first_level_size
@@ -215,6 +219,14 @@ class PyramidOram:
     A BuildFailedError leaves the store part-way through an access (counter
     advanced, log not yet merged), so after one every access and bulk_load
     raises StoreBrokenError; stored_items() still shows what it holds.
+
+    Each level's slot storage lives as long as the store: it is allocated by
+    the first build into the level, and when the level empties its reals are
+    cleared to dummies in place and the next build into it runs over the
+    same storage.  The last level has two buffers, built into in turn, since
+    the old last level stays installed until its successor is built.  So a
+    Zht taken from levels[j] is a live view: once level j empties, its slots
+    are cleared, and a later build into level j reuses them.
     """
 
     def __init__(self, config: PyramidConfig,
@@ -228,6 +240,9 @@ class PyramidOram:
         p = config.first_level_size
         self.level0 = SlotArray(p, config.payload_size)
         self.levels: list[Zht | None] = [None] * (config.num_levels + 1)
+        # each level's all-dummy storage while the level is empty (the last
+        # level's while the other of its two buffers is installed)
+        self._spares: list[SlotArray | None] = [None] * (config.num_levels + 1)
         self._search_log: dict[int, set[int]] = {
             j: set() for j in range(1, config.num_levels + 1)
         }
@@ -373,9 +388,13 @@ class PyramidOram:
         slice of the lanes, one lane per (level, table): the tables' subkeys
         and bucket counts, concatenated, so an access hashes every occupied
         level's path in one path_buckets call.  A changed level also starts
-        a fresh search log.
+        a fresh search log.  A level it replaces is retired: its reals are
+        cleared to dummies in place and its storage becomes the level's spare,
+        which the next build into the level takes.
         """
         for j, level in changes.items():
+            if self.levels[j] is not None:
+                self._spares[j] = _retired(self.levels[j])
             self.levels[j] = level
             self._search_log[j].clear()
         probes, subkeys, counts, lo = [], [], [], 0
@@ -448,16 +467,22 @@ class PyramidOram:
     def _build_level(self, target: int, elems: BuildInput,
                      emptied: range = range(0)) -> BuildReport:
         """Build level `target` from elems; on success install it and empty
-        the source levels `emptied`, in one _set_levels call."""
+        the source levels `emptied`, in one _set_levels call.
+
+        The build runs over the target's spare storage, allocated only when
+        the level has none yet; a failed attempt's storage is cleared and
+        taken by the next attempt, or kept as the spare after the last.
+        """
         lp = self.config.levels[target - 1]
         attempts_allowed = 1 + self.config.max_retries
         report: BuildReport | None = None
+        store, self._spares[target] = self._spares[target], None
         for attempt in range(1, attempts_allowed + 1):
             self.epochs[target] += 1
             fam = HashFamily(self.config.seed, self.epochs[target])
             z, report = oblivious_build(
                 elems, lp.n, lp.k, lp.c, fam, self._rng,
-                level_id=target, recorder=self.build_recorder,
+                level_id=target, recorder=self.build_recorder, store=store,
             )
             if report.success:
                 self._set_levels({**dict.fromkeys(emptied), target: z})
@@ -468,6 +493,8 @@ class PyramidOram:
                     access_count=build_access_count(report.m_total, lp.n, lp.k, lp.c),
                 )
                 return report
+            store = _retired(z)
+        self._spares[target] = store
         assert report is not None
         self.broken_by = BuildFailedError(
             f"level {target} build failed after {attempts_allowed} attempt(s): "
@@ -475,3 +502,14 @@ class PyramidOram:
             report,
         )
         raise self.broken_by
+
+
+def _retired(level: Zht) -> SlotArray:
+    """The level's storage, its reals cleared to dummies in place.
+
+    Only the real slots are written, so pages that never held a real stay
+    as untouched as a fresh array's.
+    """
+    store = level.store
+    store.clear_to_dummy(store.key != KEY_SENTINEL)
+    return store

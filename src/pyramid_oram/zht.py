@@ -11,14 +11,16 @@ contents, not which buckets are touched.
 A Zht keeps all its slots in one SlotArray of shape (k, n, c): table, bucket,
 slot.  tables[j] is the (n, c) SlotArray view store[j], so per-table code
 (routing) writes straight into the store, and a search is one gather of the
-k path buckets out of it.  A slot is a key and a payload (route() keeps its tags to
-itself), real iff its key is not KEY_SENTINEL, which is above every real
-key, so a search compares keys only and `key == probe` is exactly "a real
-slot holding probe".  A search takes the k path buckets' keys and payload
-rows, every row on a hit and on a miss alike; nonzero() of the (k, c) key
-match gives the hit's (table, slot), and the hit's payload is that row of
-the gathered copy.  A removal writes the sentinel into that one slot, which
-frees it.
+k path buckets out of it.  The store is a fresh array, or one the caller
+hands in holding only dummies (a PyramidOram builds each level over the
+storage the level held before).  A slot is a key and a payload (route()
+keeps its tags to itself), real iff its key is not KEY_SENTINEL, which is
+above every real key, so a search compares keys only and `key == probe` is
+exactly "a real slot holding probe".  A search takes the k path buckets'
+keys and payload rows, every row on a hit and on a miss alike; nonzero() of
+the (k, c) key match gives the hit's (table, slot), and the hit's payload is
+that row of the gathered copy.  A removal writes the sentinel into that one
+slot, which frees it.
 
 Placement is one kernel, _first_fit, for a batch throw and a single insert
 alike.  It walks the tables in order; at table j it ranks every element still
@@ -136,7 +138,10 @@ class Zht:
     """k-table zigzag hash table over a fixed hash family epoch."""
 
     def __init__(self, n: int, k: int, c: int, fam: HashFamily, level_id: int = 0,
-                 payload_size: int = DEFAULT_PAYLOAD_SIZE):
+                 payload_size: int = DEFAULT_PAYLOAD_SIZE,
+                 store: SlotArray | None = None):
+        """A table set over `store`, an all-dummy (k, n, c) SlotArray of
+        payload_size-byte rows, or over a fresh one when store is None."""
         n, k, c = as_int(n, "n"), as_int(k, "k"), as_int(c, "c")
         level_id = as_int(level_id, "level_id")
         _require(k >= 1, "need at least one table")
@@ -147,7 +152,15 @@ class Zht:
         self.c = c
         self.fam = fam
         self.level_id = level_id
-        self.store = SlotArray((k, n, c), payload_size)
+        if store is None:
+            store = SlotArray((k, n, c), payload_size)
+        else:
+            _require(store.shape == (k, n, c) and store.payload_size == payload_size,
+                     f"store must be ({k}, {n}, {c}) slots of {payload_size} bytes")
+            if debug_checks_enabled():
+                _require((store.key == KEY_SENTINEL).all(), "store holds a real key")
+                _require(not store.payload.any(), "store holds payload bytes")
+        self.store = store
         self.payload_size = self.store.payload_size
         self.tables = [self.store[j] for j in range(k)]
         self.regions = [table_region(level_id, j) for j in range(k)]

@@ -19,6 +19,8 @@ from pyramid_oram.core import (
     HashFamily,
     InvalidParameterError,
     OramError,
+    Rng,
+    SlotArray,
     StoreBrokenError,
     path_buckets,
     set_debug_checks,
@@ -37,7 +39,7 @@ from pyramid_oram.pyramid import (
 from pyramid_oram.trace import TraceRecorder
 from pyramid_oram.zht import Zht
 
-from conftest import ToySchedule
+from conftest import ToySchedule, make_elems
 
 SMALL = PyramidConfig(capacity=128, first_level_size=4, payload_size=8, seed=3)
 MED = PyramidConfig(capacity=1024, first_level_size=16, payload_size=8, seed=5)
@@ -121,6 +123,20 @@ def test_level_geometry_large_config():
     assert cfg.num_levels == 9
     assert [lp.k for lp in cfg.levels] == [3, 3, 3, 4, 4, 4, 4, 4, 4]
     assert cfg.levels[-1].n == 1 << 14
+
+
+def test_config_levels_are_computed_once():
+    cfg = PyramidConfig(capacity=1 << 14, first_level_size=64)
+    fresh = PyramidConfig(capacity=1 << 14, first_level_size=64)
+    assert cfg.levels is cfg.levels
+    # the cached tuple is not a field: equality, hashing, repr and asdict
+    # are those of a config that never computed it
+    assert cfg == fresh and hash(cfg) == hash(fresh) and repr(cfg) == repr(fresh)
+    assert dataclasses.asdict(cfg) == dataclasses.asdict(fresh)
+    smaller = dataclasses.replace(cfg, capacity=1 << 10)
+    assert smaller.levels == PyramidConfig(capacity=1 << 10,
+                                           first_level_size=64).levels
+    assert [lp.n for lp in smaller.levels] == [64 << j for j in range(5)]
 
 
 def test_config_overrides_apply_everywhere():
@@ -561,12 +577,19 @@ def test_strict_policy_raises_where_retry_recovers():
     assert excinfo.value.report.failure_reason in (
         "throw_overflow", "final_phase_spill"
     )
-    oram, retried = _run_tight(8, seed)
-    assert retried, "retry run never needed a second attempt"
     last_write = {key: max(t for t in range(96) if t % 3 == key) for key in range(3)}
-    assert oram.stored_items() == {
-        key: val(key, salt=t) for key, t in last_write.items()
-    }
+    # under debug checks each retry also checks that the failed attempt's
+    # storage it builds over was cleared to dummies
+    for debug in (False, True):
+        set_debug_checks(debug)
+        try:
+            oram, retried = _run_tight(8, seed)
+        finally:
+            set_debug_checks(False)
+        assert retried, "retry run never needed a second attempt"
+        assert oram.stored_items() == {
+            key: val(key, salt=t) for key, t in last_write.items()
+        }
 
 
 def test_store_refuses_use_after_failed_build():
@@ -798,3 +821,68 @@ def test_full_rebuild_scratch_stays_near_the_last_level():
     store = oram.levels[cfg.num_levels].store
     level_bytes = store.key.nbytes + store.payload.nbytes
     assert peak <= 2.0 * level_bytes, f"peak {peak / level_bytes:.2f}x the last level"
+
+
+# -- level storage lives as long as the store ---------------------------------
+
+
+def test_levels_build_over_the_storage_they_retired(debug_checks):
+    # four full periods: below the last level every build after the first
+    # runs over the buffer of that first build; the last level alternates
+    # between two buffers, since the old one stays installed until its
+    # successor is built.  Debug checks refuse a handed-in buffer that is
+    # not all dummies.
+    cfg = SMALL
+    last = cfg.num_levels
+    oram = PyramidOram(cfg)
+    reference: dict[int, bytes] = {}
+    first: dict[int, np.ndarray] = {}
+    builds = dict.fromkeys(range(1, last), 0)
+    last_keys: list[np.ndarray] = []
+    held = None
+    gen = np.random.Generator(np.random.PCG64(53))
+    for step in range(4 * cfg.capacity):
+        key = int(gen.integers(0, 64))
+        value = val(key, salt=step)
+        _, record = oram.access_with_record("write", key, value)
+        reference[key] = value
+        j = record.rebuilt_level
+        if j < 0:
+            continue
+        store_key = oram.levels[j].store.key
+        if j == last:
+            last_keys.append(store_key)
+            continue
+        builds[j] += 1
+        assert np.shares_memory(store_key, first.setdefault(j, store_key)), j
+        if j == 1 and held is None:
+            held = oram.levels[1]
+        elif held is not None and oram.levels[1] is None:
+            # a Zht taken from oram.levels is a live view of the storage
+            assert held.real_counts() == [0] * held.k
+    assert min(builds.values()) >= 2 and len(last_keys) == 4
+    for i in range(2, len(last_keys)):
+        assert np.shares_memory(last_keys[i], last_keys[i - 2])
+        assert not np.shares_memory(last_keys[i], last_keys[i - 1])
+    assert oram.stored_items() == reference
+
+
+@pytest.mark.parametrize("poison", ["real key", "payload byte"])
+def test_build_refuses_storage_that_is_not_all_dummies(debug_checks, poison):
+    elems = make_elems(6, 32)
+    fresh, _ = oblivious_build(elems, 8, 2, 2, HashFamily(1), Rng(4))
+    handed = SlotArray((2, 8, 2), 8)
+    z, _ = oblivious_build(elems, 8, 2, 2, HashFamily(1), Rng(4), store=handed)
+    assert z.store is handed
+    assert np.array_equal(handed.key, fresh.store.key)
+    assert np.array_equal(handed.payload, fresh.store.payload)
+    handed.clear()
+    if poison == "real key":
+        handed.key[1, 3, 0] = 5
+    else:
+        handed.payload[0, 2, 1, 4] = 1  # a dummy row's byte
+    with pytest.raises(InvalidParameterError, match=poison.split()[-1]):
+        oblivious_build(elems, 8, 2, 2, HashFamily(1), Rng(4), store=handed)
+    for wrong in (SlotArray((2, 8, 4), 8), SlotArray((2, 8, 2), 4)):
+        with pytest.raises(InvalidParameterError, match="store must be"):
+            oblivious_build(elems, 8, 2, 2, HashFamily(1), Rng(4), store=wrong)
