@@ -10,6 +10,10 @@ Subcommands:
   trace   run a workload with recorders on and dump the access trace as
           `region,index` CSV lines, one per bucket read-modify-write
 
+bench, verify and trace drive their store through one driver, run_steps: it
+builds the run's seeded store, bulk-loads the preload and runs the steps
+lazily, yielding each step's AccessRecord and time.
+
 All randomness is seeded (flag --seed, falling back to the PYRAMID_ORAM_SEED
 environment variable, then 0), and with --no-timing the outputs of bench are
 byte-for-byte reproducible.  Summaries go to stdout as JSON.  A run config,
@@ -29,7 +33,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -217,21 +221,39 @@ def _load_replay(path: str) -> list[tuple[str, int]]:
     return ops
 
 
-def _start_run(run: RunConfig, recorder=None, build_recorder=None):
-    """A run's store, bulk-loaded with its preload, and the run's steps.
+def run_steps(run: RunConfig, recorder=None, build_recorder=None):
+    """Build the run's seeded store, bulk-load its preload, and return
+    (store, reference, ops, steps).
 
-    Returns (store, preload items, steps); a step is (op, key, value), and
-    value is None for a read.
+    reference is what the store should hold, kept up to date as the steps
+    run, and ops the step count.  steps runs the workload lazily (a write's
+    value is make_value(key, step index)) and yields (record, wall_ns,
+    divergence) per step, wall_ns timing access_with_record alone, and
+    divergence describing a result that differs from the reference (None
+    when it matches).  A caller that stops at a divergence simply breaks.
     """
-    steps = [
-        (op, key, make_value(key, i, run.payload_size) if op == "write" else None)
-        for i, (op, key) in enumerate(generate_workload(run))
-    ]
-    items = [(key, make_value(key, -1, run.payload_size))
-             for key in range(run.preload_keys)]
+    workload = generate_workload(run)
+    reference = {key: make_value(key, -1, run.payload_size)
+                 for key in range(run.preload_keys)}
     oram = PyramidOram(run.store_config(), recorder, build_recorder)
-    oram.bulk_load(items)
-    return oram, items, steps
+    oram.bulk_load(reference.items())
+
+    def steps():
+        for i, (op, key) in enumerate(workload):
+            value = make_value(key, i, run.payload_size) if op == "write" else None
+            expected = reference.get(key)
+            start = time.perf_counter_ns()
+            got, record = oram.access_with_record(op, key, value)
+            wall = time.perf_counter_ns() - start
+            if value is not None:
+                reference[key] = value
+            yield record, wall, None if got == expected else {
+                "phase": "workload", "op_index": i, "op": op, "key": key,
+                "expected": expected.hex() if expected else None,
+                "got": got.hex() if got else None,
+            }
+
+    return oram, reference, len(workload), steps()
 
 
 def _emit(obj: dict) -> None:
@@ -246,19 +268,10 @@ def _run_from_args(args) -> RunConfig:
             except ValueError as exc:  # torn JSON, bad UTF-8 or a misfit
                 raise InvalidParameterError(f"{args.config}: {exc}") from None
     else:
-        run = RunConfig(
-            capacity=args.capacity,
-            first_level_size=args.first_level_size,
-            payload_size=args.payload_size,
-            seed=args.seed,
-            ops=args.ops,
-            workload=args.workload,
-            zipf_theta=args.zipf_theta,
-            key_space=args.capacity if args.key_space is None else args.key_space,
-            read_fraction=args.read_fraction,
-            preload=args.preload,
-            replay_file=args.replay_file,
-        )
+        values = {field.name: getattr(args, field.name) for field in fields(RunConfig)}
+        if values["key_space"] is None:
+            values["key_space"] = args.capacity
+        run = RunConfig(**values)
     if args.dump_config:
         with open(args.dump_config, "w") as fh:
             json.dump(run.to_json(), fh, indent=2, sort_keys=True)
@@ -271,16 +284,10 @@ def _run_from_args(args) -> RunConfig:
 
 def cmd_bench(args) -> int:
     run = _run_from_args(args)
-    oram, _, steps = _start_run(run)
+    _, _, _, steps = run_steps(run)
     timing = not args.no_timing
-
-    rows = []
-    for op, key, value in steps:
-        start = time.perf_counter_ns() if timing else 0
-        _, rec = oram.access_with_record(op, key, value)
-        wall = time.perf_counter_ns() - start if timing else 0
-        rows.append((rec.op_index, int(rec.found), rec.rebuilt_level,
-                     rec.online_buckets, rec.total_buckets, wall))
+    rows = [(rec.op_index, int(rec.found), rec.rebuilt_level, rec.online_buckets,
+             rec.total_buckets, wall if timing else 0) for rec, wall, _ in steps]
 
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
@@ -318,41 +325,26 @@ def cmd_bench(args) -> int:
 
 
 def _flip_one_payload_bit(oram: PyramidOram) -> bool:
-    """Corrupt the first real slot of the deepest occupied level (or the log)."""
-    for j in range(oram.num_levels, 0, -1):
-        level = oram.levels[j]
-        if level is None:
-            continue
-        for tbl in level.tables:
-            rows = np.argwhere(tbl.key != KEY_SENTINEL)
-            if rows.size:
-                b, s = (int(x) for x in rows[0])
-                tbl.payload[b, s, 0] ^= 1
-                return True
-    rows = np.flatnonzero(oram.level0.key != KEY_SENTINEL)
-    if rows.size:
-        oram.level0.payload[int(rows[0]), 0] ^= 1
-        return True
+    """Corrupt the first real slot of the deepest occupied level (or the log).
+
+    A level's slots are (table, bucket, slot) in C order, so its first real
+    slot is in the first table that holds one.
+    """
+    levels = [level.store for level in oram.levels[::-1] if level is not None]
+    for store in (*levels, oram.level0):
+        slots = np.argwhere(store.key != KEY_SENTINEL)
+        if slots.size:
+            store.payload[(*slots[0], 0)] ^= 1
+            return True
     return False
 
 
 def cmd_verify(args) -> int:
     run = _run_from_args(args)
-    oram, items, steps = _start_run(run)
-    reference = dict(items)
-
+    oram, reference, ops, steps = run_steps(run)
     divergence = None
-    for i, (op, key, value) in enumerate(steps):
-        expected = reference.get(key)
-        got = oram.access(op, key, value)
-        if value is not None:
-            reference[key] = value
-        if got != expected:
-            divergence = {
-                "phase": "workload", "op_index": i, "op": op, "key": key,
-                "expected": expected.hex() if expected else None,
-                "got": got.hex() if got else None,
-            }
+    for _, _, divergence in steps:
+        if divergence:
             break
 
     fault_injected = False
@@ -372,7 +364,7 @@ def cmd_verify(args) -> int:
     summary = {
         "version": RUN_VERSION,
         "ok": divergence is None,
-        "ops": len(steps),
+        "ops": ops,
         "checked_keys": len(reference),
         "fault_injected": fault_injected,
         "divergence": divergence,
@@ -388,9 +380,9 @@ def cmd_trace(args) -> int:
     run = _run_from_args(args)
     recorder = TraceRecorder(True)
     build_recorder = TraceRecorder(True)
-    oram, _, steps = _start_run(run, recorder, build_recorder)
-    for op, key, value in steps:
-        oram.access(op, key, value)
+    _, _, ops, steps = run_steps(run, recorder, build_recorder)
+    for _ in steps:
+        pass
 
     if args.out:
         recorder.write_csv(args.out)
@@ -398,7 +390,7 @@ def cmd_trace(args) -> int:
         build_recorder.write_csv(args.build_out)
     summary = {
         "version": RUN_VERSION,
-        "ops": len(steps),
+        "ops": ops,
         "online_events": len(recorder),
         "build_events": len(build_recorder),
         "online_shape_sha256": hashlib.sha256(

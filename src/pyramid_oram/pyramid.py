@@ -120,7 +120,8 @@ class PyramidConfig:
         _require(self.seed >= 0, "seed must be non-negative")
         _require(self.max_retries >= 0, "max_retries must be non-negative")
         if self.k_override is not None:
-            _require(self.k_override >= 1, "k_override must be at least 1")
+            # a trace region id holds the table index in 8 bits
+            _require(1 <= self.k_override <= 256, "k_override must be in [1, 256]")
         if self.c_override is not None:
             _require(self.c_override >= 1, "c_override must be at least 1")
 
@@ -216,9 +217,11 @@ class PyramidOram:
     build_recorder captures rebuild traffic.  Both default to disabled
     recorders so the hot path stays cheap.
 
-    A BuildFailedError leaves the store part-way through an access (counter
+    A build that raises (a BuildFailedError, or any other exception from
+    inside the build) leaves the store part-way through an access (counter
     advanced, log not yet merged), so after one every access and bulk_load
-    raises StoreBrokenError; stored_items() still shows what it holds.
+    raises StoreBrokenError chained to it; stored_items() still shows what
+    it holds.
 
     Each level's slot storage lives as long as the store: it is allocated by
     the first build into the level, and when the level empties its reals are
@@ -251,7 +254,7 @@ class PyramidOram:
         self.real_count = 0
         self.epochs = [0] * (config.num_levels + 1)
         self.last_rebuild: RebuildInfo | None = None
-        self.broken_by: BuildFailedError | None = None
+        self.broken_by: BaseException | None = None
         self._rng = Rng(config.seed, (0,))
         self._l0_indices = np.arange(p)
 
@@ -475,33 +478,37 @@ class PyramidOram:
         """
         lp = self.config.levels[target - 1]
         attempts_allowed = 1 + self.config.max_retries
-        report: BuildReport | None = None
         store, self._spares[target] = self._spares[target], None
-        for attempt in range(1, attempts_allowed + 1):
-            self.epochs[target] += 1
-            fam = HashFamily(self.config.seed, self.epochs[target])
-            z, report = oblivious_build(
-                elems, lp.n, lp.k, lp.c, fam, self._rng,
-                level_id=target, recorder=self.build_recorder, store=store,
-            )
-            if report.success:
-                self._set_levels({**dict.fromkeys(emptied), target: z})
-                self.last_rebuild = RebuildInfo(
-                    level=target,
-                    m_total=report.m_total,
-                    attempts=attempt,
-                    access_count=build_access_count(report.m_total, lp.n, lp.k, lp.c),
+        try:
+            for attempt in range(1, attempts_allowed + 1):
+                self.epochs[target] += 1
+                fam = HashFamily(self.config.seed, self.epochs[target])
+                z, report = oblivious_build(
+                    elems, lp.n, lp.k, lp.c, fam, self._rng,
+                    level_id=target, recorder=self.build_recorder, store=store,
                 )
-                return report
-            store = _retired(z)
-        self._spares[target] = store
-        assert report is not None
-        self.broken_by = BuildFailedError(
-            f"level {target} build failed after {attempts_allowed} attempt(s): "
-            f"{report.failure_reason}",
-            report,
-        )
-        raise self.broken_by
+                if report.success:
+                    self._set_levels({**dict.fromkeys(emptied), target: z})
+                    self.last_rebuild = RebuildInfo(
+                        level=target,
+                        m_total=report.m_total,
+                        attempts=attempt,
+                        access_count=build_access_count(report.m_total, lp.n,
+                                                        lp.k, lp.c),
+                    )
+                    return report
+                store = _retired(z)
+            self._spares[target] = store
+            raise BuildFailedError(
+                f"level {target} build failed after {attempts_allowed} "
+                f"attempt(s): {report.failure_reason}",
+                report,
+            )
+        except BaseException as exc:
+            # a build that raises, for whatever reason, leaves the access
+            # part-way through, so the store refuses further use
+            self.broken_by = exc
+            raise
 
 
 def _retired(level: Zht) -> SlotArray:

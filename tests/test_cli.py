@@ -1,5 +1,6 @@
 """CLI: reproducible outputs, exit codes, workload generation, subcommands."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -15,6 +16,7 @@ from pyramid_oram.cli import (
     make_value,
 )
 from pyramid_oram.core import MAX_REAL_KEY, InvalidParameterError
+from pyramid_oram.pyramid import PyramidOram
 
 BASE = ["--capacity", "64", "--first-level-size", "4", "--payload-size", "8",
         "--seed", "11", "--ops", "200", "--key-space", "48"]
@@ -385,6 +387,56 @@ def test_verify_detects_injected_fault(capsys):
     assert summary["fault_injected"] is True
     assert summary["divergence"]["phase"] == "sweep"
     assert summary["divergence"]["expected"] != summary["divergence"]["got"]
+
+
+def test_verify_reports_a_workload_divergence_and_stops(monkeypatch, capsys):
+    # step 5 returns a wrong value: verify stops there, reports it against
+    # the whole step count and runs no step after it
+    access = PyramidOram.access_with_record
+    calls = []
+
+    def wrong_at_step_5(self, op, key, value=None):
+        calls.append(key)
+        result, record = access(self, op, key, value)
+        if record.op_index == 5:
+            result = b"\xff" * 8 if result is None else None
+        return result, record
+
+    monkeypatch.setattr(PyramidOram, "access_with_record", wrong_at_step_5)
+    code, out = run_main(["verify", *BASE, "--preload", "0.25"], capsys)
+    assert code == 1
+    summary = json.loads(out)
+    assert summary["ok"] is False
+    assert summary["ops"] == 200
+    assert summary["divergence"]["phase"] == "workload"
+    assert summary["divergence"]["op_index"] == 5
+    assert len(calls) == 6
+
+
+# sha256 of stdout and of every file written, recorded before bench, verify
+# and trace moved onto one run driver; a refactor must leave them untouched
+PINNED = [
+    (["bench", *BASE, "--no-timing", "--csv", "rows.csv", "--cdf", "cdf.csv"],
+     {"stdout": "02a69274c0529baae6b57a637e087b59308acb59687613bc9fef0956b1b2cebc",
+      "rows.csv": "44ba6ddc58314c59f75d5a1e073ab0fcb5c8a592c61f9dc81d75bd3995c5e3d1",
+      "cdf.csv": "05d1e507b669f3e37cccfcdfe65e68afe238e822dfc8e04a8a0988b05632031a"}),
+    (["verify", *BASE, "--preload", "0.25", "--inject-fault"],
+     {"stdout": "4420eb5cc17b6e25e141c4abbbbe39e02a1efb17ff2e08e223986c781ba68654"}),
+    (["trace", *BASE, "--out", "online.csv", "--build-out", "build.csv"],
+     {"stdout": "08317ed313a6479eb5737b5d16c592df1f12b7b0f3f6ea74ddda3277fff5579c",
+      "online.csv": "50db712f07351b6918dda8aaa341a347d7bb6310194f45382a549748dce90629",
+      "build.csv": "3481a63ce369e7ee17cc6ad3af13fee49e124dd574a4fd5aad935a8a55a65b2f"}),
+]
+
+
+def test_cli_bytes_match_their_pinned_digests(tmp_path, capsys):
+    for argv, digests in PINNED:
+        main([str(tmp_path / arg) if arg in digests else arg for arg in argv])
+        got = {"stdout": capsys.readouterr().out.encode()}
+        got.update((name, (tmp_path / name).read_bytes())
+                   for name in digests if name != "stdout")
+        assert {name: hashlib.sha256(data).hexdigest()
+                for name, data in got.items()} == digests, argv[0]
 
 
 def test_trace_outputs_and_reproducible_shape(tmp_path, capsys):

@@ -67,6 +67,15 @@ def test_config_validation():
         PyramidConfig(capacity=128, first_level_size=4, k_override=0)
 
 
+def test_config_refuses_more_tables_than_a_region_id_holds():
+    # a trace region id has 8 bits for the table index; at 300 tables the
+    # first rebuild raised from inside the build
+    assert PyramidConfig(capacity=64, first_level_size=8,
+                         k_override=256).levels[0].k == 256
+    with pytest.raises(InvalidParameterError, match="k_override"):
+        PyramidConfig(capacity=64, first_level_size=8, k_override=257)
+
+
 def test_config_refuses_a_negative_seed():
     # the store's Rng would refuse it only once the store is built
     with pytest.raises(InvalidParameterError, match="seed"):
@@ -629,6 +638,31 @@ def test_failed_bulk_load_breaks_the_store():
         oram.bulk_load([(key, val(key)) for key in range(4)])
 
 
+def test_a_build_that_raises_anything_breaks_the_store(monkeypatch):
+    # not only BuildFailedError: any exception from inside a build leaves the
+    # access part-way through, and later accesses would overwrite log slots
+    def fails(*args, **kwargs):
+        raise RuntimeError("out of something")
+
+    monkeypatch.setattr(pyramid_mod, "oblivious_build", fails)
+    cfg = SMALL
+    oram = PyramidOram(cfg)
+    p = cfg.first_level_size
+    for key in range(p - 1):
+        oram.write(key, val(key))
+    with pytest.raises(RuntimeError) as failed:
+        oram.write(p - 1, val(p - 1))  # the first rebuild
+    held = {key: val(key) for key in range(p)}
+    assert oram.stored_items() == held
+    for call in (lambda: oram.read(0), lambda: oram.write(99, val(99)),
+                 lambda: oram.bulk_load([(99, val(99))])):
+        with pytest.raises(StoreBrokenError) as refused:
+            call()
+        assert refused.value.__cause__ is failed.value
+    assert oram.t == p
+    assert oram.stored_items() == held
+
+
 # -- the key-only probe and the lane table ------------------------------------
 
 TINY = [
@@ -636,32 +670,66 @@ TINY = [
     PyramidConfig(capacity=16, first_level_size=2, payload_size=4,
                   k_override=1, c_override=1, max_retries=3),
     PyramidConfig(capacity=32, first_level_size=4, payload_size=4),
+    # keys 0 .. 15 exceed this capacity, so fresh writes get refused
+    PyramidConfig(capacity=4, first_level_size=2, payload_size=4),
 ]
 
+# each must raise InvalidParameterError before the access touches anything
+BAD_KEYS = [True, 1.5, "3", [3], -1, MAX_REAL_KEY + 1]
+STEPS = st.sampled_from(["read", "write"] * 3 + ["bad key", "bad value", "bad op"])
 
-@settings(max_examples=80, deadline=None)
+
+def _bad_step(oram: PyramidOram, step: str, key: int) -> None:
+    size = oram.config.payload_size
+    if step == "bad key":
+        oram.access("read", BAD_KEYS[key % len(BAD_KEYS)])
+    elif step == "bad value":  # a str, an int, a list, one byte short
+        oram.write(key, ["x" * size, size, [0] * size, bytes(size - 1)][key % 4])
+    else:
+        oram.access("delete", key)
+
+
+# a third of the steps are refused inputs, so the lists run half again as
+# long as with real steps alone, and a fourth config shares the examples
+@settings(max_examples=120, deadline=None)
 @given(cfg=st.sampled_from(TINY), seed=st.integers(0, 2**16),
-       ops=st.lists(st.tuples(st.booleans(), st.integers(0, 15)),
-                    min_size=8, max_size=120))
+       ops=st.lists(st.tuples(STEPS, st.integers(0, 15)),
+                    min_size=12, max_size=180))
 def test_key_only_probe_keeps_the_sentinel_invariant(cfg, seed, ops):
     # a slot is real iff its key is not KEY_SENTINEL, and search and the log
     # scan compare keys only; a removal that left the key behind would keep
-    # the stale slot real, so stored_items() and later reads would see it
-    oram = PyramidOram(dataclasses.replace(cfg, seed=seed))
+    # the stale slot real, so stored_items() and later reads would see it.
+    # A refused input, or a refused write at full capacity, changes nothing,
+    # and a failed build refuses every later use
+    oram = PyramidOram(dataclasses.replace(cfg, seed=seed), TraceRecorder(True))
     model: dict[int, bytes] = {}
     read_absent: set[int] = set()
     set_debug_checks(True)
     try:
-        for step, (write, key) in enumerate(ops):
+        for i, (step, key) in enumerate(ops):
+            t, events = oram.t, len(oram.recorder)
+            if step.startswith("bad"):
+                with pytest.raises(InvalidParameterError):
+                    _bad_step(oram, step, key)
+                assert (oram.t, len(oram.recorder)) == (t, events)
+                assert oram.stored_items() == model
+                continue
             if key in read_absent:
                 # a second search for an absent key, read or write, trips the
                 # debug search log (the absent-key re-read caveat)
                 continue
+            write = step == "write"
             if not write and key not in model:
                 read_absent.add(key)
-            value = val(key, cfg.payload_size, salt=step)
+            value = val(key, cfg.payload_size, salt=i)
             try:
                 got = oram.write(key, value) if write else oram.read(key)
+            except CapacityExceededError:
+                # a miss whose real searches were recorded
+                assert key not in model and oram.t == t
+                read_absent.add(key)
+                assert oram.stored_items() == model
+                continue
             except BuildFailedError:
                 broken = True
             else:
@@ -671,6 +739,12 @@ def test_key_only_probe_keeps_the_sentinel_invariant(cfg, seed, ops):
                 model[key] = value
             assert oram.stored_items() == model
             if broken:
+                for call in (lambda: oram.read(key),
+                             lambda: oram.write(key, value),
+                             lambda: oram.bulk_load([(key, value)])):
+                    with pytest.raises(StoreBrokenError):
+                        call()
+                assert oram.stored_items() == model
                 break
     finally:
         set_debug_checks(False)

@@ -6,7 +6,8 @@
 Run from the root of a checkout; the package is imported from its src/.
 
 The store has the uniform benchmark's shape (N=2^14, p=64, 56-byte payloads,
-seed 1): a bulk load of every key, then --accesses uniform reads.  At the
+seed 1), driven the way the CLI runs a store (cli.run_steps): a run config
+that bulk-loads every key, then makes --accesses uniform reads.  At the
 default t = 255p every level is occupied, so each level's probe is timed.
 On that fixed store each layer is then timed on its own over --keys calls,
 and the minimum over --repeats passes of the mean per call is printed:
@@ -37,7 +38,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from pyramid_oram import PyramidConfig, PyramidOram  # noqa: E402
+from pyramid_oram import PyramidOram  # noqa: E402
+from pyramid_oram.cli import RunConfig, run_steps  # noqa: E402
 from pyramid_oram.core import Rng, path_buckets  # noqa: E402
 
 CAPACITY, P, PAYLOAD, SEED = 1 << 14, 64, 56, 1
@@ -55,14 +57,12 @@ def best_ns(call, args: list, repeats: int) -> float:
 
 
 def make_store(accesses: int) -> PyramidOram:
-    cfg = PyramidConfig(capacity=CAPACITY, first_level_size=P,
-                        payload_size=PAYLOAD, seed=SEED)
-    oram = PyramidOram(cfg)
-    oram.bulk_load((key, key.to_bytes(4, "little") * (PAYLOAD // 4))
-                   for key in range(CAPACITY))
-    gen = np.random.default_rng(SEED)
-    for key in gen.integers(0, CAPACITY, accesses).tolist():
-        oram.read(key)
+    run = RunConfig(capacity=CAPACITY, first_level_size=P, payload_size=PAYLOAD,
+                    seed=SEED, ops=accesses, workload="uniform", zipf_theta=0.99,
+                    key_space=CAPACITY, read_fraction=1.0, preload=1.0)
+    oram, _, _, steps = run_steps(run)
+    for _ in steps:
+        pass
     return oram
 
 
