@@ -210,7 +210,7 @@ def mc_throw_spill(m: int, n: int, c: int, trials: int, seed: int) -> SpillStats
     for chunk_id, start in enumerate(range(0, trials, _CHUNK)):
         count = min(_CHUNK, trials - start)
         rng = Rng(seed, (_THROW_STREAM, chunk_id))
-        over = _throw_loads(rng.buckets(n, (count, m)), n) - c
+        over = _throw_loads(rng.bucket(n, (count, m)), n) - c
         np.maximum(over, 0, out=over)
         over.sum(axis=1, out=spills[start:start + count])
     return SpillStats(
@@ -268,11 +268,11 @@ def mc_prn_stage_spill(n: int, c: int, load: int, trials: int,
     for block_id, start in enumerate(range(0, trials, _CENSUS_BLOCK)):
         count = min(_CENSUS_BLOCK, trials - start)
         rng = Rng(seed, (_CENSUS_STREAM, block_id))
-        tag = _first_fit_tags(rng.buckets(n, (count, load)), n, c)
+        tag = _first_fit_tags(rng.bucket(n, (count, load)), n, c)
         overflow_total += count * load - int(np.count_nonzero(tag))
         words = dest[:count].reshape(-1)
         for at in range(0, words.size, _DEST_PIECE):
-            words[at:at + _DEST_PIECE] = rng.buckets(n, len(words[at:at + _DEST_PIECE]))
+            words[at:at + _DEST_PIECE] = rng.bucket(n, len(words[at:at + _DEST_PIECE]))
         rows = slice(start, start + count)
         spills[rows], live[rows] = route_census(tag, dest[:count], rng)
     throw = mc_throw_spill(load, n, c, trials, seed)

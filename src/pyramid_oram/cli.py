@@ -33,7 +33,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -53,8 +53,8 @@ from .core import (
     CapacityExceededError,
     InsufficientDataError,
     InvalidParameterError,
+    _require,
     as_int,
-    config_fields,
 )
 from .pyramid import PyramidConfig, PyramidOram
 from .trace import TraceRecorder
@@ -156,7 +156,7 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "RunConfig":
-        return cls(**config_fields(cls, data, RUN_VERSION))
+        return cls(**_config_fields(cls, data, RUN_VERSION))
 
     def store_config(self) -> PyramidConfig:
         return PyramidConfig(
@@ -165,6 +165,27 @@ class RunConfig:
             payload_size=self.payload_size,
             seed=self.seed,
         )
+
+
+def _config_fields(cls, data, version: int) -> dict:
+    """The fields of a versioned config dict, for cls(**fields).
+
+    data must be an object whose "version" is the int `version` (a bool is
+    refused: True == 1) and whose other keys are fields of the dataclass
+    cls; a field with a default may be left out.  Anything else raises
+    InvalidParameterError.  The values themselves are checked by cls.
+    """
+    _require(isinstance(data, dict), "a config must be a JSON object")
+    got = data.get("version")
+    _require(type(got) is int and got == version,
+             f"unsupported config version {got!r}")
+    values = {key: value for key, value in data.items() if key != "version"}
+    unknown = sorted(values.keys() - {f.name for f in fields(cls)})
+    _require(not unknown, f"unknown config fields {unknown}")
+    missing = [f.name for f in fields(cls)
+               if f.default is MISSING and f.name not in values]
+    _require(not missing, f"missing config fields {missing}")
+    return values
 
 
 def make_value(key: int, salt: int, size: int) -> bytes:
@@ -247,13 +268,20 @@ def run_steps(run: RunConfig, recorder=None, build_recorder=None):
             wall = time.perf_counter_ns() - start
             if value is not None:
                 reference[key] = value
-            yield record, wall, None if got == expected else {
-                "phase": "workload", "op_index": i, "op": op, "key": key,
-                "expected": expected.hex() if expected else None,
-                "got": got.hex() if got else None,
-            }
+            yield record, wall, _divergence("workload", i, op, key, expected, got)
 
     return oram, reference, len(workload), steps()
+
+
+def _divergence(phase: str, op_index: int | None, op: str, key: int,
+                expected: bytes | None, got: bytes | None) -> dict | None:
+    """The record of a result that differs from the expected one, or None
+    when they match."""
+    if got == expected:
+        return None
+    return {"phase": phase, "op_index": op_index, "op": op, "key": key,
+            "expected": expected.hex() if expected else None,
+            "got": got.hex() if got else None}
 
 
 def _emit(obj: dict) -> None:
@@ -352,13 +380,9 @@ def cmd_verify(args) -> int:
         fault_injected = _flip_one_payload_bit(oram)
     if divergence is None:
         for key in sorted(reference):
-            got = oram.read(key)
-            if got != reference[key]:
-                divergence = {
-                    "phase": "sweep", "op_index": None, "op": "read", "key": key,
-                    "expected": reference[key].hex(),
-                    "got": got.hex() if got else None,
-                }
+            divergence = _divergence("sweep", None, "read", key, reference[key],
+                                     oram.read(key))
+            if divergence:
                 break
 
     summary = {

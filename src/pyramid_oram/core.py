@@ -22,7 +22,7 @@ without stream overlap.
 from __future__ import annotations
 
 import operator
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,27 +114,6 @@ def _non_negative(value, name: str) -> int:
     """as_int(value, name), refused unless non-negative."""
     _require(as_int(value, name) >= 0, f"{name} must be non-negative")
     return operator.index(value)
-
-
-def config_fields(cls, data, version: int) -> dict:
-    """The fields of a versioned config dict, for cls(**fields).
-
-    data must be an object whose "version" is the int `version` (a bool is
-    refused: True == 1) and whose other keys are fields of the dataclass
-    cls; a field with a default may be left out.  Anything else raises
-    InvalidParameterError.  The values themselves are checked by cls.
-    """
-    _require(isinstance(data, dict), "a config must be a JSON object")
-    got = data.get("version")
-    _require(type(got) is int and got == version,
-             f"unsupported config version {got!r}")
-    values = {key: value for key, value in data.items() if key != "version"}
-    unknown = sorted(values.keys() - {f.name for f in fields(cls)})
-    _require(not unknown, f"unknown config fields {unknown}")
-    missing = [f.name for f in fields(cls)
-               if f.default is MISSING and f.name not in values]
-    _require(not missing, f"missing config fields {missing}")
-    return values
 
 
 def real_key(key) -> int:
@@ -368,14 +347,14 @@ class Rng:
         # size is None)
         return self._gen.bit_generator.random_raw(size)
 
-    def bucket(self, n: int) -> int:
+    def bucket(self, n: int, size=None) -> int | np.ndarray:
+        """Uniform buckets in [0, n), n a power of two: an int when size is
+        None, else an int64 array of shape size."""
         _require(is_power_of_two(n), "random bucket range must be a power of two")
-        return self._gen.bit_generator.random_raw() & (n - 1)
-
-    def buckets(self, n: int, size) -> np.ndarray:
-        _require(is_power_of_two(n), "random bucket range must be a power of two")
+        draws = self._gen.bit_generator.random_raw(size)
+        if size is None:
+            return draws & (n - 1)
         # masked in place: the values are below n <= 2^63, so the int64 view
         # of the draw buffer is exact and no temporary is made
-        draws = self._gen.bit_generator.random_raw(size)
         draws &= np.uint64(n - 1)
         return draws.view(np.int64)

@@ -57,11 +57,13 @@ def sort_key(sort_class, tiebreak):
     return (sort_class << _CLASS_SHIFT) | (tiebreak >> _TIE_SHIFT)
 
 
-def sort_key_into(tiebreak: np.ndarray, class_word: np.ndarray) -> np.ndarray:
-    """sort_key(class, tiebreak) built in tiebreak's uint64 buffer, from
-    class_word = sort_key(class, 0); returns that buffer."""
+def sort_key_into(tiebreak: np.ndarray, klass: np.ndarray) -> np.ndarray:
+    """sort_key(klass, tiebreak) built in tiebreak's uint64 buffer; klass is
+    a uint64 scratch buffer of classes, owned by the caller and overwritten.
+    Returns tiebreak's buffer."""
+    klass <<= _CLASS_SHIFT
     tiebreak >>= _TIE_SHIFT
-    tiebreak |= class_word
+    tiebreak |= klass
     return tiebreak
 
 

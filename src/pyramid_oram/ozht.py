@@ -27,11 +27,12 @@ The bucket accesses this makes are counted exactly by build_access_count(),
 and their positions are fresh randomness or public hash evaluations, so the
 trace shape is a pure function of (m_total, n, k, c).
 
-A slot is real iff its key is not KEY_SENTINEL, so the reals to route and
-re-throw are read off the keys, and a routed real spilled iff it ends outside
-its destination bucket.  Within a build the only non-real writes into the
-level are the dummies that clear table j's spilled cells after its sweep,
-and every later claim goes to the tables after j.
+A slot is real iff its key is not KEY_SENTINEL, so the reals to route are
+read off the keys, and the reals to re-throw are those route() reports
+spilled: the reals it left outside their destination bucket.  Within a
+build the only non-real writes into the level are the dummies that clear
+table j's spilled cells after its sweep, and every later claim goes to the
+tables after j.
 
 On success every real slot sits in some table j at bucket h_j(key).  A build
 fails when an insert falls off the end of its path (throw_overflow) or the
@@ -145,11 +146,10 @@ def oblivious_build(elems: BuildInput, n: int, k: int, c: int,
         stats = route(tbl, dests, rng, recorder=recorder, region=z.regions[tj])
         stage_spills.append(stats.stage_spills)
 
-        resident = tbl.key != KEY_SENTINEL
-        spilled = resident & (dests != np.arange(n)[:, None])
+        spilled = stats.spilled
         spills_after.append(int(spilled.sum()))
         if debug_checks_enabled():
-            placed = resident & ~spilled
+            placed = (tbl.key != KEY_SENTINEL) & ~spilled
             placed_rows = np.nonzero(placed)[0]
             placed_keys = tbl.key[placed]
             want = fam.bucket_indices(level_id, tj, placed_keys, n)

@@ -8,15 +8,18 @@ retagged false (they stay wherever they land and are no longer routed).  After
 stage s every tagged slot agrees with its destination on the lowest s bits, so
 after all stages it sits exactly in its destination bucket.
 
-Tags are not stored: route() tags the real slots on entry and drops the tags
-on exit, losing nothing, since a slot ends tagged iff it started tagged and
-sits in its destination bucket (no stage after s moves a slot across bit s-1).
+route() tags the real slots on entry and reports, on its RouteStats, the
+real slots that end untagged as an (n, c) mask.  Those are exactly the reals
+outside their destination bucket: a slot retagged at stage s sits on the
+wrong side of bit s-1, and no later stage moves a slot across that bit.  The
+destinations are only read, by route(), route_reference() and route_census()
+alike, after one shared check.
 
 A repartition reads both buckets, sorts the 2c slots by (side-class, random
 tiebreak) into the order a fixed comparator network gives (computed by
 oprim.sort_network_perm), retags the misplaced, and writes both buckets back.
 The pair schedule is a function of n alone: (n/2)*log2(n) repartitions, pairs
-in ascending order of the lower index.
+in ascending order of the lower index, written once, by stage_pairs().
 
 One stage kernel, _run_stages(), runs the stages over a batch of tables at
 once: every pair of a stage, in every table of the batch, in one pass.  It
@@ -38,24 +41,26 @@ returns only the per-stage counts, the census behind the spill statistics;
 route() runs it on one table with slot ids, and after the last stage moves
 each cell's key once, to where its slot id ended up, and its payload row
 too if a real holds the cell or held it; the other rows stay unwritten.
+The sort key's layout is oprim's: the kernel hands it each word's class.
 
 repartition() and route_reference() are the slot-at-a-time oracle: a
-RoutingSlot is one cell's key, payload, destination and tag, read off and
-written back to the table's arrays.  They draw tiebreaks in the same
-row-major order as the kernel and sort the same keys, which oprim makes
-distinct by their wire index, so under one seed route() is bit-identical to
-route_reference(), colliding tiebreaks included; the suite asserts both.
+RoutingSlot is one cell's key, payload, destination and tag, read off the
+table's arrays on entry; keys and payloads are written back on exit.  They
+draw tiebreaks in the same row-major order as the kernel and sort the same
+keys, which oprim makes distinct by their wire index, so under one seed
+route() is bit-identical to route_reference(), colliding tiebreaks included,
+spilled masks too; the suite asserts both.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import KEY_SENTINEL, Rng, _require, debug_checks_enabled, is_power_of_two
-from .oprim import _CLASS_SHIFT, SortItem, batcher_sort, sort_key_into, sort_network_perm
+from .oprim import SortItem, batcher_sort, sort_key_into, sort_network_perm
 from .trace import TraceRecorder, table_region
 
 
@@ -71,11 +76,14 @@ class RoutingSlot:
 
 @dataclass
 class RouteStats:
-    """Per-route instrumentation: repartition count and per-stage spills."""
+    """Per-route instrumentation: repartition count and per-stage spills,
+    and spilled, the (n, c) mask of the real slots that end outside their
+    destination bucket."""
 
     repartitions: int
     stage_spills: list[int]
     stage_live: list[int]
+    spilled: np.ndarray = field(compare=False, repr=False)
 
     @property
     def total_spilled(self) -> int:
@@ -87,8 +95,9 @@ def stage_count(n: int) -> int:
     return n.bit_length() - 1
 
 
-def stage_pairs(n: int, stage: int) -> list[tuple[int, int]]:
-    """Bucket pairs of one stage, ascending by lower index.
+def stage_pairs(n: int, stage: int) -> np.ndarray:
+    """Bucket pairs of one stage, an (n/2, 2) array of (lower, upper) rows
+    ascending by lower index.
 
     Stage s (1-based) pairs indices differing exactly in bit s-1.
     """
@@ -96,7 +105,7 @@ def stage_pairs(n: int, stage: int) -> list[tuple[int, int]]:
     bit = stage - 1
     idx = np.arange(n)
     lows = idx[(idx >> bit) & 1 == 0]
-    return [(int(lo), int(lo | (1 << bit))) for lo in lows]
+    return np.column_stack([lows, lows | (1 << bit)])
 
 
 def repartition(bucket_a: list[RoutingSlot], bucket_b: list[RoutingSlot],
@@ -133,19 +142,19 @@ def repartition(bucket_a: list[RoutingSlot], bucket_b: list[RoutingSlot],
     return out[:c], out[c:], spills
 
 
-def _check_route(table, dests) -> tuple[int, int]:
-    """n, c of a table to route: (n, c) slots, n a power of two, c >= 1,
-    and dests an (n, c) int64 array of buckets in [0, n)."""
-    _require(len(table.shape) == 2, "a routed table is shaped (n, c)")
-    n, c = table.shape
+def _check_dests(dests, shape: tuple[int, ...]) -> tuple[int, int]:
+    """n, c of slots shaped (..., n, c), n a power of two and c >= 1, whose
+    destinations dests are a numpy integer array of that shape in [0, n)."""
+    *_, n, c = shape
     _require(is_power_of_two(n), "bucket count n must be a power of two")
     _require(c >= 1, "bucket capacity c must be at least 1")
-    # a converted copy would be permuted instead, unseen by the caller
-    _require(isinstance(dests, np.ndarray) and dests.dtype == np.int64,
-             "dests must be an int64 array: it is permuted in place")
-    _require(dests.shape == table.shape, "dests must be shaped like the table")
-    # n is a power of two: d & -n is nonzero iff d lies outside [0, n)
-    _require(not (dests & -n).any(), f"destinations must lie in [0, {n})")
+    # a float would be truncated on the way in
+    _require(isinstance(dests, np.ndarray) and np.issubdtype(dests.dtype, np.integer),
+             "destinations must be numpy arrays of integers")
+    _require(dests.shape == shape, "destinations must be shaped like the slots")
+    # two reductions, and no temporary the size of dests
+    _require(not dests.size or (dests.min() >= 0 and dests.max() < n),
+             f"destinations must lie in [0, {n})")
     return n, c
 
 
@@ -167,11 +176,6 @@ def _pack(tag: np.ndarray, dest: np.ndarray, slot: np.ndarray | None) -> np.ndar
     return word
 
 
-def _unpack_dest(word: np.ndarray, n: int) -> np.ndarray:
-    """The destination field of _pack's words for n buckets."""
-    return (word >> 1) & (n - 1)
-
-
 def _unpack_slot(word: np.ndarray, n: int) -> np.ndarray:
     """The slot-id field of _pack's words for n buckets."""
     return word >> (1 + (n - 1).bit_length())
@@ -180,7 +184,8 @@ def _unpack_slot(word: np.ndarray, n: int) -> np.ndarray:
 def _stage_key(word: np.ndarray, bit: int, rng: Rng, klass: np.ndarray,
                mask: np.ndarray, class_word: np.ndarray) -> np.ndarray:
     """Stage `bit`'s sort key of each word, sort_key(class, fresh tiebreak),
-    in the tiebreaks' buffer; the other arrays are scratch of word's shape."""
+    in the tiebreaks' buffer; the other arrays are scratch of word's shape,
+    class_word the uint64 one that sort_key_into takes the classes in."""
     # class (destination bit, 1) & (tag, untagged): 2 or 0 tagged, 1 untagged
     np.right_shift(word, bit, out=klass)
     klass |= 1
@@ -188,7 +193,6 @@ def _stage_key(word: np.ndarray, bit: int, rng: Rng, klass: np.ndarray,
     mask += 1
     klass &= mask
     np.copyto(class_word, klass)
-    class_word <<= _CLASS_SHIFT
     return sort_key_into(rng.bits64(word.shape), class_word)
 
 
@@ -310,17 +314,10 @@ def route_census(tag: np.ndarray, dest: np.ndarray, rng: Rng,
     Returns (spills, live), each (batch, stages) int64: the tags cleared at
     each stage and those entering it; an empty batch gives (0, stages).
     """
-    _require(isinstance(tag, np.ndarray) and isinstance(dest, np.ndarray),
-             "tag and dest must be numpy arrays")
+    _require(isinstance(tag, np.ndarray) and tag.dtype == np.bool_,
+             "tags must be boolean numpy arrays")
     _require(tag.ndim == 3, "tag must be shaped (batch, n, c)")
-    _require(dest.shape == tag.shape, "tag and dest shapes must match")
-    _require(tag.dtype == np.bool_, "tag must be boolean")
-    _, n, c = tag.shape
-    _require(c >= 1, "bucket capacity c must be at least 1")
-    # a float would be truncated on the way in
-    _require(np.issubdtype(dest.dtype, np.integer), "dest must hold integers")
-    _require(not dest.size or (dest.min() >= 0 and dest.max() < n),
-             f"destinations must lie in [0, {n})")
+    _check_dests(dest, tag.shape)
     _, spills, live = _run_stages(_pack(tag, dest, None), rng)
     return spills, live
 
@@ -330,19 +327,20 @@ def route(table, dests: np.ndarray, rng: Rng,
           region: int | None = None) -> RouteStats:
     """Route every real slot of the (n, c) SlotArray `table`, in place.
 
-    `dests` is an (n, c) int64 destination array that travels with the slots
-    (it is permuted in place alongside them).  Consumes one 64-bit tiebreak
-    per slot per stage, in pair order, regardless of contents.  The stage
-    kernel (the one route_census runs) moves only tags, destinations and
-    slot ids; then every key, and each real's payload row, moves once to
-    where its slot id ended up, through the table itself (a view such as
-    Zht.tables[j] routes in place).  Every dummy's payload row must be zero,
-    as the store writes it (refused otherwise under debug checks): a cell
-    that gets a dummy is written only where a real left, with that zero row.
-    The tags are dropped unread: a real slot spilled iff it ends outside its
-    destination bucket.
+    `dests` is an (n, c) integer array, each cell's destination bucket; it
+    is checked and only read.  Consumes one 64-bit tiebreak per slot per
+    stage, in pair order, regardless of contents.  The stage kernel (the one
+    route_census runs) moves only tags, destinations and slot ids; then
+    every key, and each real's payload row, moves once to where its slot id
+    ended up, through the table itself (a view such as Zht.tables[j] routes
+    in place).  Every dummy's payload row must be zero, as the store writes
+    it (refused otherwise under debug checks): a cell that gets a dummy is
+    written only where a real left, with that zero row.  The returned
+    stats' spilled mask is the real slots that end untagged, which are the
+    reals that end outside their destination bucket.
     """
-    n, c = _check_route(table, dests)
+    _require(len(table.shape) == 2, "a routed table is shaped (n, c)")
+    n, c = _check_dests(dests, table.shape)
     if region is None:
         region = table_region(0, 0)
     real = table.key != KEY_SENTINEL
@@ -351,58 +349,53 @@ def route(table, dests: np.ndarray, rng: Rng,
     # tagged: the real slots; slot ids: each cell's flat index
     word, spills, live = _run_stages(_pack(
         real[None], dests[None], np.arange(n * c).reshape(1, n, c)), rng)
-    dests[...] = _unpack_dest(word[0], n)
     src = _unpack_slot(word[0], n)
     table.key[...] = table.key.reshape(-1).take(src)
+    now_real = table.key != KEY_SENTINEL
     # the cells that hold a real or held one: where a real left, the dummy
     # that came brings its zero row
-    moved = real | (table.key != KEY_SENTINEL)
+    moved = real | now_real
     table.payload[moved] = table.payload.reshape(n * c, -1).take(src[moved], axis=0)
     if recorder is not None and recorder.enabled:
-        idx = np.arange(n)
-        for bit in range(spills.shape[1]):
-            lows = idx[(idx >> bit) & 1 == 0]
-            recorder.record(region, np.column_stack([lows, lows | (1 << bit)]))
+        for stage in range(1, spills.shape[1] + 1):
+            recorder.record(region, stage_pairs(n, stage))
     return RouteStats((n // 2) * spills.shape[1], spills[0].tolist(),
-                      live[0].tolist())
+                      live[0].tolist(), now_real & (word[0] & 1 == 0))
 
 
 def route_reference(table, dests: np.ndarray, rng: Rng,
                     recorder: TraceRecorder | None = None,
                     region: int | None = None) -> RouteStats:
-    """Slot-at-a-time route; bit-identical to route() under the same seed."""
-    n, c = _check_route(table, dests)
+    """Slot-at-a-time route; bit-identical to route() under the same seed.
+
+    Each bucket is a list of RoutingSlots from the table's read on entry to
+    the write-back of its keys and payloads on exit; dests is only read.
+    """
+    _require(len(table.shape) == 2, "a routed table is shaped (n, c)")
+    n, c = _check_dests(dests, table.shape)
     if region is None:
         region = table_region(0, 0)
-    tags = table.key != KEY_SENTINEL
+    buckets = [[RoutingSlot(key, row.tobytes(), dest, key != KEY_SENTINEL)
+                for key, row, dest in zip(keys, rows, targets)]
+               for keys, rows, targets in zip(table.key.tolist(), table.payload,
+                                              dests.tolist())]
     stage_spills: list[int] = []
     stage_live: list[int] = []
     repartitions = 0
     for stage in range(1, stage_count(n) + 1):
-        stage_live.append(int(tags.sum()))
-        spilled = 0
+        stage_live.append(sum(rs.tag for bucket in buckets for rs in bucket))
+        stage_spills.append(0)
         for lo, hi in stage_pairs(n, stage):
-            bucket_a, bucket_b = (
-                [RoutingSlot(int(table.key[b, s]), table.payload[b, s].tobytes(),
-                             int(dests[b, s]), bool(tags[b, s]))
-                 for s in range(c)]
-                for b in (lo, hi)
-            )
-            new_a, new_b, spills = repartition(bucket_a, bucket_b, stage, rng)
-            for s in range(c):
-                _write_routing_slot(table, dests, tags, lo, s, new_a[s])
-                _write_routing_slot(table, dests, tags, hi, s, new_b[s])
-            spilled += spills
+            buckets[lo], buckets[hi], spills = repartition(buckets[lo], buckets[hi],
+                                                           stage, rng)
+            stage_spills[-1] += spills
             repartitions += 1
             if recorder is not None:
                 recorder.record(region, [lo, hi])
-        stage_spills.append(spilled)
-    return RouteStats(repartitions, stage_spills, stage_live)
-
-
-def _write_routing_slot(table, dests, tags, b: int, s: int,
-                        rs: RoutingSlot) -> None:
-    table.key[b, s] = rs.key
-    table.payload[b, s] = np.frombuffer(rs.payload, dtype=np.uint8)
-    dests[b, s] = rs.dest
-    tags[b, s] = rs.tag
+    for b, bucket in enumerate(buckets):
+        table.key[b] = [rs.key for rs in bucket]
+        table.payload[b] = [np.frombuffer(rs.payload, dtype=np.uint8) for rs in bucket]
+    spilled = [[rs.key != KEY_SENTINEL and not rs.tag for rs in bucket]
+               for bucket in buckets]
+    return RouteStats(repartitions, stage_spills, stage_live,
+                      np.array(spilled, dtype=bool).reshape(n, c))

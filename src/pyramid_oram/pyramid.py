@@ -19,7 +19,8 @@ one take of its k path buckets' keys and payload rows, one compare, and
 nonzero() for the hit's (table, slot).  The log, like every level, holds
 slots that are real iff their key is not KEY_SENTINEL, so the log scan too
 compares keys only and takes a hit's slot from nonzero().  An access reads
-the debug flag, the recorder and the RNG once, before its level loop.
+the recorder and the RNG once, before its level loop; the debug flag is
+read there too, and again by the log scan and by every real search.
 
 Every p accesses the log (plus every level smaller than the target) is rebuilt
 into the level addressed by the trailing-zero count of t/p, and every N

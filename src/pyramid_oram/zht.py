@@ -74,7 +74,7 @@ def draw_paths(rng: Rng, n: int, rows: int, keep: np.ndarray, regions,
     out = np.empty((keep.size, len(regions)), np.int64)
     lo = 0
     for r0 in range(0, rows, _BLOCK_ROWS):
-        block = rng.buckets(n, (min(_BLOCK_ROWS, rows - r0), len(regions)))
+        block = rng.bucket(n, (min(_BLOCK_ROWS, rows - r0), len(regions)))
         hi = keep.searchsorted(r0 + len(block))
         out[lo:hi] = block[keep[lo:hi] - r0]
         if recorder is not None:
@@ -286,7 +286,7 @@ class Zht:
     def dummy_search(self, rng: Rng, recorder: TraceRecorder | None = None) -> None:
         """Shape-identical to search: one uniformly random bucket per table."""
         # read-modify-write of unchanged contents
-        buckets = [rng.bucket(self.n) for _ in range(self.k)]
+        buckets = rng.bucket(self.n, self.k)
         if recorder is not None:
             recorder.record(self.regions, [buckets])
 

@@ -208,7 +208,7 @@ def test_rng_draws_are_the_full_range_integer_stream():
                                                 size=shape))
     assert rng.bits64() == int(ref.integers(0, 1 << 64, dtype=np.uint64))
     want = ref.integers(0, 1 << 64, dtype=np.uint64, size=(100, 3)) & np.uint64(63)
-    got = rng.buckets(64, (100, 3))
+    got = rng.bucket(64, (100, 3))
     assert got.dtype == np.int64 and np.array_equal(got, want.astype(np.int64))
     assert got.flags.writeable
 
@@ -314,13 +314,23 @@ def test_rng_substreams_differ():
 
 def test_rng_bucket_draws():
     rng = Rng(3)
-    draws = rng.buckets(32, 5000)
+    draws = rng.bucket(32, 5000)
     assert draws.min() >= 0 and draws.max() < 32
     counts = np.bincount(draws, minlength=32)
     assert chi_square_uniform(counts, significance=ALPHA).passed
     with pytest.raises(InvalidParameterError):
         rng.bucket(33)
     assert 0 <= rng.bucket(8) < 8
+
+
+def test_rng_bucket_scalar_draws_match_one_array_draw():
+    # one 64-bit word per bucket either way: four scalar draws give the
+    # array draw's values, pinned, and leave the stream where it leaves it
+    scalar, array = Rng(5, (0,)), Rng(5, (0,))
+    draws = [scalar.bucket(1024) for _ in range(4)]
+    assert all(type(d) is int for d in draws)
+    assert draws == array.bucket(1024, 4).tolist() == [424, 501, 448, 118]
+    assert scalar.bits64() == array.bits64()
 
 
 def test_rng_matrix_draw_matches_sequential_rows():

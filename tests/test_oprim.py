@@ -58,10 +58,9 @@ def test_sort_key_array_matches_scalar():
     vec = sort_key(cls, tie)
     for i in range(4):
         assert int(vec[i]) == sort_key(int(cls[i]), int(tie[i]))
-    # the in-place form, from each class's word sort_key(class, 0)
-    words = np.array([sort_key(int(k), 0) for k in cls], dtype=np.uint64)
+    # the in-place form, from the classes in a scratch buffer
     buf = tie.copy()
-    assert sort_key_into(buf, words) is buf
+    assert sort_key_into(buf, cls.copy()) is buf
     assert np.array_equal(buf, vec)
 
 

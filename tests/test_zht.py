@@ -318,7 +318,7 @@ def test_first_fit_matches_scalar_reference(log_n, k, c, seed, data):
         elems.payload[real] = np.frombuffer(b"".join(rest_pays[:load]), np.uint8
                                             ).reshape(load, PAYLOAD)
         unplaced = z.throw(BuildInput.gather([elems]), Rng(seed, (1,)))
-        paths = Rng(seed, (1,)).buckets(n, (load + 3, k))
+        paths = Rng(seed, (1,)).bucket(n, (load + 3, k))
         real = np.sort(real)
         want = _first_fit_reference(ref, elems.key[real].tolist(),
                                     [elems.payload[r].tobytes() for r in real],

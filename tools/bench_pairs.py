@@ -51,38 +51,39 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
+def _wins(name: str, parent: dict, change: dict) -> int:
+    """The seeds in which the change did better than the parent on metric
+    `name`, given each side's {"values": ...} in seed order: lower is better
+    for LOWER_IS_BETTER, higher otherwise."""
+    return sum((c < p) if name in LOWER_IS_BETTER else (c > p)
+               for p, c in zip(parent["values"], change["values"]))
+
+
 def change_better(parent: dict, change: dict) -> dict:
     """Per workload and metric of two sides' summaries (workload -> metric
     -> {"values": ...}), the seeds in which the change did better than the
-    parent, as "k/N": lower is better for LOWER_IS_BETTER, higher otherwise."""
-    better = {}
-    for workload, metrics in parent.items():
-        better[workload] = {}
-        for name, side in metrics.items():
-            pairs = list(zip(side["values"], change[workload][name]["values"]))
-            wins = sum((c < p) if name in LOWER_IS_BETTER else (c > p)
-                       for p, c in pairs)
-            better[workload][name] = f"{wins}/{len(pairs)}"
-    return better
+    parent (_wins), as "k/N"."""
+    return {workload: {name: f"{_wins(name, side, change[workload][name])}/"
+                             f"{len(side['values'])}"
+                       for name, side in metrics.items()}
+            for workload, metrics in parent.items()}
 
 
 def verdicts(parent: dict, change: dict, bounds: dict) -> dict:
     """Per workload and metric of two sides' summaries (workload -> metric ->
     summarise()'s dict), the verdict on the change: "gain" when it did
-    better in at least 9 of every 10 seeds and its median is better by more
-    than the parent's quartile distance, "worse" when its median is worse
-    than the parent's by more than the metric's relative bound in `bounds`
-    (metric -> bound), "unresolved" otherwise."""
+    better (_wins) in at least 9 of every 10 seeds and its median is better
+    by more than the parent's quartile distance, "worse" when its median is
+    worse than the parent's by more than the metric's relative bound in
+    `bounds` (metric -> bound), "unresolved" otherwise."""
     out = {}
     for workload, metrics in parent.items():
         out[workload] = {}
         for name, side in metrics.items():
             other = change[workload][name]
             sign = -1 if name in LOWER_IS_BETTER else 1
-            wins = sum(sign * (c - p) > 0
-                       for p, c in zip(side["values"], other["values"]))
             gap = sign * (other["median"] - side["median"])
-            if 10 * wins >= 9 * len(side["values"]) and \
+            if 10 * _wins(name, side, other) >= 9 * len(side["values"]) and \
                     gap > side["spread"] * side["median"]:
                 out[workload][name] = "gain"
             elif -gap > bounds[name] * side["median"]:
