@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import InvalidParameterError, is_power_of_two
+from .core import _require, as_int, is_power_of_two
 
 # Sort key layout: class in the top 2 bits, tiebreak below, and the sorts put
 # the wire index in the low w = ceil(log2 m) bits.  Tiebreaks are 64-bit
@@ -67,20 +67,18 @@ def sort_key_into(tiebreak: np.ndarray, klass: np.ndarray) -> np.ndarray:
     return tiebreak
 
 
-# Key of the entries that pad a sort to a power-of-two width.  They are
-# dropped after sorting, which leaves the real entries in sorted order
-# wherever the pads landed.
-PAD_KEY = sort_key(1, 1 << 63)
-
-
 @functools.cache
 def comparator_schedule(m: int) -> tuple[tuple[int, int], ...]:
     """Compare-exchange pairs of the odd-even mergesort network for size m.
 
-    m must be a power of two; the schedule depends only on m.
+    For any m >= 1: the network on the next power of two, keeping only the
+    pairs whose wires are both below m.  Wires from m on would hold +inf,
+    and a pair touching one never exchanges, so the kept pairs sort m
+    wires.  The schedule depends only on m.
     """
-    if not is_power_of_two(m):
-        raise InvalidParameterError("comparator schedule is defined for powers of two")
+    m = as_int(m, "m")
+    _require(m >= 1, "comparator schedule needs a width m >= 1")
+    top = 1 << (m - 1).bit_length()
 
     def merge(lo: int, hi: int, r: int):
         step = r * 2
@@ -98,32 +96,30 @@ def comparator_schedule(m: int) -> tuple[tuple[int, int], ...]:
             yield from sort(mid + 1, hi)
             yield from merge(lo, hi, 1)
 
-    return tuple(sort(0, m - 1)) if m > 1 else ()
+    return tuple((i, j) for i, j in sort(0, top - 1) if j < m)
 
 
 def batcher_sort(items: list[SortItem],
                  on_exchange: Callable[[int, int, bool], None] | None = None) -> None:
     """Sort items in place by (sort_class, tiebreak) with a fixed comparator net.
 
-    Keys are made distinct as in sort_network_perm: padded with PAD_KEY to a
-    power of two m, each key's low log2(m) bits become its wire index, and
-    items are picked back out by the low bits of the sorted keys, padding
-    dropped.  on_exchange, unless None, is called for every compare-exchange
-    with (i, j, swapped) in schedule order.
+    Keys are made distinct as in sort_network_perm: each key's low
+    ceil(log2 n) bits become its wire index, and items are picked back out
+    by the low bits of the sorted keys.  on_exchange, unless None, is called
+    for every compare-exchange with (i, j, swapped) in schedule order.
     """
     n = len(items)
     if n <= 1:
         return
     m = 1 << (n - 1).bit_length()
-    keys = [sort_key(it.sort_class, it.tiebreak) for it in items]
-    keys += [PAD_KEY] * (m - n)
-    keys = [(key & -m) | wire for wire, key in enumerate(keys)]
-    for i, j in comparator_schedule(m):
+    keys = [(sort_key(it.sort_class, it.tiebreak) & -m) | wire
+            for wire, it in enumerate(items)]
+    for i, j in comparator_schedule(n):
         flag = keys[i] > keys[j]
         cond_swap(flag, keys, i, j)
         if on_exchange is not None:
             on_exchange(i, j, bool(flag))
-    items[:] = [items[key & (m - 1)] for key in keys if key & (m - 1) < n]
+    items[:] = [items[key & (m - 1)] for key in keys]
 
 
 # the narrowest power of two that sort_network_perm sorts rather than run the
@@ -151,10 +147,10 @@ def sort_network_perm(skey: np.ndarray, wire: np.ndarray | None = None,
     Each writes one output over an input and one to a spare column buffer,
     each to its own column's where it can: m = 2 copies one back, m = 4 none.
     At every other width each row's m distinct words are sorted instead,
-    which has the outcome the network on the row padded to a power of two
-    would have; its running time may depend on the keys, but each row's sort
-    touches only that row's private words, so no bucket access and no trace
-    event depends on them.  The choice depends on m alone, which is public.
+    which has the outcome comparator_schedule(m) would have; its running
+    time may depend on the keys, but each row's sort touches only that
+    row's private words, so no bucket access and no trace event depends on
+    them.  The choice depends on m alone, which is public.
     """
     m = skey.shape[1]
     low = np.uint64((1 << (m - 1).bit_length()) - 1)

@@ -12,7 +12,9 @@ keys and payloads), and m_total alone, dummies included, sets its shape:
      buckets through the repartition network, then (except after the last
      table) sweep all n*c slots once, re-throwing into tables j+1..k-1.  Slots
      the network spilled really move; every other slot fakes identical
-     accesses at fresh random buckets.
+     accesses at fresh random buckets.  The spilled reals go in one
+     Zht.zigzag_insert batch, first-fit in cell order, which stops at the
+     first that falls off; a sweep that spilled nothing inserts nothing.
 
 Both path matrices, the throw's and each sweep's, are drawn and recorded in
 fixed blocks of rows (zht.draw_paths, the one place a build records its
@@ -163,16 +165,16 @@ def oblivious_build(elems: BuildInput, n: int, k: int, c: int,
             break
 
         # re-throw sweep: one access per later table for all n*c slots
-        # every block is drawn before the first insert, so a failed sweep
-        # leaves the stream where a retry expects it
+        # every block is drawn before the insert, so a failed sweep leaves
+        # the stream where a retry expects it; a sweep with nothing spilled
+        # inserts nothing
         cells = np.flatnonzero(spilled.reshape(-1))
         paths = draw_paths(rng, n, n * c, cells, z.regions[tj + 1:], recorder)
-        flat_key = tbl.key.reshape(-1)
-        flat_pay = tbl.payload.reshape(-1, z.payload_size)
-        for cell, path in zip(cells, paths):
-            if not z.zigzag_insert(flat_key[cell], flat_pay[cell], path,
-                                   first_table=tj + 1):
-                return finish(FAILURE_THROW, 1)
+        if cells.size and not z.zigzag_insert(
+                tbl.key.reshape(-1)[cells],
+                tbl.payload.reshape(-1, z.payload_size)[cells], paths,
+                first_table=tj + 1):
+            return finish(FAILURE_THROW, 1)
         tbl.clear_to_dummy(spilled)
 
     if debug_checks_enabled():

@@ -51,6 +51,7 @@ import numpy as np
 from .core import (
     DEFAULT_PAYLOAD_SIZE,
     KEY_SENTINEL,
+    MAX_REAL_KEY,
     BuildFailedError,
     CapacityExceededError,
     HashFamily,
@@ -356,12 +357,9 @@ class PyramidOram:
                  "bulk_load requires a fresh store")
         if not items:
             return None
-        size = self.config.payload_size
-        keys = [real_key(key) for key, _ in items]
-        payloads = [payload_bytes(payload, size) for _, payload in items]
-        elems = BuildInput(
-            self.config.capacity, np.arange(len(keys)), np.array(keys, np.uint32),
-            np.frombuffer(b"".join(payloads), np.uint8).reshape(-1, size))
+        keys, payload = _load_items(items, self.config.payload_size)
+        elems = BuildInput(self.config.capacity, np.arange(len(keys)), keys,
+                           payload)
         report = self._build_level(self.config.num_levels, elems)
         self.real_count = len(items)
         return report
@@ -510,6 +508,38 @@ class PyramidOram:
             # part-way through, so the store refuses further use
             self.broken_by = exc
             raise
+
+
+def _load_items(items: list, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The keys and payload rows of (key, payload) pairs, checked in one pass.
+
+    Checked as whole columns: int or numpy integer keys (not bool) in
+    [0, MAX_REAL_KEY], and bytes, bytearray or 1-D uint8 payloads of `size`
+    bytes.  real_key and payload_bytes run only once a check has failed, to
+    name the item at fault; a key neither refuses is some other type with
+    __index__, which a load refuses too.
+    """
+    keys = [key for key, _ in items]
+    payloads = [payload for _, payload in items]
+    key_types, payload_types = set(map(type, keys)), set(map(type, payloads))
+    arrays = [p for p in payloads if isinstance(p, np.ndarray)] if any(
+        issubclass(t, np.ndarray) for t in payload_types) else []
+    if not (all(t is not bool and issubclass(t, (int, np.integer))
+                for t in key_types)
+            and 0 <= min(keys) and max(keys) <= MAX_REAL_KEY
+            and all(issubclass(t, (bytes, bytearray, np.ndarray))
+                    for t in payload_types)
+            and all(p.dtype == np.uint8 and p.ndim == 1 for p in arrays)
+            and set(map(len, payloads)) == {size}):
+        for key in keys:
+            real_key(key)
+        for value in payloads:
+            payload_bytes(value, size)
+        raise InvalidParameterError("keys must be ints or numpy integers")
+    # bytes() copies a strided uint8 row too, which join would refuse
+    data = b"".join(map(bytes, payloads) if arrays else payloads)
+    return (np.array(keys, np.uint32),
+            np.frombuffer(data, np.uint8).reshape(-1, size))
 
 
 def _retired(level: Zht) -> SlotArray:

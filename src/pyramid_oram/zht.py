@@ -22,15 +22,20 @@ the (k, c) key match gives the hit's (table, slot), and the hit's payload is
 that row of the gathered copy.  A removal writes the sentinel into that one
 slot, which frees it.
 
-Placement is one kernel, _first_fit, for a batch throw and a single insert
+Placement is one kernel, _first_fit, for the throw and for zigzag_insert
 alike.  It walks the tables in order; at table j it ranks every element still
 unplaced among the earlier arrivals at the same bucket, and the element of
 rank r lands iff r is below the bucket's count of free (sentinel-keyed)
 slots, in the r-th free slot in slot order.  That is sequential first-fit
 exactly, because an element's outcome at table j depends only on the
-bucket's contents and on the earlier elements that arrived at it.  Any
-non-real slot is free, a removed real's included.  The kernel reads the
-store on every call, so no other code keeps it up to date.
+bucket's contents and on the earlier elements that arrived at it.  So every
+slot is worked out before any is written, and a caller can keep a prefix:
+the throw stores every element that fits and counts the rest, while
+zigzag_insert, one real or a batch (a build's whole re-throw sweep), stores
+the elements before the first that falls off, as inserting them one at a
+time until one fails would.  Any non-real slot is free, a removed real's
+included.  The kernel reads the store on every call, so no other code keeps
+it up to date.
 """
 
 from __future__ import annotations
@@ -179,17 +184,21 @@ class Zht:
     # -- insertion -----------------------------------------------------------
 
     def _first_fit(self, keys: np.ndarray, payload: np.ndarray,
-                   paths: np.ndarray, first_table: int) -> np.ndarray:
+                   paths: np.ndarray, first_table: int,
+                   stop_at_miss: bool = False) -> np.ndarray:
         """Place reals first-fit along their paths, one rank pass per table.
 
         keys (m,), payload (m, payload_size) and paths (m, k - first_table)
         describe m reals in input order; paths[:, i] is the bucket in table
-        first_table + i.  Returns the table each real landed in, -1 where it
-        fell off the end.  Equal to inserting them one at a time.
+        first_table + i.  Every slot is worked out before any is written;
+        then all the reals that fit are stored, or with stop_at_miss only
+        those before the first that falls off.  Returns the table each real
+        landed in, -1 where it was not stored.
         """
         st = self.store
         landed = np.full(keys.size, -1, dtype=np.int64)
         todo = np.arange(keys.size)
+        placed = []
         for off in range(paths.shape[1]):
             if todo.size == 0:
                 break
@@ -201,35 +210,57 @@ class Zht:
             fits = rank < free[:, -1]
             # the rank-th free slot is where the count first exceeds rank
             s = (free > rank[:, None]).argmax(axis=1)[fits]
-            b, rows = b[fits], todo[fits]
+            placed.append((j, b[fits], s, todo[fits]))
+            todo = todo[~fits]
+        stop = todo[0] if stop_at_miss and todo.size else keys.size
+        for j, b, s, rows in placed:
+            if stop < keys.size:
+                keep = rows < stop
+                b, s, rows = b[keep], s[keep], rows[keep]
             st.key[j, b, s] = keys[rows]
             st.payload[j, b, s] = payload[rows]
             landed[rows] = j
-            todo = todo[~fits]
         return landed
 
-    def zigzag_insert(self, key: int, payload, path, first_table: int = 0) -> bool:
-        """Insert a real key at the first bucket along `path` with a free slot.
+    def zigzag_insert(self, key, payload, path, first_table: int = 0) -> bool:
+        """Insert reals, in order, at the first bucket along each path with
+        a free slot, stopping at the first that falls off the end.
 
-        payload is payload_size bytes, or a uint8 row of them.  All buckets
-        on the path are read and written back regardless of where (or
-        whether) the element lands; the caller records the path (a build's
-        sweep does so through draw_paths).  `first_table` restricts the walk
-        to tables first_table..k-1; `path` then covers exactly those tables.
+        One real is a key, payload_size bytes (or a uint8 row of them) and
+        a path; a batch is a 1-D uint32 key array, an (m, payload_size)
+        uint8 array and an (m, k - first_table) integer path array.  The
+        batch is inserted one real at a time: the first real that falls off
+        is not stored, nor is any after it.  True iff every real was
+        placed.  `first_table` restricts the walks to tables
+        first_table..k-1, which the paths cover exactly.  All buckets on
+        every path are read and written back regardless of where (or
+        whether) a real lands; the caller records the paths (a build's
+        sweep does so through draw_paths).  A bad key, row or path is
+        refused before anything is stored.
         """
-        key = real_key(key)
         _require(0 <= first_table < self.k, "first_table out of range")
-        _require(len(path) == self.k - first_table,
+        if isinstance(key, np.ndarray):
+            keys, rows, paths = key, payload, np.asarray(path)
+            _require(keys.dtype == np.uint32 and keys.ndim == 1,
+                     "a batch's keys must be a 1-D uint32 array")
+            _require(not (keys == KEY_SENTINEL).any(), "key out of range")
+            _require(isinstance(rows, np.ndarray) and rows.dtype == np.uint8
+                     and rows.shape == (keys.size, self.payload_size),
+                     f"a batch's payload must be uint8 rows of "
+                     f"{self.payload_size} bytes, one per key")
+        else:
+            keys = np.array([real_key(key)], dtype=np.uint32)
+            rows = np.frombuffer(payload_bytes(payload, self.payload_size),
+                                 np.uint8)[None]
+            paths = np.asarray(path)[None]
+        _require(paths.shape == (keys.size, self.k - first_table),
                  "path length must cover the remaining tables")
-        payload = np.frombuffer(payload_bytes(payload, self.payload_size), np.uint8)
-        path = np.asarray(path)
         # a float or bool path would be truncated to buckets it does not name
-        _require(np.issubdtype(path.dtype, np.integer), "path must hold integers")
-        path = path.astype(np.int64, copy=False)[None, :]
-        _require(((path >= 0) & (path < self.n)).all(), "path bucket out of range")
-        landed = self._first_fit(np.array([key], dtype=np.uint32), payload[None],
-                                 path, first_table)
-        return bool(landed[0] >= 0)
+        _require(np.issubdtype(paths.dtype, np.integer), "path must hold integers")
+        paths = paths.astype(np.int64, copy=False)
+        _require(((paths >= 0) & (paths < self.n)).all(), "path bucket out of range")
+        landed = self._first_fit(keys, rows, paths, first_table, stop_at_miss=True)
+        return bool((landed >= 0).all())
 
     def throw(self, elems: BuildInput, rng: Rng,
               recorder: TraceRecorder | None = None) -> int:

@@ -74,7 +74,19 @@ def test_comparator_counts_match_recurrence():
 def test_comparator_schedule_is_fixed():
     assert comparator_schedule(8) is comparator_schedule(8)
     with pytest.raises(InvalidParameterError):
-        comparator_schedule(6)
+        comparator_schedule(0)
+
+
+def test_comparator_schedule_sorts_every_zero_one_input():
+    # by the 0-1 principle a comparator network sorts every input iff it
+    # sorts every 0-1 input; all 2^m of them run at once, one row each
+    for m in range(1, 17):
+        bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+        for i, j in comparator_schedule(m):
+            assert 0 <= i < j < m
+            bits[:, i], bits[:, j] = (np.minimum(bits[:, i], bits[:, j]),
+                                      np.maximum(bits[:, i], bits[:, j]))
+        assert (np.diff(bits, axis=1) >= 0).all(), f"m={m} left a row unsorted"
 
 
 # the packed key drops tiebreak bits 0..1 and the sorts overwrite the next

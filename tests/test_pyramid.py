@@ -510,8 +510,13 @@ def test_bulk_load_validation():
     (4.9, val(5)),                      # a float is not truncated into a key
     (5, 8),                             # bytes(8) would be eight zero bytes
     (5, "abcdefgh"),                    # a str is not a payload
+    (True, val(5)),                     # a bool would alias key 1
+    (1 << 64, val(5)),                  # too wide for any integer array
+    (5, np.frombuffer(val(5), np.uint8).reshape(-1, 1)),  # not a row
+    (5, np.frombuffer(val(5), np.int16)),  # not bytes, whatever its width
 ], ids=["payload-short", "payload-long", "key-negative", "key-sentinel",
-        "key-str", "key-float", "payload-int", "payload-str"])
+        "key-str", "key-float", "payload-int", "payload-str", "key-true",
+        "key-2^64", "payload-2d", "payload-int16"])
 def test_bulk_load_refusal_leaves_the_store_fresh(bad):
     oram = PyramidOram(SMALL)
     items = [(key, val(key)) for key in range(10)]
@@ -521,6 +526,22 @@ def test_bulk_load_refusal_leaves_the_store_fresh(bad):
     assert oram.stored_items() == {}
     report = oram.bulk_load(items)
     assert report.success and oram.stored_items() == dict(items)
+
+
+@pytest.mark.parametrize("good", [
+    (np.uint32(10), val(10)),
+    (10, bytearray(val(10))),
+    (10, np.frombuffer(val(10), np.uint8)),
+    (10, np.frombuffer(val(10) * 2, np.uint8)[::2]),  # a strided row
+], ids=["key-uint32", "payload-bytearray", "payload-uint8-row",
+        "payload-strided-row"])
+def test_bulk_load_accepts_what_a_write_accepts(good):
+    items = [(key, val(key)) for key in range(10)]
+    oram = PyramidOram(SMALL)
+    report = oram.bulk_load(items + [good])
+    key, payload = good
+    assert report.success
+    assert oram.stored_items() == {**dict(items), int(key): bytes(payload)}
 
 
 def test_bulk_load_then_full_cycle(debug_checks):

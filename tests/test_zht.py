@@ -334,6 +334,55 @@ def test_first_fit_matches_scalar_reference(log_n, k, c, seed, data):
     assert _store_bytes(z) == _store_bytes(ref)
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from([1, 2, 4]), k=st.integers(1, 3), c=st.integers(1, 2),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_batched_insert_is_one_at_a_time_until_the_first_miss(n, k, c, seed,
+                                                              data):
+    gen = np.random.Generator(np.random.PCG64(seed))
+    first = data.draw(st.integers(0, k - 1), label="first table")
+    # long enough to fall off: more reals than the tables walked can hold
+    m = data.draw(st.integers(0, (k - first) * n * c + 2), label="batch")
+    keys = gen.permutation(1 << 16)[: k * n * c + m].astype(np.uint32)
+    rows = gen.integers(0, 256, (keys.size, PAYLOAD), dtype=np.uint8)
+    # the same random residents in both stores
+    batch, ref = make_zht(n=n, k=k, c=c, seed=seed), make_zht(n=n, k=k, c=c, seed=seed)
+    full = gen.random(k * n * c) < data.draw(st.floats(0, 1), label="fill")
+    for z in (batch, ref):
+        z.store.key.reshape(-1)[full] = keys[: k * n * c][full]
+        z.store.payload.reshape(-1, PAYLOAD)[full] = rows[: k * n * c][full]
+    keys, rows = keys[k * n * c:], rows[k * n * c:]
+    paths = gen.integers(0, n, (m, k - first))
+    before = _store_bytes(batch)
+
+    bad = data.draw(st.sampled_from(
+        [None, "sentinel key", "row width", "short path", "bucket out of range",
+         "float path"]), label="bad")
+    if bad is not None and m == 0 and bad in ("sentinel key", "bucket out of range"):
+        bad = None  # an empty batch has no key or bucket to spoil
+    if bad == "sentinel key":
+        keys[gen.integers(m)] = KEY_SENTINEL
+    elif bad == "row width":
+        rows = np.zeros((m, PAYLOAD + 1), np.uint8)
+    elif bad == "short path":
+        paths = paths[:, 1:]
+    elif bad == "bucket out of range":
+        paths[gen.integers(m), gen.integers(k - first)] = gen.choice([-1, n])
+    elif bad == "float path":
+        paths = paths.astype(np.float64)
+    if bad is not None:
+        with pytest.raises(InvalidParameterError):
+            batch.zigzag_insert(keys, rows, paths, first_table=first)
+        assert _store_bytes(batch) == before
+        return
+
+    # all() stops at the first insert that falls off
+    want = all(ref.zigzag_insert(int(key), row, path, first_table=first)
+               for key, row, path in zip(keys, rows, paths))
+    assert batch.zigzag_insert(keys, rows, paths, first_table=first) is want
+    assert _store_bytes(batch) == _store_bytes(ref)
+
+
 def test_insert_reclaims_a_removed_slot():
     z = Zht(2, 2, 1, HashFamily(seed=0), payload_size=PAYLOAD)
     b = z.path(1)[0]
