@@ -16,12 +16,19 @@ Each bound has an exact rational path (Fraction arithmetic) and a log-gamma
 float path; the suite requires them to agree to ten significant digits.  The
 mc_* functions estimate the corresponding empirical quantities in one
 process, a block of trials at a time, each block from its own seeded
-substream, so runs reproduce exactly.
+substream.  The blocks run on the calling thread and on one more thread per
+other CPU the process may use (numpy releases the GIL inside its kernels).
+A block's draws depend on its own substream alone, it writes only its own
+rows of the per-trial results, and the counts summed across blocks are
+integers, so every report is bit-identical whatever the thread count, and
+runs reproduce exactly.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -44,10 +51,13 @@ _CENSUS_STREAM = 2
 _DECAY_STREAM = 3
 # trials per throw block and per census block; each block draws from its own
 # substream, so these fix the stream layouts of mc_throw_spill and
-# mc_prn_stage_spill, which any number of census destinations per draw keeps
+# mc_prn_stage_spill, whatever the thread count.  The pieces a census block
+# draws in keep its layout at any size: its destinations per draw, into the
+# narrowest type that holds them, and its trials per first-fit throw.
 _CHUNK = 256
 _CENSUS_BLOCK = 512
-_DEST_PIECE = 8192  # census destinations per draw, into the census words' type
+_DEST_PIECE = 8192
+_TAG_PIECE = 64
 
 _AUTO_EXACT_LIMIT = 10_000
 
@@ -159,6 +169,49 @@ def bounds_report(m: int, n: int, c: int, k: int) -> BoundReport:
     )
 
 
+# -- Monte Carlo: blocks of trials on every usable CPU ---------------------------
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, which os.cpu_count() can overstate."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _on_usable_cpus(work, blocks: int) -> None:
+    """work(block_ids) on the calling thread and on one more thread per
+    other usable CPU, at most one thread per block, all reading one shared
+    iterator of range(blocks), so each block runs once, on whichever thread
+    takes it.  work keeps its own scratch and writes only its blocks' rows
+    of the results.  A helper thread's exception is raised here once every
+    thread has stopped."""
+    block_ids = iter(range(blocks))  # next() holds the GIL: no id runs twice
+    helpers = min(_usable_cpus(), blocks) - 1
+    if helpers < 1:
+        work(block_ids)
+        return
+    errors = []
+
+    def helper() -> None:
+        try:
+            work(block_ids)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=helper) for _ in range(helpers)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(block_ids)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 # -- Monte Carlo: throw spill -------------------------------------------------
 
 
@@ -182,12 +235,14 @@ def _throw_loads(draws: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(draws.ravel(), minlength=trials * n).reshape(trials, n)
 
 
-def _first_fit_tags(draws: np.ndarray, n: int, c: int) -> np.ndarray:
+def _first_fit_tags(draws: np.ndarray, n: int, c: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """The (trials, n, c) slots that a first-fit throw of each trial's draws
-    fills.  First-fit fills a bucket's slots in order, so slot s is filled
-    iff more than s draws landed in its bucket; the rest are dropped."""
+    fills, in out if given.  First-fit fills a bucket's slots in order, so
+    slot s is filled iff more than s draws landed in its bucket; the rest
+    are dropped."""
     loads = _throw_loads(draws, n)
-    tag = np.empty(loads.shape + (c,), dtype=bool)
+    tag = np.empty(loads.shape + (c,), dtype=bool) if out is None else out
     for s in range(c):  # a broadcast compare would run inner loops c long
         np.greater(loads, s, out=tag[:, :, s])
     return tag
@@ -196,9 +251,9 @@ def _first_fit_tags(draws: np.ndarray, n: int, c: int) -> np.ndarray:
 def mc_throw_spill(m: int, n: int, c: int, trials: int, seed: int) -> SpillStats:
     """Empirical spill of throwing m elements into n buckets of c slots.
 
-    Trials run in blocks of _CHUNK, block b drawing from the substream
-    Rng(seed, (_THROW_STREAM, b)), so the estimate depends on the arguments
-    alone.
+    Trials run in blocks of _CHUNK, on every usable CPU (_on_usable_cpus),
+    block b drawing from the substream Rng(seed, (_THROW_STREAM, b)), so
+    the estimate depends on the arguments alone.
     """
     m, n, c, trials = (as_int(m, "m"), as_int(n, "n"), as_int(c, "c"),
                        as_int(trials, "trials"))
@@ -207,12 +262,18 @@ def mc_throw_spill(m: int, n: int, c: int, trials: int, seed: int) -> SpillStats
     _require(c >= 1, "c must be at least 1")
     _require(trials >= 2, "need at least two trials")
     spills = np.empty(trials, dtype=np.int64)
-    for chunk_id, start in enumerate(range(0, trials, _CHUNK)):
-        count = min(_CHUNK, trials - start)
-        rng = Rng(seed, (_THROW_STREAM, chunk_id))
-        over = _throw_loads(rng.bucket(n, (count, m)), n) - c
-        np.maximum(over, 0, out=over)
-        over.sum(axis=1, out=spills[start:start + count])
+
+    def throw(chunk_ids) -> None:
+        for chunk_id in chunk_ids:
+            start = chunk_id * _CHUNK
+            count = min(_CHUNK, trials - start)
+            rng = Rng(seed, (_THROW_STREAM, chunk_id))
+            over = _throw_loads(rng.bucket(n, (count, m)), n)
+            over -= c
+            np.maximum(over, 0, out=over)
+            over.sum(axis=1, out=spills[start:start + count])
+
+    _on_usable_cpus(throw, -(-trials // _CHUNK))
     return SpillStats(
         trials=trials,
         mean=float(spills.mean()),
@@ -252,8 +313,11 @@ def mc_prn_stage_spill(n: int, c: int, load: int, trials: int,
 
     Each trial throws `load` elements into the table (first-fit per bucket;
     the rare input overflow is dropped and counted), draws uniform
-    destinations, and routes.  The paired mc_throw_spill run at the same load
-    is the per-stage comparison baseline.
+    destinations, and routes.  Trials run in census blocks of _CENSUS_BLOCK,
+    on every usable CPU (_on_usable_cpus), block b drawing its throws,
+    destinations and tiebreaks in that order from the substream
+    Rng(seed, (_CENSUS_STREAM, b)).  The paired mc_throw_spill run at the
+    same load is the per-stage comparison baseline.
     """
     n, c, load, trials = (as_int(n, "n"), as_int(c, "c"), as_int(load, "load"),
                           as_int(trials, "trials"))
@@ -261,20 +325,33 @@ def mc_prn_stage_spill(n: int, c: int, load: int, trials: int,
     _require(c >= 1, "c must be at least 1")
     _require(1 <= load <= n * c, "load must fit the table")
     _require(trials >= 2, "need at least two trials")
+    blocks = -(-trials // _CENSUS_BLOCK)
     spills = np.empty((trials, stage_count(n)), dtype=np.int64)
     live = np.empty_like(spills)
-    overflow_total = 0
-    dest = np.empty((_CENSUS_BLOCK, n, c), dtype=np.min_scalar_type(2 * n - 1))
-    for block_id, start in enumerate(range(0, trials, _CENSUS_BLOCK)):
-        count = min(_CENSUS_BLOCK, trials - start)
-        rng = Rng(seed, (_CENSUS_STREAM, block_id))
-        tag = _first_fit_tags(rng.bucket(n, (count, load)), n, c)
-        overflow_total += count * load - int(np.count_nonzero(tag))
-        words = dest[:count].reshape(-1)
-        for at in range(0, words.size, _DEST_PIECE):
-            words[at:at + _DEST_PIECE] = rng.bucket(n, len(words[at:at + _DEST_PIECE]))
-        rows = slice(start, start + count)
-        spills[rows], live[rows] = route_census(tag, dest[:count], rng)
+    overflow = np.empty(blocks, dtype=np.int64)
+
+    def census(block_ids) -> None:
+        # this thread's own tags and destinations, reused block to block
+        tag = np.empty((_CENSUS_BLOCK, n, c), dtype=bool)
+        dest = np.empty(tag.shape, dtype=np.min_scalar_type(n - 1))
+        for block_id in block_ids:
+            start = block_id * _CENSUS_BLOCK
+            count = min(_CENSUS_BLOCK, trials - start)
+            rng = Rng(seed, (_CENSUS_STREAM, block_id))
+            # the draws of one (count, load) draw, a piece of trials at a time
+            for at in range(0, count, _TAG_PIECE):
+                piece = min(_TAG_PIECE, count - at)
+                _first_fit_tags(rng.bucket(n, (piece, load)), n, c,
+                                out=tag[at:at + piece])
+            overflow[block_id] = count * load - np.count_nonzero(tag[:count])
+            words = dest[:count].reshape(-1)
+            for at in range(0, words.size, _DEST_PIECE):
+                piece = words[at:at + _DEST_PIECE]
+                piece[...] = rng.bucket(n, piece.size)
+            rows = slice(start, start + count)
+            spills[rows], live[rows] = route_census(tag[:count], dest[:count], rng)
+
+    _on_usable_cpus(census, blocks)
     throw = mc_throw_spill(load, n, c, trials, seed)
     return StageSpillReport(
         n=n, c=c, load=load, trials=trials,
@@ -284,7 +361,7 @@ def mc_prn_stage_spill(n: int, c: int, load: int, trials: int,
         ),
         stage_live_mean=tuple(float(x) for x in live.mean(axis=0)),
         throw=throw,
-        input_overflow_mean=overflow_total / trials,
+        input_overflow_mean=int(overflow.sum()) / trials,
     )
 
 

@@ -1,11 +1,13 @@
 """Analytic bounds, their two evaluation paths, and the Monte Carlo checks."""
 
 import math
+import threading
 from fractions import Fraction
 
 import pytest
 from scipy import stats
 
+from pyramid_oram import analysis
 from pyramid_oram.analysis import (
     BoundReport,
     SpillStats,
@@ -256,6 +258,84 @@ def test_stage_spill_validation():
                        ((4, 0, 4, 10), "c")):
         with pytest.raises(InvalidParameterError, match=rf"^{name} "):
             mc_prn_stage_spill(*args, seed=0)
+
+
+# one census block, two (the frozen case above), and three; one throw
+# chunk, and five
+ESTIMATES = (
+    lambda: mc_prn_stage_spill(64, 2, 64, trials=200, seed=3),
+    lambda: mc_prn_stage_spill(64, 2, 64, trials=600, seed=3),
+    lambda: mc_prn_stage_spill(32, 3, 90, trials=1100, seed=4),
+    lambda: mc_throw_spill(512, 256, 2, trials=200, seed=7),
+    lambda: mc_throw_spill(512, 256, 2, trials=1100, seed=7),
+)
+
+
+def use_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
+
+
+def test_reports_do_not_depend_on_the_thread_count(monkeypatch):
+    reports = {}
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus)
+        reports[cpus] = [estimate() for estimate in ESTIMATES]
+    assert reports[2] == reports[1]
+    assert reports[3] == reports[1]
+
+
+def test_concurrent_calls_each_get_the_serial_report(monkeypatch):
+    # two callers at once, each running its blocks on two threads: no block
+    # of one call may touch another's scratch or rows
+    use_cpus(monkeypatch, 1)
+    want = mc_prn_stage_spill(32, 3, 90, trials=1100, seed=4)
+    use_cpus(monkeypatch, 2)
+    got = [None, None]
+
+    def call(i):
+        got[i] = mc_prn_stage_spill(32, 3, 90, trials=1100, seed=4)
+
+    callers = [threading.Thread(target=call, args=(i,)) for i in range(2)]
+    for caller in callers:
+        caller.start()
+    for caller in callers:
+        caller.join()
+    assert got == [want, want]
+
+
+@pytest.mark.parametrize("cpus,blocks,threads", [(3, 7, 3), (3, 2, 2), (1, 4, 1)])
+def test_blocks_run_once_each_on_every_usable_cpu(monkeypatch, cpus, blocks,
+                                                  threads):
+    # one thread per usable CPU, the caller's included, but never more
+    # threads than blocks; the barrier keeps each thread alive (and its
+    # ident unused by another) until all have entered
+    use_cpus(monkeypatch, cpus)
+    barrier = threading.Barrier(threads, timeout=30)
+    entered, ran = [], []
+
+    def work(block_ids):
+        entered.append(threading.get_ident())
+        barrier.wait()
+        ran.extend(block_ids)
+
+    analysis._on_usable_cpus(work, blocks)
+    assert sorted(ran) == list(range(blocks))
+    assert len(set(entered)) == len(entered) == threads
+    assert threading.get_ident() in entered
+
+
+def test_a_helper_threads_error_reaches_the_caller(monkeypatch):
+    # the caller leaves every block to its helper, which raises on its first
+    use_cpus(monkeypatch, 2)
+    caller = threading.get_ident()
+
+    def work(block_ids):
+        if threading.get_ident() != caller:
+            next(block_ids)
+            raise ValueError("helper failed")
+
+    with pytest.raises(ValueError, match="helper failed"):
+        analysis._on_usable_cpus(work, 8)
 
 
 def test_decay_check_small_run():

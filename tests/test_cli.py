@@ -414,7 +414,8 @@ def test_verify_reports_a_workload_divergence_and_stops(monkeypatch, capsys):
 
 
 # sha256 of stdout and of every file written, recorded before bench, verify
-# and trace moved onto one run driver; a refactor must leave them untouched
+# and trace moved onto one run driver, and the estimators' before their
+# blocks ran on threads; a refactor must leave them untouched
 PINNED = [
     (["bench", *BASE, "--no-timing", "--csv", "rows.csv", "--cdf", "cdf.csv"],
      {"stdout": "02a69274c0529baae6b57a637e087b59308acb59687613bc9fef0956b1b2cebc",
@@ -426,6 +427,13 @@ PINNED = [
      {"stdout": "08317ed313a6479eb5737b5d16c592df1f12b7b0f3f6ea74ddda3277fff5579c",
       "online.csv": "50db712f07351b6918dda8aaa341a347d7bb6310194f45382a549748dce90629",
       "build.csv": "3481a63ce369e7ee17cc6ad3af13fee49e124dd574a4fd5aad935a8a55a65b2f"}),
+    # the estimators: 8 throw chunks; 3 census blocks (512 + 512 + 76)
+    (["zht", "--m", "1024", "--n", "1024", "--c", "4", "--trials", "2000",
+      "--seed", "3"],
+     {"stdout": "65e0f59639747216c4c562532e4deb6cc466fb1b326ff4ca914085e365610910"}),
+    (["prn", "--n", "256", "--c", "2", "--load", "256", "--trials", "1100",
+      "--seed", "1"],
+     {"stdout": "53dbb3fa782ec99e4b96cf77bb78749ed4c6f781b454bf632ebc2997f7e97e20"}),
 ]
 
 

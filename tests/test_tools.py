@@ -1,11 +1,12 @@
 """Smoke test of the timing tools: each runs at its smallest arguments.
 
 The tools import private names (PyramidOram._scan_level0, core.path_buckets,
-oprim._SORT_MIN_WIDTH, prn._BLOCK_ROWS, analysis._first_fit_tags), so a
-rename shows here.  tools/bench_pairs.py needs two checkouts to run, so only
-its refusal of a seed range too short to summarise, which comes first, is run,
-and its count of the seeds the change did better in and its verdict per
-metric are called directly.
+oprim._SORT_MIN_WIDTH, oprim._NETWORK_MIN_ROWS, prn._BLOCK_ROWS,
+analysis._first_fit_tags), so a rename shows here.  tools/bench_pairs.py
+needs two checkouts to run, so only its refusal of a seed range too short to
+summarise, which comes first, is run, and its environment block, its count
+of the seeds the change did better in and its verdict per metric are called
+directly.
 """
 
 import importlib.util
@@ -61,6 +62,20 @@ def _bench_pairs():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_bench_pairs_records_what_moves_the_metrics(monkeypatch):
+    # the CPUs the runs may use, which the estimators' thread count follows,
+    # and whether the runs write bytecode
+    module = _bench_pairs()
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    env = module.environment()
+    assert set(env) == {"python", "numpy", "nproc", "usable_cpus", "machine",
+                        "PYTHONDONTWRITEBYTECODE"}
+    assert 1 <= env["usable_cpus"] <= env["nproc"]
+    assert env["PYTHONDONTWRITEBYTECODE"] is False
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert module.environment()["PYTHONDONTWRITEBYTECODE"] is True
 
 
 def test_bench_pairs_counts_the_seeds_the_change_did_better_in():

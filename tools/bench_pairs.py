@@ -9,7 +9,8 @@ run at a time.  Seed by seed, each workload runs on both sides back to back,
 and the side that runs first alternates with the seed (parent first on odd
 seeds), so a change in the machine's speed falls on both sides alike.  Each
 side's values are summarised with perfbench/repeat.py's summarise.  The
-output has the layout of the earlier BENCH files: method, environment,
+output has the layout of the earlier BENCH files: method, environment
+(environment(): versions, CPUs, and what else moves the metrics),
 seconds, seeds, run_order, and per side, workload and metric the values in
 seed order with their median and quartile spread.  Per workload and metric
 it also writes, under change_better, and prints in how many seeds the change
@@ -93,6 +94,22 @@ def verdicts(parent: dict, change: dict, bounds: dict) -> dict:
     return out
 
 
+def environment() -> dict:
+    """What the runs ran on: Python and numpy versions, the machine's CPUs
+    (nproc) and those this process may use (usable_cpus, which the
+    estimators run their blocks on, and which nproc can overstate), the
+    architecture, and whether PYTHONDONTWRITEBYTECODE was set, which decides
+    whether the runs import from written bytecode."""
+    import numpy
+
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count())
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "nproc": os.cpu_count(), "usable_cpus": usable,
+            "machine": platform.machine(),
+            "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -107,8 +124,6 @@ def main(argv=None) -> int:
     if len(seed_list) < 2:  # refused before any run: summarise needs two
         parser.error(f"--seeds {args.seeds} names {len(seed_list)} seed(s); "
                      "a quartile spread needs at least two seeds")
-
-    import numpy
 
     sides = {"parent": args.parent, "change": args.change}
     runs = {side: {w: [] for w in args.workloads} for side in sides}
@@ -132,9 +147,7 @@ def main(argv=None) -> int:
                    "first on odd seeds). Every run read correct with 0 failed "
                    "operations."),
         "parent_commit": args.parent_commit,
-        "environment": {"python": platform.python_version(),
-                        "numpy": numpy.__version__, "nproc": os.cpu_count(),
-                        "machine": platform.machine()},
+        "environment": environment(),
         "seconds": args.seconds,
         "seeds": ",".join(map(str, seed_list)),
         "run_order": order,
