@@ -16,12 +16,12 @@ Each bound has an exact rational path (Fraction arithmetic) and a log-gamma
 float path; the suite requires them to agree to ten significant digits.  The
 mc_* functions estimate the corresponding empirical quantities in one
 process, a block of trials at a time, each block from its own seeded
-substream.  The blocks run on the calling thread and on one more thread per
-other CPU the process may use (numpy releases the GIL inside its kernels).
-A block's draws depend on its own substream alone, it writes only its own
-rows of the per-trial results, and the counts summed across blocks are
-integers, so every report is bit-identical whatever the thread count, and
-runs reproduce exactly.
+substream.  The blocks run on the calling thread and, where the process may
+use a second CPU, on one helper thread too (numpy releases the GIL inside
+its kernels).  A block's draws depend on its own substream alone, it writes
+only its own rows of the per-trial results, and the counts summed across
+blocks are integers, so every report is bit-identical whatever the thread
+count, and runs reproduce exactly.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .core import (
     is_power_of_two,
 )
 from .ozht import build_access_count, oblivious_build
+from . import prn
 from .prn import route_census, stage_count
 from .pyramid import PyramidConfig
 from .zht import BuildInput
@@ -169,7 +170,12 @@ def bounds_report(m: int, n: int, c: int, k: int) -> BoundReport:
     )
 
 
-# -- Monte Carlo: blocks of trials on every usable CPU ---------------------------
+# -- Monte Carlo: blocks of trials on the usable CPUs ---------------------------
+
+# the most threads the blocks run on: each thread holds a block's whole
+# working set (about 2.5 MB of spill-mc's 43 MB peak, hundreds of MB at
+# n = 2^16), and two is the count whose memory has been measured
+_MAX_THREADS = 2
 
 
 def _usable_cpus() -> int:
@@ -180,16 +186,27 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _block_callees() -> tuple:
+    """The functions of other modules that the blocks call, as looked up now."""
+    return Rng.bucket, route_census, prn.sort_network_perm
+
+
+_IMPORTED_CALLEES = _block_callees()
+
+
 def _on_usable_cpus(work, blocks: int) -> None:
-    """work(block_ids) on the calling thread and on one more thread per
-    other usable CPU, at most one thread per block, all reading one shared
-    iterator of range(blocks), so each block runs once, on whichever thread
-    takes it.  work keeps its own scratch and writes only its blocks' rows
-    of the results.  A helper thread's exception is raised here once every
-    thread has stopped."""
+    """work(block_ids) on the calling thread and on up to _MAX_THREADS - 1
+    helpers, one per other usable CPU and at most one thread per block, all
+    reading one shared iterator of range(blocks), so each block runs once,
+    on whichever thread takes it.  work keeps its own scratch and writes
+    only its blocks' rows of the results.  A caller that has replaced a
+    callee of the blocks (a tracer's wrapper, say) gets every block on the
+    calling thread: the replacement need not be thread-safe.  On an error
+    the other threads stop after their current block; a helper's error is
+    raised here once every thread has stopped."""
     block_ids = iter(range(blocks))  # next() holds the GIL: no id runs twice
-    helpers = min(_usable_cpus(), blocks) - 1
-    if helpers < 1:
+    helpers = min(_usable_cpus(), _MAX_THREADS, blocks) - 1
+    if helpers < 1 or _block_callees() != _IMPORTED_CALLEES:
         work(block_ids)
         return
     errors = []
@@ -199,12 +216,19 @@ def _on_usable_cpus(work, blocks: int) -> None:
             work(block_ids)
         except BaseException as exc:  # re-raised on the calling thread
             errors.append(exc)
+            for _ in block_ids:  # the other threads take no further block
+                pass
 
-    threads = [threading.Thread(target=helper) for _ in range(helpers)]
+    threads = [threading.Thread(target=helper, daemon=True)
+               for _ in range(helpers)]
     for thread in threads:
         thread.start()
     try:
         work(block_ids)
+    except BaseException:
+        for _ in block_ids:
+            pass
+        raise
     finally:
         for thread in threads:
             thread.join()
@@ -251,7 +275,7 @@ def _first_fit_tags(draws: np.ndarray, n: int, c: int,
 def mc_throw_spill(m: int, n: int, c: int, trials: int, seed: int) -> SpillStats:
     """Empirical spill of throwing m elements into n buckets of c slots.
 
-    Trials run in blocks of _CHUNK, on every usable CPU (_on_usable_cpus),
+    Trials run in blocks of _CHUNK, on the usable CPUs (_on_usable_cpus),
     block b drawing from the substream Rng(seed, (_THROW_STREAM, b)), so
     the estimate depends on the arguments alone.
     """
@@ -314,7 +338,7 @@ def mc_prn_stage_spill(n: int, c: int, load: int, trials: int,
     Each trial throws `load` elements into the table (first-fit per bucket;
     the rare input overflow is dropped and counted), draws uniform
     destinations, and routes.  Trials run in census blocks of _CENSUS_BLOCK,
-    on every usable CPU (_on_usable_cpus), block b drawing its throws,
+    on the usable CPUs (_on_usable_cpus), block b drawing its throws,
     destinations and tiebreaks in that order from the substream
     Rng(seed, (_CENSUS_STREAM, b)).  The paired mc_throw_spill run at the
     same load is the per-stage comparison baseline.

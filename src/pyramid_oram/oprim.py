@@ -11,10 +11,9 @@ moves the key alone, and the permutation is read back from the low bits.
 
 Because the keys are distinct, any sort gives that permutation too, at any
 width.  sort_network_perm runs the network on the key columns for rows of
-2 or 4 words, from 512 rows on, and sorts each row of any other width, and
-any shorter block, instead: an equal realisation over 2c private words.
-Its running time may depend on the keys; which buckets are read and written
-does not.
+2 or 4 words, and sorts each row of any other width instead: an equal
+realisation over 2c private words.  Its running time may depend on the
+keys; which buckets are read and written does not.
 """
 
 from __future__ import annotations
@@ -124,12 +123,10 @@ def batcher_sort(items: list[SortItem],
 
 
 # the narrowest power of two that sort_network_perm sorts rather than run the
-# network on, and the fewest rows it runs the network on: by
-# tools/stage_perm_bench.py, at 8192 rows the sort wins from m = 8 and the
-# network at m <= 4 (by 3-9x); at 32 rows the sort wins at every m (4 against
-# 7-12 µs at m <= 4), and at 512 rows the two are even
+# network on: by tools/stage_perm_bench.py, at 8192 rows the sort wins from m = 8
+# and the network at m <= 4 (by 3-9x); at 32 rows the sort wins at every m (4-7
+# against 7-20 µs at m <= 4), at 512 it no longer does: the crossover is by rows too
 _SORT_MIN_WIDTH = 8
-_NETWORK_MIN_ROWS = 512
 
 
 def sort_network_perm(skey: np.ndarray, wire: np.ndarray | None = None,
@@ -143,24 +140,23 @@ def sort_network_perm(skey: np.ndarray, wire: np.ndarray | None = None,
     left unchanged; wire, if given, holds each column's index at full shape,
     and out, if given, is a C-contiguous (rows, m) uint64 buffer for perm.
 
-    For a power of two m below _SORT_MIN_WIDTH, on at least
-    _NETWORK_MIN_ROWS rows, the comparator network runs on the strided key
-    columns of a row-major working copy, which becomes perm, one
-    compare-exchange of two columns at a time for every row at once, in
+    For a power of two m below _SORT_MIN_WIDTH the comparator network runs on
+    the strided key columns of a row-major working copy, which becomes perm,
+    one compare-exchange of two columns at a time for every row at once, in
     comparator_schedule order: the work done is independent of the data.
     Each writes one output over an input and one to a spare column buffer,
     each to its own column's where it can: m = 2 copies one back, m = 4 none.
-    At every other width, and on fewer rows, each row's m distinct words are
-    sorted instead, which has the outcome comparator_schedule(m) would have;
-    its running time may depend on the keys, but each row's sort touches
-    only that row's private words, so no bucket access and no trace event
-    depends on them.  The choice depends on m and the row count alone, both public.
+    At every other width each row's m distinct words are sorted instead,
+    which has the outcome comparator_schedule(m) would have; its running
+    time may depend on the keys, but each row's sort touches only that
+    row's private words, so no bucket access and no trace event depends on
+    them.  The choice depends on m alone, which is public.
     """
-    rows, m = skey.shape
+    m = skey.shape[1]
     low = np.uint64((1 << (m - 1).bit_length()) - 1)
     work = np.bitwise_and(skey, ~low, out=out, order="C")
     work |= np.arange(m, dtype=np.uint64) if wire is None else wire
-    if m >= _SORT_MIN_WIDTH or rows < _NETWORK_MIN_ROWS or not is_power_of_two(m):
+    if m >= _SORT_MIN_WIDTH or not is_power_of_two(m):
         work.sort(axis=1)
     else:
         cols = [work[:, k] for k in range(m)] + [np.empty(len(work), np.uint64)]

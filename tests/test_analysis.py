@@ -2,6 +2,7 @@
 
 import math
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -271,14 +272,15 @@ ESTIMATES = (
 )
 
 
-def use_cpus(monkeypatch, cpus: int) -> None:
+def use_cpus(monkeypatch, cpus: int, max_threads: int = 2) -> None:
     monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(analysis, "_MAX_THREADS", max_threads)
 
 
 def test_reports_do_not_depend_on_the_thread_count(monkeypatch):
     reports = {}
     for cpus in (1, 2, 3):
-        use_cpus(monkeypatch, cpus)
+        use_cpus(monkeypatch, cpus, max_threads=cpus)
         reports[cpus] = [estimate() for estimate in ESTIMATES]
     assert reports[2] == reports[1]
     assert reports[3] == reports[1]
@@ -303,13 +305,14 @@ def test_concurrent_calls_each_get_the_serial_report(monkeypatch):
     assert got == [want, want]
 
 
-@pytest.mark.parametrize("cpus,blocks,threads", [(3, 7, 3), (3, 2, 2), (1, 4, 1)])
-def test_blocks_run_once_each_on_every_usable_cpu(monkeypatch, cpus, blocks,
-                                                  threads):
+@pytest.mark.parametrize("cpus,max_threads,blocks,threads", [
+    (3, 3, 7, 3), (3, 3, 2, 2), (1, 3, 4, 1), (3, 2, 7, 2), (8, 2, 7, 2)])
+def test_blocks_run_once_each_on_the_usable_cpus(monkeypatch, cpus,
+                                                 max_threads, blocks, threads):
     # one thread per usable CPU, the caller's included, but never more
-    # threads than blocks; the barrier keeps each thread alive (and its
-    # ident unused by another) until all have entered
-    use_cpus(monkeypatch, cpus)
+    # threads than _MAX_THREADS or than blocks; the barrier keeps each thread
+    # alive (and its ident unused by another) until all have entered
+    use_cpus(monkeypatch, cpus, max_threads)
     barrier = threading.Barrier(threads, timeout=30)
     entered, ran = [], []
 
@@ -324,6 +327,23 @@ def test_blocks_run_once_each_on_every_usable_cpu(monkeypatch, cpus, blocks,
     assert threading.get_ident() in entered
 
 
+def test_a_replaced_callee_keeps_every_block_on_the_calling_thread(monkeypatch):
+    # a wrapper (a tracer's, say) need not be thread-safe, so the blocks of
+    # a call that would meet it run on the caller alone, to the same report
+    use_cpus(monkeypatch, 2)
+    want = mc_prn_stage_spill(32, 3, 90, trials=1100, seed=4)
+    callers = set()
+    census = analysis.route_census
+
+    def wrapped(*args, **kwargs):
+        callers.add(threading.get_ident())
+        return census(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "route_census", wrapped)
+    assert mc_prn_stage_spill(32, 3, 90, trials=1100, seed=4) == want
+    assert callers == {threading.get_ident()}
+
+
 def test_a_helper_threads_error_reaches_the_caller(monkeypatch):
     # the caller leaves every block to its helper, which raises on its first
     use_cpus(monkeypatch, 2)
@@ -336,6 +356,29 @@ def test_a_helper_threads_error_reaches_the_caller(monkeypatch):
 
     with pytest.raises(ValueError, match="helper failed"):
         analysis._on_usable_cpus(work, 8)
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_an_error_stops_the_other_thread_after_its_block(monkeypatch, failing):
+    # one thread fails once the other has taken a block; the other must take
+    # no further block (undrained, it would run all 1000, 20 s)
+    use_cpus(monkeypatch, 2)
+    caller = threading.get_ident()
+    started = threading.Event()
+    ran = []
+
+    def work(block_ids):
+        if (threading.get_ident() == caller) == (failing == "caller"):
+            started.wait(timeout=30)
+            raise ValueError(f"{failing} failed")
+        for block_id in block_ids:
+            ran.append(block_id)
+            started.set()
+            time.sleep(0.02)
+
+    with pytest.raises(ValueError, match=f"{failing} failed"):
+        analysis._on_usable_cpus(work, 1000)
+    assert 1 <= len(ran) < 100
 
 
 def test_decay_check_small_run():

@@ -135,18 +135,16 @@ def test_batcher_exchange_hook_sees_fixed_schedule():
 
 @pytest.fixture(scope="module")
 def perms():
-    """sort_network_perm with oprim._SORT_MIN_WIDTH patched to 2 and to 2^30,
-    the latter with oprim._NETWORK_MIN_ROWS patched to 0: the row sort at
-    every width, then the comparator network at every power of two and
-    every row count (every other width sorts under both)."""
-    def at(threshold, min_rows):
+    """sort_network_perm with oprim._SORT_MIN_WIDTH patched to 2 and to 2^30:
+    the row sort at every width, then the comparator network at every power
+    of two (every other width sorts under both)."""
+    def at(threshold):
         def perm_of(skey):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(oprim, "_SORT_MIN_WIDTH", threshold)
-                patch.setattr(oprim, "_NETWORK_MIN_ROWS", min_rows)
                 return sort_network_perm(skey)
         return perm_of
-    return at(2, oprim._NETWORK_MIN_ROWS), at(1 << 30, 0)
+    return at(2), at(1 << 30)
 
 
 # the powers of two up to 16, where either branch may run, and widths
@@ -177,15 +175,14 @@ def test_sort_network_perm_is_a_permutation(perms):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 12, 16, 32])
 def test_sort_network_perm_sorts_from_width_eight(monkeypatch, m):
-    # the choice is a function of the row width and the row count alone,
-    # never of the keys: the network (the only caller of
-    # comparator_schedule) at the powers of two below 8 from 512 rows on,
-    # the sort on fewer rows, from 8 and at every other width
+    # the choice is a function of the row width alone, never of rows or keys:
+    # the network (the only caller of comparator_schedule) at the powers of
+    # two below 8, the sort from 8 and at every other width
     calls = []
     monkeypatch.setattr(
         oprim, "comparator_schedule",
         lambda width: calls.append(width) or comparator_schedule(width))
-    for rows in (1, 32, 511, 512, 8192, 8193):
+    for rows in (1, 8192, 8193):
         keys = np.zeros((rows, m), dtype=np.uint64)
         assert (sort_network_perm(keys) == np.arange(m)).all()
     assert calls == ([m] * 3 if m in (2, 4) else [])
@@ -253,7 +250,6 @@ def test_sort_network_perm_brings_every_column_home(monkeypatch, m):
     # buffers from m = 8 on, along one chain, and from m = 64 also in cycles;
     # each must end in its own column of perm
     monkeypatch.setattr(oprim, "_SORT_MIN_WIDTH", 1 << 30)
-    monkeypatch.setattr(oprim, "_NETWORK_MIN_ROWS", 0)
     log_m = (m - 1).bit_length()
     gen = np.random.Generator(np.random.PCG64(m))
     keys = gen.integers(0, 1 << 63, size=(40, m), dtype=np.uint64)

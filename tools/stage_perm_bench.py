@@ -36,18 +36,16 @@ of the 56-byte payload rows that reals reach or leave, after the last stage.
 
 Then µs per call of oprim.sort_network_perm on rows × m random keys, given
 the full-shape wire indices the stage kernel passes, with
-oprim._SORT_MIN_WIDTH patched high and oprim._NETWORK_MIN_ROWS to 0 (the
-comparator network on the keys' row-major columns at every width and row
-count timed, all powers of two; any other width is always sorted) and with
-oprim._SORT_MIN_WIDTH patched to 0 (a row sort of the wire-tagged keys at
-every width): the minimum over --repeats, the two timed alternately, each
-call on fresh keys drawn untimed before it, since a sort that meets the same
-keys again runs on predicted branches.  These are the shapes the stage
-kernel sorts: it sorts a stage in row blocks of at most prn._BLOCK_ROWS =
-8192 rows, so pyramid builds sort m = 2c = 8 at up to 8192 rows, and the
+oprim._SORT_MIN_WIDTH patched high (the comparator network on the keys'
+row-major columns at every width timed, all powers of two; any other width
+is always sorted) and to 0 (a row sort of the wire-tagged keys at every
+width): the minimum over --repeats, the two timed alternately, each call on
+fresh keys drawn untimed before it, since a sort that meets the same keys
+again runs on predicted branches.  These are the shapes the stage kernel
+sorts: it sorts a stage in row blocks of at most prn._BLOCK_ROWS = 8192
+rows, so pyramid builds sort m = 2c = 8 at up to 8192 rows, and the
 spill-mc census m = 4 at 8192.  sort_network_perm takes the sort from
-m = oprim._SORT_MIN_WIDTH on, and on fewer than oprim._NETWORK_MIN_ROWS
-rows; each cell ends in its choice, n(etwork) or s(ort).
+m = oprim._SORT_MIN_WIDTH on; the last column is its choice.
 
 Then a level-1 build of the uniform benchmark's store (n=64, k=3, c=4,
 64 input slots, 40 reals, 56-byte payloads): the median µs of --builds
@@ -78,21 +76,16 @@ from pyramid_oram.zht import BuildInput  # noqa: E402
 WIDTHS = (2, 4, 8, 16)
 ROWS = (32, 512, 8192)
 BLOCK = 20
-# (oprim._SORT_MIN_WIDTH, oprim._NETWORK_MIN_ROWS) that run the network at
-# every power-of-two width and row count, and the sort at every width
-NETWORK, SORT = (1 << 30, 0), (0, 0)
-
-
-def use(thresholds: tuple[int, int]) -> None:
-    oprim._SORT_MIN_WIDTH, oprim._NETWORK_MIN_ROWS = thresholds
+# oprim._SORT_MIN_WIDTH that runs the network at every power-of-two width,
+# and the sort
+NETWORK, SORT = 1 << 30, 0
 
 
 def stage_table(repeats: int) -> None:
     gen = np.random.default_rng(1)
-    default = (oprim._SORT_MIN_WIDTH, oprim._NETWORK_MIN_ROWS)
-    print(f"µs per call, min of {repeats}, fresh keys per call: network / sort,"
-          " then the realisation chosen")
-    print(f"{'m':>3s}" + "".join(f"{rows:>22d}" for rows in ROWS))
+    default = oprim._SORT_MIN_WIDTH
+    print(f"µs per call, min of {repeats}, fresh keys per call: network / sort")
+    print(f"{'m':>3s}" + "".join(f"{rows:>20d}" for rows in ROWS) + "   chosen")
     for m in WIDTHS:
         cells = []
         for rows in ROWS:
@@ -101,16 +94,16 @@ def stage_table(repeats: int) -> None:
             wire = np.tile(np.arange(m, dtype=np.uint64), (rows, 1))
             for _ in range(repeats):
                 for side in best:
-                    use(side)
+                    oprim._SORT_MIN_WIDTH = side
                     keys = gen.integers(0, 1 << 63, (rows, m), dtype=np.uint64)
                     t0 = time.perf_counter_ns()
                     oprim.sort_network_perm(keys, wire)
                     best[side] = min(best[side],
                                      (time.perf_counter_ns() - t0) / 1e3)
-            chosen = "s" if m >= default[0] or rows < default[1] else "n"
-            cells.append(f"{best[NETWORK]:9.0f} /{best[SORT]:8.0f} {chosen}")
-        print(f"{m:3d}" + "".join(f"{cell:>22s}" for cell in cells))
-    use(default)
+            cells.append(f"{best[NETWORK]:9.0f} /{best[SORT]:8.0f}")
+        chosen = "sort" if m >= default else "network"
+        print(f"{m:3d}" + "".join(f"{cell:>20s}" for cell in cells) + f"   {chosen}")
+    oprim._SORT_MIN_WIDTH = default
 
 
 ROUTE_SIZES = (64, 1024, 16384)
@@ -222,14 +215,13 @@ def level1_builds(builds: int) -> None:
     elems = BuildInput(size, rows, keys,
                        gen.integers(0, 256, (reals, payload), dtype=np.uint8))
     rng = Rng(3)
-    sides = {"as chosen": (oprim._SORT_MIN_WIDTH, oprim._NETWORK_MIN_ROWS),
-             "network": NETWORK}
+    sides = {"as chosen": oprim._SORT_MIN_WIDTH, "network": NETWORK}
     times: dict[str, list[float]] = {side: [] for side in sides}
     epoch = 0
     try:
         while len(times["network"]) < builds:
-            for side, thresholds in sides.items():
-                use(thresholds)
+            for side, threshold in sides.items():
+                oprim._SORT_MIN_WIDTH = threshold
                 for _ in range(BLOCK):
                     epoch += 1
                     fam = HashFamily(0, epoch)
@@ -237,7 +229,7 @@ def level1_builds(builds: int) -> None:
                     oblivious_build(elems, n, k, c, fam, rng, level_id=1)
                     times[side].append((time.perf_counter_ns() - t0) / 1e3)
     finally:
-        use(sides["as chosen"])
+        oprim._SORT_MIN_WIDTH = sides["as chosen"]
     print(f"level-1 build (n={n}, k={k}, c={c}, {size} slots, {reals} reals), "
           f"median µs of {len(times['network'])}:")
     for side, values in times.items():
