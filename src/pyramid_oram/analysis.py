@@ -173,8 +173,9 @@ def bounds_report(m: int, n: int, c: int, k: int) -> BoundReport:
 # -- Monte Carlo: blocks of trials on the usable CPUs ---------------------------
 
 # the most threads the blocks run on: each thread holds a block's whole
-# working set (about 2.5 MB of spill-mc's 43 MB peak, hundreds of MB at
-# n = 2^16), and two is the count whose memory has been measured
+# working set (about 2.5 MB of spill-mc's 43 MB peak, so a third thread
+# would pass its 10% bound; hundreds of MB at n = 2^16), and two is the
+# count whose memory has been measured
 _MAX_THREADS = 2
 
 
