@@ -173,9 +173,10 @@ def bounds_report(m: int, n: int, c: int, k: int) -> BoundReport:
 # -- Monte Carlo: blocks of trials on the usable CPUs ---------------------------
 
 # the most threads the blocks run on: each thread holds a block's whole
-# working set (about 2.5 MB of spill-mc's 43 MB peak, so a third thread
-# would pass its 10% bound; hundreds of MB at n = 2^16), and two is the
-# count whose memory has been measured
+# working set (a 512-trial census block's tracemalloc peak is 3.1 MB on one
+# thread with the stage kernel's 16384-row blocks, of spill-mc's 48 MB peak
+# RSS, so a third thread would come near its 10% bound; hundreds of MB at
+# n = 2^16), and two is the count whose memory has been measured
 _MAX_THREADS = 2
 
 

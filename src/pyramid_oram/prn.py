@@ -26,7 +26,9 @@ once: every pair of a stage, in every table of the batch, in one pass.  It
 carries only what the network reads, each slot's tag and destination, plus
 a slot id when the slot contents must follow, packed into one word per
 slot.  The words stay in the current stage's pair order, rows of 2c words,
-and a stage runs over row blocks of at most _BLOCK_ROWS rows in row order.
+and a stage runs in row order over row blocks of at most _BLOCK_WORDS words
+(whole rows, at least one): 8192 rows at the store's c = 4, 16384 at the
+spill census's c = 2.
 Each block draws its own tiebreaks, which together are the words of one
 draw per stage, builds each word's sort key from the word itself by shifts,
 sorts the keys in their own row-major layout, gathers the words into sorted
@@ -198,10 +200,12 @@ def _stage_key(word: np.ndarray, bit: int, rng: Rng, klass: np.ndarray,
     return sort_key_into(rng.bits64(word.shape), class_word)
 
 
-# rows per block of the stage kernel: a block's scratch (tiebreaks, class
+# words per block of the stage kernel: a block's scratch (tiebreaks, class
 # words, sort key, permutation) stays cache-sized and is reused from one
-# block to the next instead of faulting in fresh pages every stage
-_BLOCK_ROWS = 8192
+# block to the next instead of faulting in fresh pages every stage.  Bounded
+# by words, not rows, so every row width gets the same working set, and a
+# narrow census block makes fewer numpy calls per stage
+_BLOCK_WORDS = 65536
 
 
 def _sort_block(word: np.ndarray, bit: int, rng: Rng, out: np.ndarray,
@@ -288,14 +292,14 @@ def _run_stages(word: np.ndarray, rng: Rng, constants=_block_constants,
     Between stages the words are held in the current stage's pair order,
     rows of 2c words (the low bucket's slots first, pairs ascending by lower
     index); stage 0's is the natural order.  A stage runs over row blocks of
-    at most _BLOCK_ROWS rows, in row order, and each block draws its own
-    (rows, 2c) tiebreaks: together the words of one (batch * n/2, 2c) draw,
-    in the same order.  Each block is sorted into a second word buffer, made
-    once per call; its spent unsorted words then hold its cleared tags until
-    the stage has counted them.  The stage's pair-order change is one take
-    of the sorted words along the bucket axis, c words at a time, back into
-    the first buffer, by the cached _reorder_index(n, bit) applied to every
-    run of its size.
+    at most _BLOCK_WORDS words (_BLOCK_WORDS // 2c rows, at least one), in
+    row order, and each block draws its own (rows, 2c) tiebreaks: together
+    the words of one (batch * n/2, 2c) draw, in the same order.  Each block
+    is sorted into a second word buffer, made once per call; its spent
+    unsorted words then hold its cleared tags until the stage has counted
+    them.  The stage's pair-order change is one take of the sorted words
+    along the bucket axis, c words at a time, back into the first buffer,
+    by the cached _reorder_index(n, bit) applied to every run of its size.
     Returns the words in natural order, in the buffer passed in, and the
     per-stage spills and live tags, each (batch, stages).
     """
@@ -306,7 +310,7 @@ def _run_stages(word: np.ndarray, rng: Rng, constants=_block_constants,
     if not rows:  # n=1 or an empty batch: no stage moves a word
         return word, spills, spills.copy()
     flat, out = word.reshape(rows, m), np.empty((rows, m), dtype=word.dtype)
-    step = min(_BLOCK_ROWS, rows)
+    step = min(rows, max(1, _BLOCK_WORDS // m))
     # one block's full-shape pair sides, row starts and columns, and its key
     # scratch, which is this call's own
     shared = (*constants(step, c, word.dtype),

@@ -43,6 +43,7 @@ moves to the log and only returns to a level when that level is rebuilt.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -219,11 +220,11 @@ class PyramidOram:
     build_recorder captures rebuild traffic.  Both default to disabled
     recorders so the hot path stays cheap.
 
-    A build that raises (a BuildFailedError, or any other exception from
-    inside the build) leaves the store part-way through an access (counter
-    advanced, log not yet merged), so after one every access and bulk_load
-    raises StoreBrokenError chained to it; stored_items() still shows what
-    it holds.
+    A rebuild that raises anywhere (a BuildFailedError, or any other
+    exception from its gather, build, install or log clear), or a bulk load
+    whose build raises, leaves the store part-way through (counter advanced,
+    log not yet merged), so after one every access and bulk_load raises
+    StoreBrokenError chained to it; stored_items() still shows what it holds.
 
     Each level's slot storage lives as long as the store: it is allocated by
     the first build into the level, and when the level empties its reals are
@@ -360,7 +361,8 @@ class PyramidOram:
         keys, payload = _load_items(items, self.config.payload_size)
         elems = BuildInput(self.config.capacity, np.arange(len(keys)), keys,
                            payload)
-        report = self._build_level(self.config.num_levels, elems)
+        with self._broken_on_error():
+            report = self._build_level(self.config.num_levels, elems)
         self.real_count = len(items)
         return report
 
@@ -382,6 +384,17 @@ class PyramidOram:
             raise StoreBrokenError(
                 f"store unusable after a failed build: {self.broken_by}"
             ) from self.broken_by
+
+    @contextlib.contextmanager
+    def _broken_on_error(self):
+        """Mark the store broken by any exception raised inside the block:
+        a rebuild or load that raises, for whatever reason, leaves the store
+        part-way through, so it refuses further use."""
+        try:
+            yield
+        except BaseException as exc:
+            self.broken_by = exc
+            raise
 
     def _set_levels(self, changes: dict[int, Zht | None]) -> None:
         """The one writer of self.levels; refreshes the lane table with it.
@@ -453,23 +466,27 @@ class PyramidOram:
         target = rebuild_target(self.config, self.t)
         if target < 0:
             return None
-        parts = [self.level0]
-        for i in range(1, target):
-            level = self.levels[i]
-            assert level is not None, f"source level {i} empty at t={self.t}"
-            parts.append(level.slot_array())
-        # the schedule leaves the target empty except at a full rebuild,
-        # which absorbs the old last level
-        if self.levels[target] is not None:
-            parts.append(self.levels[target].slot_array())
-        self._build_level(target, BuildInput.gather(parts), emptied=range(1, target))
-        self.level0.clear()
+        # t has advanced: from here on, whatever raises breaks the store
+        with self._broken_on_error():
+            parts = [self.level0]
+            for i in range(1, target):
+                level = self.levels[i]
+                assert level is not None, f"source level {i} empty at t={self.t}"
+                parts.append(level.slot_array())
+            # the schedule leaves the target empty except at a full rebuild,
+            # which absorbs the old last level
+            if self.levels[target] is not None:
+                parts.append(self.levels[target].slot_array())
+            self._build_level(target, BuildInput.gather(parts),
+                              emptied=range(1, target))
+            self.level0.clear()
         return self.last_rebuild
 
     def _build_level(self, target: int, elems: BuildInput,
                      emptied: range = range(0)) -> BuildReport:
         """Build level `target` from elems; on success install it and empty
-        the source levels `emptied`, in one _set_levels call.
+        the source levels `emptied`, in one _set_levels call.  Its callers
+        run it under _broken_on_error.
 
         The build runs over the target's spare storage, allocated only when
         the level has none yet; a failed attempt's storage is cleared and
@@ -478,36 +495,30 @@ class PyramidOram:
         lp = self.config.levels[target - 1]
         attempts_allowed = 1 + self.config.max_retries
         store, self._spares[target] = self._spares[target], None
-        try:
-            for attempt in range(1, attempts_allowed + 1):
-                self.epochs[target] += 1
-                fam = HashFamily(self.config.seed, self.epochs[target])
-                z, report = oblivious_build(
-                    elems, lp.n, lp.k, lp.c, fam, self._rng,
-                    level_id=target, recorder=self.build_recorder, store=store,
-                )
-                if report.success:
-                    self._set_levels({**dict.fromkeys(emptied), target: z})
-                    self.last_rebuild = RebuildInfo(
-                        level=target,
-                        m_total=report.m_total,
-                        attempts=attempt,
-                        access_count=build_access_count(report.m_total, lp.n,
-                                                        lp.k, lp.c),
-                    )
-                    return report
-                store = _retired(z)
-            self._spares[target] = store
-            raise BuildFailedError(
-                f"level {target} build failed after {attempts_allowed} "
-                f"attempt(s): {report.failure_reason}",
-                report,
+        for attempt in range(1, attempts_allowed + 1):
+            self.epochs[target] += 1
+            fam = HashFamily(self.config.seed, self.epochs[target])
+            z, report = oblivious_build(
+                elems, lp.n, lp.k, lp.c, fam, self._rng,
+                level_id=target, recorder=self.build_recorder, store=store,
             )
-        except BaseException as exc:
-            # a build that raises, for whatever reason, leaves the access
-            # part-way through, so the store refuses further use
-            self.broken_by = exc
-            raise
+            if report.success:
+                self._set_levels({**dict.fromkeys(emptied), target: z})
+                self.last_rebuild = RebuildInfo(
+                    level=target,
+                    m_total=report.m_total,
+                    attempts=attempt,
+                    access_count=build_access_count(report.m_total, lp.n,
+                                                    lp.k, lp.c),
+                )
+                return report
+            store = _retired(z)
+        self._spares[target] = store
+        raise BuildFailedError(
+            f"level {target} build failed after {attempts_allowed} "
+            f"attempt(s): {report.failure_reason}",
+            report,
+        )
 
 
 def _load_items(items: list, size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -167,13 +167,28 @@ class Zht:
                 _require(not store.payload.any(), "store holds payload bytes")
         self.store = store
         self.payload_size = self.store.payload_size
-        self.tables = [self.store[j] for j in range(k)]
         self.regions = [table_region(level_id, j) for j in range(k)]
         self._subkeys = fam.subkeys(level_id, k)
+        self._row_base = np.arange(k) * n
+        self._make_views()
+
+    def _make_views(self) -> None:
+        self.tables = [self.store[j] for j in range(self.k)]
         # (k*n, c) view of the store and each table's first row in it, so a
         # path's k buckets are one take() of rows buckets + _row_base
-        self._bucket_rows = self.store.reshape((k * n, c))
-        self._row_base = np.arange(k) * n
+        self._bucket_rows = self.store.reshape((self.k * self.n, self.c))
+
+    # a copy or a pickle would give the views arrays of their own, which
+    # searches and routes would then read and write apart from the store;
+    # so they are left out and made again from the store
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["tables"], state["_bucket_rows"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._make_views()
 
     # -- paths ---------------------------------------------------------------
 

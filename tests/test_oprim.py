@@ -209,8 +209,8 @@ def test_sort_network_perm_is_a_stable_argsort_at_every_width(monkeypatch,
     assert calls == ([m] if (m & (m - 1)) == 0 else [])
 
 
-# row counts around the stage kernel's row block (prn._BLOCK_ROWS): one row,
-# one short of a block, a full block, one past it
+# row counts around the stage kernel's row block at m = 8 (prn._BLOCK_WORDS
+# words, 8192 rows): one row, one short of a block, a full block, one past it
 @settings(max_examples=40, deadline=None)
 @given(m=st.sampled_from(WIDTHS),
        rows=st.sampled_from([1, 8191, 8192, 8193]),

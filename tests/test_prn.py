@@ -683,7 +683,8 @@ def test_route_census_of_an_empty_batch_or_one_bucket():
 
 
 # row blocks of 1, 3 and 5 divide neither a table's rows nor a batch's, so
-# blocks straddle pairs' tables and a stage's last block is short
+# blocks straddle pairs' tables and a stage's last block is short; the
+# kernel bounds blocks by words, so a test sets rows * 2c of them
 ODD_BLOCKS = (1, 3, 5)
 
 
@@ -693,7 +694,7 @@ def test_route_matches_reference_in_any_row_block(monkeypatch, block, c):
     # each block draws its own tiebreaks, in row order: the words of one
     # draw per stage, so the blocks change nothing the reference sees
     n = 64
-    monkeypatch.setattr(prn, "_BLOCK_ROWS", block)
+    monkeypatch.setattr(prn, "_BLOCK_WORDS", block * 2 * c)
     t_vec, d_vec = make_routing_table(n, c, n * c * 3 // 4, block)
     t_ref, d_ref = make_routing_table(n, c, n * c * 3 // 4, block)
     s_vec = route(t_vec, d_vec, Rng(block, (c,)))
@@ -708,7 +709,7 @@ def test_route_matches_reference_in_any_row_block(monkeypatch, block, c):
 def _census_in_blocks(monkeypatch, block):
     batch, n, c = 3, 16, 3
     if block is not None:
-        monkeypatch.setattr(prn, "_BLOCK_ROWS", block)
+        monkeypatch.setattr(prn, "_BLOCK_WORDS", block * 2 * c)
     gen = np.random.Generator(np.random.PCG64(12))
     tag = gen.random((batch, n, c)) < 0.8
     dest = gen.integers(0, n, size=(batch, n, c))
@@ -726,6 +727,29 @@ def test_route_census_is_independent_of_the_row_block(monkeypatch, block):
         assert np.array_equal(g, w)
     assert want[2].sum() > 0, "no slot spilled"
     assert not (want[2] == want[2][:1]).all(), "every table spilled alike"
+
+
+def test_stage_blocks_are_bounded_by_words():
+    # a block holds at most _BLOCK_WORDS words: a store route (c = 4) draws
+    # one 8192-row block per stage, the spill census (c = 2) four blocks of
+    # 16384 rows, which are the words of one draw per stage
+    n, c = 1 << 14, 4
+    table, dests = make_routing_table(n, c, n * c // 2, 5)
+    rng = _RecordingRng(5, (1,))
+    route(table, dests, rng)
+    assert [b.shape for b in rng.blocks] == [(8192, 8)] * stage_count(n)
+    trials, n, c = 512, 256, 2
+    gen = np.random.Generator(np.random.PCG64(5))
+    tag = gen.random((trials, n, c)) < 0.4
+    dest = gen.integers(0, n, size=(trials, n, c))
+    rng = _RecordingRng(5, (2,))
+    route_census(tag, dest, rng)
+    stages = stage_count(n)
+    assert [b.shape for b in rng.blocks] == [(16384, 4)] * (4 * stages)
+    whole = Rng(5, (2,))
+    for stage in range(stages):
+        drawn = np.concatenate(rng.blocks[4 * stage:4 * stage + 4])
+        assert np.array_equal(drawn, whole.bits64((trials * n // 2, 2 * c)))
 
 
 def test_census_block_scratch_is_bounded():

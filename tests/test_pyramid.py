@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import pickle
 import re
 import tracemalloc
 
@@ -682,6 +683,68 @@ def test_a_build_that_raises_anything_breaks_the_store(monkeypatch):
         assert refused.value.__cause__ is failed.value
     assert oram.t == p
     assert oram.stored_items() == held
+
+
+def test_a_rebuild_that_raises_before_its_build_breaks_the_store(monkeypatch):
+    # the rebuild's gather runs after t has advanced, as does its log clear:
+    # an exception there leaves the access part-way through too
+    cfg = PyramidConfig(capacity=1024, first_level_size=16, seed=3)
+    size = cfg.payload_size
+    oram = PyramidOram(cfg)
+    oram.bulk_load([(key, val(key, size)) for key in range(512)])
+    for key in range(15):
+        oram.write(key, val(key, size, salt=1))
+    held = oram.stored_items()
+
+    def fails(parts):
+        raise MemoryError("gather")
+
+    monkeypatch.setattr(pyramid_mod.BuildInput, "gather", fails)
+    with pytest.raises(MemoryError) as failed:
+        oram.read(600)  # t = 16: the level-1 rebuild
+    assert oram.t == 16 and oram.broken_by is failed.value
+    monkeypatch.undo()
+    for call in (lambda: oram.read(0), lambda: oram.write(700, val(700, size))):
+        with pytest.raises(StoreBrokenError) as refused:
+            call()
+        assert refused.value.__cause__ is failed.value
+    assert oram.t == 16 and oram.stored_items() == held
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy,
+                                   lambda oram: pickle.loads(pickle.dumps(oram))])
+def test_a_copied_store_runs_as_the_original(clone):
+    # each level's tables and bucket rows are views of its store; a copy
+    # whose views held arrays of their own would search one array and
+    # rebuild from another
+    cfg = SMALL
+    oram = PyramidOram(cfg)
+    oram.bulk_load([(key, val(key)) for key in range(0, 96, 2)])
+    for key in range(8):
+        oram.write(key, val(key, salt=1))
+    twin = clone(oram)
+    for level in twin.levels:
+        if level is not None:
+            assert np.shares_memory(level.store.key, level._bucket_rows.key)
+            assert np.shares_memory(level.store.key, level.tables[0].key)
+    models = [oram.stored_items(), twin.stored_items()]
+    assert models[0] == models[1]
+    # reads and writes of stored keys only, past the full rebuild at
+    # t = capacity: an absent key's second search would repeat its buckets
+    gen = np.random.Generator(np.random.PCG64(9))
+    keys = sorted(models[0])
+    ops = [(int(gen.choice(keys)), gen.random() < 0.5)
+           for _ in range(cfg.capacity + 2 * cfg.first_level_size)]
+    for store, model in zip((oram, twin), models):
+        for i, (key, write) in enumerate(ops):
+            if write:
+                assert store.write(key, val(key, salt=i)) == model[key]
+                model[key] = val(key, salt=i)
+            else:
+                assert store.read(key) == model[key]
+        assert store.t > cfg.capacity
+        assert store.stored_items() == model
+    assert models[0] == models[1]
 
 
 # -- the key-only probe and the lane table ------------------------------------

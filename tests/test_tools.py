@@ -1,7 +1,7 @@
 """Smoke test of the timing tools: each runs at its smallest arguments.
 
 The tools import private names (PyramidOram._scan_level0, core.path_buckets,
-oprim._SORT_MIN_WIDTH, prn._BLOCK_ROWS, analysis._first_fit_tags), so a
+oprim._SORT_MIN_WIDTH, prn._BLOCK_WORDS, analysis._first_fit_tags), so a
 rename shows here.  tools/bench_pairs.py
 needs two checkouts to run, so only its refusal of a seed range too short to
 summarise, which comes first, is run, and its environment block, its count

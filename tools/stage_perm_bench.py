@@ -4,12 +4,16 @@
     python3 tools/stage_perm_bench.py [--repeats 15] [--builds 400]
 
 Run from the root of a checkout; the package is imported from its src/.
-Page faults are minor faults of this process (getrusage ru_minflt).
+Page faults are minor faults of this process (getrusage ru_minflt), and
+context switches its voluntary ones (ru_nvcsw), summed over its threads:
+a thread that waits for the GIL, or for a lock, makes one.
 
 First, one whole spill-mc call, analysis.mc_prn_stage_spill(256, 2, 256,
 10000), after a 1024-trial warm-up call like the benchmark's set-up: its
-seconds and page faults, then those of a second call, as the benchmark
-makes one after another.  It runs first, in a fresh process as the
+seconds, page faults and voluntary context switches, then those of a
+second call, as the benchmark makes one after another.  Its census blocks
+run on up to analysis._MAX_THREADS threads, which hand the GIL to each
+other between numpy calls.  It runs first, in a fresh process as the
 benchmark's spill-mc run does, because the allocator stops handing out
 fresh pages once the process has freed large arrays, which every later
 measurement here does.  How many pages the first call faults depends on
@@ -42,9 +46,9 @@ is always sorted) and to 0 (a row sort of the wire-tagged keys at every
 width): the minimum over --repeats, the two timed alternately, each call on
 fresh keys drawn untimed before it, since a sort that meets the same keys
 again runs on predicted branches.  These are the shapes the stage kernel
-sorts: it sorts a stage in row blocks of at most prn._BLOCK_ROWS = 8192
-rows, so pyramid builds sort m = 2c = 8 at up to 8192 rows, and the
-spill-mc census m = 4 at 8192.  sort_network_perm takes the sort from
+sorts: it sorts a stage in row blocks of at most prn._BLOCK_WORDS = 65536
+words, so pyramid builds sort m = 2c = 8 at up to 8192 rows, and the
+spill-mc census m = 4 at 16384.  sort_network_perm takes the sort from
 m = oprim._SORT_MIN_WIDTH on; the last column is its choice.
 
 Then a level-1 build of the uniform benchmark's store (n=64, k=3, c=4,
@@ -74,7 +78,7 @@ from pyramid_oram.ozht import oblivious_build  # noqa: E402
 from pyramid_oram.zht import BuildInput  # noqa: E402
 
 WIDTHS = (2, 4, 8, 16)
-ROWS = (32, 512, 8192)
+ROWS = (32, 512, 8192, 16384)
 BLOCK = 20
 # oprim._SORT_MIN_WIDTH that runs the network at every power-of-two width,
 # and the sort
@@ -118,15 +122,13 @@ def census_block(gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     return tag, gen.integers(0, n, (trials, n, c))
 
 
-def minor_faults() -> int:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-
-
-def timed(call) -> tuple[float, int]:
-    """µs and minor page faults of one call."""
-    f0, t0 = minor_faults(), time.perf_counter_ns()
+def timed(call) -> tuple[float, int, int]:
+    """µs, minor page faults and voluntary context switches of one call."""
+    u0, t0 = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter_ns()
     call()
-    return (time.perf_counter_ns() - t0) / 1e3, minor_faults() - f0
+    us = (time.perf_counter_ns() - t0) / 1e3
+    u1 = resource.getrusage(resource.RUSAGE_SELF)
+    return us, u1.ru_minflt - u0.ru_minflt, u1.ru_nvcsw - u0.ru_nvcsw
 
 
 def kernel_table() -> None:
@@ -136,11 +138,12 @@ def kernel_table() -> None:
     print(f"{'call':>22s} {'stages':>6s} {'repartitions':>12s} {'µs':>10s}"
           f" {'µs/stage':>9s} {'ns/repart':>9s} {'faults':>7s}")
 
-    def line(name: str, n: int, tables: int, runs: list[tuple[float, int]]) -> None:
+    def line(name: str, n: int, tables: int,
+             runs: list[tuple[float, int, int]]) -> None:
         stages = n.bit_length() - 1
         parts = tables * (n // 2) * stages
-        us = statistics.median(t for t, _ in runs)
-        faults = statistics.median(f for _, f in runs)
+        us = statistics.median(t for t, _, _ in runs)
+        faults = statistics.median(f for _, f, _ in runs)
         print(f"{name:>22s} {stages:6d} {parts:12d} {us:10.0f} {us / stages:9.1f}"
               f" {us * 1e3 / parts:9.1f} {faults:7.0f}")
 
@@ -167,11 +170,15 @@ SPILL_MC = (256, 2, 256, 10_000)  # n, c, load, trials of the spill-mc workload
 def spill_mc_call() -> None:
     n, c, load, trials = SPILL_MC
     mc_prn_stage_spill(n, c, load, 1024, seed=0)
-    us, faults = timed(lambda: mc_prn_stage_spill(n, c, load, trials, seed=1))
-    again, faults_again = timed(lambda: mc_prn_stage_spill(n, c, load, trials, seed=2))
+    us, faults, switches = timed(
+        lambda: mc_prn_stage_spill(n, c, load, trials, seed=1))
+    again, faults_again, switches_again = timed(
+        lambda: mc_prn_stage_spill(n, c, load, trials, seed=2))
     print(f"mc_prn_stage_spill({n}, {c}, {load}, {trials}): "
-          f"{us / 1e6:.3f} s, {faults} minor faults; "
-          f"again {again / 1e6:.3f} s, {faults_again} minor faults")
+          f"{us / 1e6:.3f} s, {faults} minor faults, "
+          f"{switches} voluntary context switches; "
+          f"again {again / 1e6:.3f} s, {faults_again} minor faults, "
+          f"{switches_again} voluntary context switches")
 
 
 # run in a fresh interpreter: argv[1] is the src/ to import from
