@@ -36,10 +36,9 @@ order in a second word buffer, and clears the misplaced tags there.  One
 take along the bucket axis then moves the stage's words back into the first
 buffer in the next stage's pair order (the last stage's take restores the
 natural order), c words at a time, by an index that depends on n and the
-stage alone and is built once.  Two word buffers and one block's full-shape
-constants and scratch are made per call, except that route_census() keeps
-its constants, read-only, for the last block shape it ran: no step
-broadcasts a short row.
+stage alone and is built once.  One block's full-shape constants are built
+once per block shape and shared, read-only; two word buffers and one
+block's scratch are made per call: no step broadcasts a short row.
 route_census() runs it on tags and destinations over many trials and
 returns only the per-stage counts, the census behind the spill statistics;
 route() runs it on one table with slot ids, and after the last stage moves
@@ -254,11 +253,12 @@ def _reorder_index(n: int, bit: int) -> np.ndarray:
     return index
 
 
+@functools.cache
 def _block_constants(step: int, c: int, kind: np.dtype,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A block of `step` rows of 2c words' full-shape constants, read-only:
     each word's pair side (in the words' type `kind`), row start and column
-    (uint64)."""
+    (uint64).  Cached per shape: route and route_census share them."""
     m = 2 * c
     wire = np.arange(m, dtype=np.uint64)[None].repeat(step, axis=0)
     constants = ((wire >= c).astype(kind),
@@ -266,12 +266,6 @@ def _block_constants(step: int, c: int, kind: np.dtype,
     for a in constants:
         a.flags.writeable = False
     return constants
-
-
-# route_census's blocks keep one shape call after call, and the threads that
-# call it at once share them; only the last shape is kept.  route's tables
-# change shape level to level, and build their own.
-_census_constants = functools.lru_cache(maxsize=1)(_block_constants)
 
 
 def _per_table(flags: np.ndarray, batch: int) -> np.ndarray | int:
@@ -283,11 +277,9 @@ def _per_table(flags: np.ndarray, batch: int) -> np.ndarray | int:
     return flags.reshape(batch, -1).sum(axis=1, dtype=kind).astype(np.int64)
 
 
-def _run_stages(word: np.ndarray, rng: Rng, constants=_block_constants,
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _run_stages(word: np.ndarray, rng: Rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The stage kernel over a C-contiguous (batch, n, c) array of packed
-    words (_pack), with a block's constants from constants(step, c, kind),
-    _block_constants or a cache of it.
+    words (_pack).
 
     Between stages the words are held in the current stage's pair order,
     rows of 2c words (the low bucket's slots first, pairs ascending by lower
@@ -313,7 +305,7 @@ def _run_stages(word: np.ndarray, rng: Rng, constants=_block_constants,
     step = min(rows, max(1, _BLOCK_WORDS // m))
     # one block's full-shape pair sides, row starts and columns, and its key
     # scratch, which is this call's own
-    shared = (*constants(step, c, word.dtype),
+    shared = (*_block_constants(step, c, word.dtype),
               *np.empty((2, step, m), dtype=word.dtype),
               np.empty((step, m), dtype=np.uint64))
     blocks = [(flat[r0:r0 + step], out[r0:r0 + step],
@@ -345,7 +337,7 @@ def route_census(tag: np.ndarray, dest: np.ndarray, rng: Rng,
              "tags must be boolean numpy arrays")
     _require(tag.ndim == 3, "tag must be shaped (batch, n, c)")
     _check_dests(dest, tag.shape)
-    _, spills, live = _run_stages(_pack(tag, dest, None), rng, _census_constants)
+    _, spills, live = _run_stages(_pack(tag, dest, None), rng)
     return spills, live
 
 

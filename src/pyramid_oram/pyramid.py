@@ -43,7 +43,6 @@ moves to the log and only returns to a level when that level is rebuilt.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -220,11 +219,12 @@ class PyramidOram:
     build_recorder captures rebuild traffic.  Both default to disabled
     recorders so the hot path stays cheap.
 
-    A rebuild that raises anywhere (a BuildFailedError, or any other
-    exception from its gather, build, install or log clear), or a bulk load
-    whose build raises, leaves the store part-way through (counter advanced,
-    log not yet merged), so after one every access and bulk_load raises
-    StoreBrokenError chained to it; stored_items() still shows what it holds.
+    An access or bulk load that raises once it has started writing (from
+    the log scan on: a BuildFailedError, a MemoryError, a debug assertion)
+    may leave the store part-way through, so after one every access and
+    bulk_load raises StoreBrokenError chained to it; stored_items() still
+    shows what it holds.  Input refusals, and a fresh-key write refused at
+    capacity, raise before anything is written and leave the store usable.
 
     Each level's slot storage lives as long as the store: it is allocated by
     the first build into the level, and when the level empties its reals are
@@ -264,14 +264,6 @@ class PyramidOram:
     # -- public surface -------------------------------------------------------
 
     @property
-    def capacity(self) -> int:
-        return self.config.capacity
-
-    @property
-    def num_levels(self) -> int:
-        return self.config.num_levels
-
-    @property
     def loaded(self) -> bool:
         return self.levels[self.config.num_levels] is not None
 
@@ -292,7 +284,9 @@ class PyramidOram:
         A fresh-key write at full capacity raises CapacityExceededError as a
         miss: it searched every occupied level for real and recorded a full
         online probe, but drew no randomness and left t and the store as they
-        were.  Re-reading the key then repeats those searches (debug: asserts).
+        were.  Re-reading the key then repeats those searches (debug: asserts,
+        which, like any exception once the log scan has begun, breaks the
+        store).
         """
         self._refuse_if_broken()
         if op not in ("read", "write"):
@@ -305,34 +299,43 @@ class PyramidOram:
         if debug:
             self._assert_schedule_consistent()
 
-        found, payload = self._scan_level0(key)
-        # every occupied level's path in one hash, the levels after the hit
-        # included: hashing is private, only the gathers below touch memory
-        lanes = path_buckets(self._lane_subkeys, key, self._lane_n)
-        recorder, rng = self.recorder, self._rng
-        for j, level, lo, hi in self._probes:
-            if found:
-                level.dummy_search(rng, recorder=recorder)
-                continue
-            if debug:
-                self._log_real_search(j, key)
-            hit = level.search(key, remove=True, recorder=recorder,
-                               buckets=lanes[lo:hi])
-            if hit is not None:
-                found = True
-                payload = hit
-        online = self.config.first_level_size + lanes.size
-
-        if op == "write" and not found and self.real_count >= self.config.capacity:
+        # from the log scan on, the access writes: an exception anywhere
+        # after it leaves the store part-way through, so it refuses further
+        # use.  A refused fresh-key write has written nothing and stays usable
+        try:
+            found, payload = self._scan_level0(key)
+            # every occupied level's path in one hash, the levels after the
+            # hit included: hashing is private, only the gathers below touch
+            # memory
+            lanes = path_buckets(self._lane_subkeys, key, self._lane_n)
+            recorder, rng = self.recorder, self._rng
+            for j, level, lo, hi in self._probes:
+                if found:
+                    level.dummy_search(rng, recorder=recorder)
+                    continue
+                if debug:
+                    self._log_real_search(j, key)
+                hit = level.search(key, remove=True, recorder=recorder,
+                                   buckets=lanes[lo:hi])
+                if hit is not None:
+                    found = True
+                    payload = hit
+            online = self.config.first_level_size + lanes.size
+            full = (op == "write" and not found
+                    and self.real_count >= self.config.capacity)
+            if not full:
+                self._append(op, key, found, payload, value)
+                if op == "write" and not found:
+                    self.real_count += 1
+                self.t += 1
+                info = self._rebuild_if_due()
+        except BaseException as exc:
+            self.broken_by = exc
+            raise
+        if full:
             raise CapacityExceededError(
                 f"store already holds {self.real_count} keys"
             )
-
-        self._append(op, key, found, payload, value)
-        if op == "write" and not found:
-            self.real_count += 1
-        self.t += 1
-        info = self._rebuild_if_due()
 
         record = AccessRecord(
             op_index=op_index,
@@ -361,9 +364,12 @@ class PyramidOram:
         keys, payload = _load_items(items, self.config.payload_size)
         elems = BuildInput(self.config.capacity, np.arange(len(keys)), keys,
                            payload)
-        with self._broken_on_error():
+        try:
             report = self._build_level(self.config.num_levels, elems)
-        self.real_count = len(items)
+            self.real_count = len(items)
+        except BaseException as exc:
+            self.broken_by = exc
+            raise
         return report
 
     def stored_items(self) -> dict[int, bytes]:
@@ -382,19 +388,8 @@ class PyramidOram:
     def _refuse_if_broken(self) -> None:
         if self.broken_by is not None:
             raise StoreBrokenError(
-                f"store unusable after a failed build: {self.broken_by}"
+                f"store unusable after a call raised part-way: {self.broken_by!r}"
             ) from self.broken_by
-
-    @contextlib.contextmanager
-    def _broken_on_error(self):
-        """Mark the store broken by any exception raised inside the block:
-        a rebuild or load that raises, for whatever reason, leaves the store
-        part-way through, so it refuses further use."""
-        try:
-            yield
-        except BaseException as exc:
-            self.broken_by = exc
-            raise
 
     def _set_levels(self, changes: dict[int, Zht | None]) -> None:
         """The one writer of self.levels; refreshes the lane table with it.
@@ -466,31 +461,29 @@ class PyramidOram:
         target = rebuild_target(self.config, self.t)
         if target < 0:
             return None
-        # t has advanced: from here on, whatever raises breaks the store
-        with self._broken_on_error():
-            parts = [self.level0]
-            for i in range(1, target):
-                level = self.levels[i]
-                assert level is not None, f"source level {i} empty at t={self.t}"
-                parts.append(level.slot_array())
-            # the schedule leaves the target empty except at a full rebuild,
-            # which absorbs the old last level
-            if self.levels[target] is not None:
-                parts.append(self.levels[target].slot_array())
-            self._build_level(target, BuildInput.gather(parts),
-                              emptied=range(1, target))
-            self.level0.clear()
+        parts = [self.level0]
+        for i in range(1, target):
+            level = self.levels[i]
+            assert level is not None, f"source level {i} empty at t={self.t}"
+            parts.append(level.slot_array())
+        # the schedule leaves the target empty except at a full rebuild,
+        # which absorbs the old last level
+        if self.levels[target] is not None:
+            parts.append(self.levels[target].slot_array())
+        self._build_level(target, BuildInput.gather(parts),
+                          emptied=range(1, target))
+        self.level0.clear()
         return self.last_rebuild
 
     def _build_level(self, target: int, elems: BuildInput,
                      emptied: range = range(0)) -> BuildReport:
         """Build level `target` from elems; on success install it and empty
         the source levels `emptied`, in one _set_levels call.  Its callers
-        run it under _broken_on_error.
+        break the store if it raises.
 
         The build runs over the target's spare storage, allocated only when
         the level has none yet; a failed attempt's storage is cleared and
-        taken by the next attempt, or kept as the spare after the last.
+        taken by the next attempt.
         """
         lp = self.config.levels[target - 1]
         attempts_allowed = 1 + self.config.max_retries
@@ -513,7 +506,6 @@ class PyramidOram:
                 )
                 return report
             store = _retired(z)
-        self._spares[target] = store
         raise BuildFailedError(
             f"level {target} build failed after {attempts_allowed} "
             f"attempt(s): {report.failure_reason}",

@@ -257,7 +257,9 @@ def test_miss_and_validation():
             oram.write(key, val(1))
         with pytest.raises(InvalidParameterError):
             oram.read(key)
+    # refused before the access writes anything: the store stays usable
     assert oram.t == 1 and oram.stored_items() == {}
+    assert oram.broken_by is None
     assert oram.read(1) is None
 
 
@@ -437,12 +439,15 @@ def test_capacity_enforced_for_fresh_keys_only(debug_checks):
     assert len(rec) == events + online_cost(cfg, t, oram.loaded)
     assert (oram.t, oram.real_count, oram.stored_items()) == (t, 4, held)
     assert oram._rng._gen.bit_generator.state == rng_state
+    assert oram.broken_by is None
     # overwrites and reads still work at full capacity
     assert oram.write(2, val(2, salt=1)) == val(2)
     assert oram.read(2) == val(2, salt=1)
-    # the refused write searched for 99 for real, so reading it repeats that
-    with pytest.raises(AssertionError, match="repeated real search"):
+    # the refused write searched for 99 for real, so reading it repeats that;
+    # like any exception once an access has begun writing, it breaks the store
+    with pytest.raises(AssertionError, match="repeated real search") as tripped:
         oram.read(99)
+    assert oram.broken_by is tripped.value
 
 
 def test_repeated_absent_read_detected_in_debug(debug_checks):
@@ -796,7 +801,7 @@ def test_key_only_probe_keeps_the_sentinel_invariant(cfg, seed, ops):
                 with pytest.raises(InvalidParameterError):
                     _bad_step(oram, step, key)
                 assert (oram.t, len(oram.recorder)) == (t, events)
-                assert oram.stored_items() == model
+                assert oram.stored_items() == model and oram.broken_by is None
                 continue
             if key in read_absent:
                 # a second search for an absent key, read or write, trips the
@@ -812,7 +817,7 @@ def test_key_only_probe_keeps_the_sentinel_invariant(cfg, seed, ops):
                 # a miss whose real searches were recorded
                 assert key not in model and oram.t == t
                 read_absent.add(key)
-                assert oram.stored_items() == model
+                assert oram.stored_items() == model and oram.broken_by is None
                 continue
             except BuildFailedError:
                 broken = True

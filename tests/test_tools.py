@@ -4,12 +4,13 @@ The tools import private names (PyramidOram._scan_level0, core.path_buckets,
 oprim._SORT_MIN_WIDTH, prn._BLOCK_WORDS, analysis._first_fit_tags), so a
 rename shows here.  tools/bench_pairs.py
 needs two checkouts to run, so only its refusal of a seed range too short to
-summarise, which comes first, is run, and its environment block, its count
-of the seeds the change did better in and its verdict per metric are called
-directly.
+summarise, which comes first, is run as a process; its run order is checked
+with run_once replaced, and its environment block, its count of the seeds
+the change did better in and its verdict per metric are called directly.
 """
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -62,6 +63,33 @@ def _bench_pairs():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_bench_pairs_runs_workload_by_workload(monkeypatch, tmp_path):
+    # a run that follows another workload's (a 40 s spill-mc run keeps every
+    # CPU busy) starts on a machine in another state, so only the first run
+    # of each workload may follow one; the side that runs first still
+    # alternates with the seed
+    module = _bench_pairs()
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload, seed))
+        return {"metrics": {"items_per_s": {"value": float(seed), "unit": "1/s"}}}
+
+    monkeypatch.setattr(module, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    assert module.main(["--parent", str(tmp_path / "parent"), "--change",
+                        str(tmp_path / "change"), "--workloads", "uniform",
+                        "spill-mc", "--seeds", "1-4", "--out", str(out)]) == 0
+    workloads = [workload for _, workload, _ in calls]
+    assert workloads == ["uniform"] * 8 + ["spill-mc"] * 8
+    turns = ["parent", "change", "change", "parent"] * 2
+    for workload in ("uniform", "spill-mc"):
+        assert [(side, seed) for side, w, seed in calls if w == workload] == \
+            list(zip(turns, [1, 1, 2, 2, 3, 3, 4, 4]))
+    assert json.loads(out.read_text())["run_order"] == [
+        f"{side} {workload} {seed}" for side, workload, seed in calls]
 
 
 def test_bench_pairs_records_what_moves_the_metrics(monkeypatch):

@@ -5,10 +5,11 @@
         --workloads uniform spill-mc --seeds 1-10 --seconds 40 --out BENCH_N.json
 
 Each checkout runs its own perfbench/run.py --trace 0 from its own root, one
-run at a time.  Seed by seed, each workload runs on both sides back to back,
-and the side that runs first alternates with the seed (parent first on odd
-seeds), so a change in the machine's speed falls on both sides alike.  Each
-side's values are summarised with perfbench/repeat.py's summarise.  The
+run at a time.  Workload by workload, every seed runs on both sides back to
+back, and the side that runs first alternates with the seed (parent first on
+odd seeds), so a change in the machine's speed falls on both sides alike,
+and no run but the first of a workload follows a run of another workload.
+Each side's values are summarised with perfbench/repeat.py's summarise.  The
 output has the layout of the earlier BENCH files: method, environment
 (environment(): versions, CPUs, and what else moves the metrics),
 seconds, seeds, run_order, and per side, workload and metric the values in
@@ -128,9 +129,9 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent, "change": args.change}
     runs = {side: {w: [] for w in args.workloads} for side in sides}
     order = []
-    for seed in seed_list:
-        turn = ["parent", "change"] if seed % 2 else ["change", "parent"]
-        for workload in args.workloads:
+    for workload in args.workloads:
+        for seed in seed_list:
+            turn = ["parent", "change"] if seed % 2 else ["change", "parent"]
             for side in turn:
                 result = run_once(sides[side], workload, seed, args.seconds)
                 runs[side][workload].append(result["metrics"])
@@ -142,10 +143,10 @@ def main(argv=None) -> int:
     summary = {
         "method": (f"run.py --trace 0 --seconds {args.seconds:g}, one run at a "
                    "time, on two checkouts, written by tools/bench_pairs.py: "
-                   "seed by seed, each workload runs on both sides back to back; "
-                   "the side that runs first alternates with the seed (parent "
-                   "first on odd seeds). Every run read correct with 0 failed "
-                   "operations."),
+                   "workload by workload, each seed runs on both sides back to "
+                   "back; the side that runs first alternates with the seed "
+                   "(parent first on odd seeds). Every run read correct with 0 "
+                   "failed operations."),
         "parent_commit": args.parent_commit,
         "environment": environment(),
         "seconds": args.seconds,
