@@ -33,16 +33,16 @@ MAX_REAL_KEY = 0xFFFFFFFE
 DEFAULT_PAYLOAD_SIZE = 56
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-# splitmix64's finalizer constants, as Python ints; _mix64 uses them as
-# uint64 words, _mix64_word on one Python-int word
+# splitmix64's finalizer constants, as Python ints; _mix64 uses them as 0-d
+# uint64 arrays (quicker operands than uint64 scalars), _mix64_word as ints
 _C1 = 0xBF58476D1CE4E5B9
 _C2 = 0x94D049BB133111EB
-_MIX_C1 = np.uint64(_C1)
-_MIX_C2 = np.uint64(_C2)
+_MIX_C1 = np.array(_C1, np.uint64)
+_MIX_C2 = np.array(_C2, np.uint64)
 _GOLDEN = 0x9E3779B97F4A7C15  # a Python int: exact in key * _GOLDEN
-_S30 = np.uint64(30)
-_S27 = np.uint64(27)
-_S31 = np.uint64(31)
+_S30 = np.array(30, np.uint64)
+_S27 = np.array(27, np.uint64)
+_S31 = np.array(31, np.uint64)
 
 
 class OramError(Exception):
@@ -189,8 +189,10 @@ class SlotArray:
         return self._view(self.key[idx], self.payload[idx])
 
     def reshape(self, shape) -> "SlotArray":
-        """The same slots under a new leading shape; a view when contiguous."""
+        """A view of the same slots under a new leading shape; never a copy."""
         shape = _shape(shape)
+        _require(self.key.flags.c_contiguous and self.payload.flags.c_contiguous,
+                 "only C-contiguous slots can be reshaped")
         return self._view(self.key.reshape(shape),
                           self.payload.reshape(shape + (self.payload_size,)))
 

@@ -141,8 +141,7 @@ def oblivious_build(elems: BuildInput, n: int, k: int, c: int,
     if unplaced:
         return finish(FAILURE_THROW, unplaced)
 
-    for tj in range(k):
-        tbl = z.tables[tj]
+    for tj, tbl in enumerate(z.tables):
         arrivals.append(tbl.real_count())
         dests = fam.bucket_indices(level_id, tj, tbl.key, n)
         stats = route(tbl, dests, rng, recorder=recorder, region=z.regions[tj])

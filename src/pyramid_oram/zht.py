@@ -8,19 +8,19 @@ moves each real to its hash bucket.  Every operation touches its full set of
 buckets whether or not it needs them.  What varies with the data is slot
 contents, not which buckets are touched.
 
-A Zht keeps all its slots in one SlotArray of shape (k, n, c): table, bucket,
-slot.  tables[j] is the (n, c) SlotArray view store[j], so per-table code
-(routing) writes straight into the store, and a search is one gather of the
-k path buckets out of it.  The store is a fresh array, or one the caller
-hands in holding only dummies (a PyramidOram builds each level over the
-storage the level held before).  A slot is a key and a payload (route()
-keeps its tags to itself), real iff its key is not KEY_SENTINEL, which is
-above every real key, so a search compares keys only and `key == probe` is
-exactly "a real slot holding probe".  A search takes the k path buckets'
-keys and payload rows, every row on a hit and on a miss alike; nonzero() of
-the (k, c) key match gives the hit's (table, slot), and the hit's payload is
-that row of the gathered copy.  A removal writes the sentinel into that one
-slot, which frees it.
+A Zht keeps its slots in one SlotArray of k*n bucket rows of c slots, table
+j's bucket b at row b + j*n, so a search is one gather of the k path rows.
+store, the (k, n, c) table, bucket, slot array, and tables[j], table j's
+rows that routing writes, are views of it made when asked for.  The rows are
+fresh, or a C-contiguous all-dummy (k, n, c) store the caller hands in (a
+PyramidOram builds each level over the storage the level held before).  A
+slot is a key and a payload (route() keeps its tags to itself), real iff its
+key is not KEY_SENTINEL, which is above every real key, so a search compares
+keys only and `key == probe` is exactly "a real slot holding probe".  A
+search takes the k path rows' keys and payloads, on a hit and on a miss
+alike; nonzero() of the (k, c) key match gives the hit's (table, slot), and
+the hit's payload is that row of the gathered copy.  A removal writes the
+sentinel into that one slot, which frees it.
 
 Placement is one kernel, _first_fit, for the throw and for zigzag_insert
 alike.  It walks the tables in order; at table j it ranks every element still
@@ -145,8 +145,8 @@ class Zht:
     def __init__(self, n: int, k: int, c: int, fam: HashFamily, level_id: int = 0,
                  payload_size: int = DEFAULT_PAYLOAD_SIZE,
                  store: SlotArray | None = None):
-        """A table set over `store`, an all-dummy (k, n, c) SlotArray of
-        payload_size-byte rows, or over a fresh one when store is None."""
+        """A table set over the bucket rows of `store`, an all-dummy C-contiguous
+        (k, n, c) SlotArray of payload_size-byte rows, or of a fresh one."""
         n, k, c = as_int(n, "n"), as_int(k, "k"), as_int(c, "c")
         level_id = as_int(level_id, "level_id")
         _require(k >= 1, "need at least one table")
@@ -158,37 +158,32 @@ class Zht:
         self.fam = fam
         self.level_id = level_id
         if store is None:
-            store = SlotArray((k, n, c), payload_size)
+            rows = SlotArray((k * n, c), payload_size)
         else:
-            _require(store.shape == (k, n, c) and store.payload_size == payload_size,
-                     f"store must be ({k}, {n}, {c}) slots of {payload_size} bytes")
+            _require(store.shape == (k, n, c) and store.payload_size == payload_size
+                     and store.key.flags.c_contiguous
+                     and store.payload.flags.c_contiguous,
+                     f"store must be C-contiguous ({k}, {n}, {c}) slots of "
+                     f"{payload_size} bytes")
+            rows = store.reshape((k * n, c))
             if debug_checks_enabled():
-                _require((store.key == KEY_SENTINEL).all(), "store holds a real key")
-                _require(not store.payload.any(), "store holds payload bytes")
-        self.store = store
-        self.payload_size = self.store.payload_size
+                _require((rows.key == KEY_SENTINEL).all(), "store holds a real key")
+                _require(not rows.payload.any(), "store holds payload bytes")
+        self._bucket_rows = rows
+        self.payload_size = rows.payload_size
         self.regions = [table_region(level_id, j) for j in range(k)]
         self._subkeys = fam.subkeys(level_id, k)
         self._row_base = np.arange(k) * n
-        self._make_views()
 
-    def _make_views(self) -> None:
-        self.tables = [self.store[j] for j in range(self.k)]
-        # (k*n, c) view of the store and each table's first row in it, so a
-        # path's k buckets are one take() of rows buckets + _row_base
-        self._bucket_rows = self.store.reshape((self.k * self.n, self.c))
+    @property
+    def store(self) -> SlotArray:
+        """All the slots as a (k, n, c) view: table, bucket, slot."""
+        return self._bucket_rows.reshape((self.k, self.n, self.c))
 
-    # a copy or a pickle would give the views arrays of their own, which
-    # searches and routes would then read and write apart from the store;
-    # so they are left out and made again from the store
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["tables"], state["_bucket_rows"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._make_views()
+    @property
+    def tables(self) -> list[SlotArray]:
+        """Each table's (n, c) view of its bucket rows."""
+        return [self._bucket_rows[j * self.n:(j + 1) * self.n] for j in range(self.k)]
 
     # -- paths ---------------------------------------------------------------
 
@@ -210,7 +205,7 @@ class Zht:
         those before the first that falls off.  Returns the table each real
         landed in, -1 where it was not stored.
         """
-        st = self.store
+        br = self._bucket_rows
         landed = np.full(keys.size, -1, dtype=np.int64)
         todo = np.arange(keys.size)
         placed = []
@@ -218,22 +213,22 @@ class Zht:
             if todo.size == 0:
                 break
             j = first_table + off
-            b = paths[todo, off]
-            # free slots of the bucket so far, counting in slot order
-            free = np.cumsum(st.key[j].take(b, axis=0) == KEY_SENTINEL, axis=1)
-            rank = rank_within_group(b)
+            r = paths[todo, off] + j * self.n
+            # free slots of the bucket (row r) so far, counting in slot order
+            free = np.cumsum(br.key.take(r, axis=0) == KEY_SENTINEL, axis=1)
+            rank = rank_within_group(r)
             fits = rank < free[:, -1]
             # the rank-th free slot is where the count first exceeds rank
             s = (free > rank[:, None]).argmax(axis=1)[fits]
-            placed.append((j, b[fits], s, todo[fits]))
+            placed.append((j, r[fits], s, todo[fits]))
             todo = todo[~fits]
         stop = todo[0] if stop_at_miss and todo.size else keys.size
-        for j, b, s, rows in placed:
+        for j, r, s, rows in placed:
             if stop < keys.size:
                 keep = rows < stop
-                b, s, rows = b[keep], s[keep], rows[keep]
-            st.key[j, b, s] = keys[rows]
-            st.payload[j, b, s] = payload[rows]
+                r, s, rows = r[keep], s[keep], rows[keep]
+            br.key[r, s] = keys[rows]
+            br.payload[r, s] = payload[rows]
             landed[rows] = j
         return landed
 
@@ -339,7 +334,8 @@ class Zht:
     # -- accounting ----------------------------------------------------------
 
     def real_counts(self) -> list[int]:
-        return np.count_nonzero(self.store.key != KEY_SENTINEL, axis=(1, 2)).tolist()
+        key = self._bucket_rows.key.reshape(self.k, self.n * self.c)
+        return np.count_nonzero(key != KEY_SENTINEL, axis=1).tolist()
 
     def real_items(self) -> list[tuple[int, bytes]]:
         """All (key, payload) pairs currently resident, table-major order."""
@@ -350,7 +346,7 @@ class Zht:
     def slot_array(self) -> SlotArray:
         """All k*n*c slots as one flat array (table, bucket, slot order).
 
-        A reshape of the store, so it shares the level's memory: copy it
+        A view of the bucket rows, so it shares the level's memory: copy it
         before the level changes.
         """
-        return self.store.reshape(self.k * self.n * self.c)
+        return self._bucket_rows.reshape(self.k * self.n * self.c)

@@ -304,6 +304,9 @@ def test_slot_array_shape_is_an_int_or_a_tuple_or_list_of_ints():
             SlotArray(6, 8).reshape(bad)
     arr = SlotArray(6, 8).reshape([np.int64(2), 3])
     assert arr.key.shape == (2, 3) and arr.payload.shape == (2, 3, 8)
+    # a strided array's reshape would be a copy, which writes would miss
+    with pytest.raises(InvalidParameterError, match="^only C-contiguous"):
+        SlotArray((4, 3), 8)[::2].reshape(6)
 
 
 def test_rng_substreams_differ():

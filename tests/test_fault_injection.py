@@ -3,11 +3,12 @@
 Each case copies one prepared store and raises a private BaseException (what
 a KeyboardInterrupt or a MemoryError does) from a sys.setprofile hook at the
 i-th call or C-call event of one access or bulk load: at every event of the
-accesses that do not rebuild, and at a fixed stride through a rebuilding
-access and a bulk load.  The store must then refuse its next call with
-StoreBrokenError, or hold the items it held before or after the call and
-match a dict through its next full rebuild.  Failing every Nth call follows
-SQLite's out-of-memory and I/O-error tests (https://sqlite.org/testing.html).
+accesses that do not rebuild, and at a fixed stride through an access that
+rebuilds level 1, one that makes a full rebuild, and a bulk load.  The store
+must then refuse its next call with StoreBrokenError, or hold the items it
+held before or after the call and match a dict through its next full
+rebuild.  Failing every Nth call follows SQLite's out-of-memory and I/O-error
+tests (https://sqlite.org/testing.html).
 """
 
 import copy
@@ -22,8 +23,8 @@ from pyramid_oram.pyramid import rebuild_target
 CFG = PyramidConfig(capacity=1024, first_level_size=16, payload_size=8, seed=3)
 # the access at t = 1007 rebuilds level 1; at t = 1012 levels 1-6 and the
 # last are occupied, 4 keys are in the log, and the next full rebuild is 12
-# accesses away
-REBUILD_AT, PREPARED_AT = 1007, 1012
+# accesses away; the access at t = 1023 makes it
+REBUILD_AT, PREPARED_AT, FULL_AT = 1007, 1012, 1023
 
 
 class Injected(BaseException):
@@ -42,15 +43,15 @@ def _write(oram: PyramidOram, t: int) -> None:
 @pytest.fixture(scope="module")
 def prepared() -> dict[int, PyramidOram]:
     """The store of 512 bulk-loaded even keys and odd-key writes, at
-    REBUILD_AT and at PREPARED_AT accesses; copy it, never use it."""
+    REBUILD_AT, PREPARED_AT and FULL_AT accesses; copy it, never use it."""
     oram = PyramidOram(CFG)
     oram.bulk_load([(key, val(key)) for key in range(0, CFG.capacity, 2)])
     stores = {}
-    for t in range(PREPARED_AT):
-        if t == REBUILD_AT:
+    for t in range(FULL_AT):
+        if t in (REBUILD_AT, PREPARED_AT):
             stores[t] = copy.deepcopy(oram)
         _write(oram, t)
-    stores[PREPARED_AT] = oram
+    stores[FULL_AT] = oram
     return stores
 
 
@@ -162,6 +163,18 @@ def test_a_rebuilding_access_that_raises_anywhere_refuses_or_holds(prepared):
 
     assert rebuild_target(CFG, REBUILD_AT + 1) == 1
     swept, wrong = _sweep(prepared[REBUILD_AT], read_and_rebuild_level1, stride=7)
+    assert swept > 80
+    assert not wrong, f"{len(wrong)} of {swept} events left the store wrong: {wrong}"
+
+
+def test_a_fully_rebuilding_access_that_raises_anywhere_refuses_or_holds(prepared):
+    # the full rebuild builds the last level into its second buffer and
+    # retires the first
+    def read_and_rebuild_all(o):
+        o.read(2001)
+
+    assert rebuild_target(CFG, FULL_AT + 1) == CFG.num_levels
+    swept, wrong = _sweep(prepared[FULL_AT], read_and_rebuild_all, stride=23)
     assert swept > 80
     assert not wrong, f"{len(wrong)} of {swept} events left the store wrong: {wrong}"
 

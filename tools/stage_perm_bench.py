@@ -54,7 +54,10 @@ m = oprim._SORT_MIN_WIDTH on; the last column is its choice.
 Then a level-1 build of the uniform benchmark's store (n=64, k=3, c=4,
 64 input slots, 40 reals, 56-byte payloads): the median µs of --builds
 builds with the stage sort as sort_network_perm chooses it, and with the
-network at every width, in alternating blocks of 20.
+network at every width, in alternating blocks of 20.  As in
+PyramidOram._build_level, each build runs over the previous build's
+storage, its reals cleared to dummies by pyramid._retired outside the
+timed call.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ from pyramid_oram import oprim, prn  # noqa: E402
 from pyramid_oram.analysis import _first_fit_tags, mc_prn_stage_spill  # noqa: E402
 from pyramid_oram.core import HashFamily, Rng, SlotArray  # noqa: E402
 from pyramid_oram.ozht import oblivious_build  # noqa: E402
+from pyramid_oram.pyramid import _retired  # noqa: E402
 from pyramid_oram.zht import BuildInput  # noqa: E402
 
 WIDTHS = (2, 4, 8, 16)
@@ -224,7 +228,7 @@ def level1_builds(builds: int) -> None:
     rng = Rng(3)
     sides = {"as chosen": oprim._SORT_MIN_WIDTH, "network": NETWORK}
     times: dict[str, list[float]] = {side: [] for side in sides}
-    epoch = 0
+    epoch, store = 0, SlotArray((k, n, c), payload)
     try:
         while len(times["network"]) < builds:
             for side, threshold in sides.items():
@@ -233,8 +237,10 @@ def level1_builds(builds: int) -> None:
                     epoch += 1
                     fam = HashFamily(0, epoch)
                     t0 = time.perf_counter_ns()
-                    oblivious_build(elems, n, k, c, fam, rng, level_id=1)
+                    z, _ = oblivious_build(elems, n, k, c, fam, rng, level_id=1,
+                                           store=store)
                     times[side].append((time.perf_counter_ns() - t0) / 1e3)
+                    store = _retired(z)
     finally:
         oprim._SORT_MIN_WIDTH = sides["as chosen"]
     print(f"level-1 build (n={n}, k={k}, c={c}, {size} slots, {reals} reals), "
